@@ -53,15 +53,13 @@ from .periods import (
     x0_period_exact,
 )
 from .symbols import (
-    PrecisionCtx,
     SymbolValue,
-    TakadaConstant,
     lift_coset_sum,
     phi_general,
     psi_general,
     symbol_elliptic,
     symbol_parabolic,
-    takada_C,
+    takada_C_row_exact,
     takada_phi,
     transport_cusp,
 )
@@ -70,15 +68,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cusp", "Divisor", "Family", "GroupElement", "GroupId", "Motion",
-    "MotionClass", "PeriodValue", "PrecisionCtx", "ScalingMap", "SymbolValue",
-    "TakadaConstant", "TorsionCertificate", "classify", "cocycle_defect",
+    "MotionClass", "PeriodValue", "ScalingMap", "SymbolValue",
+    "TorsionCertificate", "classify", "cocycle_defect",
     "cosets", "cusp_equivalent", "cusp_stabilizer_generator", "cusp_width",
     "cusps", "dedekind_sum", "dedekind_sum_direct", "divisor_period",
     "divisor_periods", "e2_value", "eta_log", "lift_coset_sum", "member",
     "parse_matrix", "period_numeric", "phi_classical", "phi_fourier_coefficient",
     "phi_from_eta", "phi_general", "pi_over_volume", "psi_classical",
     "psi_general", "sawtooth", "schreier_generators", "sign",
-    "symbol_elliptic", "symbol_parabolic", "takada_C", "takada_phi",
+    "symbol_elliptic", "symbol_parabolic", "takada_C_row_exact", "takada_phi",
     "torsion_certificate", "transport_cusp", "word_decompose",
     "x0_period_exact",
 ]

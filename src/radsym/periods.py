@@ -8,9 +8,10 @@ modular function theory:
 * ``e2_value`` / ``period_numeric``: the completed weight-2 Eisenstein
   series integrated along a hyperbolic geodesic arc reproduces the
   Rademacher symbol Psi.
-* ``x0_period_exact``: on X0(N) the divisor (0) - (inf) has a canonical
-  differential whose periods reduce to pure classical Dedekind sums,
-  giving a fully exact oracle for the generalized-symbol pipeline.
+* ``x0_period_exact``: on X0(N), N a prime or a prime square, the divisor
+  (0) - (inf) has a canonical differential whose periods reduce to pure
+  classical Dedekind sums, giving a fully exact oracle for the
+  generalized-symbol pipeline.
 
 Torsion certificates for degree-zero cuspidal divisors are assembled from
 Rademacher-symbol period values over a Schreier generating set: the class
@@ -41,7 +42,7 @@ from .modgroup import (
     parabolic_power,
     schreier_generators,
 )
-from .symbols import DEFAULT_CTX, PrecisionCtx, SymbolValue, psi_general
+from .symbols import SymbolValue, psi_general
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +269,20 @@ def phi_fourier_coefficient(n: int) -> Fraction:
 
 
 def x0_period_exact(N: int, g: GroupElement) -> Fraction:
-    """Exact period of the canonical differential attached to the divisor
-    (N-1)((0) - (inf)) on X0(N), via pure classical Dedekind sums.
+    """Exact period over g in Gamma0(N) of the weight-2 form E2(z) - N E2(Nz),
+    via pure classical Dedekind sums: Psi(g) - Psi(AgA^{-1}) with
+    A = diag(N, 1).
 
-    The differential is the weight-2 form E2(z) - N E2(Nz); its period over
-    g in Gamma0(N) is Psi(g) - Psi(AgA^{-1}) with A = diag(N, 1), i.e.
+    At the cusp p/q (q | N) of width w the form has constant term
+    w (1 - q^2/N): N - 1 at 0, 1 - N at infinity, and zero at every other
+    cusp exactly when N is a prime or the square of a prime.  For those N
+    the form is the canonical differential of (N-1)((0) - (inf)), i.e.
 
         x0_period_exact(N, g) = (N - 1) * (Psi_0 - Psi_inf)(g)
 
-    in terms of the Gamma0(N) Rademacher symbols at the two cusps.
+    in terms of the Gamma0(N) Rademacher symbols at the two cusps.  For
+    other N (for example 6, 8, 10, 15, 16) the form also carries the
+    intermediate cusps and the identity fails on some generators.
     """
     if g.e != 1:
         raise ValueError("need an integral matrix of determinant 1")
@@ -339,8 +345,7 @@ class PeriodValue:
     value: SymbolValue
 
 
-def divisor_period(D: Divisor, g: GroupElement,
-                   ctx: PrecisionCtx = DEFAULT_CTX) -> SymbolValue:
+def divisor_period(D: Divisor, g: GroupElement) -> SymbolValue:
     """I(g) = sum_i m_i Psi_{a_i}(g) for one group element."""
     G = D.group
     cls = classify(g)
@@ -352,12 +357,11 @@ def divisor_period(D: Divisor, g: GroupElement,
     total = SymbolValue.exact(0)
     for cu, m in D.multiplicities:
         if m:
-            total = total + psi_general(G, cu, g, ctx).scaled(m)
+            total = total + psi_general(G, cu, g).scaled(m)
     return total
 
 
-def divisor_periods(G: GroupId, D: Divisor,
-                    ctx: PrecisionCtx = DEFAULT_CTX) -> list[PeriodValue]:
+def divisor_periods(G: GroupId, D: Divisor) -> list[PeriodValue]:
     """Periods of the canonical differential of D over a Schreier
     generating set of G."""
     if D.group != G:
@@ -366,7 +370,7 @@ def divisor_periods(G: GroupId, D: Divisor,
     for g in schreier_generators(G):
         if g.canonical().is_identity():
             continue
-        out.append(PeriodValue(g, D, divisor_period(D, g, ctx)))
+        out.append(PeriodValue(g, D, divisor_period(D, g)))
     return out
 
 
@@ -376,9 +380,8 @@ class TorsionCertificate:
     order in the Jacobian, or a flagged non-claim.
 
     The order is the lcm of the period denominators over the listed
-    generators; it is exact when every period came from an exact engine,
-    verified when reconstructed values passed the consistency checks, and
-    absent (order None, flagged) when any period stayed approximate.
+    generators; it is exact when every period is an exact rational, and
+    absent (order None, flagged) when any period is only approximate.
     """
 
     group: GroupId
@@ -386,7 +389,7 @@ class TorsionCertificate:
     generators: tuple
     periods: tuple
     order: int | None
-    status: str  # "exact" | "reconstructed-verified" | "non-rational-flag"
+    status: str  # "exact" | "non-rational-flag"
 
     def __str__(self):
         if self.order is None:
@@ -395,36 +398,18 @@ class TorsionCertificate:
                 f"{self.order} [{self.status}]")
 
 
-def torsion_certificate(G: GroupId, D: Divisor,
-                        ctx: PrecisionCtx = DEFAULT_CTX) -> TorsionCertificate:
+def torsion_certificate(G: GroupId, D: Divisor) -> TorsionCertificate:
     """Torsion order of the class of D from the rationality of its periods.
 
     n D is principal exactly when n I(g) is an integer for every g, so the
     order is the lcm of the period denominators over any generating set.
-    Reconstructed values are only admitted after an additivity cross-check
-    I(g1 g2) = I(g1) + I(g2) against independently evaluated products.
     """
-    pvs = divisor_periods(G, D, ctx)
+    pvs = divisor_periods(G, D)
     gens = tuple(p.element for p in pvs)
-    status = "exact"
     order = 1
     for p in pvs:
-        v = p.value
-        if not v.is_rational:
+        if not p.value.is_rational:
             return TorsionCertificate(G, D, gens, tuple(pvs), None,
                                       "non-rational-flag")
-        if v.kind == "reconstructed":
-            status = "reconstructed-verified"
-        order = math.lcm(order, v.as_fraction().denominator)
-    if status == "reconstructed-verified":
-        # additivity audit on consecutive generator pairs
-        for p1, p2 in zip(pvs, pvs[1:]):
-            prod = divisor_period(D, p1.element * p2.element, ctx)
-            if not prod.is_rational:
-                return TorsionCertificate(G, D, gens, tuple(pvs), None,
-                                          "non-rational-flag")
-            if prod.as_fraction() != (p1.value.as_fraction()
-                                      + p2.value.as_fraction()):
-                return TorsionCertificate(G, D, gens, tuple(pvs), None,
-                                          "non-rational-flag")
-    return TorsionCertificate(G, D, gens, tuple(pvs), order, status)
+        order = math.lcm(order, p.value.as_fraction().denominator)
+    return TorsionCertificate(G, D, gens, tuple(pvs), order, "exact")

@@ -2,22 +2,21 @@
 Gamma0(N)+.
 
 The Gamma(N) symbol at infinity is evaluated by the explicit sawtooth
-formula with cosine-sum constants C_{N,j}.  For N <= 2 the constants are
-+-1 and everything is exact; for N >= 3 the constants are evaluated to high
-precision through a Dirichlet-character decomposition and Hurwitz zeta
-values, and rational values are recovered by continued-fraction
-reconstruction.  Symbols for the coarser groups are assembled from the
-Gamma(N) engine by cusp transport and coset summation along normal covers.
+formula with cosine-sum constants C_{N,j}.  The constants are rational:
+for N = 2 they are (-1)^j, and for N >= 3 each row is the unique solution
+of a rational linear system, so every Gamma(N) value is exact.  Symbols for
+the coarser groups are assembled from the Gamma(N) engine by cusp transport
+and coset summation along normal covers.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import mpmath
 import numpy as np
 
 from .dedekind import phi_classical, pi_over_volume, psi_classical, sign
@@ -29,6 +28,8 @@ from .modgroup import (
     I2,
     Motion,
     T,
+    _prime_divisors,
+    _size,
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
@@ -43,42 +44,17 @@ from .modgroup import (
 
 
 # ---------------------------------------------------------------------------
-# values and precision
-
-
-@dataclass(frozen=True)
-class PrecisionCtx:
-    """Working precision for the numeric Gamma(N) route."""
-
-    digits: int = 60
-    denom_bound: int | None = None  # None: heuristic bound per level
-    mobius_cutoff: int = 10 ** 7    # truncation for the direct C_{N,j} oracle
-
-    def __post_init__(self):
-        if self.digits < 30:
-            raise ValueError("need at least 30 working digits")
-
-    def bound_for_level(self, n: int) -> int:
-        if self.denom_bound is not None:
-            return self.denom_bound
-        mu = n ** 3
-        for p in _prime_divisors(n):
-            mu = mu * (p * p - 1) // (p * p)
-        return 12 * n * mu * 1024
-
-
-DEFAULT_CTX = PrecisionCtx()
+# values
 
 
 @dataclass(frozen=True)
 class SymbolValue:
-    """Exact rational, high-precision approximation, or reconstructed rational."""
+    """Exact rational, or a float approximation with an error bound."""
 
-    kind: str  # "exact" | "approx" | "reconstructed"
+    kind: str  # "exact" | "approx"
     rational: Fraction | None = None
     approx: float | None = None        # only for kind == "approx"
     error: float = 0.0                 # bound on |true - reported|
-    residual: float = 0.0              # |float - rational| for reconstructed
 
     @staticmethod
     def exact(r) -> "SymbolValue":
@@ -87,10 +63,6 @@ class SymbolValue:
     @staticmethod
     def approximate(v, err) -> "SymbolValue":
         return SymbolValue("approx", approx=float(v), error=float(err))
-
-    @staticmethod
-    def reconstructed(r: Fraction, residual) -> "SymbolValue":
-        return SymbolValue("reconstructed", rational=r, residual=float(residual))
 
     @property
     def is_rational(self) -> bool:
@@ -106,25 +78,19 @@ class SymbolValue:
 
     def __add__(self, other: "SymbolValue") -> "SymbolValue":
         if self.is_rational and other.is_rational:
-            kind = "exact" if self.kind == other.kind == "exact" else "reconstructed"
-            v = SymbolValue(kind, rational=self.rational + other.rational,
-                            residual=max(self.residual, other.residual))
-            return v
-        return SymbolValue.approximate(
-            self.as_float() + other.as_float(),
-            self.error + other.error + self.residual + other.residual,
-        )
+            return SymbolValue.exact(self.rational + other.rational)
+        return SymbolValue.approximate(self.as_float() + other.as_float(),
+                                       self.error + other.error)
 
     def __neg__(self) -> "SymbolValue":
         if self.is_rational:
-            return SymbolValue(self.kind, rational=-self.rational, residual=self.residual)
+            return SymbolValue.exact(-self.rational)
         return SymbolValue.approximate(-self.approx, self.error)
 
     def scaled(self, r) -> "SymbolValue":
         r = Fraction(r)
         if self.is_rational:
-            return SymbolValue(self.kind, rational=self.rational * r,
-                               residual=self.residual * abs(float(r)))
+            return SymbolValue.exact(self.rational * r)
         return SymbolValue.approximate(self.approx * float(r), self.error * abs(float(r)))
 
     def __str__(self):
@@ -133,232 +99,96 @@ class SymbolValue:
         return f"~{self.approx} (+- {self.error})"
 
 
-def _prime_divisors(n: int):
-    ps = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            ps.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        ps.append(n)
-    return ps
+def _solve_rational(aug):
+    """Gauss-Jordan elimination over Q on the augmented rows [A | y].
 
-
-# ---------------------------------------------------------------------------
-# Dirichlet characters mod N (internal; enough for the C_{N,j} evaluation)
-
-
-def _unit_group(n: int):
-    """Generators (lifted mod n by CRT) and their orders for (Z/n)^*."""
-    gens = []
-    m = n
-    for p in _prime_divisors(n):
-        pk = 1
-        while m % p == 0:
-            m //= p
-            pk *= p
-        rest = n // pk
-        if p == 2:
-            if pk >= 4:
-                gens.append((_crt_lift(pk - 1, pk, rest, n), 2))
-            if pk >= 8:
-                gens.append((_crt_lift(3, pk, rest, n), pk // 4))
-            elif pk == 4:
-                gens[-1] = (_crt_lift(3, pk, rest, n), 2)
-        else:
-            g = _primitive_root(pk)
-            order = pk - pk // p
-            gens.append((_crt_lift(g, pk, rest, n), order))
-    return gens
-
-
-def _crt_lift(a: int, pk: int, rest: int, n: int) -> int:
-    """x with x = a mod pk, x = 1 mod rest."""
-    if rest == 1:
-        return a % n
-    # x = a + pk*t, need a + pk*t = 1 mod rest
-    t = ((1 - a) * pow(pk, -1, rest)) % rest
-    return (a + pk * t) % n
-
-
-def _primitive_root(pk: int) -> int:
-    phi = pk - pk // _prime_divisors(pk)[0]
-    factors = _prime_divisors(phi)
-    for g in range(2, pk):
-        if gcd(g, pk) != 1:
-            continue
-        if all(pow(g, phi // q, pk) != 1 for q in factors):
-            return g
-    raise ValueError(f"no primitive root mod {pk}")
-
-
-def _discrete_log_table(n: int):
-    """Map each unit mod n to its exponent tuple over the generator basis."""
-    gens = _unit_group(n)
-    table = {1 % n: tuple(0 for _ in gens)}
-    frontier = [(1 % n, tuple(0 for _ in gens))]
-    for i, (g, order) in enumerate(gens):
-        new = {}
-        for u, exps in table.items():
-            x = u
-            for k in range(1, order):
-                x = (x * g) % n
-                e = list(exps)
-                e[i] = k
-                new[x] = tuple(e)
-        table.update(new)
-    return gens, table
-
-
-def _characters(n: int):
-    """All Dirichlet characters mod n as value tables chi[r], r in 0..n-1.
-
-    Values are exact phases t (chi(r) = e^{2 pi i t}) or None off the units.
+    Returns the solution x of A x = y as a list, or None when A has fewer
+    independent rows than columns or the system is inconsistent.  A may
+    have more rows than columns.
     """
-    gens, logs = _discrete_log_table(n)
-    orders = [o for _, o in gens]
-    chars = []
-
-    def rec(prefix):
-        if len(prefix) == len(orders):
-            tab = [None] * n
-            for u, exps in logs.items():
-                t = sum(
-                    Fraction(a * k, o) for a, k, o in zip(prefix, exps, orders)
-                )
-                tab[u] = t - (t.numerator // t.denominator)
-            chars.append(tuple(tab))
-            return
-        for a in range(orders[len(prefix)]):
-            rec(prefix + [a])
-
-    rec([])
-    return chars
+    aug = [list(row) for row in aug]
+    m, cols = len(aug), len(aug[0]) - 1
+    for col in range(cols):
+        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if any(aug[r][cols] for r in range(cols, m)):
+        return None
+    return [aug[i][cols] for i in range(cols)]
 
 
 # ---------------------------------------------------------------------------
 # Takada constants C_{N,j}
 
 
-@dataclass(frozen=True)
-class TakadaConstant:
-    level: int
-    j: int
-    value: float        # float view; full precision lives in the batch cache
-    error: float
+def _bernoulli2_bar(x: Fraction) -> Fraction:
+    """The periodic Bernoulli function {x}^2 - {x} + 1/6."""
+    x -= math.floor(x)
+    return x * x - x + Fraction(1, 6)
 
 
 @functools.lru_cache(maxsize=None)
-def _takada_row(n: int, digits: int):
-    """All C_{n,j}, j = 0..n-1, as mpf values at the requested precision."""
+def takada_C_row_exact(n: int):
+    """The full row (C_{n,0}, ..., C_{n,n-1}) as exact rationals.
+
+    C_{2,j} = (-1)^j.  For n >= 3 the row is the unique solution of
+
+        C_b = C_{-b},
+        sum_{b mod n} C_b P(kb) = kappa [k = 1]   for units 1 <= k <= n/2,
+        sum_{t < p} C_{r + t n/p} = 0             for primes p | n, r mod n/p,
+
+    where P(y) = sum_{d | n} mu(d) d^-2 B2bar(yd/n), so that pi^2 P(y) is
+    sum_{gcd(m, n) = 1} cos(2 pi m y / n) / m^2, and
+    kappa = (n/12) prod_{p | n} (1 - p^-2).  The last rows say that the
+    discrete Fourier transform of the row vanishes off the units; at a unit
+    x it is (n/2) zeta(2) prod_{p | n} (1 - p^-2) sum_{m = +-1/x} mu(m)/m^2,
+    and in the unit equations the Mobius sum over m m' = +-1/k collapses to
+    [k = +-1] (a Stickelberger-type inversion, cf. Kubert-Lang, Modular
+    Units).  The solution is unique because L(2, chi) != 0 for every even
+    character chi mod n.
+    """
     if n < 2:
         raise ValueError("need N >= 2")
-    with mpmath.workdps(digits + 20):
-        # L(2, chi) = n^{-2} sum_r chi(r) zeta(2, r/n)
-        chars = _characters(n)
-        hurwitz = [mpmath.zeta(2, mpmath.mpf(r) / n) for r in range(1, n + 1)]
-        inv_l = []
-        for chi in chars:
-            L = mpmath.mpc(0)
-            for r in range(1, n + 1):
-                t = chi[r % n]
-                if t is None:
-                    continue
-                L += mpmath.expjpi(2 * mpmath.mpf(t.numerator) / t.denominator) * hurwitz[r - 1] \
-                    if t else hurwitz[r - 1]
-            inv_l.append(1 / (L / n ** 2))
-        phi_n = sum(1 for r in range(1, n) if gcd(r, n) == 1)
-        # mobius_sum[b] = sum_{m = b mod n} mu(m)/m^2
-        mob = [mpmath.mpc(0)] * n
-        for b in range(n):
-            if gcd(b, n) != 1:
-                continue
-            acc = mpmath.mpc(0)
-            for chi, il in zip(chars, inv_l):
-                t = chi[b]
-                acc += (mpmath.expjpi(-2 * mpmath.mpf(t.numerator) / t.denominator)
-                        if t else mpmath.mpf(1)) * il
-            mob[b] = acc / phi_n
-        front = mpmath.pi ** 2 / 6
-        for p in _prime_divisors(n):
-            front *= 1 - mpmath.mpf(1) / p ** 2
-        row = []
-        for j in range(n):
-            acc = mpmath.mpc(0)
-            for a in range(1, n + 1):
-                if gcd(a, n) != 1:
-                    continue
-                ainv = pow(a, -1, n)
-                acc += mob[ainv] * mpmath.cospi(mpmath.mpf(2 * a * j) / n)
-            row.append(+(front * acc).real)
-        return tuple(row)
+    if n == 2:
+        return (Fraction(1), Fraction(-1))
+    primes = _prime_divisors(n)
+    mobius = [(1, 1)]                     # (d, mu(d)) for squarefree d | n
+    for p in primes:
+        mobius += [(d * p, -mu) for d, mu in mobius]
+    P = [sum(Fraction(mu, d * d) * _bernoulli2_bar(Fraction(y * d, n))
+             for d, mu in mobius) for y in range(n)]
+    kappa = Fraction(n, 12)
+    for p in primes:
+        kappa *= 1 - Fraction(1, p * p)
+    half = n // 2
 
+    def cls(b):                           # unknown index of C_b = C_{-b}
+        return min(b % n, -b % n)
 
-def takada_C(n: int, j: int, ctx: PrecisionCtx = DEFAULT_CTX) -> TakadaConstant:
-    """The cosine-sum constant C_{N,j}; error bound 10^{5 - digits}."""
-    row = _takada_row(n, ctx.digits)
-    return TakadaConstant(n, j % n, float(row[j % n]), 10.0 ** (5 - ctx.digits))
-
-
-@functools.lru_cache(maxsize=None)
-def takada_C_row_exact(n: int, digits: int = 60):
-    """The full row (C_{n,0}, ..., C_{n,n-1}) as exact rationals, or None.
-
-    The constants are rational with small denominator for every level
-    checked; each candidate is reconstructed at working precision and
-    confirmed at 25 extra digits before being trusted.
-    """
-    row = _takada_row(n, digits)
-    check = _takada_row(n, digits + 25)
-    out = []
-    with mpmath.workdps(digits + 45):
-        tol = mpmath.mpf(10) ** (12 - digits)
-        for v, w in zip(row, check):
-            cand = mpf_to_fraction(mpmath.mpf(v)).limit_denominator(24 * n * n)
-            approx = mpmath.mpf(cand.numerator) / cand.denominator
-            if abs(mpmath.mpf(w) - approx) > tol:
-                return None
-            out.append(cand)
-    return tuple(out)
-
-
-def takada_C_direct(n: int, j: int, cutoff: int = 10 ** 6) -> tuple[float, float]:
-    """Truncated Mobius double-sum oracle for C_{N,j}; tail bound ~ 1/cutoff.
-
-    Deliberately independent of the character/Hurwitz route.
-    """
-    mob = _mobius_sieve(cutoff)
-    ms = np.arange(cutoff + 1, dtype=np.float64)
-    ms[0] = 1.0
-    weights = mob / ms ** 2
-    total = 0.0
-    for a in range(1, n + 1):
-        if gcd(a, n) != 1:
-            continue
-        ainv = pow(a, -1, n)
-        inner = float(np.sum(weights[ainv::n])) if ainv else 0.0
-        total += inner * np.cos(2 * np.pi * a * j / n)
-    front = np.pi ** 2 / 6
-    for p in _prime_divisors(n):
-        front *= 1 - 1 / p ** 2
-    return front * total, front * (2.0 / cutoff) * n
-
-
-def _mobius_sieve(limit: int) -> np.ndarray:
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    primes = np.ones(limit + 1, dtype=bool)
-    primes[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if primes[p]:
-            primes[p * p:: p] = False
-    for p in np.nonzero(primes)[0]:
-        mu[p::p] *= -1
-        mu[p * p:: p * p] = 0
-    return mu.astype(np.float64)
+    aug = []
+    for k in range(1, half + 1):
+        if gcd(k, n) == 1:
+            row = [Fraction(0)] * (half + 1) + [kappa if k == 1 else Fraction(0)]
+            for b in range(n):
+                row[cls(b)] += P[k * b % n]
+            aug.append(row)
+    for p in primes:
+        for r in range(n // p):
+            row = [Fraction(0)] * (half + 2)
+            for t in range(p):
+                row[cls(r + t * (n // p))] += 1
+            aug.append(row)
+    sol = _solve_rational(aug)
+    if sol is None:
+        raise ArithmeticError(f"the C_{{{n},j}} system is singular")
+    return tuple(sol[cls(b)] for b in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -399,27 +229,11 @@ def _sawtooth_sums(n: int, a: int, c: int):
     return out
 
 
-def mpf_to_fraction(x) -> Fraction:
-    sgn, man, exp, _ = x._mpf_
-    frac = Fraction(man, 1)
-    frac = frac * (1 << exp) if exp >= 0 else frac / (1 << -exp)
-    return -frac if sgn else frac
-
-
-def reconstruct_rational(x, bound: int, tol: float):
-    """Best rational with denominator <= bound; None if residual exceeds tol."""
-    cand = mpf_to_fraction(x).limit_denominator(bound)
-    residual = abs(x - mpmath.mpf(cand.numerator) / cand.denominator)
-    if residual < tol:
-        return cand, float(residual)
-    return None, float(residual)
-
-
 # ---------------------------------------------------------------------------
 # the Gamma(N) Dedekind symbol at infinity
 
 
-def takada_phi(n: int, g: GroupElement, ctx: PrecisionCtx = DEFAULT_CTX) -> SymbolValue:
+def takada_phi(n: int, g: GroupElement) -> SymbolValue:
     """Dedekind symbol Phi at the cusp infinity of Gamma(N), on all of SL2(Z).
 
     The value is stated in width-normalized coordinates, i.e. for the
@@ -430,9 +244,7 @@ def takada_phi(n: int, g: GroupElement, ctx: PrecisionCtx = DEFAULT_CTX) -> Symb
 
     with mu the projective index of Gamma(N).  This is the unique reading
     of the closed formula consistent with the inverse law, the composition
-    law and the weight-2 Eisenstein geodesic integrals.  Exact whenever the
-    constant row C_{N,*} reconstructs to rationals (every level checked);
-    otherwise reconstructed from a high-precision evaluation.
+    law and the weight-2 Eisenstein geodesic integrals.  Always exact.
     """
     if g.e != 1:
         raise ValueError("takada_phi needs e = 1")
@@ -444,40 +256,12 @@ def takada_phi(n: int, g: GroupElement, ctx: PrecisionCtx = DEFAULT_CTX) -> Symb
     mu = GroupId.gamma(n).psl2z_index()     # projective index; pi/V = 3/mu
     coeff = Fraction(12, mu * abs(c))
     sums = _sawtooth_sums(n, a, c)
-    if n == 2:
-        csum = sums[0] - sums[1]            # C_{2,j} = (-1)^j
-        return SymbolValue.exact(Fraction(a + d, n * c) - coeff * csum)
-    exact_row = takada_C_row_exact(n, ctx.digits)
-    if exact_row is not None:
-        csum = sum((cr * s for cr, s in zip(exact_row, sums)), Fraction(0))
-        return SymbolValue.exact(Fraction(a + d, n * c) - coeff * csum)
-    row = _takada_row(n, ctx.digits)
-    with mpmath.workdps(ctx.digits + 20):
-        acc = mpmath.mpf(0)
-        scale = mpmath.mpf(0)
-        for r in range(n):
-            s = sums[r]
-            acc += row[r] * mpmath.mpf(s.numerator) / s.denominator
-            scale += abs(mpmath.mpf(s.numerator) / s.denominator)
-        val = (mpmath.mpf(a + d) / (n * c)
-               - mpmath.mpf(coeff.numerator) / coeff.denominator * acc)
-        err = float(scale * mpmath.mpf(10) ** (5 - ctx.digits)
-                    * coeff.numerator / coeff.denominator)
-        cand, residual = reconstruct_rational(
-            val, ctx.bound_for_level(n), 10.0 ** (-ctx.digits / 2)
-        )
-    if cand is None:
-        return SymbolValue.approximate(val, err + residual)
-    return SymbolValue.reconstructed(cand, residual)
+    csum = sum((cr * s for cr, s in zip(takada_C_row_exact(n), sums)), Fraction(0))
+    return SymbolValue.exact(Fraction(a + d, n * c) - coeff * csum)
 
 
 # ---------------------------------------------------------------------------
 # conjugacy reduction inside Gamma(N) (Psi is a class function there)
-
-
-def _entry_size(g: GroupElement) -> int:
-    a, b, c, d = g.entries()
-    return a * a + b * b + c * c + d * d
 
 
 def reduce_in_gamma(n: int, g: GroupElement) -> GroupElement:
@@ -495,18 +279,18 @@ def reduce_in_gamma(n: int, g: GroupElement) -> GroupElement:
             t = n * round(Fraction(d - a, 2 * c * n))
             if t:
                 cand = best.conjugate_by(T ** t)
-                if _entry_size(cand) < _entry_size(best):
+                if _size(cand) < _size(best):
                     best, improved = cand, True
         a, b, c, d = best.entries()
         if b != 0:
             t = n * round(Fraction(a - d, 2 * b * n))
             if t:
                 cand = best.conjugate_by(GroupElement(1, 0, t, 1))
-                if _entry_size(cand) < _entry_size(best):
+                if _size(cand) < _size(best):
                     best, improved = cand, True
         for mv in moves:
             cand = best.conjugate_by(mv)
-            if _entry_size(cand) < _entry_size(best):
+            if _size(cand) < _size(best):
                 best, improved = cand, True
         if not improved:
             break
@@ -518,17 +302,12 @@ def reduce_in_gamma(n: int, g: GroupElement) -> GroupElement:
 
 
 @functools.lru_cache(maxsize=65536)
-def _psi_gamma_inf_cached(n: int, g: GroupElement, ctx: PrecisionCtx) -> SymbolValue:
-    phi = takada_phi(n, g, ctx)
+def _psi_gamma_inf_cached(n: int, g: GroupElement) -> SymbolValue:
     corr = pi_over_volume(GroupId.gamma(n)) * sign(g.c * g.trace)
-    if phi.is_rational:
-        return SymbolValue(phi.kind, rational=phi.rational - corr,
-                           residual=phi.residual)
-    return SymbolValue.approximate(phi.approx - float(corr), phi.error)
+    return takada_phi(n, g) + SymbolValue.exact(-corr)
 
 
-def psi_gamma(n: int, cusp: Cusp, g: GroupElement,
-              ctx: PrecisionCtx = DEFAULT_CTX) -> SymbolValue:
+def psi_gamma(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi for Gamma(N) at any cusp, via transport to infinity.
 
     Every cusp of Gamma(N) is SL2(Z)-equivalent to infinity and Gamma(N) is
@@ -538,7 +317,7 @@ def psi_gamma(n: int, cusp: Cusp, g: GroupElement,
         raise ValueError(f"{g} is not in Gamma({n})")
     tau = cusp.base_matrix().inverse()
     h = reduce_in_gamma(n, g.conjugate_by(tau))
-    return _psi_gamma_inf_cached(n, h, ctx)
+    return _psi_gamma_inf_cached(n, h)
 
 
 def transport_cusp(G1: GroupId, ambient: GroupId, tau: GroupElement,
@@ -600,8 +379,7 @@ def symbol_elliptic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     return SymbolValue.exact(pv * Fraction(acc, m))
 
 
-def psi_general(G: GroupId, cusp: Cusp, g: GroupElement,
-                ctx: PrecisionCtx = DEFAULT_CTX) -> SymbolValue:
+def psi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Rademacher symbol Psi_a(g) on G, dispatching on group family and
     motion class."""
     if not member(g, G):
@@ -615,47 +393,37 @@ def psi_general(G: GroupId, cusp: Cusp, g: GroupElement,
         corr = pi_over_volume(G) * sign(h.c * h.trace)
         return SymbolValue.exact(phi.as_fraction() - corr)
     if cls.tag is Motion.PARABOLIC:
-        fixed, k = parabolic_power(G, g)
-        if cusp_equivalent(G, fixed, cusp) is not None:
-            return SymbolValue.exact(k)
-        # parabolic motions around an inequivalent cusp have symbol zero
-        return SymbolValue.exact(0)
+        return symbol_parabolic(G, cusp, g)
     # hyperbolic: normalize to positive trace (Psi(-g) = Psi(g))
     if g.trace < 0:
         g = -g
-    return _psi_hyperbolic(G, cusp, g, ctx)
+    return _psi_hyperbolic(G, cusp, g)
 
 
-def phi_general(G: GroupId, cusp: Cusp, g: GroupElement,
-                ctx: PrecisionCtx = DEFAULT_CTX) -> SymbolValue:
+def phi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Dedekind symbol Phi_a(g) = Psi_a(g) + (pi/V) sign(c (a+d)), with the
     sign read off the cusp-normalized conjugate."""
-    psi = psi_general(G, cusp, g, ctx)
+    psi = psi_general(G, cusp, g)
     h = g.conjugate_by(cusp.base_matrix().inverse())
-    corr = pi_over_volume(G) * sign(h.c * h.trace)
-    if psi.is_rational:
-        return SymbolValue(psi.kind, rational=psi.rational + corr,
-                           residual=psi.residual)
-    return SymbolValue.approximate(psi.approx + float(corr), psi.error)
+    return psi + SymbolValue.exact(pi_over_volume(G) * sign(h.c * h.trace))
 
 
-def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement,
-                    ctx: PrecisionCtx) -> SymbolValue:
+def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     n = G.level
     fam = G.family
     if fam is Family.SL2Z or n == 1:
         return SymbolValue.exact(psi_classical(g))
     if fam is Family.GAMMA_N:
-        return psi_gamma(n, cusp, g, ctx)
+        return psi_gamma(n, cusp, g)
     if fam is Family.GAMMA0_N:
         basis = gamma0_cusp_basis(n, cusp)
         if basis is not None:
             return SymbolValue.exact(psi_gamma0_divisor(n, cusp, g, basis))
-        return _psi_peel_lift(G, cusp, g, ctx)
+        return _psi_peel_lift(G, cusp, g)
     if fam is Family.GAMMA1_N:
-        return _psi_peel_lift(G, cusp, g, ctx)
+        return _psi_peel_lift(G, cusp, g)
     if fam is Family.GAMMA0N_PLUS:
-        return _psi_gamma0_plus(n, cusp, g, ctx)
+        return _psi_gamma0_plus(n, cusp, g)
     raise ValueError(f"unsupported group {G}")
 
 
@@ -698,21 +466,11 @@ def gamma0_cusp_basis(n: int, cusp: Cusp):
             break
     if k is None:
         raise ValueError(f"{cusp} is not a cusp representative of Gamma0({n})")
-    m = len(divs)
-    # Gaussian elimination over Q on [rows | e_k]
-    aug = [list(rows[i]) + [Fraction(1 if i == k else 0)] for i in range(m)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    coeffs = tuple((e, aug[i][m]) for i, e in enumerate(divs))
+    sol = _solve_rational(
+        [list(row) + [Fraction(1 if i == k else 0)] for i, row in enumerate(rows)])
+    if sol is None:
+        return None
+    coeffs = tuple(zip(divs, sol))
     # sanity: 1/y parts must add up to -V^{-1}/y
     if sum(c for _, c in coeffs) != pi_over_volume(GroupId.gamma0(n)) / 3:
         return None
@@ -744,8 +502,7 @@ def _phi_of(G: GroupId, cusp: Cusp, g: GroupElement, psi: Fraction) -> Fraction:
     return psi + pi_over_volume(G) * sign(h.c * h.trace)
 
 
-def _phi_peel_core(G: GroupId, cusp: Cusp, g: GroupElement,
-                   ctx: PrecisionCtx) -> Fraction:
+def _phi_peel_core(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
     """Phi_a(g) for g in G whose image mod N is unipotent upper triangular,
     i.e. g = h T^j with h in Gamma(N)."""
     n = G.level
@@ -772,15 +529,13 @@ def _phi_peel_core(G: GroupId, cusp: Cusp, g: GroupElement,
     if cls.tag is Motion.IDENTITY:
         phi_h = Fraction(0)
     elif cls.tag is Motion.PARABOLIC:
-        fixed, k = parabolic_power(G, h)
-        psi_h = Fraction(k) if cusp_equivalent(G, fixed, cusp) is not None \
-            else Fraction(0)
+        psi_h = symbol_parabolic(G, cusp, h).as_fraction()
         phi_h = _phi_of(G, cusp, h, psi_h)
     else:
         hh = h if h.trace > 0 else -h
         lifted = lift_coset_sum(
             GroupId.gamma(n), G,
-            lambda x: psi_gamma(n, cusp, x, ctx), hh)
+            lambda x: psi_gamma(n, cusp, x), hh)
         phi_h = _phi_of(G, cusp, h, lifted.as_fraction())
     if j == 0:
         return phi_h
@@ -790,8 +545,7 @@ def _phi_peel_core(G: GroupId, cusp: Cusp, g: GroupElement,
     return phi_h + phi_t - kappa * sign(ch * ct * cg)
 
 
-def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement,
-                   ctx: PrecisionCtx) -> SymbolValue:
+def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi_a(g) for g in Gamma0(N) or Gamma1(N): raise g to a power whose
     image mod N is +-unipotent, evaluate there via Gamma(N), then unwind
     the composition law."""
@@ -809,7 +563,7 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement,
     powers = [g]
     for _ in range(k - 1):
         powers.append(powers[-1] * g)
-    phi_k = _phi_peel_core(G, cusp, powers[-1], ctx)
+    phi_k = _phi_peel_core(G, cusp, powers[-1])
     c0 = g.conjugate_by(binv).c
     csigns = [p.conjugate_by(binv).c for p in powers]
     defect = sum(sign(c0 * csigns[i - 1] * csigns[i]) for i in range(1, k))
@@ -817,13 +571,12 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement,
     return SymbolValue.exact(phi - kappa * sign(c0 * g.trace))
 
 
-def _psi_gamma0_plus(n: int, cusp: Cusp, g: GroupElement,
-                     ctx: PrecisionCtx) -> SymbolValue:
+def _psi_gamma0_plus(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     Gp = GroupId.gamma0_plus(n)
     G0 = GroupId.gamma0(n)
     if g.e == 1:
         return lift_coset_sum(
-            G0, Gp, lambda h: psi_general(G0, cusp, h, ctx), g
+            G0, Gp, lambda h: psi_general(G0, cusp, h), g
         )
     # scale e > 1: g^2 lands in Gamma0(N); unwind one cocycle step
     g2 = g * g
@@ -836,7 +589,7 @@ def _psi_gamma0_plus(n: int, cusp: Cusp, g: GroupElement,
     elif cls2.tag is Motion.ELLIPTIC:
         phi_g2 = symbol_elliptic(Gp, cusp, g2)
     else:
-        psi2 = psi_general(Gp, cusp, g2, ctx)
+        psi2 = psi_general(Gp, cusp, g2)
         corr2 = pv * sign(h2.c * h2.trace)
         phi_g2 = psi2 + SymbolValue.exact(corr2)
     defect = SymbolValue.exact(pv * sign(h.c * h.c * h2.c))

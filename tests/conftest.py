@@ -1,5 +1,8 @@
+import functools
 import random
+from math import gcd
 
+import numpy as np
 import pytest
 
 from radsym.modgroup import GroupElement, GroupId, T, S
@@ -48,6 +51,46 @@ def random_in_group(rng: random.Random, G: GroupId,
         h = rng.choice(gens)
         g = g * (h if rng.random() < 0.5 else h.inverse())
     return g
+
+
+def takada_C_direct(n: int, j: int, cutoff: int = 10 ** 6) -> tuple[float, float]:
+    """Truncated Mobius double-sum oracle for C_{N,j}; tail bound ~ 1/cutoff.
+
+    C_{N,j} = (pi^2/6) prod_{p | N} (1 - p^-2)
+              * sum_{a unit mod N} cos(2 pi a j / N) sum_{m = 1/a mod N} mu(m)/m^2,
+    summed in floating point, independent of the exact linear-algebra route.
+    """
+    weights = _mobius_weights(cutoff)
+    total = 0.0
+    for a in range(1, n + 1):
+        if gcd(a, n) != 1:
+            continue
+        ainv = pow(a, -1, n)
+        inner = float(np.sum(weights[ainv::n])) if ainv else 0.0
+        total += inner * np.cos(2 * np.pi * a * j / n)
+    front = np.pi ** 2 / 6
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            front *= 1 - 1 / p ** 2
+    return front * total, front * (2.0 / cutoff) * n
+
+
+@functools.lru_cache(maxsize=1)
+def _mobius_weights(limit: int) -> np.ndarray:
+    """mu(m)/m^2 for m = 0..limit (0 at m = 0), by a sieve."""
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    primes = np.ones(limit + 1, dtype=bool)
+    primes[:2] = False
+    for p in range(2, int(limit ** 0.5) + 1):
+        if primes[p]:
+            primes[p * p:: p] = False
+    for p in np.nonzero(primes)[0]:
+        mu[p::p] *= -1
+        mu[p * p:: p * p] = 0
+    ms = np.arange(limit + 1, dtype=np.float64)
+    ms[0] = 1.0
+    return mu.astype(np.float64) / ms ** 2
 
 
 @pytest.fixture

@@ -39,11 +39,20 @@ def test_symbol_batch_csv(tmp_path, capsys):
     f = tmp_path / "mats.txt"
     f.write_text("1,1,0,1\n2,1,1,1\n# comment\n3,2,4,3\n")
     assert run(["symbol", "--group", "sl2z", "--input", str(f),
-                "--csv", "--workers", "2"]) == 0
+                "--csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "matrix,value,method"
     assert len(lines) == 4
     assert lines[1].split(",")[-2] == "1"
+
+
+def test_symbol_gamma_level29_exact(capsys):
+    # the C_{29,j} denominators reach ~1.3e8; the row is still exact
+    assert run(["symbol", "--group", "gamma", "--level", "29",
+                "--matrix", "842,29,29,1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "principal-level/exact"
+    assert payload["trace_class"] == "hyperbolic"
 
 
 def test_symbol_needs_level(capsys):
@@ -110,6 +119,17 @@ def test_verify_suites(capsys):
     assert "PASS" in capsys.readouterr().out
     assert run(["verify", "coset-sum", "--level", "2"]) == 0
     assert run(["verify", "oracle-consistency", "--level", "5"]) == 0
+    assert run(["verify", "oracle-consistency", "--level", "9"]) == 0
+
+
+def test_verify_oracle_consistency_refuses_other_levels(capsys):
+    # x0_period_exact is (N-1)(Psi_0 - Psi_inf) only for N prime or a prime
+    # square; elsewhere the suite is a domain error, not a FAIL
+    for level in ["6", "8", "15"]:
+        assert run(["verify", "oracle-consistency", "--level", level]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert "error: oracle-consistency needs" in captured.err
 
 
 def test_deterministic_output(capsys):
@@ -120,12 +140,3 @@ def test_deterministic_output(capsys):
     run(args)
     second = capsys.readouterr().out
     assert first == second
-
-
-def test_digits_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("RADSYM_DIGITS", "45")
-    assert run(["symbol", "--group", "gamma", "--level", "3",
-                "--matrix", "4,3,9,7"]) == 0
-    out = capsys.readouterr().out.strip()
-    # exact rational either way; the env var must at least parse and apply
-    assert "/" in out or out.lstrip("-").isdigit()
