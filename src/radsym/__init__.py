@@ -44,7 +44,6 @@ from .periods import (
     TorsionCertificate,
     divisor_period,
     divisor_periods,
-    e2_value,
     eta_log,
     period_numeric,
     phi_from_eta,
@@ -72,7 +71,7 @@ __all__ = [
     "TorsionCertificate", "classify", "cocycle_defect",
     "cosets", "cusp_equivalent", "cusp_stabilizer_generator", "cusp_width",
     "cusps", "dedekind_sum", "dedekind_sum_direct", "divisor_period",
-    "divisor_periods", "e2_value", "eta_log", "lift_coset_sum", "member",
+    "divisor_periods", "eta_log", "lift_coset_sum", "member",
     "parse_matrix", "period_numeric", "phi_classical", "phi_fourier_coefficient",
     "phi_from_eta", "phi_general", "pi_over_volume", "psi_classical",
     "psi_general", "sawtooth", "schreier_generators", "sign",

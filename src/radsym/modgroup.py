@@ -8,6 +8,7 @@ Everything is projective: g and -g are the same motion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -711,22 +712,23 @@ def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
 # coset representatives between groups
 
 
-def cosets(G1: GroupId, G: GroupId):
+@functools.lru_cache(maxsize=None)
+def cosets(G1: GroupId, G: GroupId) -> tuple:
     """Representatives for G1 \\ G within the supported lattice."""
     _check_containment(G1, G)
     if G1 == G:
-        return [I2]
+        return (I2,)
     if G.family is Family.SL2Z:
-        return list(coset_table(G1).reps)
+        return tuple(coset_table(G1).reps)
     if G.family is Family.GAMMA0N_PLUS:
         n = G.level
-        als = [atkin_lehner(n, e) for e in atkin_lehner_exponents(n)]
+        als = tuple(atkin_lehner(n, e) for e in atkin_lehner_exponents(n))
         if G1.family is Family.GAMMA0_N:
             return als
         inner = cosets(G1, GroupId.gamma0(n))
-        return [t * w for w in als for t in inner]
+        return tuple(t * w for w in als for t in inner)
     # G1 and G both subgroups of SL2(Z): filter the SL2(Z) table of G1
-    reps = [r for r in coset_table(G1).reps if member(r, G)]
+    reps = tuple(r for r in coset_table(G1).reps if member(r, G))
     expected = G1.psl2z_index() / G.psl2z_index()
     if len(reps) != expected:
         raise ValueError(f"coset filtering failed: {len(reps)} != {expected}")

@@ -5,7 +5,7 @@ modular function theory:
 
 * ``eta_log`` / ``phi_from_eta``: the Dedekind eta function's multiplier
   system reproduces the classical Dedekind symbol Phi.
-* ``e2_value`` / ``period_numeric``: the completed weight-2 Eisenstein
+* ``period_numeric``: the completed weight-2 Eisenstein
   series integrated along a hyperbolic geodesic arc reproduces the
   Rademacher symbol Psi.
 * ``x0_period_exact``: on X0(N), N a prime or a prime square, the divisor
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .dedekind import phi_classical, psi_classical
 from .modgroup import (
@@ -106,13 +105,6 @@ def phi_from_eta(g: GroupElement, tol: float = 1e-6) -> int:
 # the completed weight-2 Eisenstein series
 
 
-def _sigma1_table(limit: int) -> np.ndarray:
-    s = np.zeros(limit + 1, dtype=np.float64)
-    for d in range(1, limit + 1):
-        s[d::d] += d
-    return s
-
-
 @functools.lru_cache(maxsize=8)
 def _sigma1_ints(limit: int):
     s = [0] * (limit + 1)
@@ -120,20 +112,6 @@ def _sigma1_ints(limit: int):
         for m in range(d, limit + 1, d):
             s[m] += d
     return s
-
-
-def _e2_holomorphic(z: complex, tol: float) -> complex:
-    """E2(z) = 1 - 24 sum sigma_1(n) q^n with tail below tol."""
-    q = cmath.exp(2j * cmath.pi * z)
-    absq = abs(q)
-    if absq >= 1:
-        raise ValueError("Im z must be positive")
-    # tail bound: 24 sum_{n>M} n^2 |q|^n <= tol for M from a safe log estimate
-    m = max(4, int(math.log(tol / 100) / math.log(absq)) + 4)
-    sig = _sigma1_table(m)
-    ns = np.arange(m + 1)
-    qn = q ** ns[1:]
-    return 1 - 24 * complex(np.sum(sig[1:] * qn))
 
 
 def _reduce_to_fundamental(z):
@@ -154,25 +132,11 @@ def _reduce_to_fundamental(z):
     return g, z
 
 
-def e2_value(z: complex, tol: float = 1e-12) -> complex:
-    """The completed weight-2 Eisenstein series E2(z) - 3 / (pi Im z).
-
-    The combination transforms with weight 2 under SL2(Z); the point is
-    first moved to the fundamental domain (where the q-series converges
-    fast) and the value is transported back by the exact weight-2 law.
-    """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("e2_value needs Im z > 0")
-    g, zr = _reduce_to_fundamental(z)
-    star = _e2_holomorphic(zr, tol) - 3 / (math.pi * zr.imag)
-    j = g.c * z + g.d
-    return star / (j * j)
-
-
 def _e2_star_mp(z):
-    """E2*(z) at mpmath working precision, via fundamental-domain reduction
-    (the reduced point needs only a handful of q-series terms)."""
+    """The completed weight-2 Eisenstein series E2*(z) = E2(z) - 3/(pi Im z)
+    at mpmath working precision.  E2* transforms with weight 2 under
+    SL2(Z), so the point is moved to the fundamental domain (where a handful
+    of q-series terms suffice) and the value is transported back."""
     g, zr = _reduce_to_fundamental(z)
     q = mpmath.expjpi(2 * zr)
     terms = int(mpmath.mp.dps * 2.4 / (2 * math.pi * float(zr.imag) / math.log(10))) + 3

@@ -4,9 +4,12 @@ Gamma0(N)+.
 The Gamma(N) symbol at infinity is evaluated by the explicit sawtooth
 formula with cosine-sum constants C_{N,j}.  The constants are rational:
 for N = 2 they are (-1)^j, and for N >= 3 each row is the unique solution
-of a rational linear system, so every Gamma(N) value is exact.  Symbols for
-the coarser groups are assembled from the Gamma(N) engine by cusp transport
-and coset summation along normal covers.
+of a rational linear system.  The sawtooth sum over 0 < j < |c| splits by
+residue class mod N into Rademacher's shifted Dedekind sums, which a single
+Euclid descent on (a, |c|/N) evaluates through their reciprocity law, so
+every Gamma(N) value is exact and costs O(log |c|) at any size of c.
+Symbols for the coarser groups are assembled from the Gamma(N) engine by
+cusp transport and coset summation along normal covers.
 """
 
 from __future__ import annotations
@@ -17,19 +20,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
-from .dedekind import phi_classical, pi_over_volume, psi_classical, sign
+from .dedekind import (
+    phi_classical,
+    pi_over_volume,
+    psi_classical,
+    sawtooth,
+    sign,
+)
 from .modgroup import (
     Cusp,
     Family,
     GroupElement,
     GroupId,
-    I2,
     Motion,
     T,
     _prime_divisors,
-    _size,
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
@@ -192,41 +197,80 @@ def takada_C_row_exact(n: int):
 
 
 # ---------------------------------------------------------------------------
-# exact sawtooth sums for the Gamma(N) formula
+# the level-N sawtooth sum by Rademacher reciprocity
 
 
-def _sawtooth_sums(n: int, a: int, c: int):
-    """S_r = sum over j = r mod n, 0 < j < |c|, of j*((a j / c)).
+@functools.lru_cache(maxsize=None)
+def _level_tables(n: int):
+    """Integer tables for the level-n descent.  With the row written as
+    C_r = C[r] / D over a common denominator, u[t][r] = 2n ((tr/n)) and
+    v[t][r] = 6n^2 B2bar(tr/n), returns (C, D, u, W, B) where, for t mod n,
 
-    Returns a list of n exact Fractions.  The sum splits the level-N
-    formula by residue class: sum_j j C_{N,j} ((a j / c)) = sum_r C_{N,r} S_r.
+        W[t] = sum_r C[r] u[t][r],   B[t] = sum_r C[r] v[t][r].
+    """
+    row = takada_C_row_exact(n)
+    D = math.lcm(*(x.denominator for x in row))
+    C = tuple(int(x * D) for x in row)
+    u = tuple(tuple(int(2 * n * sawtooth(Fraction(t * r, n))) for r in range(n))
+              for t in range(n))
+    v = tuple(tuple(int(6 * n * n * _bernoulli2_bar(Fraction(t * r, n)))
+                    for r in range(n)) for t in range(n))
+    W = tuple(sum(C[r] * u[t][r] for r in range(n)) for t in range(n))
+    B = tuple(sum(C[r] * v[t][r] for r in range(n)) for t in range(n))
+    return C, D, u, W, B
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_sum(n: int, alpha: int, beta: int) -> int:
+    """sum_r C[r] u[alpha][r] u[beta][r], that is
+    4n^2 D sum_r C_r ((alpha r/n)) ((beta r/n))."""
+    C, _D, u, _W, _B = _level_tables(n)
+    return sum(C[r] * u[alpha][r] * u[beta][r] for r in range(n))
+
+
+def _level_sawtooth(n: int, a: int, c: int) -> Fraction:
+    """sum_{0 < j < |c|} j C_{n,j} ((aj/c)) for n | c and gcd(a, c) = 1.
+
+    With m = |c| = nM and A = a sign(c) mod m, the residue-r part is
+    S_r = m (s(A, M; 0, r/n) + ((Ar/n))/2), where
+
+        s(h, k; x, y) = sum_{mu mod k} ((h(mu + y)/k + x)) (((mu + y)/k))
+
+    is Rademacher's shifted Dedekind sum.  One Euclid descent evaluates all
+    residues at once, with x = alpha r/n and y = beta r/n, from
+
+        s(h + qk, k; x, y) = s(h, k; x + qy, y),
+        s(h, k; x, y) + s(k, h; y, x) = ((x))((y))
+            + (h/k B2bar(y) + B2bar(hy + kx)/(hk) + k/h B2bar(x)) / 2
+
+    (Rademacher, Duke Math. J. 21 (1954); Hall-Wilson-Zagier, Acta Arith.
+    73 (1995)).  The reciprocity law needs x, y not both integers, which
+    holds for r != 0 because gcd(alpha, beta, n) = 1 is invariant.  At
+    r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
+    holds with an extra -1/4 on the right.  Each step is O(1) through the
+    per-level tables of _level_tables and _pair_sum, so the cost is
+    O(log |c|).  The sum is accumulated in units of 1/(12 n^2 D).
     """
     m = abs(c)
-    if m > 50_000_000:
-        raise ValueError(
-            f"lower-left entry {c} too large for the O(|c|) sawtooth sum")
-    A = (a * sign(c)) % m
-    if m <= 4096:
-        sums = [0] * n
-        for j in range(1, m):
-            t = (A * j) % m
-            if t:
-                sums[j % n] += j * (2 * t - m)
-        return [Fraction(s, 2 * m) for s in sums]
-    js = np.arange(1, m, dtype=np.int64)
-    ts = (A % m) * js % m
-    contrib = js * (2 * ts - m)
-    contrib[ts == 0] = 0
-    out = []
-    for r in range(n):
-        # 1-based positions j = r, r+n, ... map to slice offsets
-        start = (r - 1) % n
-        view = contrib[start::n]
-        s = 0
-        for k in range(0, len(view), 1 << 18):
-            s += int(np.sum(view[k: k + (1 << 18)], dtype=np.int64))
-        out.append(Fraction(s, 2 * m))
-    return out
+    if m % n:
+        raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
+    C, D, _u, W, B = _level_tables(n)
+    A = a * sign(c) % m
+    # the reciprocity terms have denominators hk; num/den keeps them exact
+    # without reducing at every step
+    num, den = 3 * n * W[A % n], 1
+    h, k, alpha, beta, sg = A, m // n, 0, 1, 1
+    while True:
+        q, h = divmod(h, k)
+        alpha = (alpha + q * beta) % n
+        num += sg * 3 * _pair_sum(n, alpha, beta) * den
+        if h == 0:                       # k = 1: s(0, 1; x, y) = ((x))((y))
+            return Fraction(m * num, 12 * n * n * D * den)
+        term = (h * h * B[beta] + B[(h * beta + k * alpha) % n] + k * k * B[alpha]
+                - 3 * n * n * C[0] * h * k)
+        num = num * h * k + sg * term * den
+        den *= h * k
+        h, k, alpha, beta, sg = k, h, beta, alpha, -sg
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +278,7 @@ def _sawtooth_sums(n: int, a: int, c: int):
 
 
 def takada_phi(n: int, g: GroupElement) -> SymbolValue:
-    """Dedekind symbol Phi at the cusp infinity of Gamma(N), on all of SL2(Z).
+    """Dedekind symbol Phi at the cusp infinity of Gamma(N), for g with N | c.
 
     The value is stated in width-normalized coordinates, i.e. for the
     conjugate [[a, b/N], [Nc, d]] of g by the scaling map of the cusp:
@@ -255,56 +299,11 @@ def takada_phi(n: int, g: GroupElement) -> SymbolValue:
         return SymbolValue.exact(phi_classical(g))
     mu = GroupId.gamma(n).psl2z_index()     # projective index; pi/V = 3/mu
     coeff = Fraction(12, mu * abs(c))
-    sums = _sawtooth_sums(n, a, c)
-    csum = sum((cr * s for cr, s in zip(takada_C_row_exact(n), sums)), Fraction(0))
-    return SymbolValue.exact(Fraction(a + d, n * c) - coeff * csum)
-
-
-# ---------------------------------------------------------------------------
-# conjugacy reduction inside Gamma(N) (Psi is a class function there)
-
-
-def reduce_in_gamma(n: int, g: GroupElement) -> GroupElement:
-    """Conjugate g by elements of Gamma(N) to shrink its entries."""
-    Ln = GroupElement(1, 0, n, 1)
-    Tn = T ** n
-    singles = [Tn, Tn.inverse(), Ln, Ln.inverse()]
-    moves = singles + [x * y for x in singles for y in singles]
-    best = g
-    for _ in range(400):
-        improved = False
-        a, b, c, d = best.entries()
-        # optimal translation conjugation: b -> b + t(d-a) - t^2 c
-        if c != 0:
-            t = n * round(Fraction(d - a, 2 * c * n))
-            if t:
-                cand = best.conjugate_by(T ** t)
-                if _size(cand) < _size(best):
-                    best, improved = cand, True
-        a, b, c, d = best.entries()
-        if b != 0:
-            t = n * round(Fraction(a - d, 2 * b * n))
-            if t:
-                cand = best.conjugate_by(GroupElement(1, 0, t, 1))
-                if _size(cand) < _size(best):
-                    best, improved = cand, True
-        for mv in moves:
-            cand = best.conjugate_by(mv)
-            if _size(cand) < _size(best):
-                best, improved = cand, True
-        if not improved:
-            break
-    return best.canonical()
+    return SymbolValue.exact(Fraction(a + d, n * c) - coeff * _level_sawtooth(n, a, c))
 
 
 # ---------------------------------------------------------------------------
 # symbol engines
-
-
-@functools.lru_cache(maxsize=65536)
-def _psi_gamma_inf_cached(n: int, g: GroupElement) -> SymbolValue:
-    corr = pi_over_volume(GroupId.gamma(n)) * sign(g.c * g.trace)
-    return takada_phi(n, g) + SymbolValue.exact(-corr)
 
 
 def psi_gamma(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
@@ -315,9 +314,9 @@ def psi_gamma(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """
     if not member(g, GroupId.gamma(n)):
         raise ValueError(f"{g} is not in Gamma({n})")
-    tau = cusp.base_matrix().inverse()
-    h = reduce_in_gamma(n, g.conjugate_by(tau))
-    return _psi_gamma_inf_cached(n, h)
+    h = g.conjugate_by(cusp.base_matrix().inverse())
+    corr = pi_over_volume(GroupId.gamma(n)) * sign(h.c * h.trace)
+    return takada_phi(n, h) + SymbolValue.exact(-corr)
 
 
 def transport_cusp(G1: GroupId, ambient: GroupId, tau: GroupElement,

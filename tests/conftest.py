@@ -1,11 +1,13 @@
 import functools
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
 
 from radsym.modgroup import GroupElement, GroupId, T, S
+from radsym.symbols import takada_C_row_exact
 
 
 def random_sl2z(rng: random.Random, steps: int = 8) -> GroupElement:
@@ -40,6 +42,18 @@ def random_principal_hyperbolic(rng: random.Random, n: int,
             return g if g.trace > 0 else -g
 
 
+def random_principal_deep(rng: random.Random, n: int,
+                          bound: int) -> GroupElement:
+    """Hyperbolic word of positive trace in the parabolic generators of
+    Gamma(n), n >= 3, lengthened until its lower-left entry reaches bound."""
+    A = T ** n
+    B = GroupElement(1, 0, n, 1)
+    g = GroupElement.identity()
+    while abs(g.c) < bound or abs(g.trace) <= 2:
+        g = g * A ** rng.choice([-2, -1, 1, 2]) * B ** rng.choice([-2, -1, 1, 2])
+    return g if g.trace > 0 else -g
+
+
 def random_in_group(rng: random.Random, G: GroupId,
                     steps: int = 5) -> GroupElement:
     """Random word in a Schreier generating set of G."""
@@ -51,6 +65,21 @@ def random_in_group(rng: random.Random, G: GroupId,
         h = rng.choice(gens)
         g = g * (h if rng.random() < 0.5 else h.inverse())
     return g
+
+
+def level_sawtooth_direct(n: int, a: int, c: int) -> Fraction:
+    """sum_{0 < j < |c|} j C_{n,j} ((aj/c)) term by term: the O(|c|) oracle
+    for the reciprocity descent.  ((t/m)) = (2t - m)/(2m) for 0 < t < m,
+    so each residue class mod n is accumulated as an integer over 2m."""
+    m = abs(c)
+    A = a * (1 if c > 0 else -1) % m
+    sums = [0] * n
+    for j in range(1, m):
+        t = A * j % m
+        if t:
+            sums[j % n] += j * (2 * t - m)
+    row = takada_C_row_exact(n)
+    return sum((Fraction(s, 2 * m) * cr for s, cr in zip(sums, row)), Fraction(0))
 
 
 def takada_C_direct(n: int, j: int, cutoff: int = 10 ** 6) -> tuple[float, float]:

@@ -55,6 +55,18 @@ def test_symbol_gamma_level29_exact(capsys):
     assert payload["trace_class"] == "hyperbolic"
 
 
+def test_symbol_gamma_deep_matrix(capsys):
+    # |c| ~ 1.9e18; the Gamma(7)\SL2(Z) coset sum of this element's symbols
+    # equals its classical Psi, 81, so 13/7 is pinned as a regression value
+    m = ("13124060127688695144,-942264745386866363,"
+         "1914338710032917315,-137443280482063926")
+    assert run(["symbol", "--group", "gamma", "--level", "7",
+                "--matrix", m, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "principal-level/exact"
+    assert payload["value"] == "13/7"
+
+
 def test_symbol_needs_level(capsys):
     assert run(["symbol", "--group", "gamma0", "--matrix", "1,1,0,1"]) == 1
 

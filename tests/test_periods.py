@@ -9,9 +9,9 @@ from radsym.dedekind import phi_classical, psi_classical
 from radsym.modgroup import Cusp, GroupElement, GroupId, S, T, classify, Motion
 from radsym.periods import (
     Divisor,
+    _e2_star_mp,
     divisor_period,
     divisor_periods,
-    e2_value,
     eta_log,
     period_numeric,
     phi_from_eta,
@@ -71,20 +71,20 @@ def test_phi_from_eta_random(rng):
 
 
 def test_e2_constant_term():
-    v = e2_value(8j)
+    v = _e2_star_mp(8j)
     assert abs(v - (1 - 3 / (math.pi * 8))) < 1e-12
 
 
 def test_e2_fixed_point():
     # E2(i) = 3/pi classically, so the completed series vanishes at i
-    assert abs(e2_value(1j)) < 1e-12
+    assert abs(_e2_star_mp(1j)) < 1e-12
 
 
 def test_e2_weight_two():
     for g in [S, T * S, GroupElement(2, 1, 1, 1)]:
         for z in [0.3 + 0.8j, -0.1 + 1.7j, 0.45 + 0.31j]:
             j = g.c * z + g.d
-            assert abs(e2_value(g.apply(z)) - j * j * e2_value(z)) < 1e-10
+            assert abs(_e2_star_mp(g.apply(z)) - j * j * _e2_star_mp(z)) < 1e-10
 
 
 # -- geodesic periods ---------------------------------------------------------
@@ -205,6 +205,18 @@ def test_torsion_orders_x0():
         for pv in cert.periods:
             v = pv.value.as_fraction() * cert.order
             assert v.denominator == 1
+
+
+@pytest.mark.parametrize("n, expected", [(18, 1), (27, 3), (32, 4), (36, 6)])
+def test_torsion_orders_x0_non_squarefree(n, expected):
+    # regression values from the peel-lift route; these levels have no
+    # divisor basis, and the repository holds no independent oracle for
+    # non-squarefree N (X0(18) has genus 0, so its order 1 is forced)
+    G = GroupId.gamma0(n)
+    D = Divisor.from_dict(G, {"0": -1, "inf": 1})
+    cert = torsion_certificate(G, D)
+    assert cert.order == expected
+    assert cert.status == "exact"
 
 
 def test_torsion_zero_divisor():
