@@ -47,7 +47,6 @@ from .periods import (
     eta_log,
     period_numeric,
     phi_from_eta,
-    phi_fourier_coefficient,
     torsion_certificate,
     x0_period_exact,
 )
@@ -60,7 +59,6 @@ from .symbols import (
     symbol_parabolic,
     takada_C_row_exact,
     takada_phi,
-    transport_cusp,
 )
 
 __version__ = "0.1.0"
@@ -72,10 +70,9 @@ __all__ = [
     "cosets", "cusp_equivalent", "cusp_stabilizer_generator", "cusp_width",
     "cusps", "dedekind_sum", "dedekind_sum_direct", "divisor_period",
     "divisor_periods", "eta_log", "lift_coset_sum", "member",
-    "parse_matrix", "period_numeric", "phi_classical", "phi_fourier_coefficient",
-    "phi_from_eta", "phi_general", "pi_over_volume", "psi_classical",
-    "psi_general", "sawtooth", "schreier_generators", "sign",
-    "symbol_elliptic", "symbol_parabolic", "takada_C_row_exact", "takada_phi",
-    "torsion_certificate", "transport_cusp", "word_decompose",
-    "x0_period_exact",
+    "parse_matrix", "period_numeric", "phi_classical", "phi_from_eta",
+    "phi_general", "pi_over_volume", "psi_classical", "psi_general",
+    "sawtooth", "schreier_generators", "sign", "symbol_elliptic",
+    "symbol_parabolic", "takada_C_row_exact", "takada_phi",
+    "torsion_certificate", "word_decompose", "x0_period_exact",
 ]

@@ -26,22 +26,24 @@ def sawtooth(x) -> Fraction:
 
 
 def dedekind_sum(a: int, c: int) -> Fraction:
-    """s(a, c) for coprime a, c with c >= 1, by reciprocity descent."""
+    """s(a, c) for coprime a, c with c >= 1, by the Euclid descent of the
+    reciprocity law in integer arithmetic."""
     if c < 1:
         raise ValueError("c must be >= 1")
     if gcd(a, c) != 1:
         raise ValueError(f"gcd({a}, {c}) != 1")
+    if c == 1:
+        return Fraction(0)
     a %= c
-    # s(a,c) = -1/4 + (a/c + c/a + 1/(ac))/12 - s(c mod a, a), unwound
-    # iteratively; each reciprocity term collapses to one fraction
-    total = Fraction(0)
-    neg = False
-    while a:
-        num = a * a + c * c + 1 - 3 * a * c
-        total += Fraction(-num if neg else num, 12 * a * c)
-        neg = not neg
-        a, c = c % a, a
-    return total
+    # with a/c = [0; q_1, ..., q_n], unwinding the reciprocity law gives
+    # 12 c s(a, c) = c sum_i (-1)^(i+1) q_i + a + a' - (3c if n odd else c)
+    # for a a' = 1 mod c, so the descent needs integers only
+    alt, sg, h, k = 0, 1, a, c
+    while h:
+        q, r = divmod(k, h)
+        alt += sg * q
+        sg, h, k = -sg, r, h
+    return Fraction(c * alt + a + pow(a, -1, c) - (3 * c if sg < 0 else c), 12 * c)
 
 
 def dedekind_sum_direct(a: int, c: int) -> Fraction:

@@ -714,25 +714,46 @@ def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
 
 @functools.lru_cache(maxsize=None)
 def cosets(G1: GroupId, G: GroupId) -> tuple:
-    """Representatives for G1 \\ G within the supported lattice."""
+    """Representatives for G1 \\ G within the supported lattice.
+
+    Between Gamma(N), Gamma1(N) and Gamma0(N) at one level the quotient is
+    read off mod N: reduction onto SL2(Z/N) is surjective and the three
+    groups are the preimages of the trivial, the unipotent and the upper
+    triangular subgroup, so G1 \\ G is a set of classes [[a, b], [0, 1/a]]
+    mod N, up to sign.  Here a runs over the units mod +-1 for Gamma0(N)
+    (only a = 1 for Gamma1(N)) and b over Z/N for Gamma(N) (only b = 0 for
+    Gamma1(N)); each class is lifted to [[a, (a d - 1)/N], [N, d]] with
+    a d = 1 + N b mod N^2.
+    """
     _check_containment(G1, G)
     if G1 == G:
         return (I2,)
     if G.family is Family.SL2Z:
         return tuple(coset_table(G1).reps)
+    n = G.level
     if G.family is Family.GAMMA0N_PLUS:
-        n = G.level
         als = tuple(atkin_lehner(n, e) for e in atkin_lehner_exponents(n))
         if G1.family is Family.GAMMA0_N:
             return als
         inner = cosets(G1, GroupId.gamma0(n))
         return tuple(t * w for w in als for t in inner)
-    # G1 and G both subgroups of SL2(Z): filter the SL2(Z) table of G1
-    reps = tuple(r for r in coset_table(G1).reps if member(r, G))
+    if G.family is Family.GAMMA1_N:
+        units = [1]
+    else:                                 # one of each pair a, -a mod N
+        units = [a for a in range(1, max(n // 2, 1) + 1) if gcd(a, n) == 1]
+    shears = range(n) if G1.family is Family.GAMMA_N else (0,)
+    reps = []
+    for a in units:
+        for b in shears:
+            if a == 1 and b == 0:
+                reps.append(I2)
+                continue
+            d = pow(a, -1, n * n) * (1 + n * b) % (n * n)
+            reps.append(GroupElement(a, (a * d - 1) // n, n, d))
     expected = G1.psl2z_index() / G.psl2z_index()
     if len(reps) != expected:
-        raise ValueError(f"coset filtering failed: {len(reps)} != {expected}")
-    return reps
+        raise ValueError(f"coset enumeration failed: {len(reps)} != {expected}")
+    return tuple(reps)
 
 
 def _check_containment(G1: GroupId, G: GroupId):
@@ -779,33 +800,3 @@ def schreier_generators(G: GroupId):
             gens.append(key)
     return gens
 
-
-def schreier_rewrite(G: GroupId, g: GroupElement):
-    """Rewrite g in G as a product of Schreier generators.
-
-    Returns the list of factors; their product equals +-g.  Raises if g is
-    not in G.
-    """
-    if not member(g, G):
-        raise ValueError(f"{g} is not in {G}")
-    if G.family is Family.SL2Z or G.level == 1:
-        return [evaluate_word([p]) for p in word_decompose(g)]
-    tab = coset_table(G)
-    factors = []
-    state = tab.coset_of(I2)
-    for sym, n in word_decompose(g):
-        gen = S if sym == "S" else T
-        step = range(n) if n > 0 else range(-n)
-        use = gen if n > 0 else gen.inverse()
-        for _ in step:
-            if n > 0:
-                j = tab.act(state, sym)
-                factors.append(tab.reps[state] * use * tab.reps[j].inverse())
-            else:
-                # find predecessor state under the generator
-                j = (tab.act_T if sym == "T" else tab.act_S).index(state)
-                factors.append(tab.reps[state] * use * tab.reps[j].inverse())
-            state = j
-    if state != tab.coset_of(I2):
-        raise ValueError("rewriting did not return to the identity coset")
-    return [f for f in factors if not f.is_identity()]

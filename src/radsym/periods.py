@@ -219,15 +219,6 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     return SymbolValue.approximate(complex(val).real, tol)
 
 
-def phi_fourier_coefficient(n: int) -> Fraction:
-    """Rational part sum_{d | n} 1/d of the weight-0 Eisenstein Fourier
-    coefficient phi(n, 1) = (6 / pi^2) sum_{d | n} 1/d."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return sum((Fraction(1, d) for d in range(1, n + 1) if n % d == 0),
-               Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # exact periods on X0(N)
 

@@ -24,7 +24,6 @@ from .dedekind import (
     phi_classical,
     pi_over_volume,
     psi_classical,
-    sawtooth,
     sign,
 )
 from .modgroup import (
@@ -211,10 +210,11 @@ def _level_tables(n: int):
     row = takada_C_row_exact(n)
     D = math.lcm(*(x.denominator for x in row))
     C = tuple(int(x * D) for x in row)
-    u = tuple(tuple(int(2 * n * sawtooth(Fraction(t * r, n))) for r in range(n))
-              for t in range(n))
-    v = tuple(tuple(int(6 * n * n * _bernoulli2_bar(Fraction(t * r, n)))
-                    for r in range(n)) for t in range(n))
+    # with k = tr mod n: 2n ((k/n)) = 2k - n (0 at k = 0) and
+    # 6n^2 B2bar(k/n) = 6k^2 - 6kn + n^2
+    ks = [[t * r % n for r in range(n)] for t in range(n)]
+    u = tuple(tuple(2 * k - n if k else 0 for k in kt) for kt in ks)
+    v = tuple(tuple(6 * k * k - 6 * k * n + n * n for k in kt) for kt in ks)
     W = tuple(sum(C[r] * u[t][r] for r in range(n)) for t in range(n))
     B = tuple(sum(C[r] * v[t][r] for r in range(n)) for t in range(n))
     return C, D, u, W, B
@@ -317,22 +317,6 @@ def psi_gamma(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     h = g.conjugate_by(cusp.base_matrix().inverse())
     corr = pi_over_volume(GroupId.gamma(n)) * sign(h.c * h.trace)
     return takada_phi(n, h) + SymbolValue.exact(-corr)
-
-
-def transport_cusp(G1: GroupId, ambient: GroupId, tau: GroupElement,
-                   source: Cusp, target: Cusp, engine):
-    """Turn a Psi engine at `target` into one at `source`, given tau in the
-    ambient group with tau * source = target.  G1 must be normal in ambient.
-    """
-    if tau.apply_cusp(source) != target:
-        raise ValueError(f"{tau} does not map {source} to {target}")
-
-    def transported(g: GroupElement) -> SymbolValue:
-        if not member(g, G1):
-            raise ValueError(f"{g} is not in {G1}")
-        return engine(g.conjugate_by(tau))
-
-    return transported
 
 
 def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolValue:

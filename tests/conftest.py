@@ -67,6 +67,21 @@ def random_in_group(rng: random.Random, G: GroupId,
     return g
 
 
+def dedekind_sum_reciprocity(a: int, c: int) -> Fraction:
+    """s(a, c) by the reciprocity descent with one Fraction per Euclid step:
+    the oracle for the integer continued-fraction form of dedekind_sum."""
+    a %= c
+    # s(a,c) = -1/4 + (a/c + c/a + 1/(ac))/12 - s(c mod a, a), unwound
+    total = Fraction(0)
+    neg = False
+    while a:
+        num = a * a + c * c + 1 - 3 * a * c
+        total += Fraction(-num if neg else num, 12 * a * c)
+        neg = not neg
+        a, c = c % a, a
+    return total
+
+
 def level_sawtooth_direct(n: int, a: int, c: int) -> Fraction:
     """sum_{0 < j < |c|} j C_{n,j} ((aj/c)) term by term: the O(|c|) oracle
     for the reciprocity descent.  ((t/m)) = (2t - m)/(2m) for 0 < t < m,

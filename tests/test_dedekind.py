@@ -15,7 +15,7 @@ from radsym.dedekind import (
 )
 from radsym.modgroup import Cusp, GroupElement, GroupId, S, T
 
-from conftest import random_sl2z
+from conftest import dedekind_sum_reciprocity, random_sl2z
 
 
 def test_sign_convention():
@@ -48,6 +48,19 @@ def test_dedekind_sum_against_definition():
         for a in range(1, c + 1):
             if gcd(a, c) == 1:
                 assert dedekind_sum(a, c) == dedekind_sum_direct(a, c)
+
+
+def test_dedekind_sum_matches_reciprocity_loop(rng):
+    # 1200 seeded pairs: c = 1, negative a, and entries up to 128 bits
+    pairs = [(rng.randint(-50, 50), 1) for _ in range(20)]
+    while len(pairs) < 1200:
+        bits = rng.choice([4, 8, 16, 32, 64, 96, 128])
+        c = rng.getrandbits(bits) + 1
+        a = rng.getrandbits(bits + 2) * rng.choice([-1, 1])
+        if gcd(a, c) == 1:
+            pairs.append((a, c))
+    for a, c in pairs:
+        assert dedekind_sum(a, c) == dedekind_sum_reciprocity(a, c)
 
 
 def test_reciprocity():

