@@ -26,7 +26,6 @@ from .modgroup import (
     GroupId,
     Motion,
     MotionClass,
-    ScalingMap,
     classify,
     cosets,
     cusp_equivalent,
@@ -36,7 +35,6 @@ from .modgroup import (
     member,
     parse_matrix,
     schreier_generators,
-    word_decompose,
 )
 from .periods import (
     Divisor,
@@ -65,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cusp", "Divisor", "Family", "GroupElement", "GroupId", "Motion",
-    "MotionClass", "PeriodValue", "ScalingMap", "SymbolValue",
+    "MotionClass", "PeriodValue", "SymbolValue",
     "TorsionCertificate", "classify", "cocycle_defect",
     "cosets", "cusp_equivalent", "cusp_stabilizer_generator", "cusp_width",
     "cusps", "dedekind_sum", "dedekind_sum_direct", "divisor_period",
@@ -74,5 +72,5 @@ __all__ = [
     "phi_general", "pi_over_volume", "psi_classical", "psi_general",
     "sawtooth", "schreier_generators", "sign", "symbol_elliptic",
     "symbol_parabolic", "takada_C_row_exact", "takada_phi",
-    "torsion_certificate", "word_decompose", "x0_period_exact",
+    "torsion_certificate", "x0_period_exact",
 ]

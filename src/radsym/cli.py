@@ -204,7 +204,7 @@ def _cmd_torsion(args) -> int:
 def _cmd_cusps(args) -> int:
     G = _group_from_args(args)
     out = []
-    for cu, w, _s in cusps(G):
+    for cu, w in cusps(G):
         gen = cusp_stabilizer_generator(G, cu)
         out.append({"cusp": str(cu), "width": str(w), "stabilizer": str(gen)})
     if getattr(args, "json", False):

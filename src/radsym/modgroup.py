@@ -9,7 +9,7 @@ Everything is projective: g and -g are the same motion.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -392,49 +392,6 @@ def _elliptic_order(g: GroupElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# word decomposition in S, T
-
-
-def word_decompose(g: GroupElement):
-    """Decompose g in SL2(Z) as a word in S, T, valid up to overall sign.
-
-    Returns a list of (letter, exponent) pairs with letter "S" or "T";
-    evaluate_word of the result equals g or -g.
-    """
-    if g.e != 1:
-        raise ValueError("word decomposition needs e = 1")
-    word = []
-    a, b, c, d = g.entries()
-    while c != 0:
-        q = round(Fraction(a, c))  # nearest integer, exactly
-        # peel T^q * S from the left; |a - q*c| <= |c|/2 forces termination
-        a, b = a - q * c, b - q * d
-        word.append(("T", q))
-        a, b, c, d = c, d, -a, -b
-        word.append(("S", 1))
-    # now the matrix is +-[[1, b'],[0, 1]]
-    word.append(("T", b * d))
-    return [(sym, n) for sym, n in word if n != 0]
-
-
-def evaluate_word(word) -> GroupElement:
-    g = I2
-    for sym, n in word:
-        base = S if sym == "S" else T
-        g = g * base ** n
-    return g
-
-
-def word_str(word) -> str:
-    if not word:
-        return "1"
-    parts = []
-    for sym, n in word:
-        parts.append(sym if n == 1 else f"{sym}^{n}")
-    return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # coset enumeration for finite-index subgroups of SL2(Z)
 
 _TABLE_FAMILIES = (Family.SL2Z, Family.GAMMA_N, Family.GAMMA0_N, Family.GAMMA1_N)
@@ -468,6 +425,13 @@ class CosetTable:
 
     Built by breadth-first search from the identity coset; representatives
     and the induced actions are deterministic.
+
+    The T-orbits are the cusp classes: the coset G g lies on the orbit of
+    the class of g(inf), and the orbit's length is that cusp's width.
+    ``cusps`` lists one (cusp, width) per orbit, sorted by (q, p), with the
+    cusp g(inf) of the orbit's first coset; ``orbit[i]`` is the index of the
+    orbit of coset i in that list and ``position[i]`` its step along it:
+    coset i times T^k is coset j for k = position[j] - position[i].
     """
 
     def __init__(self, G: GroupId):
@@ -492,6 +456,26 @@ class CosetTable:
         self._index = {_coset_invariant(G, r): i for i, r in enumerate(self.reps)}
         self.act_T = [self.coset_of(r * T) for r in self.reps]
         self.act_S = [self.coset_of(r * S) for r in self.reps]
+        orbits = []
+        seen = set()
+        for i in range(len(self.reps)):
+            if i in seen:
+                continue
+            orbit = [i]
+            j = self.act_T[i]
+            while j != i:
+                orbit.append(j)
+                j = self.act_T[j]
+            seen.update(orbit)
+            orbits.append(orbit)
+        firsts = [self.reps[o[0]].apply_cusp(Cusp.infinity()) for o in orbits]
+        ranked = sorted(range(len(orbits)), key=lambda k: (firsts[k].q, firsts[k].p))
+        self.cusps = tuple((firsts[k], Fraction(len(orbits[k]))) for k in ranked)
+        self.orbit = [0] * len(self.reps)
+        self.position = [0] * len(self.reps)
+        for cls, k in enumerate(ranked):
+            for pos, i in enumerate(orbits[k]):
+                self.orbit[i], self.position[i] = cls, pos
 
     def _shrink(self, g: GroupElement) -> GroupElement:
         """Left-multiply by elements of G to keep representative entries small."""
@@ -567,16 +551,7 @@ def atkin_lehner(N: int, e: int) -> GroupElement:
     if e == N:
         return GroupElement(0, -1, N, 0, N)
     # solve x*e + y*(N/e) = 1, then [[e, -y],[N, x*e]] has determinant e
-    f = N // e
-    x, y = 0, 0
-    # extended gcd
-    r0, r1, s0, s1 = e, f, 1, 0
-    while r1:
-        k = r0 // r1
-        r0, r1 = r1, r0 - k * r1
-        s0, s1 = s1, s0 - k * s1
-    x = s0 if r0 == 1 else -s0
-    y = (1 - x * e) // f
+    x, y = _bezout(e, N // e)
     return GroupElement(e, -y, N, x * e, e)
 
 
@@ -588,55 +563,53 @@ def atkin_lehner_exponents(N: int):
 
 
 # ---------------------------------------------------------------------------
-# cusp sets, widths, scaling maps
+# cusp classes and widths
 
 
-@dataclass(frozen=True)
-class ScalingMap:
-    """sigma_a = base * diag(sqrt(w), 1/sqrt(w)); base is an integer matrix of det 1."""
-
-    base: GroupElement
-    width: Fraction
-
-    def cusp(self) -> Cusp:
-        return self.base.apply_cusp(Cusp.infinity())
-
-    def conjugate_integer(self, g: GroupElement) -> GroupElement:
-        """base^{-1} g base: same c-sign and trace as the true sigma-conjugate."""
-        return g.conjugate_by(self.base.inverse())
-
-    def apply(self, z: complex) -> complex:
-        return self.base.apply(float(self.width) * z)
+def _single_cusp(G: GroupId) -> bool:
+    # Gamma0(N)+ is defined for squarefree N only, where the Atkin-Lehner
+    # involutions act transitively on the cusps of Gamma0(N)
+    return G.family in (Family.SL2Z, Family.GAMMA0N_PLUS) or G.level == 1
 
 
-def cusps(G: GroupId):
-    """Complete irredundant list of (Cusp, width, ScalingMap), deterministic order."""
-    if G.family is Family.SL2Z or G.level == 1 or G.family is Family.GAMMA0N_PLUS:
-        c = Cusp.infinity()
-        return [(c, Fraction(1), ScalingMap(c.base_matrix(), Fraction(1)))]
+def cusps(G: GroupId) -> tuple:
+    """One (Cusp, width) per cusp class, sorted by (q, p)."""
+    if _single_cusp(G):
+        return ((Cusp.infinity(), Fraction(1)),)
+    return coset_table(G).cusps
+
+
+def cusp_class_index(G: GroupId, c: Cusp) -> int:
+    """Index of the equivalence class of c in cusps(G)."""
+    if _single_cusp(G):
+        return 0
     tab = coset_table(G)
-    seen = set()
-    out = []
-    for i in range(len(tab)):
-        if i in seen:
-            continue
-        orbit = [i]
-        j = tab.act_T[i]
-        while j != i:
-            orbit.append(j)
-            j = tab.act_T[j]
-        seen.update(orbit)
-        cusp = tab.reps[i].apply_cusp(Cusp.infinity())
-        out.append((cusp, Fraction(len(orbit))))
-    # one representative per equivalence class (T-orbits are already classes,
-    # but distinct orbits can only carry equivalent cusp labels through reps;
-    # orbits of the T-action on cosets biject with cusp classes)
-    out.sort(key=lambda t: (t[0].q, t[0].p))
-    return [(c, w, ScalingMap(c.base_matrix(), w)) for c, w in out]
+    return tab.orbit[tab.coset_of(c.base_matrix())]
+
+
+def cusp_width(G: GroupId, c: Cusp) -> Fraction:
+    """Width of the cusp c for G: least w >= 1 with base T^w base^{-1} in G.
+
+    Gamma(N) is normal in SL2(Z), so every cusp has width N; otherwise it
+    is the length of the T-orbit of the coset of base.  Gamma0(N)+ has the
+    widths of Gamma0(N), since base T^w base^{-1} has determinant 1.
+    """
+    if G.family is Family.GAMMA_N:
+        return Fraction(G.level)
+    if G.family is Family.GAMMA0N_PLUS:
+        G = GroupId.gamma0(G.level)
+    return cusps(G)[cusp_class_index(G, c)][1]
 
 
 def cusp_equivalent(G: GroupId, c1: Cusp, c2: Cusp) -> GroupElement | None:
-    """A witness tau in G with tau*c1 = c2, or None."""
+    """A witness tau in G with tau*c1 = c2, or None.
+
+    Every element of SL2(Z) taking c1 to c2 is base2 (+-T^k) base1^{-1}.
+    For Gamma(N) it lies in G exactly when base2^{-1} base1 = s T^k mod N,
+    s = +-1, which gives k = a b mod N from that product's entries; for a
+    group with a coset table, when the cosets of base1 and base2 lie on one
+    T-orbit, k steps apart.
+    """
     g1 = c1.base_matrix()
     g2 = c2.base_matrix()
     n = G.level
@@ -650,31 +623,17 @@ def cusp_equivalent(G: GroupId, c1: Cusp, c2: Cusp) -> GroupElement | None:
                 assert witness.apply_cusp(c1) == c2
                 return witness
         return None
-    g1inv = g1.inverse()
-    for k in range(max(n, 1)):
-        tau = g2 * (T ** k) * g1inv
-        if member(tau, G):
-            assert tau.apply_cusp(c1) == c2
-            return tau
-    return None
-
-
-def cusp_class_index(G: GroupId, c: Cusp) -> int:
-    """Index of the equivalence class of c in cusps(G)."""
-    for i, (rep, _w, _s) in enumerate(cusps(G)):
-        if cusp_equivalent(G, c, rep) is not None:
-            return i
-    raise ValueError(f"{c} is not a cusp class of {G}")
-
-
-def cusp_width(G: GroupId, c: Cusp) -> Fraction:
-    """Width of the cusp c for G: least w >= 1 with base T^w base^{-1} in G."""
-    base = c.base_matrix()
-    bound = int(G.psl2z_index() * max(G.level, 1)) + G.level + 2
-    for w in range(1, bound + 1):
-        if member(base * (T ** w) * base.inverse(), G):
-            return Fraction(w)
-    raise ValueError(f"no width <= {bound} found for {c} in {G}")
+    if G.family is Family.GAMMA_N:
+        h = g2.inverse() * g1
+        k = h.a * h.b % n
+    else:
+        tab = coset_table(G)
+        i, j = tab.coset_of(g1), tab.coset_of(g2)
+        if tab.orbit[i] != tab.orbit[j]:
+            return None
+        k = (tab.position[i] - tab.position[j]) % int(tab.cusps[tab.orbit[i]][1])
+    tau = g2 * GroupElement(1, k, 0, 1) * g1.inverse()
+    return tau if member(tau, G) else None
 
 
 def cusp_stabilizer_generator(G: GroupId, c: Cusp) -> GroupElement:

@@ -27,9 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .dedekind import phi_classical, psi_classical
+from .dedekind import psi_classical
 from .modgroup import (
     Cusp,
     GroupElement,
@@ -137,6 +135,8 @@ def _e2_star_mp(z):
     at mpmath working precision.  E2* transforms with weight 2 under
     SL2(Z), so the point is moved to the fundamental domain (where a handful
     of q-series terms suffice) and the value is transported back."""
+    import mpmath  # on first use: importing radsym does not load mpmath
+
     g, zr = _reduce_to_fundamental(z)
     q = mpmath.expjpi(2 * zr)
     terms = int(mpmath.mp.dps * 2.4 / (2 * math.pi * float(zr.imag) / math.log(10))) + 3
@@ -176,9 +176,16 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     from the apex z0 of the axis semicircle to g z0.
 
     Equals the Rademacher symbol Psi(g); the path is the geodesic arc
-    parametrized by angle.  The axis is conjugated into the fundamental
-    domain first so the quadrature stays numerically healthy.
+    parametrized by hyperbolic arclength.  The axis is conjugated into the
+    fundamental domain first so the quadrature stays numerically healthy.
+
+    The reported error is an estimate: mpmath's quadrature error estimate,
+    the working precision's rounding (amplified by the reduction into the
+    fundamental domain) and the rounding of the value to a float,
+    |value| 2^-52.  Raises ValueError when it exceeds tol.
     """
+    import mpmath  # on first use: importing radsym does not load mpmath
+
     if g.e != 1:
         raise ValueError("period_numeric needs an SL2(Z) element")
     if classify(g).tag is not Motion.HYPERBOLIC:
@@ -197,7 +204,6 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     # the quadrature nodes equidistributed along the geodesic
     tr = g.trace
     length = 2 * math.log((tr + math.sqrt(tr * tr - 4)) / 2)
-    u1 = math.copysign(length, (z1 - center).real)
 
     # the arc may dip within e^{-length} of the real axis, so the integrand
     # is evaluated in mpmath with enough guard digits for the reduction
@@ -205,6 +211,11 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     with mpmath.workdps(dps):
         ctr = mpmath.mpf(a - d) / (2 * c)
         rad = mpmath.sqrt(mpmath.mpf(tr * tr - 4)) / (2 * abs(c))
+        # the endpoint in working precision: a float endpoint moved values
+        # by up to 3e-14 (trace 100)
+        u1 = 2 * mpmath.acosh(mpmath.mpf(tr) / 2)
+        if (z1 - center).real < 0:
+            u1 = -u1
 
         def integrand(u):
             sech = 1 / mpmath.cosh(u)
@@ -213,10 +224,17 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
             dz = rad * sech * (sech - 1j * th)
             return _e2_star_mp(z) * dz
 
-        steps = max(4, int(2 * abs(u1)) + 1)
-        knots = [mpmath.mpf(u1) * k / steps for k in range(steps + 1)]
-        val = mpmath.quad(integrand, knots)
-    return SymbolValue.approximate(complex(val).real, tol)
+        steps = max(4, int(2 * length) + 1)
+        knots = [u1 * k / steps for k in range(steps + 1)]
+        val, quad_err = mpmath.quad(integrand, knots, error=True)
+        # rounding: at u the arc is within R e^{-|u|} of the real axis, and
+        # the move into the fundamental domain amplifies it about e^{|u|}
+        round_err = length * mpmath.exp(length) * mpmath.eps
+    value = complex(val).real
+    err = float(quad_err + round_err) + abs(value) * 2.0 ** -52
+    if err > tol:
+        raise ValueError(f"period error estimate {err:.3g} exceeds tol = {tol:.3g}")
+    return SymbolValue.approximate(value, err)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +282,7 @@ class Divisor:
 
     @staticmethod
     def from_dict(G: GroupId, coeffs: dict) -> "Divisor":
-        reps = [c for c, _w, _s in cusps(G)]
+        reps = [c for c, _w in cusps(G)]
         out = [0] * len(reps)
         for cu, m in coeffs.items():
             if isinstance(cu, str):

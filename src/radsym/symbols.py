@@ -34,13 +34,10 @@ from .modgroup import (
     Motion,
     T,
     _prime_divisors,
-    atkin_lehner,
-    atkin_lehner_exponents,
     classify,
     cosets,
+    cusp_class_index,
     cusp_equivalent,
-    cusp_stabilizer_generator,
-    cusp_width,
     cusps,
     member,
     parabolic_power,
@@ -53,12 +50,12 @@ from .modgroup import (
 
 @dataclass(frozen=True)
 class SymbolValue:
-    """Exact rational, or a float approximation with an error bound."""
+    """Exact rational, or a float approximation with an error estimate."""
 
     kind: str  # "exact" | "approx"
     rational: Fraction | None = None
     approx: float | None = None        # only for kind == "approx"
-    error: float = 0.0                 # bound on |true - reported|
+    error: float = 0.0                 # estimate of |true - reported|
 
     @staticmethod
     def exact(r) -> "SymbolValue":
@@ -420,17 +417,12 @@ def _gamma0_cusp_constants(n: int):
     cusps of Gamma0(N): the pullback of e*E2star(e z) to the cusp p/q of
     width w has constant term w gcd(ep, q)^2 / e.
 
-    Returns (cusp list, divisor list, matrix rows by cusp).
+    Returns (divisor list, matrix rows in the order of cusps(Gamma0(N))).
     """
-    G = GroupId.gamma0(n)
-    cusp_list = [c for c, _w, _s in cusps(G)]
     divs = [e for e in range(1, n + 1) if n % e == 0]
-    rows = []
-    for cu in cusp_list:
-        w = cusp_width(G, cu)
-        p, q = cu.p, cu.q
-        rows.append([Fraction(w * gcd(e * p, q) ** 2, e) for e in divs])
-    return cusp_list, divs, rows
+    rows = [[Fraction(w * gcd(e * cu.p, cu.q) ** 2, e) for e in divs]
+            for cu, w in cusps(GroupId.gamma0(n))]
+    return divs, rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,16 +431,10 @@ def gamma0_cusp_basis(n: int, cusp: Cusp):
     as a tuple of (e, Fraction) pairs; None when the divisor functions do
     not span the Eisenstein space of Gamma0(N) (possible when N is far
     from squarefree)."""
-    cusp_list, divs, rows = _gamma0_cusp_constants(n)
-    if len(cusp_list) != len(divs):
+    divs, rows = _gamma0_cusp_constants(n)
+    if len(rows) != len(divs):
         return None
-    k = None
-    for i, cu in enumerate(cusp_list):
-        if cusp_equivalent(GroupId.gamma0(n), cusp, cu) is not None:
-            k = i
-            break
-    if k is None:
-        raise ValueError(f"{cusp} is not a cusp representative of Gamma0({n})")
+    k = cusp_class_index(GroupId.gamma0(n), cusp)
     sol = _solve_rational(
         [list(row) + [Fraction(1 if i == k else 0)] for i, row in enumerate(rows)])
     if sol is None:

@@ -6,7 +6,17 @@ from math import gcd
 import numpy as np
 import pytest
 
-from radsym.modgroup import GroupElement, GroupId, T, S
+from radsym.modgroup import (
+    Cusp,
+    Family,
+    GroupElement,
+    GroupId,
+    S,
+    T,
+    atkin_lehner,
+    atkin_lehner_exponents,
+    member,
+)
 from radsym.symbols import takada_C_row_exact
 
 
@@ -80,6 +90,45 @@ def dedekind_sum_reciprocity(a: int, c: int) -> Fraction:
         neg = not neg
         a, c = c % a, a
     return total
+
+
+def cusp_equivalent_search(G: GroupId, c1: Cusp, c2: Cusp) -> GroupElement | None:
+    """A witness tau in G with tau*c1 = c2, or None, by trying
+    base2 T^k base1^{-1} for k = 0..N-1 with a membership test each: the
+    oracle for the T-orbit lookup in modgroup.cusp_equivalent."""
+    g1 = c1.base_matrix()
+    g2 = c2.base_matrix()
+    n = G.level
+    if G.family is Family.GAMMA0N_PLUS:
+        G0 = GroupId.gamma0(n)
+        for e in atkin_lehner_exponents(n):
+            w = atkin_lehner(n, e)
+            tau = cusp_equivalent_search(G0, w.apply_cusp(c1), c2)
+            if tau is not None:
+                return tau * w
+        return None
+    g1inv = g1.inverse()
+    g2tk = g2                                   # base2 T^k
+    for _ in range(max(n, 1)):
+        tau = g2tk * g1inv
+        if member(tau, G):
+            return tau
+        g2tk = g2tk * T
+    return None
+
+
+def cusp_width_search(G: GroupId, c: Cusp) -> Fraction:
+    """Least w >= 1 with base T^w base^{-1} in G, by search: the oracle for
+    the T-orbit lengths in modgroup.cusp_width."""
+    base = c.base_matrix()
+    binv = base.inverse()
+    btw = base                                  # base T^w
+    bound = int(G.psl2z_index() * max(G.level, 1)) + G.level + 2
+    for w in range(1, bound + 1):
+        btw = btw * T
+        if member(btw * binv, G):
+            return Fraction(w)
+    raise ValueError(f"no width <= {bound} found for {c} in {G}")
 
 
 def level_sawtooth_direct(n: int, a: int, c: int) -> Fraction:

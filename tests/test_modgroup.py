@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,19 +18,24 @@ from radsym.modgroup import (
     classify,
     coset_table,
     cosets,
+    cusp_class_index,
     cusp_equivalent,
     cusp_stabilizer_generator,
     cusp_width,
     cusps,
-    evaluate_word,
     member,
     parabolic_power,
     parse_matrix,
     schreier_generators,
-    word_decompose,
 )
+from radsym.symbols import psi_general
 
-from conftest import random_in_group, random_sl2z
+from conftest import (
+    cusp_equivalent_search,
+    cusp_width_search,
+    random_in_group,
+    random_sl2z,
+)
 
 
 # -- elements ---------------------------------------------------------------
@@ -136,7 +142,7 @@ def test_cusp_counts():
 def test_cusp_widths_sum_to_index():
     for G in [GroupId.gamma(3), GroupId.gamma0(11), GroupId.gamma0(12),
               GroupId.gamma1(5)]:
-        total = sum(w for _c, w, _s in cusps(G))
+        total = sum(w for _c, w in cusps(G))
         assert total == G.psl2z_index()
 
 
@@ -155,6 +161,37 @@ def test_cusp_equivalence():
     # under the Fricke involution 0 and infinity merge
     Gp = GroupId.gamma0_plus(11)
     assert cusp_equivalent(Gp, Cusp.infinity(), Cusp(0, 1)) is not None
+
+
+# every cusp p/q with 0 <= p < q <= 30, and infinity
+ORACLE_CUSPS = [Cusp(1, 0)] + [Cusp(p, q) for q in range(1, 31)
+                               for p in range(q) if gcd(p, q) == 1]
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, n))
+
+
+@pytest.mark.parametrize("G", [GroupId.gamma0(n) for n in range(1, 41)]
+                         + [GroupId.gamma1(n) for n in range(1, 41)]
+                         + [GroupId.gamma(n) for n in range(1, 13)]
+                         + [GroupId.gamma0_plus(n) for n in range(1, 41)
+                            if _squarefree(n)], ids=str)
+def test_cusp_structure_matches_search(G):
+    # class, width and witness agree with the k- and w-searches
+    reps = [c for c, _w in cusps(G)]
+    for i, r in enumerate(reps):
+        for r2 in reps[i + 1:]:
+            assert cusp_equivalent_search(G, r, r2) is None
+    for c in ORACLE_CUSPS:
+        i = cusp_class_index(G, c)
+        assert cusp_equivalent_search(G, c, reps[i]) is not None
+        assert cusp_width(G, c) == cusp_width_search(G, c)
+        for j, r in enumerate(reps):
+            tau = cusp_equivalent(G, c, r)
+            assert (tau is not None) == (i == j)
+            if tau is not None:
+                assert member(tau, G) and tau.apply_cusp(c) == r
 
 
 def test_cusp_stabilizer_generator():
@@ -208,6 +245,47 @@ def test_level_cosets_build_no_gamma_table():
     modgroup._table_cache.pop(G1, None)
     cosets.__wrapped__(G1, GroupId.gamma0(36))
     assert G1 not in modgroup._table_cache
+
+
+def test_parabolic_symbol_builds_no_gamma_table():
+    # width and equivalence on Gamma(N) are read off mod N
+    G = GroupId.gamma(36)
+    modgroup._table_cache.pop(G, None)
+    base = Cusp(1, 2).base_matrix()
+    g = base * T ** 72 * base.inverse()
+    assert psi_general(G, Cusp(37, 2), g).as_fraction() == 2
+    assert psi_general(G, Cusp(3, 2), g).as_fraction() == 0
+    assert G not in modgroup._table_cache
+
+
+def word_decompose(g: GroupElement):
+    """Decompose g in SL2(Z) as a word in S, T, valid up to overall sign.
+
+    Returns a list of (letter, exponent) pairs with letter "S" or "T";
+    evaluate_word of the result equals g or -g.
+    """
+    if g.e != 1:
+        raise ValueError("word decomposition needs e = 1")
+    word = []
+    a, b, c, d = g.entries()
+    while c != 0:
+        q = round(Fraction(a, c))  # nearest integer, exactly
+        # peel T^q * S from the left; |a - q*c| <= |c|/2 forces termination
+        a, b = a - q * c, b - q * d
+        word.append(("T", q))
+        a, b, c, d = c, d, -a, -b
+        word.append(("S", 1))
+    # now the matrix is +-[[1, b'],[0, 1]]
+    word.append(("T", b * d))
+    return [(sym, n) for sym, n in word if n != 0]
+
+
+def evaluate_word(word) -> GroupElement:
+    g = I2
+    for sym, n in word:
+        base = S if sym == "S" else T
+        g = g * base ** n
+    return g
 
 
 def schreier_rewrite(G: GroupId, g: GroupElement):

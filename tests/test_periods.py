@@ -95,10 +95,16 @@ def test_period_numeric_matches_psi(rng):
     for g in fixed:
         p = period_numeric(g, 1e-9)
         assert abs(p.approx - float(psi_classical(g))) < 1e-9
+        assert p.error >= abs(Fraction(p.approx) - psi_classical(g))
     for _ in range(4):
         g = random_hyperbolic_sl2z(rng)
         p = period_numeric(g, 1e-9)
         assert abs(p.approx - float(psi_classical(g))) < 1e-9
+
+
+def test_period_numeric_raises_above_tol():
+    with pytest.raises(ValueError, match="error estimate"):
+        period_numeric(GroupElement(2, 1, 1, 1), 1e-30)
 
 
 def test_period_numeric_rejects_non_hyperbolic():
