@@ -6,6 +6,7 @@ All values are exact rationals (fractions.Fraction).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
 
@@ -75,6 +76,7 @@ def psi_classical(g: GroupElement) -> Fraction:
     return phi_classical(g) - 3 * sign(g.c * (g.a + g.d))
 
 
+@functools.lru_cache(maxsize=None)
 def pi_over_volume(G: GroupId) -> Fraction:
     """pi / V for the group G; equals 3 / (index in PSL2(Z))."""
     return Fraction(3) / G.psl2z_index()

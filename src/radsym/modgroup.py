@@ -62,16 +62,19 @@ class GroupElement:
     # -- group operations -----------------------------------------------------
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
+        prod = GroupElement(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
             self.e * other.e,
-        ).reduced()
+        )
+        # at e = 1 no content t > 1 has t^2 | e: reduced() would be a no-op
+        return prod if prod.e == 1 else prod.reduced()
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.d, -self.b, -self.c, self.a, self.e).reduced()
+        inv = GroupElement(self.d, -self.b, -self.c, self.a, self.e)
+        return inv if self.e == 1 else inv.reduced()
 
     def __neg__(self) -> "GroupElement":
         return GroupElement(-self.a, -self.b, -self.c, -self.d, self.e)
@@ -156,6 +159,8 @@ class Cusp:
     def __post_init__(self):
         p, q = self.p, self.q
         if q == 0:
+            if p == 0:
+                raise ValueError("0/0 is not a cusp")
             p = 1
         else:
             g = gcd(p, q)
@@ -255,8 +260,10 @@ class GroupId:
     def gamma0_plus(n: int) -> "GroupId":
         return GroupId(Family.GAMMA0N_PLUS, n)
 
+    @functools.lru_cache(maxsize=None)
     def psl2z_index(self) -> Fraction:
-        """Index of the image in PSL2(Z); rational "index" for Gamma0(N)+."""
+        """Index of the image in PSL2(Z); rational "index" for Gamma0(N)+.
+        Cached per group: it factors N."""
         n = self.level
         if self.family is Family.SL2Z or n == 1:
             return Fraction(1)

@@ -10,6 +10,11 @@ Euclid descent on (a, |c|/N) evaluates through their reciprocity law, so
 every Gamma(N) value is exact and costs O(log |c|) at any size of c.
 Symbols for the coarser groups are assembled from the Gamma(N) engine by
 cusp transport and coset summation along normal covers.
+
+Psi is homogeneous on hyperbolic elements: g^k runs the closed geodesic of
+g k times, so Psi_a(g^k) = k Psi_a(g).  An element of Gamma1(N) or Gamma0(N)
+is evaluated through the power of it that reduces to a unipotent matrix mod
+N, and an Atkin-Lehner element of Gamma0(N)+ through its square.
 """
 
 from __future__ import annotations
@@ -369,9 +374,7 @@ def psi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
         return SymbolValue.exact(0)
     if cls.tag is Motion.ELLIPTIC:
         phi = symbol_elliptic(G, cusp, g)
-        h = g.conjugate_by(cusp.base_matrix().inverse())
-        corr = pi_over_volume(G) * sign(h.c * h.trace)
-        return SymbolValue.exact(phi.as_fraction() - corr)
+        return SymbolValue.exact(phi.as_fraction() - _sign_term(G, cusp, g))
     if cls.tag is Motion.PARABOLIC:
         return symbol_parabolic(G, cusp, g)
     # hyperbolic: normalize to positive trace (Psi(-g) = Psi(g))
@@ -383,9 +386,14 @@ def psi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 def phi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Dedekind symbol Phi_a(g) = Psi_a(g) + (pi/V) sign(c (a+d)), with the
     sign read off the cusp-normalized conjugate."""
-    psi = psi_general(G, cusp, g)
+    return psi_general(G, cusp, g) + SymbolValue.exact(_sign_term(G, cusp, g))
+
+
+def _sign_term(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
+    """(pi/V) sign(c (a+d)) of the cusp-normalized conjugate of g, the
+    difference Phi_a(g) - Psi_a(g)."""
     h = g.conjugate_by(cusp.base_matrix().inverse())
-    return psi + SymbolValue.exact(pi_over_volume(G) * sign(h.c * h.trace))
+    return pi_over_volume(G) * sign(h.c * h.trace)
 
 
 def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
@@ -463,64 +471,16 @@ def psi_gamma0_divisor(n: int, cusp: Cusp, g: GroupElement,
 
 
 # ---------------------------------------------------------------------------
-# Gamma1(N) and fallback Gamma0(N): peel a translation, lift the rest
-
-
-def _phi_of(G: GroupId, cusp: Cusp, g: GroupElement, psi: Fraction) -> Fraction:
-    h = g.conjugate_by(cusp.base_matrix().inverse())
-    return psi + pi_over_volume(G) * sign(h.c * h.trace)
-
-
-def _phi_peel_core(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
-    """Phi_a(g) for g in G whose image mod N is unipotent upper triangular,
-    i.e. g = h T^j with h in Gamma(N)."""
-    n = G.level
-    kappa = pi_over_volume(G)
-    binv = cusp.base_matrix().inverse()
-    j = g.b % n
-    if (g.a - 1) % n:        # image is -unipotent; use Phi(-g) = Phi(g)
-        g = -g
-        j = g.b % n
-    h = g * (T ** (-j))
-    # Phi of T^j at this cusp
-    if j == 0:
-        phi_t = Fraction(0)
-    else:
-        inf = Cusp(1, 0)
-        tj = (T ** j).conjugate_by(binv)
-        if cusp_equivalent(G, inf, cusp) is not None:
-            base = j  # T generates the infinity stabilizer in these groups
-        else:
-            base = 0
-        phi_t = Fraction(base) + kappa * sign(tj.c * tj.trace)
-    # Phi of h in Gamma(N)
-    cls = classify(h)
-    if cls.tag is Motion.IDENTITY:
-        phi_h = Fraction(0)
-    elif cls.tag is Motion.PARABOLIC:
-        psi_h = symbol_parabolic(G, cusp, h).as_fraction()
-        phi_h = _phi_of(G, cusp, h, psi_h)
-    else:
-        hh = h if h.trace > 0 else -h
-        lifted = lift_coset_sum(
-            GroupId.gamma(n), G,
-            lambda x: psi_gamma(n, cusp, x), hh)
-        phi_h = _phi_of(G, cusp, h, lifted.as_fraction())
-    if j == 0:
-        return phi_h
-    ch = h.conjugate_by(binv).c
-    ct = (T ** j).conjugate_by(binv).c
-    cg = g.conjugate_by(binv).c
-    return phi_h + phi_t - kappa * sign(ch * ct * cg)
+# Gamma1(N) and fallback Gamma0(N): a power peels to Gamma(N)
 
 
 def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Psi_a(g) for g in Gamma0(N) or Gamma1(N): raise g to a power whose
-    image mod N is +-unipotent, evaluate there via Gamma(N), then unwind
-    the composition law."""
+    """Psi_a(g) for hyperbolic g in Gamma0(N) or Gamma1(N): raise g to the
+    least power g^k whose image mod N is +-unipotent, so g^k = h T^j with h
+    in Gamma(N), and return Psi_a(g^k) / k.  For j = 0 the power lies in
+    Gamma(N) and is lifted by a coset sum; otherwise the composition law
+    peels T^j off once."""
     n = G.level
-    kappa = pi_over_volume(G)
-    binv = cusp.base_matrix().inverse()
     # order of a mod N in (Z/N)*/{+-1}
     k = 1
     acc = g.a % n
@@ -529,38 +489,28 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
         k += 1
         if k > n:
             raise RuntimeError("unit order computation failed")
-    powers = [g]
-    for _ in range(k - 1):
-        powers.append(powers[-1] * g)
-    phi_k = _phi_peel_core(G, cusp, powers[-1])
-    c0 = g.conjugate_by(binv).c
-    csigns = [p.conjugate_by(binv).c for p in powers]
-    defect = sum(sign(c0 * csigns[i - 1] * csigns[i]) for i in range(1, k))
-    phi = (phi_k + kappa * defect) / k
-    return SymbolValue.exact(phi - kappa * sign(c0 * g.trace))
+    gk = g ** k               # positive trace, +-unipotent mod N
+    j = gk.a * gk.b % n       # gk = +-h T^j with h in Gamma(N)
+    if j == 0:
+        return lift_coset_sum(GroupId.gamma(n), G,
+                              lambda x: psi_gamma(n, cusp, x), gk
+                              ).scaled(Fraction(1, k))
+    tj = T ** j
+    h = gk * T ** (-j)
+    binv = cusp.base_matrix().inverse()
+    c3 = (h.conjugate_by(binv).c * tj.conjugate_by(binv).c
+          * gk.conjugate_by(binv).c)
+    # Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_gk)
+    phi = (phi_general(G, cusp, h) + phi_general(G, cusp, tj)).as_fraction()
+    psi = phi - pi_over_volume(G) * sign(c3) - _sign_term(G, cusp, gk)
+    return SymbolValue.exact(psi / k)
 
 
 def _psi_gamma0_plus(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    Gp = GroupId.gamma0_plus(n)
+    if g.e > 1:
+        # g^2 is a hyperbolic element of Gamma0(N) of positive trace
+        return _psi_gamma0_plus(n, cusp, g * g).scaled(Fraction(1, 2))
     G0 = GroupId.gamma0(n)
-    if g.e == 1:
-        return lift_coset_sum(
-            G0, Gp, lambda h: psi_general(G0, cusp, h), g
-        )
-    # scale e > 1: g^2 lands in Gamma0(N); unwind one cocycle step
-    g2 = g * g
-    pv = pi_over_volume(Gp)
-    binv = cusp.base_matrix().inverse()
-    h, h2 = g.conjugate_by(binv), g2.conjugate_by(binv)
-    cls2 = classify(g2)
-    if cls2.tag is Motion.IDENTITY:
-        phi_g2 = SymbolValue.exact(0)
-    elif cls2.tag is Motion.ELLIPTIC:
-        phi_g2 = symbol_elliptic(Gp, cusp, g2)
-    else:
-        psi2 = psi_general(Gp, cusp, g2)
-        corr2 = pv * sign(h2.c * h2.trace)
-        phi_g2 = psi2 + SymbolValue.exact(corr2)
-    defect = SymbolValue.exact(pv * sign(h.c * h.c * h2.c))
-    phi_g = (phi_g2 + defect).scaled(Fraction(1, 2))
-    return phi_g + SymbolValue.exact(-pv * sign(h.c * h.trace))
+    return lift_coset_sum(
+        G0, GroupId.gamma0_plus(n), lambda h: psi_general(G0, cusp, h), g
+    )

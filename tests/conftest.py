@@ -6,18 +6,30 @@ from math import gcd
 import numpy as np
 import pytest
 
+from radsym.dedekind import pi_over_volume, sign
 from radsym.modgroup import (
     Cusp,
     Family,
     GroupElement,
     GroupId,
+    Motion,
     S,
     T,
     atkin_lehner,
     atkin_lehner_exponents,
+    classify,
+    cusp_equivalent,
     member,
 )
-from radsym.symbols import takada_C_row_exact
+from radsym.symbols import (
+    SymbolValue,
+    lift_coset_sum,
+    psi_gamma,
+    psi_general,
+    symbol_elliptic,
+    symbol_parabolic,
+    takada_C_row_exact,
+)
 
 
 def random_sl2z(rng: random.Random, steps: int = 8) -> GroupElement:
@@ -144,6 +156,110 @@ def level_sawtooth_direct(n: int, a: int, c: int) -> Fraction:
             sums[j % n] += j * (2 * t - m)
     row = takada_C_row_exact(n)
     return sum((Fraction(s, 2 * m) * cr for s, cr in zip(sums, row)), Fraction(0))
+
+
+def _phi_of(G: GroupId, cusp: Cusp, g: GroupElement, psi: Fraction) -> Fraction:
+    h = g.conjugate_by(cusp.base_matrix().inverse())
+    return psi + pi_over_volume(G) * sign(h.c * h.trace)
+
+
+def phi_peel_core_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
+    """Phi_a(g) for g in G whose image mod N is unipotent upper triangular,
+    i.e. g = h T^j with h in Gamma(N)."""
+    n = G.level
+    kappa = pi_over_volume(G)
+    binv = cusp.base_matrix().inverse()
+    j = g.b % n
+    if (g.a - 1) % n:        # image is -unipotent; use Phi(-g) = Phi(g)
+        g = -g
+        j = g.b % n
+    h = g * (T ** (-j))
+    # Phi of T^j at this cusp
+    if j == 0:
+        phi_t = Fraction(0)
+    else:
+        inf = Cusp(1, 0)
+        tj = (T ** j).conjugate_by(binv)
+        if cusp_equivalent(G, inf, cusp) is not None:
+            base = j  # T generates the infinity stabilizer in these groups
+        else:
+            base = 0
+        phi_t = Fraction(base) + kappa * sign(tj.c * tj.trace)
+    # Phi of h in Gamma(N)
+    cls = classify(h)
+    if cls.tag is Motion.IDENTITY:
+        phi_h = Fraction(0)
+    elif cls.tag is Motion.PARABOLIC:
+        psi_h = symbol_parabolic(G, cusp, h).as_fraction()
+        phi_h = _phi_of(G, cusp, h, psi_h)
+    else:
+        hh = h if h.trace > 0 else -h
+        lifted = lift_coset_sum(
+            GroupId.gamma(n), G,
+            lambda x: psi_gamma(n, cusp, x), hh)
+        phi_h = _phi_of(G, cusp, h, lifted.as_fraction())
+    if j == 0:
+        return phi_h
+    ch = h.conjugate_by(binv).c
+    ct = (T ** j).conjugate_by(binv).c
+    cg = g.conjugate_by(binv).c
+    return phi_h + phi_t - kappa * sign(ch * ct * cg)
+
+
+def psi_peel_lift_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
+    """Psi_a(g) for g in Gamma0(N) or Gamma1(N): raise g to a power whose
+    image mod N is +-unipotent, evaluate there via Gamma(N), then unwind
+    the composition law one power at a time: the oracle for the
+    homogeneity route Psi(g^k)/k in symbols._psi_peel_lift."""
+    n = G.level
+    kappa = pi_over_volume(G)
+    binv = cusp.base_matrix().inverse()
+    # order of a mod N in (Z/N)*/{+-1}
+    k = 1
+    acc = g.a % n
+    while acc % n not in (1 % n, (n - 1) % n):
+        acc = acc * g.a % n
+        k += 1
+        if k > n:
+            raise RuntimeError("unit order computation failed")
+    powers = [g]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * g)
+    phi_k = phi_peel_core_cocycle(G, cusp, powers[-1])
+    c0 = g.conjugate_by(binv).c
+    csigns = [p.conjugate_by(binv).c for p in powers]
+    defect = sum(sign(c0 * csigns[i - 1] * csigns[i]) for i in range(1, k))
+    phi = (phi_k + kappa * defect) / k
+    return SymbolValue.exact(phi - kappa * sign(c0 * g.trace))
+
+
+def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
+    """Psi on Gamma0(N)+, with an Atkin-Lehner element g unwound from
+    Phi(g^2) through one composition-law step: the oracle for the
+    homogeneity route Psi(g^2)/2 in symbols._psi_gamma0_plus."""
+    Gp = GroupId.gamma0_plus(n)
+    G0 = GroupId.gamma0(n)
+    if g.e == 1:
+        return lift_coset_sum(
+            G0, Gp, lambda h: psi_general(G0, cusp, h), g
+        )
+    # scale e > 1: g^2 lands in Gamma0(N); unwind one cocycle step
+    g2 = g * g
+    pv = pi_over_volume(Gp)
+    binv = cusp.base_matrix().inverse()
+    h, h2 = g.conjugate_by(binv), g2.conjugate_by(binv)
+    cls2 = classify(g2)
+    if cls2.tag is Motion.IDENTITY:
+        phi_g2 = SymbolValue.exact(0)
+    elif cls2.tag is Motion.ELLIPTIC:
+        phi_g2 = symbol_elliptic(Gp, cusp, g2)
+    else:
+        psi2 = psi_general(Gp, cusp, g2)
+        corr2 = pv * sign(h2.c * h2.trace)
+        phi_g2 = psi2 + SymbolValue.exact(corr2)
+    defect = SymbolValue.exact(pv * sign(h.c * h.c * h2.c))
+    phi_g = (phi_g2 + defect).scaled(Fraction(1, 2))
+    return phi_g + SymbolValue.exact(-pv * sign(h.c * h.trace))
 
 
 def takada_C_direct(n: int, j: int, cutoff: int = 10 ** 6) -> tuple[float, float]:

@@ -75,6 +75,15 @@ def test_malformed_matrix(capsys):
     assert run(["symbol", "--group", "sl2z", "--matrix", "1,2,3"]) == 1
 
 
+def test_cusp_zero_over_zero_is_rejected(capsys):
+    # 0/0 is no point of P^1(Q); it must not be read as infinity
+    assert run(["symbol", "--group", "gamma0", "--level", "11",
+                "--cusp", "0/0", "--matrix", "4,1,11,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0/0" in captured.err
+
+
 def test_period_numeric(capsys):
     assert run(["period", "--matrix", "5,2,2,1", "--numeric",
                 "--tol", "1e-8"]) == 0

@@ -120,6 +120,9 @@ def test_cusp_parsing_and_str():
     assert Cusp.from_str("0") == Cusp(0, 1)
     assert str(Cusp(1, 0)) == "inf"
     assert str(Cusp(1, 2)) == "1/2"
+    assert Cusp(-5, 0) == Cusp.infinity()
+    with pytest.raises(ValueError):
+        Cusp.from_str("0/0")
 
 
 def test_cusp_base_matrix():

@@ -13,13 +13,18 @@ from radsym.dedekind import (
 )
 from radsym.modgroup import (
     Cusp,
+    Family,
     GroupElement,
     GroupId,
+    Motion,
     S,
     T,
     atkin_lehner,
+    atkin_lehner_exponents,
+    classify,
     coset_table,
     cosets,
+    cusps,
     member,
 )
 from radsym.symbols import (
@@ -40,6 +45,8 @@ from radsym.symbols import (
 
 from conftest import (
     level_sawtooth_direct,
+    psi_gamma0_plus_cocycle,
+    psi_peel_lift_cocycle,
     random_in_group,
     random_principal,
     random_principal_deep,
@@ -476,3 +483,69 @@ def test_gamma0_plus_fricke_elements(rng):
 def classify_trace(g):
     # scale-normalized trace comparison: hyperbolic iff trace^2 > 4 det
     return g.trace / (g.e ** 0.5)
+
+
+# -- homogeneity: Psi(g^k) = k Psi(g) on hyperbolic elements -----------------
+
+
+def random_hyperbolic(rng, G, steps=4):
+    """Hyperbolic element of G of positive trace; for Gamma0(N)+ a random
+    Atkin-Lehner coset, so that about half the draws have e > 1."""
+    n = G.level
+    while True:
+        if G.family is Family.GAMMA0N_PLUS:
+            e = rng.choice(atkin_lehner_exponents(n))
+            g = (random_in_group(rng, GroupId.gamma0(n), steps)
+                 * atkin_lehner(n, e)).reduced()
+        else:
+            g = random_in_group(rng, G, steps)
+        if classify(g).tag is Motion.HYPERBOLIC:
+            return g if g.trace > 0 else -g
+        steps += 1        # no word of <= 3 letters in S, T is hyperbolic
+
+
+def cusp_reps(G):
+    # the one cusp class of Gamma0(N)+ is taken at every cusp of Gamma0(N)
+    if G.family is Family.GAMMA0N_PLUS:
+        G = GroupId.gamma0(G.level)
+    return [cu for cu, _w in cusps(G)]
+
+
+def test_homogeneity_routes_match_cocycle_oracles():
+    # 1000+ seeded (group, cusp, element) triples against the composition-law
+    # unwinding that the Psi(g^k)/k routes replaced; fewer draws on the
+    # levels with the most Gamma(N) cosets
+    rng = random.Random(20261018)
+    draws = ([(GroupId.gamma1(n), 20) for n in (5, 7, 11, 13)]
+             + [(GroupId.gamma0(9), 20), (GroupId.gamma0(16), 4),
+                (GroupId.gamma0(18), 4)]
+             + [(GroupId.gamma0_plus(n), 20) for n in (6, 11, 30)])
+    checked = scaled = 0
+    for G, per_cusp in draws:
+        for cu in cusp_reps(G):
+            for _ in range(per_cusp):
+                g = random_hyperbolic(rng, G)
+                if G.family is Family.GAMMA0N_PLUS:
+                    new = psi_general(G, cu, g)
+                    old = psi_gamma0_plus_cocycle(G.level, cu, g)
+                    scaled += g.e > 1
+                else:
+                    new = _psi_peel_lift(G, cu, g)
+                    old = psi_peel_lift_cocycle(G, cu, g)
+                assert new == old, (G, cu, g)
+                checked += 1
+    assert checked >= 1000 and scaled >= 100
+
+
+@pytest.mark.parametrize("G", [
+    GroupId.sl2z(), GroupId.gamma(3), GroupId.gamma(4),
+    GroupId.gamma0(11), GroupId.gamma0(9), GroupId.gamma1(7),
+    GroupId.gamma0_plus(6),
+], ids=str)
+def test_psi_homogeneous_on_hyperbolic_powers(G, rng):
+    for cu in cusp_reps(G):
+        for _ in range(3):
+            g = random_hyperbolic(rng, G, 3)
+            psi = psi_general(G, cu, g).as_fraction()
+            for k in (2, 3):
+                assert psi_general(G, cu, g ** k).as_fraction() == k * psi, (cu, g, k)
