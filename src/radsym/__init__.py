@@ -12,7 +12,6 @@ Highlights
 from .dedekind import (
     cocycle_defect,
     dedekind_sum,
-    dedekind_sum_direct,
     phi_classical,
     pi_over_volume,
     psi_classical,
@@ -66,7 +65,7 @@ __all__ = [
     "MotionClass", "PeriodValue", "SymbolValue",
     "TorsionCertificate", "classify", "cocycle_defect",
     "cosets", "cusp_equivalent", "cusp_stabilizer_generator", "cusp_width",
-    "cusps", "dedekind_sum", "dedekind_sum_direct", "divisor_period",
+    "cusps", "dedekind_sum", "divisor_period",
     "divisor_periods", "eta_log", "lift_coset_sum", "member",
     "parse_matrix", "period_numeric", "phi_classical", "phi_from_eta",
     "phi_general", "pi_over_volume", "psi_classical", "psi_general",

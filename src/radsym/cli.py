@@ -72,7 +72,7 @@ def _group_from_args(args) -> GroupId:
     if fam == "sl2z":
         return GroupId.sl2z()
     level = getattr(args, "level", None)
-    if not level:
+    if level is None:
         raise ValueError(f"group family '{fam}' needs --level")
     return _FAMILIES[fam](level)
 

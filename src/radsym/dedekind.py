@@ -47,20 +47,6 @@ def dedekind_sum(a: int, c: int) -> Fraction:
     return Fraction(c * alt + a + pow(a, -1, c) - (3 * c if sg < 0 else c), 12 * c)
 
 
-def dedekind_sum_direct(a: int, c: int) -> Fraction:
-    """Definitional sum s(a,c) = sum_k ((k/c))((ak/c)); O(c) oracle for
-    dedekind_sum.  ((k/c)) = (2k - c)/(2c) for 0 < k < c, so the sum is
-    accumulated in exact integer arithmetic over 4c^2."""
-    if c < 1 or gcd(a, c) != 1:
-        raise ValueError("need coprime a, c with c >= 1")
-    total = 0
-    for k in range(1, c):
-        t = (a * k) % c
-        if t:
-            total += (2 * k - c) * (2 * t - c)
-    return Fraction(total, 4 * c * c)
-
-
 def phi_classical(g: GroupElement) -> Fraction:
     """Classical Dedekind symbol Phi on SL2(Z); integer-valued."""
     if g.e != 1:

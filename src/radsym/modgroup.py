@@ -697,12 +697,6 @@ def cosets(G1: GroupId, G: GroupId) -> tuple:
     if G.family is Family.SL2Z:
         return tuple(coset_table(G1).reps)
     n = G.level
-    if G.family is Family.GAMMA0N_PLUS:
-        als = tuple(atkin_lehner(n, e) for e in atkin_lehner_exponents(n))
-        if G1.family is Family.GAMMA0_N:
-            return als
-        inner = cosets(G1, GroupId.gamma0(n))
-        return tuple(t * w for w in als for t in inner)
     if G.family is Family.GAMMA1_N:
         units = [1]
     else:                                 # one of each pair a, -a mod N
@@ -730,11 +724,9 @@ def _check_containment(G1: GroupId, G: GroupId):
     if G.family is Family.SL2Z:
         ok = G1.family in _TABLE_FAMILIES
     elif G1.family is Family.GAMMA_N and n1 == n:
-        ok = G.family in (Family.GAMMA0_N, Family.GAMMA1_N, Family.GAMMA0N_PLUS)
+        ok = G.family in (Family.GAMMA0_N, Family.GAMMA1_N)
     elif G1.family is Family.GAMMA1_N and n1 == n:
-        ok = G.family in (Family.GAMMA0_N, Family.GAMMA0N_PLUS)
-    elif G1.family is Family.GAMMA0_N and n1 == n:
-        ok = G.family is Family.GAMMA0N_PLUS
+        ok = G.family is Family.GAMMA0_N
     if not ok:
         raise ValueError(f"unsupported containment {G1} <= {G}")
 

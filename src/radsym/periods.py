@@ -300,9 +300,6 @@ class Divisor:
         i = cusp_class_index(self.group, cu)
         return self.multiplicities[i][1]
 
-    def is_zero(self) -> bool:
-        return all(m == 0 for _, m in self.multiplicities)
-
     def __str__(self):
         parts = [f"{m:+d}({c})" for c, m in self.multiplicities if m]
         return " ".join(parts) if parts else "0"

@@ -8,13 +8,20 @@ of a rational linear system.  The sawtooth sum over 0 < j < |c| splits by
 residue class mod N into Rademacher's shifted Dedekind sums, which a single
 Euclid descent on (a, |c|/N) evaluates through their reciprocity law, so
 every Gamma(N) value is exact and costs O(log |c|) at any size of c.
-Symbols for the coarser groups are assembled from the Gamma(N) engine by
-cusp transport and coset summation along normal covers.
 
-Psi is homogeneous on hyperbolic elements: g^k runs the closed geodesic of
-g k times, so Psi_a(g^k) = k Psi_a(g).  An element of Gamma1(N) or Gamma0(N)
-is evaluated through the power of it that reduces to a unipotent matrix mod
-N, and an Atkin-Lehner element of Gamma0(N)+ through its square.
+The Gamma0 family takes one divisor-basis solve for a weighting of the
+cusp classes of Gamma0(N): a cusp of Gamma0(N) takes the indicator of its
+class, and Gamma0(N)+ weight 1 at every cusp, since its Atkin-Lehner
+involutions permute the cusps of Gamma0(N) simply transitively.  A basis
+exists exactly when the weighting agrees on the classes that share
+gcd(q, N): always at 0 and infinity, and at every cusp for squarefree N.
+
+Gamma1(N), and the Gamma0(N) cusps that share gcd(q, N) with another
+class, are assembled from the Gamma(N) engine through homogeneity: g^k runs
+the closed geodesic of g k times, so Psi_a(g^k) = k Psi_a(g), and the
+least power of g that is +-unipotent mod N is peeled to Gamma(N) or lifted
+by a coset sum.  An Atkin-Lehner element of Gamma0(N)+ is evaluated through
+its square.
 """
 
 from __future__ import annotations
@@ -406,12 +413,12 @@ def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     if fam is Family.GAMMA0_N:
         basis = gamma0_cusp_basis(n, cusp)
         if basis is not None:
-            return SymbolValue.exact(psi_gamma0_divisor(n, cusp, g, basis))
+            return SymbolValue.exact(psi_gamma0_divisor(g, basis))
         return _psi_peel_lift(G, cusp, g)
     if fam is Family.GAMMA1_N:
         return _psi_peel_lift(G, cusp, g)
     if fam is Family.GAMMA0N_PLUS:
-        return _psi_gamma0_plus(n, cusp, g)
+        return _psi_gamma0_plus(n, g)
     raise ValueError(f"unsupported group {G}")
 
 
@@ -420,48 +427,42 @@ def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 
 
 @functools.lru_cache(maxsize=None)
-def _gamma0_cusp_constants(n: int):
-    """Constant-term matrix of the functions e*E2star(e z), e | N, at the
-    cusps of Gamma0(N): the pullback of e*E2star(e z) to the cusp p/q of
-    width w has constant term w gcd(ep, q)^2 / e.
+def _gamma0_basis(n: int, weights: tuple):
+    """Exact coefficients c_e, e | N, of sum_e c_e * e*E2star(e z) with
+    constant term weights[i] at the i-th cusp of cusps(Gamma0(N)), as a
+    tuple of (e, Fraction) pairs; None when no such combination exists.
 
-    Returns (divisor list, matrix rows in the order of cusps(Gamma0(N))).
+    The pullback of e*E2star(e z) to the cusp p/q of width w has constant
+    term w gcd(e, q)^2 / e.  Over e | N the matrix [gcd(e, q)^2] is a Smith
+    GCD matrix, with determinant prod J_2(d) != 0, so the system has a
+    solution exactly when the weights agree on the classes that share
+    gcd(q, N).
     """
+    G = GroupId.gamma0(n)
     divs = [e for e in range(1, n + 1) if n % e == 0]
-    rows = [[Fraction(w * gcd(e * cu.p, cu.q) ** 2, e) for e in divs]
-            for cu, w in cusps(GroupId.gamma0(n))]
-    return divs, rows
+    sol = _solve_rational(
+        [[Fraction(w * gcd(e, cu.q) ** 2, e) for e in divs] + [Fraction(x)]
+         for (cu, w), x in zip(cusps(G), weights)])
+    if sol is None:
+        return None
+    # each E_{2,a} has 1/y part -V^{-1}/y, each e*E2star(e z) has -3/(pi y)
+    if sum(sol) != sum(weights) * pi_over_volume(G) / 3:
+        raise ArithmeticError(f"the Gamma0({n}) divisor basis fails its 1/y check")
+    return tuple(zip(divs, sol))
 
 
 @functools.lru_cache(maxsize=None)
 def gamma0_cusp_basis(n: int, cusp: Cusp):
-    """Exact coefficients c_e with E_{2,cusp} = sum_e c_e * e*E2star(e z),
-    as a tuple of (e, Fraction) pairs; None when the divisor functions do
-    not span the Eisenstein space of Gamma0(N) (possible when N is far
-    from squarefree)."""
-    divs, rows = _gamma0_cusp_constants(n)
-    if len(rows) != len(divs):
-        return None
-    k = cusp_class_index(GroupId.gamma0(n), cusp)
-    sol = _solve_rational(
-        [list(row) + [Fraction(1 if i == k else 0)] for i, row in enumerate(rows)])
-    if sol is None:
-        return None
-    coeffs = tuple(zip(divs, sol))
-    # sanity: 1/y parts must add up to -V^{-1}/y
-    if sum(c for _, c in coeffs) != pi_over_volume(GroupId.gamma0(n)) / 3:
-        return None
-    return coeffs
+    """The divisor basis of E_{2,cusp}: weight 1 at the class of the cusp
+    and 0 elsewhere.  None when another class shares its gcd(q, N)."""
+    G = GroupId.gamma0(n)
+    k = cusp_class_index(G, cusp)
+    return _gamma0_basis(n, tuple(int(i == k) for i in range(len(cusps(G)))))
 
 
-def psi_gamma0_divisor(n: int, cusp: Cusp, g: GroupElement,
-                       basis=None) -> Fraction:
-    """Psi at a cusp of Gamma0(N) as an exact rational combination of
-    classical Rademacher symbols of the conjugates [[a, eb], [c/e, d]]."""
-    if basis is None:
-        basis = gamma0_cusp_basis(n, cusp)
-    if basis is None:
-        raise ValueError(f"no divisor basis at level {n}")
+def psi_gamma0_divisor(g: GroupElement, basis) -> Fraction:
+    """The symbol of the weighting that the divisor basis ((e, c_e), ...)
+    solves, as sum_e c_e psi_classical([[a, eb], [c/e, d]])."""
     a, b, c, d = g.entries()
     total = Fraction(0)
     for e, coeff in basis:
@@ -506,11 +507,12 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     return SymbolValue.exact(psi / k)
 
 
-def _psi_gamma0_plus(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
+def _psi_gamma0_plus(n: int, g: GroupElement) -> SymbolValue:
+    """Psi on Gamma0(N)+, at its one cusp class: sum_a Psi^{Gamma0(N)}_a on
+    Gamma0(N), from the all-cusps weighting of the divisor basis, and
+    Psi(g^2)/2 for e > 1."""
     if g.e > 1:
         # g^2 is a hyperbolic element of Gamma0(N) of positive trace
-        return _psi_gamma0_plus(n, cusp, g * g).scaled(Fraction(1, 2))
-    G0 = GroupId.gamma0(n)
-    return lift_coset_sum(
-        G0, GroupId.gamma0_plus(n), lambda h: psi_general(G0, cusp, h), g
-    )
+        return _psi_gamma0_plus(n, g * g).scaled(Fraction(1, 2))
+    ones = (1,) * len(cusps(GroupId.gamma0(n)))
+    return SymbolValue.exact(psi_gamma0_divisor(g, _gamma0_basis(n, ones)))

@@ -104,6 +104,20 @@ def dedekind_sum_reciprocity(a: int, c: int) -> Fraction:
     return total
 
 
+def dedekind_sum_direct(a: int, c: int) -> Fraction:
+    """Definitional sum s(a,c) = sum_k ((k/c))((ak/c)); O(c) oracle for
+    dedekind_sum.  ((k/c)) = (2k - c)/(2c) for 0 < k < c, so the sum is
+    accumulated in exact integer arithmetic over 4c^2."""
+    if c < 1 or gcd(a, c) != 1:
+        raise ValueError("need coprime a, c with c >= 1")
+    total = 0
+    for k in range(1, c):
+        t = (a * k) % c
+        if t:
+            total += (2 * k - c) * (2 * t - c)
+    return Fraction(total, 4 * c * c)
+
+
 def cusp_equivalent_search(G: GroupId, c1: Cusp, c2: Cusp) -> GroupElement | None:
     """A witness tau in G with tau*c1 = c2, or None, by trying
     base2 T^k base1^{-1} for k = 0..N-1 with a membership test each: the
@@ -233,16 +247,25 @@ def psi_peel_lift_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValu
     return SymbolValue.exact(phi - kappa * sign(c0 * g.trace))
 
 
+def psi_gamma0_plus_lift(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
+    """Psi on Gamma0(N)+ of g in Gamma0(N) as the coset sum
+    sum_w Psi^{Gamma0(N)}_a(w g w^{-1}) over the Atkin-Lehner involutions
+    W_e: the oracle for the all-cusps divisor weighting in
+    symbols._psi_gamma0_plus."""
+    G0 = GroupId.gamma0(n)
+    total = SymbolValue.exact(0)
+    for e in atkin_lehner_exponents(n):
+        total = total + psi_general(G0, cusp, g.conjugate_by(atkin_lehner(n, e)))
+    return total
+
+
 def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi on Gamma0(N)+, with an Atkin-Lehner element g unwound from
     Phi(g^2) through one composition-law step: the oracle for the
     homogeneity route Psi(g^2)/2 in symbols._psi_gamma0_plus."""
     Gp = GroupId.gamma0_plus(n)
-    G0 = GroupId.gamma0(n)
     if g.e == 1:
-        return lift_coset_sum(
-            G0, Gp, lambda h: psi_general(G0, cusp, h), g
-        )
+        return psi_gamma0_plus_lift(n, cusp, g)
     # scale e > 1: g^2 lands in Gamma0(N); unwind one cocycle step
     g2 = g * g
     pv = pi_over_volume(Gp)

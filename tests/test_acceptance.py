@@ -11,7 +11,6 @@ import pytest
 from radsym.dedekind import (
     cocycle_defect,
     dedekind_sum,
-    dedekind_sum_direct,
     phi_classical,
     psi_classical,
 )
@@ -27,6 +26,7 @@ from radsym.periods import (
 from radsym.symbols import lift_coset_sum, psi_gamma, takada_C_row_exact
 
 from conftest import (
+    dedekind_sum_direct,
     random_hyperbolic_sl2z,
     random_in_group,
     random_sl2z,

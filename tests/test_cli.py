@@ -71,6 +71,16 @@ def test_symbol_needs_level(capsys):
     assert run(["symbol", "--group", "gamma0", "--matrix", "1,1,0,1"]) == 1
 
 
+def test_symbol_level_zero_is_out_of_range(capsys):
+    # --level 0 is given, so the error is its range, not a missing --level
+    assert run(["symbol", "--group", "gamma0", "--level", "0",
+                "--matrix", "1,1,0,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "level must be >= 1" in captured.err
+    assert "needs --level" not in captured.err
+
+
 def test_malformed_matrix(capsys):
     assert run(["symbol", "--group", "sl2z", "--matrix", "1,2,3"]) == 1
 

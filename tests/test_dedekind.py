@@ -6,7 +6,6 @@ import pytest
 from radsym.dedekind import (
     cocycle_defect,
     dedekind_sum,
-    dedekind_sum_direct,
     phi_classical,
     pi_over_volume,
     psi_classical,
@@ -15,7 +14,7 @@ from radsym.dedekind import (
 )
 from radsym.modgroup import Cusp, GroupElement, GroupId, S, T
 
-from conftest import dedekind_sum_reciprocity, random_sl2z
+from conftest import dedekind_sum_direct, dedekind_sum_reciprocity, random_sl2z
 
 
 def test_sign_convention():

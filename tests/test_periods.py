@@ -6,7 +6,16 @@ import mpmath
 import pytest
 
 from radsym.dedekind import phi_classical, psi_classical
-from radsym.modgroup import Cusp, GroupElement, GroupId, S, T, classify, Motion
+from radsym.modgroup import (
+    Cusp,
+    GroupElement,
+    GroupId,
+    Motion,
+    S,
+    T,
+    classify,
+    schreier_generators,
+)
 from radsym.periods import (
     Divisor,
     _e2_star_mp,
@@ -18,6 +27,7 @@ from radsym.periods import (
     torsion_certificate,
     x0_period_exact,
 )
+from radsym.symbols import _psi_peel_lift
 
 from conftest import random_hyperbolic_sl2z, random_in_group, random_sl2z
 
@@ -223,14 +233,31 @@ def test_torsion_orders_x0():
 
 @pytest.mark.parametrize("n, expected", [(18, 1), (27, 3), (32, 4), (36, 6)])
 def test_torsion_orders_x0_non_squarefree(n, expected):
-    # regression values from the peel-lift route; these levels have no
-    # divisor basis, and the repository holds no independent oracle for
-    # non-squarefree N (X0(18) has genus 0, so its order 1 is forced)
+    # 0 and inf are the only cusps with their gcd(q, N), so the certificate
+    # takes the divisor basis; the test below recomputes these orders from
+    # the peel-lift alone (X0(18) has genus 0, so its order 1 is forced)
     G = GroupId.gamma0(n)
     D = Divisor.from_dict(G, {"0": -1, "inf": 1})
     cert = torsion_certificate(G, D)
     assert cert.order == expected
     assert cert.status == "exact"
+
+
+@pytest.mark.parametrize("n, expected", [(18, 1), (27, 3), (32, 4), (36, 6)])
+def test_torsion_orders_x0_non_squarefree_by_peel_lift(n, expected):
+    # the (0) - (inf) order as the lcm of the hyperbolic period denominators
+    # Psi_inf(g) - Psi_0(g), each symbol from _psi_peel_lift; parabolic
+    # periods are integers and elliptic ones vanish
+    G = GroupId.gamma0(n)
+    order = 1
+    for g in schreier_generators(G):
+        if classify(g).tag is not Motion.HYPERBOLIC:
+            continue
+        g = g if g.trace > 0 else -g
+        period = (_psi_peel_lift(G, Cusp.infinity(), g).as_fraction()
+                  - _psi_peel_lift(G, Cusp(0, 1), g).as_fraction())
+        order = math.lcm(order, period.denominator)
+    assert order == expected
 
 
 def test_torsion_zero_divisor():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from radsym import symbols
 from radsym.dedekind import (
     cocycle_defect,
     phi_classical,
@@ -32,6 +33,7 @@ from radsym.symbols import (
     _level_sawtooth,
     _level_tables,
     _psi_peel_lift,
+    gamma0_cusp_basis,
     lift_coset_sum,
     phi_general,
     psi_gamma,
@@ -46,6 +48,7 @@ from radsym.symbols import (
 from conftest import (
     level_sawtooth_direct,
     psi_gamma0_plus_cocycle,
+    psi_gamma0_plus_lift,
     psi_peel_lift_cocycle,
     random_in_group,
     random_principal,
@@ -393,37 +396,69 @@ def test_coset_sum_rejects_outsiders():
 # -- Gamma0(N): two independent exact engines -------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 5, 6, 11])
+@pytest.mark.parametrize("n", [2, 5, 6, 11, 4, 8, 9, 12, 16, 18, 25, 27, 32, 36])
 def test_gamma0_divisor_vs_peel_lift(n, rng):
+    # at every cusp class that has a divisor basis, squarefree N or not
     G = GroupId.gamma0(n)
-    for cu in [INF, Cusp(0, 1)]:
-        for _ in range(6):
-            g = random_in_group(rng, G, 5)
-            if abs(g.trace) <= 2:
-                continue
-            if g.trace < 0:
-                g = -g
-            a = psi_gamma0_divisor(n, cu, g)
+    draws = 6 if n in (2, 5, 6, 11) else 3
+    checked = 0
+    for cu, _w in cusps(G):
+        basis = gamma0_cusp_basis(n, cu)
+        if basis is None:
+            continue
+        for _ in range(draws):
+            g = random_hyperbolic(rng, G)
+            a = psi_gamma0_divisor(g, basis)
             b = _psi_peel_lift(G, cu, g).as_fraction()
-            assert a == b
+            assert a == b, (cu, g)
+            checked += 1
+    assert checked >= 2 * draws
+
+
+def test_gamma0_basis_exists_iff_denominator_is_alone():
+    # the constant terms at p/q depend only on gcd(q, N), and over e | N the
+    # matrix [gcd(e, q)^2] is invertible: a class has a basis exactly when
+    # no other class shares its gcd(q, N); 427 of the 569 classes for
+    # 2 <= N <= 100
+    with_basis = 0
+    for n in range(2, 101):
+        reps = [cu for cu, _w in cusps(GroupId.gamma0(n))]
+        shares = [math.gcd(cu.q, n) for cu in reps]
+        for cu, s in zip(reps, shares):
+            alone = shares.count(s) == 1
+            assert (gamma0_cusp_basis(n, cu) is not None) == alone, (n, cu)
+            with_basis += alone
+    assert with_basis == 427
+
+
+def test_gamma0_basis_failed_check_raises(monkeypatch):
+    # a basis that fails its 1/y check is an error, not a silent switch to
+    # the peel-lift engine
+    monkeypatch.setattr(symbols, "pi_over_volume", lambda G: Fraction(1, 7))
+    symbols._gamma0_basis.cache_clear()
+    symbols.gamma0_cusp_basis.cache_clear()
+    with pytest.raises(ArithmeticError):
+        psi_general(GroupId.gamma0(11), INF, GroupElement(4, 1, 11, 3))
+    with pytest.raises(ArithmeticError):
+        psi_general(GroupId.gamma0_plus(11), INF, GroupElement(4, 1, 11, 3))
 
 
 @pytest.mark.parametrize("n", [9, 27, 32, 36])
 def test_gamma0_fallback_laws(n, rng):
-    # these levels have more cusps than divisors of N, so no divisor basis
-    # exists and the peel-lift engine is the production route; check its laws
-    from radsym.symbols import gamma0_cusp_basis
-    assert gamma0_cusp_basis(n, INF) is None
+    # another class shares this cusp's gcd(q, N), so it has no divisor basis
+    # and the peel-lift engine is the production route; check its laws
+    cu = {9: Cusp(1, 3), 27: Cusp(1, 3), 32: Cusp(1, 4), 36: Cusp(1, 6)}[n]
+    assert gamma0_cusp_basis(n, cu) is None
     G = GroupId.gamma0(n)
     for _ in range(5):
         g = random_in_group(rng, G, 2)
-        a = psi_general(G, INF, g).as_fraction()
-        assert psi_general(G, INF, g.inverse()).as_fraction() == -a
+        a = psi_general(G, cu, g).as_fraction()
+        assert psi_general(G, cu, g.inverse()).as_fraction() == -a
         h = random_in_group(rng, G, 2)
-        d = cocycle_defect(G, INF, g, h,
-                           phi_general(G, INF, g).as_fraction(),
-                           phi_general(G, INF, h).as_fraction(),
-                           phi_general(G, INF, g * h).as_fraction())
+        d = cocycle_defect(G, cu, g, h,
+                           phi_general(G, cu, g).as_fraction(),
+                           phi_general(G, cu, h).as_fraction(),
+                           phi_general(G, cu, g * h).as_fraction())
         assert d == 0
 
 
@@ -460,8 +495,7 @@ def test_gamma0_plus_lift_identity(rng):
             continue
         if g.trace < 0:
             g = -g
-        lifted = lift_coset_sum(G0, Gp,
-                                lambda h: psi_general(G0, INF, h), g)
+        lifted = psi_gamma0_plus_lift(n, INF, g)
         assert psi_general(Gp, INF, g).as_fraction() == lifted.as_fraction()
 
 
