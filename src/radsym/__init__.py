@@ -15,7 +15,6 @@ from .dedekind import (
     phi_classical,
     pi_over_volume,
     psi_classical,
-    sawtooth,
     sign,
 )
 from .modgroup import (
@@ -69,7 +68,7 @@ __all__ = [
     "divisor_periods", "eta_log", "lift_coset_sum", "member",
     "parse_matrix", "period_numeric", "phi_classical", "phi_from_eta",
     "phi_general", "pi_over_volume", "psi_classical", "psi_general",
-    "sawtooth", "schreier_generators", "sign", "symbol_elliptic",
+    "schreier_generators", "sign", "symbol_elliptic",
     "symbol_parabolic", "takada_C_row_exact", "takada_phi",
     "torsion_certificate", "x0_period_exact",
 ]

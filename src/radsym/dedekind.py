@@ -1,4 +1,4 @@
-"""Exact classical arithmetic: sawtooth, Dedekind sums, the Dedekind symbol
+"""Exact classical arithmetic: Dedekind sums, the Dedekind symbol
 Phi and Rademacher symbol Psi on SL2(Z), and the cocycle machinery.
 
 All values are exact rationals (fractions.Fraction).
@@ -16,14 +16,6 @@ from .modgroup import Cusp, Family, GroupElement, GroupId
 def sign(x) -> int:
     """sign with sign(0) = 0 (Rademacher's convention)."""
     return (x > 0) - (x < 0)
-
-
-def sawtooth(x) -> Fraction:
-    """((x)) = x - floor(x) - 1/2 for non-integer x, and 0 on integers."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
 def dedekind_sum(a: int, c: int) -> Fraction:

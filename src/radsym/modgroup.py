@@ -44,12 +44,6 @@ class GroupElement:
     def identity() -> "GroupElement":
         return GroupElement(1, 0, 0, 1)
 
-    @staticmethod
-    def from_row(row) -> "GroupElement":
-        a, b, c, d = row[:4]
-        e = row[4] if len(row) > 4 else 1
-        return GroupElement(a, b, c, d, e)
-
     def reduced(self) -> "GroupElement":
         """Divide out the content; (t*M, t^2*e) and (M, e) are the same motion."""
         t = _igcd(self.a, self.b, self.c, self.d)
@@ -170,10 +164,6 @@ class Cusp:
                 p, q = -p, -q
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.q == 0
 
     def base_matrix(self) -> GroupElement:
         """A determinant-1 integer matrix sending infinity to this cusp."""
@@ -437,8 +427,7 @@ class CosetTable:
     the class of g(inf), and the orbit's length is that cusp's width.
     ``cusps`` lists one (cusp, width) per orbit, sorted by (q, p), with the
     cusp g(inf) of the orbit's first coset; ``orbit[i]`` is the index of the
-    orbit of coset i in that list and ``position[i]`` its step along it:
-    coset i times T^k is coset j for k = position[j] - position[i].
+    orbit of coset i in that list.
     """
 
     def __init__(self, G: GroupId):
@@ -479,10 +468,9 @@ class CosetTable:
         ranked = sorted(range(len(orbits)), key=lambda k: (firsts[k].q, firsts[k].p))
         self.cusps = tuple((firsts[k], Fraction(len(orbits[k]))) for k in ranked)
         self.orbit = [0] * len(self.reps)
-        self.position = [0] * len(self.reps)
         for cls, k in enumerate(ranked):
-            for pos, i in enumerate(orbits[k]):
-                self.orbit[i], self.position[i] = cls, pos
+            for i in orbits[k]:
+                self.orbit[i] = cls
 
     def _shrink(self, g: GroupElement) -> GroupElement:
         """Left-multiply by elements of G to keep representative entries small."""
@@ -608,39 +596,17 @@ def cusp_width(G: GroupId, c: Cusp) -> Fraction:
     return cusps(G)[cusp_class_index(G, c)][1]
 
 
-def cusp_equivalent(G: GroupId, c1: Cusp, c2: Cusp) -> GroupElement | None:
-    """A witness tau in G with tau*c1 = c2, or None.
+def cusp_equivalent(G: GroupId, c1: Cusp, c2: Cusp) -> bool:
+    """Whether some element of G takes c1 to c2.
 
-    Every element of SL2(Z) taking c1 to c2 is base2 (+-T^k) base1^{-1}.
-    For Gamma(N) it lies in G exactly when base2^{-1} base1 = s T^k mod N,
-    s = +-1, which gives k = a b mod N from that product's entries; for a
-    group with a coset table, when the cosets of base1 and base2 lie on one
-    T-orbit, k steps apart.
+    Gamma(N) is normal in SL2(Z), so p1/q1 and p2/q2 are equivalent exactly
+    when (p2, q2) = +-(p1, q1) mod N; otherwise the classes are compared.
     """
-    g1 = c1.base_matrix()
-    g2 = c2.base_matrix()
-    n = G.level
-    if G.family is Family.GAMMA0N_PLUS:
-        G0 = GroupId.gamma0(n)
-        for e in atkin_lehner_exponents(n):
-            w = atkin_lehner(n, e)
-            tau = cusp_equivalent(G0, w.apply_cusp(c1), c2)
-            if tau is not None:
-                witness = tau * w
-                assert witness.apply_cusp(c1) == c2
-                return witness
-        return None
     if G.family is Family.GAMMA_N:
-        h = g2.inverse() * g1
-        k = h.a * h.b % n
-    else:
-        tab = coset_table(G)
-        i, j = tab.coset_of(g1), tab.coset_of(g2)
-        if tab.orbit[i] != tab.orbit[j]:
-            return None
-        k = (tab.position[i] - tab.position[j]) % int(tab.cusps[tab.orbit[i]][1])
-    tau = g2 * GroupElement(1, k, 0, 1) * g1.inverse()
-    return tau if member(tau, G) else None
+        n = G.level
+        return any((c2.p - s * c1.p) % n == 0 and (c2.q - s * c1.q) % n == 0
+                   for s in (1, -1))
+    return cusp_class_index(G, c1) == cusp_class_index(G, c2)
 
 
 def cusp_stabilizer_generator(G: GroupId, c: Cusp) -> GroupElement:
@@ -663,12 +629,9 @@ def parabolic_cusp(g: GroupElement) -> Cusp:
 def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
     """Write a parabolic g as +-(stabilizer generator)^k; returns (cusp, k)."""
     c = parabolic_cusp(g)
-    gen = cusp_stabilizer_generator(G, c)
-    base = c.base_matrix()
-    h = g.conjugate_by(base.inverse())      # +-T^m
+    h = g.conjugate_by(c.base_matrix().inverse())   # +-T^t
     t = h.b * h.d                           # translation length, sign included
-    gref = gen.conjugate_by(base.inverse())
-    w = gref.b * gref.d
+    w = int(cusp_width(G, c))
     if t % w != 0:
         raise ValueError(f"{g} is not a power of the stabilizer generator of {c}")
     return c, t // w

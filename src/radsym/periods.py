@@ -36,7 +36,6 @@ from .modgroup import (
     classify,
     cusp_class_index,
     cusps,
-    parabolic_power,
     schreier_generators,
 )
 from .symbols import SymbolValue, psi_general
@@ -257,6 +256,8 @@ def x0_period_exact(N: int, g: GroupElement) -> Fraction:
     other N (for example 6, 8, 10, 15, 16) the form also carries the
     intermediate cusps and the identity fails on some generators.
     """
+    if N < 1:
+        raise ValueError("level must be >= 1")
     if g.e != 1:
         raise ValueError("need an integral matrix of determinant 1")
     a, b, c, d = g.entries()
@@ -317,17 +318,10 @@ class PeriodValue:
 
 def divisor_period(D: Divisor, g: GroupElement) -> SymbolValue:
     """I(g) = sum_i m_i Psi_{a_i}(g) for one group element."""
-    G = D.group
-    cls = classify(g)
-    if cls.tag is Motion.IDENTITY or cls.tag is Motion.ELLIPTIC:
-        return SymbolValue.exact(0)
-    if cls.tag is Motion.PARABOLIC:
-        fixed, k = parabolic_power(G, g)
-        return SymbolValue.exact(k * D.coefficient(fixed))
     total = SymbolValue.exact(0)
     for cu, m in D.multiplicities:
         if m:
-            total = total + psi_general(G, cu, g).scaled(m)
+            total = total + psi_general(D.group, cu, g).scaled(m)
     return total
 
 
@@ -336,12 +330,7 @@ def divisor_periods(G: GroupId, D: Divisor) -> list[PeriodValue]:
     generating set of G."""
     if D.group != G:
         raise ValueError("divisor belongs to a different group")
-    out = []
-    for g in schreier_generators(G):
-        if g.canonical().is_identity():
-            continue
-        out.append(PeriodValue(g, D, divisor_period(D, g)))
-    return out
+    return [PeriodValue(g, D, divisor_period(D, g)) for g in schreier_generators(G)]
 
 
 @dataclass(frozen=True)

@@ -346,9 +346,7 @@ def symbol_parabolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     if classify(g).tag is not Motion.PARABOLIC:
         raise ValueError("element is not parabolic")
     fixed, k = parabolic_power(G, g)
-    if cusp_equivalent(G, fixed, cusp) is None:
-        return SymbolValue.exact(0)
-    return SymbolValue.exact(k)
+    return SymbolValue.exact(k if cusp_equivalent(G, fixed, cusp) else 0)
 
 
 def symbol_elliptic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:

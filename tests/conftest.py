@@ -89,6 +89,14 @@ def random_in_group(rng: random.Random, G: GroupId,
     return g
 
 
+def sawtooth(x) -> Fraction:
+    """((x)) = x - floor(x) - 1/2 for non-integer x, and 0 on integers."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - (x.numerator // x.denominator) - Fraction(1, 2)
+
+
 def dedekind_sum_reciprocity(a: int, c: int) -> Fraction:
     """s(a, c) by the reciprocity descent with one Fraction per Euclid step:
     the oracle for the integer continued-fraction form of dedekind_sum."""
@@ -194,7 +202,7 @@ def phi_peel_core_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
     else:
         inf = Cusp(1, 0)
         tj = (T ** j).conjugate_by(binv)
-        if cusp_equivalent(G, inf, cusp) is not None:
+        if cusp_equivalent(G, inf, cusp):
             base = j  # T generates the infinity stabilizer in these groups
         else:
             base = 0

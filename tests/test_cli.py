@@ -106,6 +106,16 @@ def test_period_exact_level(capsys):
     assert capsys.readouterr().out.strip() == "-10"
 
 
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_period_level_out_of_range(capsys, level):
+    # --level is given, so the error is its range, not a missing route
+    assert run(["period", "--matrix", "1,1,0,1", "--level", level]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "level must be >= 1" in captured.err
+    assert "period needs" not in captured.err
+
+
 def test_torsion_json(capsys):
     assert run(["torsion", "--group", "gamma0", "--level", "11",
                 "--divisor", "0:-1,inf:1", "--json"]) == 0
@@ -161,6 +171,15 @@ def test_verify_oracle_consistency_refuses_other_levels(capsys):
         captured = capsys.readouterr()
         assert "FAIL" not in captured.out
         assert "error: oracle-consistency needs" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["oracle-consistency", "coset-sum"])
+def test_verify_level_zero_is_out_of_range(capsys, suite):
+    # level 0 is not replaced by the suite's default levels
+    assert run(["verify", suite, "--level", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "level must be >= 1" in captured.err
 
 
 def test_deterministic_output(capsys):

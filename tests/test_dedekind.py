@@ -9,12 +9,16 @@ from radsym.dedekind import (
     phi_classical,
     pi_over_volume,
     psi_classical,
-    sawtooth,
     sign,
 )
 from radsym.modgroup import Cusp, GroupElement, GroupId, S, T
 
-from conftest import dedekind_sum_direct, dedekind_sum_reciprocity, random_sl2z
+from conftest import (
+    dedekind_sum_direct,
+    dedekind_sum_reciprocity,
+    random_sl2z,
+    sawtooth,
+)
 
 
 def test_sign_convention():

@@ -1,6 +1,11 @@
 import cmath
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -14,6 +19,8 @@ from radsym.modgroup import (
     S,
     T,
     classify,
+    cusps,
+    parabolic_power,
     schreier_generators,
 )
 from radsym.periods import (
@@ -117,6 +124,17 @@ def test_period_numeric_raises_above_tol():
         period_numeric(GroupElement(2, 1, 1, 1), 1e-30)
 
 
+def test_import_leaves_mpmath_unloaded():
+    # only the quadrature needs mpmath, and it imports it on first use
+    code = "import sys, radsym; print('mpmath' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_period_numeric_rejects_non_hyperbolic():
     with pytest.raises(ValueError):
         period_numeric(T)
@@ -158,6 +176,12 @@ def test_x0_period_requires_divisibility():
         x0_period_exact(11, GroupElement(2, 1, 1, 1))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_x0_period_rejects_level_below_one(n):
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        x0_period_exact(n, T)
+
+
 def test_x0_period_is_homomorphism(rng):
     n = 11
     G = GroupId.gamma0(n)
@@ -193,6 +217,37 @@ def test_divisor_period_rules(rng):
         if classify(h).tag is Motion.ELLIPTIC:
             D1 = Divisor.from_dict(GroupId.sl2z(), {})
             assert divisor_period(D1, h).as_fraction() == 0
+
+
+@pytest.mark.parametrize("G", [GroupId.gamma0(n) for n in (2, 4, 9, 10, 13)]
+                         + [GroupId.gamma1(3), GroupId.gamma1(4),
+                            GroupId.gamma(2), GroupId.gamma(3)], ids=str)
+def test_non_hyperbolic_periods(G):
+    # divisor_period sums the engine's Psi_a(g); for g = +-(stabilizer
+    # generator of a)^k that sum must be k m at the class of a, and 0 for
+    # elliptic g
+    gens = schreier_generators(G)
+    elems = gens + [a * b for a in gens for b in gens] \
+        + [a * b.inverse() for a in gens for b in gens]
+    reps = [c for c, _w in cusps(G)]
+    seen = {Motion.PARABOLIC: 0, Motion.ELLIPTIC: 0}
+    for g in elems:
+        tag = classify(g).tag
+        if tag is Motion.HYPERBOLIC or tag is Motion.IDENTITY:
+            continue
+        seen[tag] += 1
+        for a, b in itertools.permutations(reps, 2):
+            D = Divisor.from_dict(G, {a: 2, b: -2})
+            value = divisor_period(D, g).as_fraction()
+            if tag is Motion.ELLIPTIC:
+                assert value == 0
+            else:
+                fixed, k = parabolic_power(G, g)
+                assert value == k * D.coefficient(fixed)
+    assert seen[Motion.PARABOLIC] > 0
+    if G in (GroupId.gamma0(2), GroupId.gamma0(10), GroupId.gamma0(13),
+             GroupId.gamma1(3)):
+        assert seen[Motion.ELLIPTIC] > 0
 
 
 def test_divisor_period_additivity(rng):

@@ -10,7 +10,6 @@ from radsym.dedekind import (
     phi_classical,
     pi_over_volume,
     psi_classical,
-    sawtooth,
 )
 from radsym.modgroup import (
     Cusp,
@@ -54,6 +53,7 @@ from conftest import (
     random_principal,
     random_principal_deep,
     random_principal_hyperbolic,
+    sawtooth,
     takada_C_direct,
 )
 
