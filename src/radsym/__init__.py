@@ -1,5 +1,6 @@
-"""radsym: Dedekind sums, Rademacher symbols on modular groups, periods of
-cuspidal differentials, and Manin-Drinfeld torsion certificates.
+"""radsym: Dedekind sums, Rademacher symbols on modular groups (closed forms
+on elliptic and parabolic elements), periods of cuspidal differentials, and
+Manin-Drinfeld torsion certificates.
 
 Highlights
     dedekind_sum, phi_classical, psi_classical  -- exact classical arithmetic
@@ -51,8 +52,6 @@ from .symbols import (
     lift_coset_sum,
     phi_general,
     psi_general,
-    symbol_elliptic,
-    symbol_parabolic,
     takada_C_row_exact,
     takada_phi,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "divisor_periods", "eta_log", "lift_coset_sum", "member",
     "parse_matrix", "period_numeric", "phi_classical", "phi_from_eta",
     "phi_general", "pi_over_volume", "psi_classical", "psi_general",
-    "schreier_generators", "sign", "symbol_elliptic",
-    "symbol_parabolic", "takada_C_row_exact", "takada_phi",
+    "schreier_generators", "sign", "takada_C_row_exact", "takada_phi",
     "torsion_certificate", "x0_period_exact",
 ]

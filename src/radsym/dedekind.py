@@ -10,7 +10,7 @@ import functools
 from fractions import Fraction
 from math import gcd
 
-from .modgroup import Cusp, Family, GroupElement, GroupId
+from .modgroup import Cusp, GroupElement, GroupId
 
 
 def sign(x) -> int:

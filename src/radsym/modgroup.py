@@ -366,6 +366,11 @@ class MotionClass:
         return self.tag.value
 
 
+# an elliptic e^{-1/2} g of order m has trace +-2 cos(pi/m), so t^2/e is
+# 4 cos^2(pi/m); any other t^2/e < 4 is a rotation of infinite order
+_ELLIPTIC_ORDERS = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
 def classify(g: GroupElement) -> MotionClass:
     """Trace classification of the determinant-1 normalization e^{-1/2} g."""
     g = g.reduced()
@@ -373,19 +378,13 @@ def classify(g: GroupElement) -> MotionClass:
         return MotionClass(Motion.IDENTITY)
     t2, e4 = g.trace * g.trace, 4 * g.e
     if t2 < e4:
-        return MotionClass(Motion.ELLIPTIC, _elliptic_order(g))
+        m = _ELLIPTIC_ORDERS.get(Fraction(t2, g.e))
+        if m is None:
+            raise ValueError(f"{g} is elliptic of infinite order")
+        return MotionClass(Motion.ELLIPTIC, m)
     if t2 == e4:
         return MotionClass(Motion.PARABOLIC)
     return MotionClass(Motion.HYPERBOLIC)
-
-
-def _elliptic_order(g: GroupElement) -> int:
-    h = g
-    for m in range(2, 25):
-        h = h * g
-        if h.is_identity():
-            return m
-    raise ValueError(f"no elliptic order <= 24 for {g}")
 
 
 # ---------------------------------------------------------------------------

@@ -193,14 +193,10 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
         g = -g
     g = _raise_axis(g)
     a, b, c, d = g.entries()
-    disc = (a + d) ** 2 - 4
-    center = (a - d) / (2 * c)
-    radius = math.sqrt(disc) / (2 * abs(c))
-    z0 = complex(center, radius)
-    z1 = g.apply(z0)
     # hyperbolic-arclength parametrization z(u) = center + R(tanh u + i sech u):
     # u = 0 is the apex and u1 = +-(translation length) reaches g z0, keeping
-    # the quadrature nodes equidistributed along the geodesic
+    # the quadrature nodes equidistributed along the geodesic; g moves z0 toward
+    # its attracting fixed point, which lies right of the center exactly when c > 0
     tr = g.trace
     length = 2 * math.log((tr + math.sqrt(tr * tr - 4)) / 2)
 
@@ -213,7 +209,7 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
         # the endpoint in working precision: a float endpoint moved values
         # by up to 3e-14 (trace 100)
         u1 = 2 * mpmath.acosh(mpmath.mpf(tr) / 2)
-        if (z1 - center).real < 0:
+        if c < 0:
             u1 = -u1
 
         def integrand(u):

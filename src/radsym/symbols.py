@@ -21,7 +21,8 @@ class, are assembled from the Gamma(N) engine through homogeneity: g^k runs
 the closed geodesic of g k times, so Psi_a(g^k) = k Psi_a(g), and the
 least power of g that is +-unipotent mod N is peeled to Gamma(N) or lifted
 by a coset sum.  An Atkin-Lehner element of Gamma0(N)+ is evaluated through
-its square.
+its square.  Elliptic and parabolic symbols need no engine: they are closed
+forms of the composition law.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ from .modgroup import (
 
 @dataclass(frozen=True)
 class SymbolValue:
-    """Exact rational, or a float approximation with an error estimate."""
+    """Exact rational, or a float approximation with an error estimate;
+    arithmetic on an approximation raises ValueError."""
 
     kind: str  # "exact" | "approx"
     rational: Fraction | None = None
@@ -86,25 +88,11 @@ class SymbolValue:
             raise ValueError("no rational value available (approximation only)")
         return self.rational
 
-    def as_float(self) -> float:
-        return float(self.rational) if self.rational is not None else self.approx
-
     def __add__(self, other: "SymbolValue") -> "SymbolValue":
-        if self.is_rational and other.is_rational:
-            return SymbolValue.exact(self.rational + other.rational)
-        return SymbolValue.approximate(self.as_float() + other.as_float(),
-                                       self.error + other.error)
-
-    def __neg__(self) -> "SymbolValue":
-        if self.is_rational:
-            return SymbolValue.exact(-self.rational)
-        return SymbolValue.approximate(-self.approx, self.error)
+        return SymbolValue.exact(self.as_fraction() + other.as_fraction())
 
     def scaled(self, r) -> "SymbolValue":
-        r = Fraction(r)
-        if self.is_rational:
-            return SymbolValue.exact(self.rational * r)
-        return SymbolValue.approximate(self.approx * float(r), self.error * abs(float(r)))
+        return SymbolValue.exact(self.as_fraction() * Fraction(r))
 
     def __str__(self):
         if self.is_rational:
@@ -340,48 +328,22 @@ def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolVa
     return total
 
 
-def symbol_parabolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Psi_a(g) for parabolic g: the power of the stabilizer generator when
-    the fixed cusp is equivalent to a, and zero otherwise."""
-    if classify(g).tag is not Motion.PARABOLIC:
-        raise ValueError("element is not parabolic")
-    fixed, k = parabolic_power(G, g)
-    return SymbolValue.exact(k if cusp_equivalent(G, fixed, cusp) else 0)
-
-
-def symbol_elliptic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Phi_a(g) for elliptic g of projective order m, from the recursion
-    0 = Phi(g^m) = m Phi(g) - (pi/V) sum_k sign(c_g c_{g^k} c_{g^{k+1}});
-    exact for any group."""
-    cls = classify(g)
-    if cls.tag is Motion.IDENTITY:
-        return SymbolValue.exact(0)
-    if cls.tag is not Motion.ELLIPTIC:
-        raise ValueError("element is not elliptic")
-    m = cls.order
-    binv = cusp.base_matrix().inverse()
-    pv = pi_over_volume(G)
-    powers = [g.conjugate_by(binv)]
-    for _ in range(m):
-        powers.append(powers[-1] * powers[0])
-    c0 = powers[0].c
-    acc = sum(sign(c0 * powers[k - 1].c * powers[k].c) for k in range(1, m))
-    return SymbolValue.exact(pv * Fraction(acc, m))
-
-
 def psi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Rademacher symbol Psi_a(g) on G, dispatching on group family and
-    motion class."""
+    motion class.  Parabolic g = +-(stabilizer generator of b)^k has symbol
+    k when b is equivalent to a, else 0; elliptic g of order m has
+    -(2/m) (pi/V) sign(c t), the solution of 0 = Phi(g^m) by the
+    composition law, with c and t read off the cusp-normalized conjugate."""
     if not member(g, G):
         raise ValueError(f"{g} is not in {G}")
     cls = classify(g)
     if cls.tag is Motion.IDENTITY:
         return SymbolValue.exact(0)
     if cls.tag is Motion.ELLIPTIC:
-        phi = symbol_elliptic(G, cusp, g)
-        return SymbolValue.exact(phi.as_fraction() - _sign_term(G, cusp, g))
+        return SymbolValue.exact(-2 * _sign_term(G, cusp, g) / cls.order)
     if cls.tag is Motion.PARABOLIC:
-        return symbol_parabolic(G, cusp, g)
+        fixed, k = parabolic_power(G, g)
+        return SymbolValue.exact(k if cusp_equivalent(G, fixed, cusp) else 0)
     # hyperbolic: normalize to positive trace (Psi(-g) = Psi(g))
     if g.trace < 0:
         g = -g

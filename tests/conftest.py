@@ -24,10 +24,9 @@ from radsym.modgroup import (
 from radsym.symbols import (
     SymbolValue,
     lift_coset_sum,
+    phi_general,
     psi_gamma,
     psi_general,
-    symbol_elliptic,
-    symbol_parabolic,
     takada_C_row_exact,
 )
 
@@ -212,7 +211,7 @@ def phi_peel_core_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
     if cls.tag is Motion.IDENTITY:
         phi_h = Fraction(0)
     elif cls.tag is Motion.PARABOLIC:
-        psi_h = symbol_parabolic(G, cusp, h).as_fraction()
+        psi_h = psi_general(G, cusp, h).as_fraction()
         phi_h = _phi_of(G, cusp, h, psi_h)
     else:
         hh = h if h.trace > 0 else -h
@@ -283,7 +282,7 @@ def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     if cls2.tag is Motion.IDENTITY:
         phi_g2 = SymbolValue.exact(0)
     elif cls2.tag is Motion.ELLIPTIC:
-        phi_g2 = symbol_elliptic(Gp, cusp, g2)
+        phi_g2 = phi_general(Gp, cusp, g2)
     else:
         psi2 = psi_general(Gp, cusp, g2)
         corr2 = pv * sign(h2.c * h2.trace)
@@ -291,6 +290,23 @@ def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     defect = SymbolValue.exact(pv * sign(h.c * h.c * h2.c))
     phi_g = (phi_g2 + defect).scaled(Fraction(1, 2))
     return phi_g + SymbolValue.exact(-pv * sign(h.c * h.trace))
+
+
+def phi_elliptic_recursion(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
+    """Phi_a(g) for elliptic g from the composition law alone: with m the
+    least power of the cusp-normalized conjugate that is +-1, found by
+    powering it, 0 = Phi(g^m) = m Phi(g) - (pi/V) sum_{k<m}
+    sign(c_g c_{g^k} c_{g^{k+1}}).  The oracle for the closed form of the
+    elliptic symbol in symbols.psi_general."""
+    h = g.conjugate_by(cusp.base_matrix().inverse())
+    powers = [h]                                # powers[k - 1] = h^k
+    while not powers[-1].is_identity():
+        if len(powers) > 24:
+            raise ValueError(f"no elliptic order <= 24 for {g}")
+        powers.append(powers[-1] * h)
+    m = len(powers)
+    acc = sum(sign(h.c * powers[k - 1].c * powers[k].c) for k in range(1, m))
+    return pi_over_volume(G) * Fraction(acc, m)
 
 
 def takada_C_direct(n: int, j: int, cutoff: int = 10 ** 6) -> tuple[float, float]:

@@ -78,6 +78,12 @@ def test_classify():
     assert classify(S * T).order == 3
     assert classify(T).tag is Motion.PARABOLIC
     assert classify(GroupElement(2, 1, 1, 1)).tag is Motion.HYPERBOLIC
+    # Atkin-Lehner elements: t^2/e = 2 and 3 give orders 4 and 6
+    assert classify(parse_matrix("2,-1,2,0;2")).order == 4
+    assert classify(parse_matrix("3,-1,3,0;3")).order == 6
+    # t^2/e = 4/3 < 4: a rotation of infinite order
+    with pytest.raises(ValueError):
+        classify(parse_matrix("1,1,-2,1;3"))
 
 
 def test_word_decompose_roundtrip(rng):

@@ -10,6 +10,7 @@ from radsym.dedekind import (
     phi_classical,
     pi_over_volume,
     psi_classical,
+    sign,
 )
 from radsym.modgroup import (
     Cusp,
@@ -26,8 +27,10 @@ from radsym.modgroup import (
     cosets,
     cusps,
     member,
+    schreier_generators,
 )
 from radsym.symbols import (
+    SymbolValue,
     _bernoulli2_bar,
     _level_sawtooth,
     _level_tables,
@@ -38,14 +41,13 @@ from radsym.symbols import (
     psi_gamma,
     psi_gamma0_divisor,
     psi_general,
-    symbol_elliptic,
-    symbol_parabolic,
     takada_C_row_exact,
     takada_phi,
 )
 
 from conftest import (
     level_sawtooth_direct,
+    phi_elliptic_recursion,
     psi_gamma0_plus_cocycle,
     psi_gamma0_plus_lift,
     psi_peel_lift_cocycle,
@@ -222,13 +224,11 @@ def test_gamma2_ground_truth():
 
 
 def test_symbol_parabolic():
-    assert symbol_parabolic(GroupId.gamma(2), INF, T ** 2).as_fraction() == 1
-    assert symbol_parabolic(GroupId.sl2z(), INF, T ** 7).as_fraction() == 7
-    with pytest.raises(ValueError):
-        symbol_parabolic(GroupId.sl2z(), INF, S)
+    assert psi_general(GroupId.gamma(2), INF, T ** 2).as_fraction() == 1
+    assert psi_general(GroupId.sl2z(), INF, T ** 7).as_fraction() == 7
     # parabolic around an inequivalent cusp
     L = GroupElement(1, 0, 11, 1)
-    assert symbol_parabolic(GroupId.gamma0(11), INF, L).as_fraction() == 0
+    assert psi_general(GroupId.gamma0(11), INF, L).as_fraction() == 0
     # orientation: the stabilizer of 0 in Gamma0(11) is generated by the
     # inverse lower-triangular translation
     assert psi_general(GroupId.gamma0(11), Cusp(0, 1), L).as_fraction() == -1
@@ -237,8 +237,52 @@ def test_symbol_parabolic():
 def test_symbol_elliptic_matches_classical():
     G = GroupId.sl2z()
     for g in [S, S * T, T * S, (S * T) ** 2]:
-        assert symbol_elliptic(G, INF, g).as_fraction() == phi_classical(g)
+        assert phi_general(G, INF, g).as_fraction() == phi_classical(g)
         assert psi_general(G, INF, g).as_fraction() == psi_classical(g)
+
+
+ELLIPTIC_SWEEP_GROUPS = ([GroupId.sl2z()]
+                         + [GroupId.gamma0(n) for n in range(2, 21)]
+                         + [GroupId.gamma1(n) for n in range(2, 8)]
+                         + [GroupId.gamma0_plus(n) for n in (2, 3, 6, 10, 30)])
+
+
+def test_elliptic_closed_form_matches_recursion():
+    # the closed form -(2/m)(pi/V) sign(c t) against the composition-law
+    # recursion over the powers of g, on the Schreier generators and their
+    # short products, at every cusp class
+    orders = set()
+    checked = 0
+    for G in ELLIPTIC_SWEEP_GROUPS:
+        gens = schreier_generators(G)
+        elems = gens + [a * b for a in gens for b in gens] \
+            + [a * b.inverse() for a in gens for b in gens]
+        for g in elems:
+            cls = classify(g)
+            if cls.tag is not Motion.ELLIPTIC:
+                continue
+            orders.add(cls.order)
+            for cu in cusp_reps(G):
+                phi = phi_elliptic_recursion(G, cu, g)
+                h = g.conjugate_by(cu.base_matrix().inverse())
+                psi = phi - pi_over_volume(G) * sign(h.c * h.trace)
+                assert phi_general(G, cu, g).as_fraction() == phi, (G, cu, g)
+                assert psi_general(G, cu, g).as_fraction() == psi, (G, cu, g)
+                checked += 1
+    assert orders == {2, 3, 4, 6}
+    assert checked >= 600
+
+
+def test_symbol_value_arithmetic_is_exact_only():
+    one = SymbolValue.exact(1)
+    approx = SymbolValue.approximate(0.5, 1e-12)
+    assert (one + one).scaled(Fraction(1, 4)) == SymbolValue.exact(Fraction(1, 2))
+    with pytest.raises(ValueError):
+        one + approx
+    with pytest.raises(ValueError):
+        approx + one
+    with pytest.raises(ValueError):
+        approx.scaled(2)
 
 
 # -- dispatch and laws across groups ----------------------------------------
