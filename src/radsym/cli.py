@@ -67,8 +67,6 @@ _FAMILIES = {
 
 def _group_from_args(args) -> GroupId:
     fam = args.group
-    if fam not in _FAMILIES:
-        raise ValueError(f"unknown group family '{fam}'")
     if fam == "sl2z":
         return GroupId.sl2z()
     level = getattr(args, "level", None)
@@ -349,9 +347,6 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in _SUITES:
-        raise ValueError(f"unknown suite '{args.suite}' "
-                         f"(choose from {', '.join(sorted(_SUITES))})")
     failures = _SUITES[args.suite](args)
     status = "PASS" if not failures else "FAIL"
     if getattr(args, "json", False):

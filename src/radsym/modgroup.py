@@ -615,19 +615,12 @@ def cusp_stabilizer_generator(G: GroupId, c: Cusp) -> GroupElement:
     return base * (T ** int(w)) * base.inverse()
 
 
-def parabolic_cusp(g: GroupElement) -> Cusp:
-    """The unique fixed cusp of a parabolic element."""
-    if classify(g).tag is not Motion.PARABOLIC:
-        raise ValueError("element is not parabolic")
-    if g.c == 0:
-        return Cusp.infinity()
-    # fixed point (a - d) / (2c)
-    return Cusp(g.a - g.d, 2 * g.c)
-
-
 def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
     """Write a parabolic g as +-(stabilizer generator)^k; returns (cusp, k)."""
-    c = parabolic_cusp(g)
+    # t^2 / e is unchanged by dividing out the content
+    if g.trace * g.trace != 4 * g.e or g.is_identity():
+        raise ValueError("element is not parabolic")
+    c = Cusp.infinity() if g.c == 0 else Cusp(g.a - g.d, 2 * g.c)  # fixed point
     h = g.conjugate_by(c.base_matrix().inverse())   # +-T^t
     t = h.b * h.d                           # translation length, sign included
     w = int(cusp_width(G, c))

@@ -9,12 +9,13 @@ residue class mod N into Rademacher's shifted Dedekind sums, which a single
 Euclid descent on (a, |c|/N) evaluates through their reciprocity law, so
 every Gamma(N) value is exact and costs O(log |c|) at any size of c.
 
-The Gamma0 family takes one divisor-basis solve for a weighting of the
-cusp classes of Gamma0(N): a cusp of Gamma0(N) takes the indicator of its
-class, and Gamma0(N)+ weight 1 at every cusp, since its Atkin-Lehner
-involutions permute the cusps of Gamma0(N) simply transitively.  A basis
-exists exactly when the weighting agrees on the classes that share
-gcd(q, N): always at 0 and infinity, and at every cusp for squarefree N.
+The Gamma0 family takes one divisor-basis solve, with one weight per
+divisor d of N for the cusps p/q with gcd(q, N) = d.  Those cusps are the
+phi(gcd(d, N/d)) classes a/d, a a unit mod gcd(d, N/d), so a Gamma0(N) cusp
+has a basis, the indicator of its d, exactly when gcd(d, N/d) <= 2: always
+at 0 and infinity, and at every cusp for squarefree N.  Gamma0(N)+ takes
+weight 1 at every d, since its Atkin-Lehner involutions permute the cusps
+of Gamma0(N) simply transitively.  Neither builds a coset table.
 
 Gamma1(N), and the Gamma0(N) cusps that share gcd(q, N) with another
 class, are assembled from the Gamma(N) engine through homogeneity: g^k runs
@@ -49,9 +50,7 @@ from .modgroup import (
     _prime_divisors,
     classify,
     cosets,
-    cusp_class_index,
     cusp_equivalent,
-    cusps,
     member,
     parabolic_power,
 )
@@ -246,17 +245,19 @@ def _level_sawtooth(n: int, a: int, c: int) -> Fraction:
     r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
     holds with an extra -1/4 on the right.  Each step is O(1) through the
     per-level tables of _level_tables and _pair_sum, so the cost is
-    O(log |c|).  The sum is accumulated in units of 1/(12 n^2 D).
+    O(log |c|) steps.  The sum is accumulated in units of 1/(12 n^2 D) over
+    den = M h k: after the step at (h, k) its denominator divides M h k
+    (observed at every step, not proved, so a remainder raises
+    ArithmeticError), and the integers stay O(log |c|) bits.
     """
     m = abs(c)
     if m % n:
         raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
     C, D, _u, W, B = _level_tables(n)
     A = a * sign(c) % m
-    # the reciprocity terms have denominators hk; num/den keeps them exact
-    # without reducing at every step
+    M = m // n
     num, den = 3 * n * W[A % n], 1
-    h, k, alpha, beta, sg = A, m // n, 0, 1, 1
+    h, k, alpha, beta, sg = A, M, 0, 1, 1
     while True:
         q, h = divmod(h, k)
         alpha = (alpha + q * beta) % n
@@ -265,8 +266,11 @@ def _level_sawtooth(n: int, a: int, c: int) -> Fraction:
             return Fraction(m * num, 12 * n * n * D * den)
         term = (h * h * B[beta] + B[(h * beta + k * alpha) % n] + k * k * B[alpha]
                 - 3 * n * n * C[0] * h * k)
-        num = num * h * k + sg * term * den
-        den *= h * k
+        num, rem = divmod(num * M * h * k, den)
+        if rem:
+            raise ArithmeticError(
+                f"level-{n} descent of {a}/{c}: a partial sum is not over M h k")
+        num, den = num + sg * term * M, M * h * k
         h, k, alpha, beta, sg = k, h, beta, alpha, -sg
 
 
@@ -387,37 +391,44 @@ def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 
 
 @functools.lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple:
+    return tuple(e for e in range(1, n + 1) if n % e == 0)
+
+
+@functools.lru_cache(maxsize=None)
 def _gamma0_basis(n: int, weights: tuple):
     """Exact coefficients c_e, e | N, of sum_e c_e * e*E2star(e z) with
-    constant term weights[i] at the i-th cusp of cusps(Gamma0(N)), as a
-    tuple of (e, Fraction) pairs; None when no such combination exists.
+    constant term weights[i] at the cusps p/q whose gcd(q, N) is the i-th
+    divisor of N in increasing order, as a tuple of (e, Fraction) pairs.
 
-    The pullback of e*E2star(e z) to the cusp p/q of width w has constant
-    term w gcd(e, q)^2 / e.  Over e | N the matrix [gcd(e, q)^2] is a Smith
-    GCD matrix, with determinant prod J_2(d) != 0, so the system has a
-    solution exactly when the weights agree on the classes that share
-    gcd(q, N).
+    A cusp with gcd(q, N) = d has width N/gcd(d^2, N), and the pullback of
+    e*E2star(e z) there has constant term N/gcd(d^2, N) gcd(e, d)^2 / e.
+    Over e, d | N the matrix [gcd(e, d)^2] is a Smith GCD matrix, with
+    determinant prod J_2(d) != 0, so every weighting has exactly one
+    solution.
     """
-    G = GroupId.gamma0(n)
-    divs = [e for e in range(1, n + 1) if n % e == 0]
+    divs = _divisors(n)
     sol = _solve_rational(
-        [[Fraction(w * gcd(e, cu.q) ** 2, e) for e in divs] + [Fraction(x)]
-         for (cu, w), x in zip(cusps(G), weights)])
-    if sol is None:
-        return None
-    # each E_{2,a} has 1/y part -V^{-1}/y, each e*E2star(e z) has -3/(pi y)
-    if sum(sol) != sum(weights) * pi_over_volume(G) / 3:
+        [[Fraction(n // gcd(d * d, n) * gcd(e, d) ** 2, e) for e in divs] + [Fraction(x)]
+         for d, x in zip(divs, weights)])
+    # each E_{2,a} has 1/y part -V^{-1}/y, each e*E2star(e z) has -3/(pi y);
+    # every weighted d is the denominator of exactly one class, so the
+    # weights sum over the classes
+    kappa = pi_over_volume(GroupId.gamma0(n))
+    if sol is None or sum(sol) != sum(weights) * kappa / 3:
         raise ArithmeticError(f"the Gamma0({n}) divisor basis fails its 1/y check")
     return tuple(zip(divs, sol))
 
 
 @functools.lru_cache(maxsize=None)
 def gamma0_cusp_basis(n: int, cusp: Cusp):
-    """The divisor basis of E_{2,cusp}: weight 1 at the class of the cusp
-    and 0 elsewhere.  None when another class shares its gcd(q, N)."""
-    G = GroupId.gamma0(n)
-    k = cusp_class_index(G, cusp)
-    return _gamma0_basis(n, tuple(int(i == k) for i in range(len(cusps(G)))))
+    """The divisor basis of E_{2,cusp}: weight 1 at d = gcd(q, N) (N at
+    infinity, where q = 0) and 0 at the other divisors.  None when
+    gcd(d, N/d) > 2, where phi(gcd(d, N/d)) > 1 classes share d."""
+    d = gcd(cusp.q, n)
+    if gcd(d, n // d) > 2:
+        return None
+    return _gamma0_basis(n, tuple(int(e == d) for e in _divisors(n)))
 
 
 def psi_gamma0_divisor(g: GroupElement, basis) -> Fraction:
@@ -469,10 +480,10 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 
 def _psi_gamma0_plus(n: int, g: GroupElement) -> SymbolValue:
     """Psi on Gamma0(N)+, at its one cusp class: sum_a Psi^{Gamma0(N)}_a on
-    Gamma0(N), from the all-cusps weighting of the divisor basis, and
-    Psi(g^2)/2 for e > 1."""
+    Gamma0(N), from the divisor basis with weight 1 at every d | N (N is
+    squarefree, so each d is one class), and Psi(g^2)/2 for e > 1."""
     if g.e > 1:
         # g^2 is a hyperbolic element of Gamma0(N) of positive trace
         return _psi_gamma0_plus(n, g * g).scaled(Fraction(1, 2))
-    ones = (1,) * len(cusps(GroupId.gamma0(n)))
+    ones = (1,) * len(_divisors(n))
     return SymbolValue.exact(psi_gamma0_divisor(g, _gamma0_basis(n, ones)))

@@ -19,10 +19,14 @@ from radsym.modgroup import (
     atkin_lehner_exponents,
     classify,
     cusp_equivalent,
+    cusps,
     member,
 )
 from radsym.symbols import (
     SymbolValue,
+    _level_tables,
+    _pair_sum,
+    _solve_rational,
     lift_coset_sum,
     phi_general,
     psi_gamma,
@@ -177,6 +181,81 @@ def level_sawtooth_direct(n: int, a: int, c: int) -> Fraction:
             sums[j % n] += j * (2 * t - m)
     row = takada_C_row_exact(n)
     return sum((Fraction(s, 2 * m) * cr for s, cr in zip(sums, row)), Fraction(0))
+
+
+# The class-indexed divisor-basis solve, one row per cusp class of the
+# coset table, whose overdetermined system fails where classes share
+# gcd(q, N): the oracle for symbols._gamma0_basis over the divisors of N.
+@functools.lru_cache(maxsize=None)
+def gamma0_basis_by_class(n: int, weights: tuple):
+    """Exact coefficients c_e, e | N, of sum_e c_e * e*E2star(e z) with
+    constant term weights[i] at the i-th cusp of cusps(Gamma0(N)), as a
+    tuple of (e, Fraction) pairs; None when no such combination exists.
+
+    The pullback of e*E2star(e z) to the cusp p/q of width w has constant
+    term w gcd(e, q)^2 / e.  Over e | N the matrix [gcd(e, q)^2] is a Smith
+    GCD matrix, with determinant prod J_2(d) != 0, so the system has a
+    solution exactly when the weights agree on the classes that share
+    gcd(q, N).
+    """
+    G = GroupId.gamma0(n)
+    divs = [e for e in range(1, n + 1) if n % e == 0]
+    sol = _solve_rational(
+        [[Fraction(w * gcd(e, cu.q) ** 2, e) for e in divs] + [Fraction(x)]
+         for (cu, w), x in zip(cusps(G), weights)])
+    if sol is None:
+        return None
+    # each E_{2,a} has 1/y part -V^{-1}/y, each e*E2star(e z) has -3/(pi y)
+    if sum(sol) != sum(weights) * pi_over_volume(G) / 3:
+        raise ArithmeticError(f"the Gamma0({n}) divisor basis fails its 1/y check")
+    return tuple(zip(divs, sol))
+
+
+# The descent with num and den never reduced, so den grows to prod h k:
+# the oracle for the rescaled accumulation in symbols._level_sawtooth.
+def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
+    """sum_{0 < j < |c|} j C_{n,j} ((aj/c)) for n | c and gcd(a, c) = 1.
+
+    With m = |c| = nM and A = a sign(c) mod m, the residue-r part is
+    S_r = m (s(A, M; 0, r/n) + ((Ar/n))/2), where
+
+        s(h, k; x, y) = sum_{mu mod k} ((h(mu + y)/k + x)) (((mu + y)/k))
+
+    is Rademacher's shifted Dedekind sum.  One Euclid descent evaluates all
+    residues at once, with x = alpha r/n and y = beta r/n, from
+
+        s(h + qk, k; x, y) = s(h, k; x + qy, y),
+        s(h, k; x, y) + s(k, h; y, x) = ((x))((y))
+            + (h/k B2bar(y) + B2bar(hy + kx)/(hk) + k/h B2bar(x)) / 2
+
+    (Rademacher, Duke Math. J. 21 (1954); Hall-Wilson-Zagier, Acta Arith.
+    73 (1995)).  The reciprocity law needs x, y not both integers, which
+    holds for r != 0 because gcd(alpha, beta, n) = 1 is invariant.  At
+    r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
+    holds with an extra -1/4 on the right.  Each step is O(1) through the
+    per-level tables of _level_tables and _pair_sum, so the cost is
+    O(log |c|).  The sum is accumulated in units of 1/(12 n^2 D).
+    """
+    m = abs(c)
+    if m % n:
+        raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
+    C, D, _u, W, B = _level_tables(n)
+    A = a * sign(c) % m
+    # the reciprocity terms have denominators hk; num/den keeps them exact
+    # without reducing at every step
+    num, den = 3 * n * W[A % n], 1
+    h, k, alpha, beta, sg = A, m // n, 0, 1, 1
+    while True:
+        q, h = divmod(h, k)
+        alpha = (alpha + q * beta) % n
+        num += sg * 3 * _pair_sum(n, alpha, beta) * den
+        if h == 0:                       # k = 1: s(0, 1; x, y) = ((x))((y))
+            return Fraction(m * num, 12 * n * n * D * den)
+        term = (h * h * B[beta] + B[(h * beta + k * alpha) % n] + k * k * B[alpha]
+                - 3 * n * n * C[0] * h * k)
+        num = num * h * k + sg * term * den
+        den *= h * k
+        h, k, alpha, beta, sg = k, h, beta, alpha, -sg
 
 
 def _phi_of(G: GroupId, cusp: Cusp, g: GroupElement, psi: Fraction) -> Fraction:

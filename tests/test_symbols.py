@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from radsym import symbols
+from radsym import modgroup, symbols
 from radsym.dedekind import (
     cocycle_defect,
     phi_classical,
@@ -20,6 +20,7 @@ from radsym.modgroup import (
     Motion,
     S,
     T,
+    _squarefree,
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
@@ -46,7 +47,9 @@ from radsym.symbols import (
 )
 
 from conftest import (
+    gamma0_basis_by_class,
     level_sawtooth_direct,
+    level_sawtooth_unreduced,
     phi_elliptic_recursion,
     psi_gamma0_plus_cocycle,
     psi_gamma0_plus_lift,
@@ -140,6 +143,20 @@ def test_level_sawtooth_matches_direct_sum():
 def test_level_sawtooth_needs_level_dividing_c():
     with pytest.raises(ValueError):
         _level_sawtooth(3, 1, 7)
+
+
+def test_level_sawtooth_matches_unreduced_descent():
+    # 1200 seeded triples, N = 2..60, both signs, |c| up to 10^40: carrying
+    # the sum over M h k gives the value of the never-reduced num/den
+    rng = random.Random(20261018)
+    for _ in range(1200):
+        n = rng.randint(2, 60)
+        m = n * rng.randint(1, max(1, 10 ** rng.randint(1, 40) // n))
+        c = m * rng.choice([-1, 1])
+        a = rng.randint(-3 * m, 3 * m)
+        while math.gcd(a, c) != 1:
+            a += 1
+        assert _level_sawtooth(n, a, c) == level_sawtooth_unreduced(n, a, c), (n, a, c)
 
 
 def test_level_tables_match_fraction_definitions():
@@ -430,6 +447,15 @@ def test_coset_sum_recovers_classical_deep(n, rng):
         assert lifted.as_fraction() == psi_classical(g)
 
 
+def test_coset_sum_recovers_classical_past_1e300(rng):
+    # exact identity on a Gamma(3) word with |c| >= 10^300; the descent
+    # keeps it fast only while its integers stay O(log |c|) bits
+    g = random_principal_deep(rng, 3, 10 ** 300)
+    lifted = lift_coset_sum(GroupId.gamma(3), GroupId.sl2z(),
+                            lambda x: psi_gamma(3, INF, x), g)
+    assert lifted.as_fraction() == psi_classical(g)
+
+
 def test_coset_sum_rejects_outsiders():
     with pytest.raises(ValueError):
         lift_coset_sum(GroupId.gamma(2), GroupId.sl2z(),
@@ -473,6 +499,43 @@ def test_gamma0_basis_exists_iff_denominator_is_alone():
             assert (gamma0_cusp_basis(n, cu) is not None) == alone, (n, cu)
             with_basis += alone
     assert with_basis == 427
+
+
+def test_gamma0_divisor_basis_matches_class_indexed_solve():
+    # one row per d | N gives the basis of the solve with one row per cusp
+    # class at every class of Gamma0(N), N <= 120, and None exactly where
+    # that overdetermined system has no solution (162 of the 700 classes)
+    missing = 0
+    for n in range(1, 121):
+        reps = cusps(GroupId.gamma0(n))
+        for i, (cu, _w) in enumerate(reps):
+            indicator = tuple(int(j == i) for j in range(len(reps)))
+            basis = gamma0_cusp_basis(n, cu)
+            assert basis == gamma0_basis_by_class(n, indicator), (n, cu)
+            missing += basis is None
+        if _squarefree(n):
+            ones = (1,) * len(reps)
+            assert symbols._gamma0_basis(n, ones) == gamma0_basis_by_class(n, ones), n
+    assert missing == 162
+
+
+def test_hyperbolic_gamma0_symbols_build_no_table():
+    # the divisor basis at 0 and infinity of Gamma0(36), and on Gamma0(30)+,
+    # needs the divisors of N, not the cusp classes of a coset table
+    G0, G = GroupId.gamma0(30), GroupId.gamma0(36)
+    for H in (G0, G):
+        modgroup._table_cache.pop(H, None)
+    symbols._gamma0_basis.cache_clear()
+    symbols.gamma0_cusp_basis.cache_clear()
+    for cu in (Cusp(0, 1), INF):
+        psi_general(G, cu, GroupElement(1, 1, 36, 37))
+    g = GroupElement(1, 1, 30, 31)
+    w = atkin_lehner(30, 5) * g
+    assert w.e == 5 and classify(w).tag is Motion.HYPERBOLIC
+    for x in (g, w):
+        psi_general(GroupId.gamma0_plus(30), INF, x)
+    assert G0 not in modgroup._table_cache
+    assert G not in modgroup._table_cache
 
 
 def test_gamma0_basis_failed_check_raises(monkeypatch):
