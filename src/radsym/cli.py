@@ -9,8 +9,7 @@ Subcommands
     cosets   coset representatives of a congruence subgroup in SL2(Z)
     verify   built-in consistency suites
 
-Exit codes: 0 success, 1 domain error, 2 a value without an exact
-rational form (partial output still emitted).
+Exit codes: 0 success, 1 domain error; argparse exits 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -139,13 +138,11 @@ def _cmd_symbol(args) -> int:
 
     fn = phi_general if args.phi else psi_general
     rows = [(g, fn(G, cusp, g)) for g in matrices]
-    status = 0 if all(v.is_rational for _, v in rows) else 2
     if args.csv:
         print("matrix,value,method")
         for g, v in rows:
-            val = str(v.rational) if v.is_rational else f"~{v.approx}"
-            print(f"\"{g}\",{val},{_method_name(G, v)}")
-        return status
+            print(f"\"{g}\",{v},{_method_name(G, v)}")
+        return 0
     for g, v in rows:
         payload = {
             "group": str(G),
@@ -157,7 +154,7 @@ def _cmd_symbol(args) -> int:
             "trace_class": str(classify(g)),
         }
         _emit(args, payload, str(v))
-    return status
+    return 0
 
 
 def _cmd_period(args) -> int:
@@ -168,7 +165,7 @@ def _cmd_period(args) -> int:
         v = divisor_period(D, g)
         _emit(args, {"group": str(G), "divisor": str(D), "matrix": str(g),
                      "value": _value_json(v)}, str(v))
-        return 0 if v.is_rational else 2
+        return 0
     if args.numeric:
         v = period_numeric(g, args.tol)
         _emit(args, {"matrix": str(g), "value": _value_json(v),
@@ -196,7 +193,7 @@ def _cmd_torsion(args) -> int:
         "periods": [_value_json(p.value) for p in cert.periods],
     }
     _emit(args, payload, str(cert))
-    return 0 if cert.order is not None else 2
+    return 0
 
 
 def _cmd_cusps(args) -> int:

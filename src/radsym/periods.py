@@ -332,23 +332,20 @@ def divisor_periods(G: GroupId, D: Divisor) -> list[PeriodValue]:
 @dataclass(frozen=True)
 class TorsionCertificate:
     """Certificate that a cuspidal divisor class is torsion of a given
-    order in the Jacobian, or a flagged non-claim.
+    order in the Jacobian.
 
     The order is the lcm of the period denominators over the listed
-    generators; it is exact when every period is an exact rational, and
-    absent (order None, flagged) when any period is only approximate.
+    generators; every period is an exact rational.
     """
 
     group: GroupId
     divisor: Divisor
     generators: tuple
     periods: tuple
-    order: int | None
-    status: str  # "exact" | "non-rational-flag"
+    order: int
+    status: str  # "exact"
 
     def __str__(self):
-        if self.order is None:
-            return f"divisor {self.divisor} on {self.group}: NO RATIONALITY CLAIM"
         return (f"divisor {self.divisor} on {self.group}: torsion of order "
                 f"{self.order} [{self.status}]")
 
@@ -363,8 +360,5 @@ def torsion_certificate(G: GroupId, D: Divisor) -> TorsionCertificate:
     gens = tuple(p.element for p in pvs)
     order = 1
     for p in pvs:
-        if not p.value.is_rational:
-            return TorsionCertificate(G, D, gens, tuple(pvs), None,
-                                      "non-rational-flag")
         order = math.lcm(order, p.value.as_fraction().denominator)
     return TorsionCertificate(G, D, gens, tuple(pvs), order, "exact")

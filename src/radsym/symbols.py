@@ -21,15 +21,18 @@ Gamma1(N), and the Gamma0(N) cusps that share gcd(q, N) with another
 class, are assembled from the Gamma(N) engine through homogeneity: g^k runs
 the closed geodesic of g k times, so Psi_a(g^k) = k Psi_a(g), and the
 least power of g that is +-unipotent mod N is peeled to Gamma(N) or lifted
-by a coset sum.  An Atkin-Lehner element of Gamma0(N)+ is evaluated through
-its square.  Elliptic and parabolic symbols need no engine: they are closed
-forms of the composition law.
+by a sum over the Gamma(N)-cusps above a, each weighted by the number of
+cosets of Gamma(N) that send a to it: one level-N descent for a Gamma1(N)
+symbol at infinity.  An Atkin-Lehner element of Gamma0(N)+ is evaluated
+through its square.  Elliptic and parabolic symbols need no engine: they
+are closed forms of the composition law.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -450,8 +453,14 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi_a(g) for hyperbolic g in Gamma0(N) or Gamma1(N): raise g to the
     least power g^k whose image mod N is +-unipotent, so g^k = h T^j with h
     in Gamma(N), and return Psi_a(g^k) / k.  For j = 0 the power lies in
-    Gamma(N) and is lifted by a coset sum; otherwise the composition law
-    peels T^j off once."""
+    Gamma(N) and Psi^G_a(g^k) is the coset sum over tau in Gamma(N)\\G of
+    Psi^{Gamma(N)}_a(tau g^k tau^-1) = Psi^{Gamma(N)}_{tau^-1 a}(g^k).  Its
+    terms depend only on the Gamma(N)-class +-(p, q) mod N of tau^-1 a, so
+    it is a sum over the Gamma(N)-cusps above a, each weighted by its number
+    of cosets and evaluated by one psi_gamma call (one level-N descent and
+    one membership check of g^k).  A Gamma1(N) cusp p/q has at most
+    N/gcd(q, N) of them, so infinity has one.  Otherwise the composition
+    law peels T^j off once."""
     n = G.level
     # order of a mod N in (Z/N)*/{+-1}
     k = 1
@@ -464,9 +473,15 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     gk = g ** k               # positive trace, +-unipotent mod N
     j = gk.a * gk.b % n       # gk = +-h T^j with h in Gamma(N)
     if j == 0:
-        return lift_coset_sum(GroupId.gamma(n), G,
-                              lambda x: psi_gamma(n, cusp, x), gk
-                              ).scaled(Fraction(1, k))
+        above, mult = {}, Counter()
+        for tau in cosets(GroupId.gamma(n), G):
+            c = tau.inverse().apply_cusp(cusp)
+            key = min((c.p % n, c.q % n), (-c.p % n, -c.q % n))
+            above.setdefault(key, c)
+            mult[key] += 1
+        total = sum(mult[key] * psi_gamma(n, c, gk).as_fraction()
+                    for key, c in above.items())
+        return SymbolValue.exact(total / k)
     tj = T ** j
     h = gk * T ** (-j)
     binv = cusp.base_matrix().inverse()

@@ -26,6 +26,7 @@ from radsym.symbols import (
     SymbolValue,
     _level_tables,
     _pair_sum,
+    _sign_term,
     _solve_rational,
     lift_coset_sum,
     phi_general,
@@ -331,6 +332,41 @@ def psi_peel_lift_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValu
     defect = sum(sign(c0 * csigns[i - 1] * csigns[i]) for i in range(1, k))
     phi = (phi_k + kappa * defect) / k
     return SymbolValue.exact(phi - kappa * sign(c0 * g.trace))
+
+
+# The peel-lift with its Gamma(N) power lifted by the full coset sum, one
+# level-N descent per coset: the oracle for the sum over the Gamma(N)-cusps
+# above a, with multiplicities, in symbols._psi_peel_lift.
+def psi_peel_lift_coset_sum(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
+    """Psi_a(g) for hyperbolic g in Gamma0(N) or Gamma1(N): raise g to the
+    least power g^k whose image mod N is +-unipotent, so g^k = h T^j with h
+    in Gamma(N), and return Psi_a(g^k) / k.  For j = 0 the power lies in
+    Gamma(N) and is lifted by a coset sum; otherwise the composition law
+    peels T^j off once."""
+    n = G.level
+    # order of a mod N in (Z/N)*/{+-1}
+    k = 1
+    acc = g.a % n
+    while acc % n not in (1 % n, (n - 1) % n):
+        acc = acc * g.a % n
+        k += 1
+        if k > n:
+            raise RuntimeError("unit order computation failed")
+    gk = g ** k               # positive trace, +-unipotent mod N
+    j = gk.a * gk.b % n       # gk = +-h T^j with h in Gamma(N)
+    if j == 0:
+        return lift_coset_sum(GroupId.gamma(n), G,
+                              lambda x: psi_gamma(n, cusp, x), gk
+                              ).scaled(Fraction(1, k))
+    tj = T ** j
+    h = gk * T ** (-j)
+    binv = cusp.base_matrix().inverse()
+    c3 = (h.conjugate_by(binv).c * tj.conjugate_by(binv).c
+          * gk.conjugate_by(binv).c)
+    # Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_gk)
+    phi = (phi_general(G, cusp, h) + phi_general(G, cusp, tj)).as_fraction()
+    psi = phi - pi_over_volume(G) * sign(c3) - _sign_term(G, cusp, gk)
+    return SymbolValue.exact(psi / k)
 
 
 def psi_gamma0_plus_lift(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:

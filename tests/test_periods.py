@@ -315,6 +315,16 @@ def test_torsion_orders_x0_non_squarefree_by_peel_lift(n, expected):
     assert order == expected
 
 
+def test_torsion_order_gamma1_23():
+    # the cuspidal order of (0) - (inf) on X1(23) (Conrad-Edixhoven-Stein,
+    # "J1(p) has connected fibers", Doc. Math. 8 (2003)), through the lift
+    # route at both cusps
+    G = GroupId.gamma1(23)
+    cert = torsion_certificate(G, Divisor.from_dict(G, {"0": 1, "inf": -1}))
+    assert cert.order == 4498901
+    assert cert.status == "exact"
+
+
 def test_torsion_zero_divisor():
     G = GroupId.gamma0(11)
     D = Divisor.from_dict(G, {})

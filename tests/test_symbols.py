@@ -36,6 +36,7 @@ from radsym.symbols import (
     _level_sawtooth,
     _level_tables,
     _psi_peel_lift,
+    _solve_rational,
     gamma0_cusp_basis,
     lift_coset_sum,
     phi_general,
@@ -53,6 +54,7 @@ from conftest import (
     phi_elliptic_recursion,
     psi_gamma0_plus_cocycle,
     psi_gamma0_plus_lift,
+    psi_peel_lift_coset_sum,
     psi_peel_lift_cocycle,
     random_in_group,
     random_principal,
@@ -690,3 +692,105 @@ def test_psi_homogeneous_on_hyperbolic_powers(G, rng):
             psi = psi_general(G, cu, g).as_fraction()
             for k in (2, 3):
                 assert psi_general(G, cu, g ** k).as_fraction() == k * psi, (cu, g, k)
+
+
+# -- the lift route: one Gamma(N) symbol per Gamma(N)-cusp above a ------------
+
+
+def split_cusps(n):
+    """The Gamma0(N) cusp classes that share gcd(q, N) with another class."""
+    out = []
+    for cu, _w in cusps(GroupId.gamma0(n)):
+        d = math.gcd(cu.q, n)
+        if math.gcd(d, n // d) > 2:
+            out.append(cu)
+    return out
+
+
+def test_lift_route_matches_coset_sum(monkeypatch):
+    # every cusp of Gamma1(2..30) and every split cusp of Gamma0(9..36): the
+    # engine against the peel-lift whose Gamma(N) power takes the full coset
+    # sum; the oracle is swapped in as symbols._psi_peel_lift, so that the
+    # Gamma(N) part it peels off goes through the coset sum too
+    rng = random.Random(20261101)
+    triples = [(G, cu, random_hyperbolic(rng, G))
+               for G in [GroupId.gamma1(n) for n in range(2, 31)]
+               for cu, _w in cusps(G)]
+    triples += [(GroupId.gamma0(n), cu, random_hyperbolic(rng, GroupId.gamma0(n)))
+                for n in (9, 16, 18, 25, 27, 32, 36)
+                for cu in split_cusps(n) for _ in range(2)]
+    new = [_psi_peel_lift(G, cu, g) for G, cu, g in triples]
+    monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
+    for (G, cu, g), value in zip(triples, new):
+        assert value == psi_peel_lift_coset_sum(G, cu, g), (G, cu, g)
+    assert len(triples) == 501
+
+
+def test_gamma1_symbol_at_infinity_takes_one_descent(monkeypatch):
+    # the N cosets of Gamma(N) in Gamma1(N) all send infinity to one
+    # Gamma(N)-cusp, so a hyperbolic symbol at infinity is one level-N
+    # descent, weighted by N: exactly one on the hyperbolic elements of
+    # Gamma(N), and at most one on words of Gamma1(N), whose peeled Gamma(N)
+    # part may be parabolic
+    rng = random.Random(20261102)
+    calls = []
+
+    def counted(n, a, c):
+        calls.append((n, a, c))
+        return _level_sawtooth(n, a, c)
+
+    monkeypatch.setattr(symbols, "_level_sawtooth", counted)
+    evaluated = []
+    for n in range(3, 24):
+        G = GroupId.gamma1(n)
+        for g in [random_principal_hyperbolic(rng, n) for _ in range(2)]:
+            calls.clear()
+            evaluated.append((G, g, psi_general(G, INF, g)))
+            assert len(calls) == 1, (n, g)
+        for g in [random_hyperbolic(rng, G) for _ in range(3)]:
+            calls.clear()
+            evaluated.append((G, g, psi_general(G, INF, g)))
+            assert len(calls) <= 1, (n, g)
+    monkeypatch.setattr(symbols, "_level_sawtooth", _level_sawtooth)
+    monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
+    for G, g, value in evaluated:
+        assert value == psi_general(G, INF, g), (G, g)
+
+
+def test_fricke_transport_on_gamma1():
+    # W = [[0, -1], [N, 0]] normalizes Gamma1(N) and swaps 0 and infinity:
+    # Psi_0(g) = Psi_inf(W g W^-1) = Psi_inf([[d, -c/N], [-N b, a]])
+    rng = random.Random(20261103)
+    for n in range(2, 30):
+        G = GroupId.gamma1(n)
+        for _ in range(12):
+            g = random_hyperbolic(rng, G)
+            a, b, c, d = g.entries()
+            w = GroupElement(d, -c // n, -n * b, a)
+            assert psi_general(G, Cusp(0, 1), g) == psi_general(G, INF, w), (n, g)
+
+
+def test_gamma0_split_divisor_sums_over_its_classes():
+    # the divisor-basis solve with weight 1 at a split d is the symbol of
+    # the sum of E_{2,a} over the phi(gcd(d, N/d)) classes a/d, so it is
+    # the sum of their lift-route symbols; the 1/y check counts them
+    rng = random.Random(20261104)
+    checked = 0
+    for n in (9, 16, 18, 25, 27, 32, 36, 49, 50, 72):
+        G = GroupId.gamma0(n)
+        divs = [e for e in range(1, n + 1) if n % e == 0]
+        for d in sorted({math.gcd(cu.q, n) for cu in split_cusps(n)}):
+            classes = [cu for cu, _w in cusps(G) if math.gcd(cu.q, n) == d]
+            m = math.gcd(d, n // d)
+            assert len(classes) == sum(math.gcd(a, m) == 1 for a in range(m)) > 1
+            sol = _solve_rational(
+                [[Fraction(n // math.gcd(x * x, n) * math.gcd(e, x) ** 2, e)
+                  for e in divs] + [Fraction(int(x == d))] for x in divs])
+            assert sum(sol) == len(classes) * pi_over_volume(G) / 3
+            basis = tuple(zip(divs, sol))
+            for _ in range(4):
+                g = random_hyperbolic(rng, G)
+                total = sum(_psi_peel_lift(G, cu, g).as_fraction() for cu in classes)
+                assert psi_gamma0_divisor(g, basis) == total, (n, d, g)
+                checked += 1
+    assert checked == 76
