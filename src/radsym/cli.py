@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 domain error; argparse exits 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -361,6 +362,7 @@ def _cmd_verify(args) -> int:
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="radsym",

@@ -138,7 +138,12 @@ def _e2_star_mp(z):
 
     g, zr = _reduce_to_fundamental(z)
     q = mpmath.expjpi(2 * zr)
-    terms = int(mpmath.mp.dps * 2.4 / (2 * math.pi * float(zr.imag) / math.log(10))) + 3
+    # |q|^terms <= 10^-(dps+4); with |q| <= e^{-pi sqrt 3} and sigma1(n) <= n^2
+    # the dropped tail 24 sum_{n > terms} sigma1(n) |q|^n stays below 10^-dps.
+    # Along the arc |dz| / |j|^2 = Im(zr) du, so the tail adds at most about
+    # L 10^-dps to a period of translation length L, far below the rounding
+    # term L e^L eps that period_numeric reports
+    terms = int((mpmath.mp.dps + 4) * math.log(10) / (2 * math.pi * float(zr.imag))) + 1
     sig = _sigma1_ints(terms)
     acc = mpmath.mpc(0)
     qn = mpmath.mpc(1)
@@ -178,13 +183,22 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     parametrized by hyperbolic arclength.  The axis is conjugated into the
     fundamental domain first so the quadrature stays numerically healthy.
 
+    The working precision follows tol: enough digits that the rounding
+    term L e^L eps (L the translation length) is at most tol/1000, at least
+    15, and at most max(25, L + 15).  Each knot interval is integrated on
+    mpmath's Gauss-Legendre rule (the integrand is real-analytic there);
+    E2* is summed to a q-series cut whose tail stays below 10^-dps.
+
     The reported error is an estimate: mpmath's quadrature error estimate,
     the working precision's rounding (amplified by the reduction into the
     fundamental domain) and the rounding of the value to a float,
-    |value| 2^-52.  Raises ValueError when it exceeds tol.
+    |value| 2^-52.  Raises ValueError when tol is not positive, and when
+    the estimate exceeds tol.
     """
     import mpmath  # on first use: importing radsym does not load mpmath
 
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if g.e != 1:
         raise ValueError("period_numeric needs an SL2(Z) element")
     if classify(g).tag is not Motion.HYPERBOLIC:
@@ -201,8 +215,12 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     length = 2 * math.log((tr + math.sqrt(tr * tr - 4)) / 2)
 
     # the arc may dip within e^{-length} of the real axis, so the integrand
-    # is evaluated in mpmath with enough guard digits for the reduction
-    dps = max(25, int(length) + 15)
+    # is evaluated in mpmath with guard digits for the reduction: enough
+    # that the rounding term round_err = L e^L eps below is at most tol/1000
+    # (at least 15 digits for the float result), and never more than
+    # max(25, L + 15) digits, past which a tighter tol raises instead
+    need = max(15, math.log10(length) + length / math.log(10) - math.log10(tol) + 3)
+    dps = min(max(25, int(length) + 15), math.ceil(need))
     with mpmath.workdps(dps):
         ctr = mpmath.mpf(a - d) / (2 * c)
         rad = mpmath.sqrt(mpmath.mpf(tr * tr - 4)) / (2 * abs(c))
@@ -221,7 +239,8 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
 
         steps = max(4, int(2 * length) + 1)
         knots = [u1 * k / steps for k in range(steps + 1)]
-        val, quad_err = mpmath.quad(integrand, knots, error=True)
+        val, quad_err = mpmath.quad(integrand, knots, method="gauss-legendre",
+                                    error=True)
         # rounding: at u the arc is within R e^{-|u|} of the real axis, and
         # the move into the fundamental domain amplifies it about e^{|u|}
         round_err = length * mpmath.exp(length) * mpmath.eps

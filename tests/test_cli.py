@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from radsym.cli import run
+from radsym.cli import _build_parser, run
 
 
 def test_sum(capsys):
@@ -99,6 +99,44 @@ def test_period_numeric(capsys):
                 "--tol", "1e-8"]) == 0
     v = float(capsys.readouterr().out.strip())
     assert abs(v - 0.0) < 1e-8  # psi of [[5,2],[2,1]] is 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_period_numeric_bad_tol(capsys, tol):
+    # --tol nan used to switch the error check off and print 97
+    assert run(["period", "--matrix", "6,563,1,94", "--numeric",
+                "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol must be positive" in captured.err
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one run, argparse exits included."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_reused_across_calls(capsys):
+    # the parser is built once per process; a usage error or another
+    # subcommand in between must not change what a later call prints
+    calls = [["symbol", "--group", "nosuch", "--matrix", "1,1,0,1"],
+             ["symbol", "--group", "sl2z", "--matrix", "2,1,1,1"],
+             ["sum", "1", "3"],
+             ["cusps", "--group", "gamma0", "--level", "6", "--json"]]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert fresh[0][0] == 2 and "invalid choice" in fresh[0][2]
+    assert fresh[1] == (0, "0\n", "")
+    _build_parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in calls] == fresh
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_period_exact_level(capsys):

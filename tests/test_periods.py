@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -122,6 +123,68 @@ def test_period_numeric_matches_psi(rng):
 def test_period_numeric_raises_above_tol():
     with pytest.raises(ValueError, match="error estimate"):
         period_numeric(GroupElement(2, 1, 1, 1), 1e-30)
+
+
+@pytest.fixture
+def quad_dps(monkeypatch):
+    """Record the working precision of every mpmath.quad call."""
+    seen = []
+    quad = mpmath.quad
+
+    def recording(*args, **kwargs):
+        seen.append(mpmath.mp.dps)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "quad", recording)
+    return seen
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+def test_period_numeric_rejects_bad_tol(quad_dps, tol):
+    # a NaN tol would switch the error check off (err > nan is False)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        period_numeric(GroupElement(6, 563, 1, 94), tol)
+    assert quad_dps == []
+
+
+def test_period_numeric_precision_follows_tol(quad_dps):
+    g = GroupElement(6, 563, 1, 94)
+    assert abs(period_numeric(g, math.inf).approx - 97) < 1e-9
+    assert abs(period_numeric(g, 1e-8).approx - 97) < 1e-9
+    # the ceiling max(25, L + 15) serves a tol no precision can reach
+    with pytest.raises(ValueError, match="error estimate"):
+        period_numeric(GroupElement(2, 1, 1, 1), 1e-30)
+    assert quad_dps == [15, 16, 25]
+
+
+def _element_with(rng, c_sign: int, t_sign: int, tmax: int = 20000,
+                  cmax: int = 997) -> GroupElement:
+    """Seeded [[a, b], [c, d]] with sign(c) = c_sign, sign(a + d) = t_sign,
+    3 <= |a + d| <= tmax and |c| <= cmax."""
+    while True:
+        c = c_sign * rng.randrange(1, cmax + 1)
+        a = rng.randrange(-3 * cmax, 3 * cmax)
+        if math.gcd(a, c) != 1:
+            continue
+        # d = a^-1 mod c, moved by multiples of c to a trace near the target
+        t = t_sign * rng.randrange(3, tmax + 1)
+        d = pow(a, -1, abs(c))
+        d += (t - a - d) // c * c
+        if 3 <= t_sign * (a + d) <= tmax:
+            return GroupElement(a, (a * d - 1) // c, c, d)
+
+
+def test_period_numeric_error_is_honest_on_long_geodesics():
+    # traces up to 20000: the arc dips within e^-L ~ 2.5e-9 of the real
+    # axis, so the precision must grow with e^L as well as with 1/tol
+    rng = random.Random(20261018)
+    elements = [GroupElement(1, 19998, 1, 19999),
+                GroupElement(2, 5715, -7, -20002),
+                _element_with(rng, 1, -1), _element_with(rng, -1, 1)]
+    for tol in (1e-8, 1e-11):
+        for g in elements:
+            p = period_numeric(g, tol)
+            assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= tol, (g, tol)
 
 
 def test_import_leaves_mpmath_unloaded():
