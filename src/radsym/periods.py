@@ -7,7 +7,11 @@ modular function theory:
   system reproduces the classical Dedekind symbol Phi.
 * ``period_numeric``: the completed weight-2 Eisenstein
   series integrated along a hyperbolic geodesic arc reproduces the
-  Rademacher symbol Psi.
+  Rademacher symbol Psi.  E2*(z) dz is SL2(Z)-invariant, so over one
+  period of the closed geodesic the integrand is periodic and analytic in
+  a strip, and a nested trapezoidal sum converges geometrically; it starts
+  at the least power of two n >= max(4, 2L) (L the translation length), so
+  that the shorter period of a k-th power is not aliased.
 * ``x0_period_exact``: on X0(N), N a prime or a prime square, the divisor
   (0) - (inf) has a canonical differential whose periods reduce to pure
   classical Dedekind sums, giving a fully exact oracle for the
@@ -122,10 +126,13 @@ def _reduce_to_fundamental(z):
         if k:
             z -= k
             g = GroupElement(1, -k, 0, 1) * g
-        if abs(z) >= 1 - 1e-15:
+        if abs(z) < 1 - 1e-15:
+            z = -1 / z
+            g = GroupElement(0, -1, 1, 0) * g
+        elif abs(z.real) <= 0.5 + 1e-15:
             return g, z
-        z = -1 / z
-        g = GroupElement(0, -1, 1, 0) * g
+        # else float(z.real) dropped integer digits of a real part past 2^53:
+        # translate again
     return g, z
 
 
@@ -159,6 +166,13 @@ def _e2_star_mp(z):
 # geodesic periods of E2*
 
 
+def _translation_length(tr: int) -> float:
+    """The translation length 2 arccosh(|tr| / 2) of a hyperbolic element of
+    trace tr, without converting tr to a float (which overflows past 1e308)."""
+    t = abs(tr)
+    return 2 * (math.log(t) + math.log1p(math.sqrt(1 - 4 / (t * t))) - math.log(2))
+
+
 def _raise_axis(g: GroupElement):
     """Conjugate a hyperbolic g so the apex of its axis is high in the
     upper half-plane; returns the conjugated element (same Psi)."""
@@ -166,34 +180,47 @@ def _raise_axis(g: GroupElement):
     if c == 0:
         raise ValueError("axis undefined for c = 0 (cusp at infinity)")
     disc = (a + d) ** 2 - 4
-    center = (a - d) / (2 * c)
-    radius = math.sqrt(disc) / (2 * abs(c))
-    if radius >= 0.3:
+    # the radius sqrt(disc) / (2|c|) is at least 0.3, compared in integers
+    if 25 * disc >= 9 * c * c:
         return g
-    apex = complex(center, radius)
-    h, _ = _reduce_to_fundamental(apex)
-    return g.conjugate_by(h)
+    # the apex center + i radius, center = k + r/(2c) with 0 <= r/(2c) < 1;
+    # the radius to 64 bits by isqrt, so no entry is converted to a float
+    k, r = divmod(a - d, 2 * c)
+    s = max(0, 64 - disc.bit_length() // 2)
+    radius = math.isqrt(disc << 2 * s) / (abs(c) << (s + 1))
+    h, _ = _reduce_to_fundamental(complex(r / (2 * c), radius))
+    return g.conjugate_by(h * GroupElement(1, -k, 0, 1))
+
+
+# past this many trapezoidal nodes the error estimate stands as it is
+_MAX_NODES = 1 << 16
 
 
 def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     """The integral of E2*(z) dz along the axis of a hyperbolic g in SL2(Z),
-    from the apex z0 of the axis semicircle to g z0.
+    over one period of the closed geodesic: from the apex z0 of the axis
+    semicircle to g z0.
 
     Equals the Rademacher symbol Psi(g); the path is the geodesic arc
-    parametrized by hyperbolic arclength.  The axis is conjugated into the
+    parametrized by hyperbolic arclength u.  The axis is conjugated into the
     fundamental domain first so the quadrature stays numerically healthy.
 
     The working precision follows tol: enough digits that the rounding
     term L e^L eps (L the translation length) is at most tol/1000, at least
-    15, and at most max(25, L + 15).  Each knot interval is integrated on
-    mpmath's Gauss-Legendre rule (the integrand is real-analytic there);
-    E2* is summed to a q-series cut whose tail stays below 10^-dps.
+    15, and at most max(25, L + 15).  E2*(z) dz is SL2(Z)-invariant and g
+    moves the arc by u1 = +-L, so the integrand is u1-periodic in u, and
+    real-analytic in the strip |Im u| < pi/2, where the arc stays in the
+    upper half-plane.  On such an integrand the trapezoidal rule converges
+    geometrically; it starts at the least power of two n >= max(4, 2L), so
+    that a k-th power (k <= L/1.92, period u1/k) is not aliased, and doubles
+    n, reusing every node, until two sums agree to the rounding term.  E2*
+    is summed to a q-series cut whose tail stays below 10^-dps.
 
-    The reported error is an estimate: mpmath's quadrature error estimate,
-    the working precision's rounding (amplified by the reduction into the
-    fundamental domain) and the rounding of the value to a float,
-    |value| 2^-52.  Raises ValueError when tol is not positive, and when
-    the estimate exceeds tol.
+    The reported error is an estimate: the difference of the last two
+    trapezoidal sums, the working precision's rounding (amplified by the
+    reduction into the fundamental domain) and the rounding of the value to
+    a float, |value| 2^-52.  Raises ValueError when tol is not positive, and
+    when the estimate exceeds tol.
     """
     import mpmath  # on first use: importing radsym does not load mpmath
 
@@ -209,10 +236,10 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     a, b, c, d = g.entries()
     # hyperbolic-arclength parametrization z(u) = center + R(tanh u + i sech u):
     # u = 0 is the apex and u1 = +-(translation length) reaches g z0, keeping
-    # the quadrature nodes equidistributed along the geodesic; g moves z0 toward
-    # its attracting fixed point, which lies right of the center exactly when c > 0
+    # the nodes equidistributed along the geodesic; g moves z0 toward its
+    # attracting fixed point, which lies right of the center exactly when c > 0
     tr = g.trace
-    length = 2 * math.log((tr + math.sqrt(tr * tr - 4)) / 2)
+    length = _translation_length(tr)
 
     # the arc may dip within e^{-length} of the real axis, so the integrand
     # is evaluated in mpmath with guard digits for the reduction: enough
@@ -222,28 +249,48 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     need = max(15, math.log10(length) + length / math.log(10) - math.log10(tol) + 3)
     dps = min(max(25, int(length) + 15), math.ceil(need))
     with mpmath.workdps(dps):
-        ctr = mpmath.mpf(a - d) / (2 * c)
-        rad = mpmath.sqrt(mpmath.mpf(tr * tr - 4)) / (2 * abs(c))
-        # the endpoint in working precision: a float endpoint moved values
-        # by up to 3e-14 (trace 100)
-        u1 = 2 * mpmath.acosh(mpmath.mpf(tr) / 2)
-        if c < 0:
-            u1 = -u1
-
-        def integrand(u):
-            sech = 1 / mpmath.cosh(u)
-            th = mpmath.tanh(u)
-            z = ctr + rad * (th + 1j * sech)
-            dz = rad * sech * (sech - 1j * th)
-            return _e2_star_mp(z) * dz
-
-        steps = max(4, int(2 * length) + 1)
-        knots = [u1 * k / steps for k in range(steps + 1)]
-        val, quad_err = mpmath.quad(integrand, knots, method="gauss-legendre",
-                                    error=True)
         # rounding: at u the arc is within R e^{-|u|} of the real axis, and
         # the move into the fundamental domain amplifies it about e^{|u|}
         round_err = length * mpmath.exp(length) * mpmath.eps
+        # the geometry and the nodes carry 20 guard bits, which keep their
+        # rounding below round_err: with the center, radius and endpoint at
+        # dps digits, the error of the trace -55 period of
+        # [[-2110, 149519], [-29, 2055]] reached 1.5 round_err
+        with mpmath.workprec(mpmath.mp.prec + 20):
+            ctr = mpmath.mpf(a - d) / (2 * c)
+            rad = mpmath.sqrt(mpmath.mpf(tr * tr - 4)) / (2 * abs(c))
+            # the endpoint in working precision: a float endpoint moved
+            # values by up to 3e-14 (trace 100)
+            u1 = 2 * mpmath.acosh(mpmath.mpf(tr) / 2)
+            if c < 0:
+                u1 = -u1
+
+            def integrand(u):
+                sech = 1 / mpmath.cosh(u)
+                th = mpmath.tanh(u)
+                z = ctr + rad * (th + 1j * sech)
+                dz = rad * sech * (sech - 1j * th)
+                return _e2_star_mp(z) * dz
+
+            # an odd n, or n below the power k of a k-th power, aliases the
+            # period u1/k and gives T_2n = T_n exactly
+            n = 4
+            while n < 2 * length:
+                n *= 2
+            total = mpmath.fsum(integrand(u1 * k / n) for k in range(n))
+            val = u1 * total / n
+            while True:
+                total += mpmath.fsum(integrand(u1 * k / (2 * n))
+                                     for k in range(1, 2 * n, 2))
+                n *= 2
+                prev, val = val, u1 * total / n
+                quad_err = abs(val - prev)
+                # a value known to within its float rounding, which alone
+                # exceeds tol, fails the check below at any n
+                float_err = abs(val.real) * 2.0 ** -52
+                if (quad_err <= round_err or n >= _MAX_NODES
+                        or (float_err > tol and quad_err <= float_err)):
+                    break
     value = complex(val).real
     err = float(quad_err + round_err) + abs(value) * 2.0 ** -52
     if err > tol:

@@ -27,6 +27,9 @@ from radsym.modgroup import (
 from radsym.periods import (
     Divisor,
     _e2_star_mp,
+    _raise_axis,
+    _reduce_to_fundamental,
+    _translation_length,
     divisor_period,
     divisor_periods,
     eta_log,
@@ -127,15 +130,15 @@ def test_period_numeric_raises_above_tol():
 
 @pytest.fixture
 def quad_dps(monkeypatch):
-    """Record the working precision of every mpmath.quad call."""
+    """Record the working precision that every quadrature asks mpmath for."""
     seen = []
-    quad = mpmath.quad
+    workdps = mpmath.workdps
 
-    def recording(*args, **kwargs):
-        seen.append(mpmath.mp.dps)
-        return quad(*args, **kwargs)
+    def recording(n, *args, **kwargs):
+        seen.append(n)
+        return workdps(n, *args, **kwargs)
 
-    monkeypatch.setattr(mpmath, "quad", recording)
+    monkeypatch.setattr(mpmath, "workdps", recording)
     return seen
 
 
@@ -185,6 +188,55 @@ def test_period_numeric_error_is_honest_on_long_geodesics():
         for g in elements:
             p = period_numeric(g, tol)
             assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= tol, (g, tol)
+
+
+def test_period_numeric_error_covers_the_geometry_rounding():
+    # with the axis center, radius and endpoint rounded to the working
+    # digits, this period was off by 1.5 times its reported error at 1e-9
+    g = GroupElement(-2110, 149519, -29, 2055)
+    for tol in (1e-8, 1e-9, 1e-10, 1e-11):
+        p = period_numeric(g, tol)
+        assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= tol, tol
+
+
+def test_period_numeric_on_powers():
+    # h^k makes the integrand u1/k-periodic: a trapezoidal rule of n < k
+    # nodes, or of an odd n, aliases that period and stops on T_2n = T_n
+    roots = [GroupElement(2, 1, 1, 1), GroupElement(3, 2, 4, 3),
+             GroupElement(5, 2, 2, 1), GroupElement(3, 1, -1, 0),
+             GroupElement(-2, 1, 1, -1), GroupElement(1, 2, 3, 7)]
+    for h in roots:
+        g = h
+        for _ in range(2, 6):
+            g = g * h
+            for tol in (1e-8, 1e-11):
+                p = period_numeric(g, tol)
+                assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= tol, (g, tol)
+
+
+def test_translation_length_and_axis_on_huge_entries():
+    # entries near 1e200 do not fit in a float; no quadrature is run
+    big = 10 ** 200
+    with mpmath.workdps(60):
+        for tr in (3, 100, big, -big - 7, 3 * big):
+            exact = 2 * mpmath.acosh(mpmath.mpf(abs(tr)) / 2)
+            assert abs(_translation_length(tr) - exact) <= 1e-15 * exact
+        # a long axis stays; a short one far right is raised into F
+        h = GroupElement(5, 2, 2, 1).conjugate_by(GroupElement(1, 0, 7, 1))
+        for g in (GroupElement(big, big * big - 1, 1, big),
+                  h.conjugate_by(GroupElement(1, big + 3, 0, 1))):
+            raised = _raise_axis(g)
+            a, b, c, d = raised.entries()
+            radius = mpmath.sqrt(mpmath.mpf((a + d) ** 2 - 4)) / (2 * abs(c))
+            assert radius >= 0.3
+            assert raised.trace == g.trace
+            assert psi_classical(raised) == psi_classical(g)
+        assert _raise_axis(GroupElement(big, big * big - 1, 1, big)) == \
+            GroupElement(big, big * big - 1, 1, big)
+        # a real part past 2^53 is translated until it lies in [-1/2, 1/2]
+        g, z = _reduce_to_fundamental(mpmath.mpc(10 ** 40 + mpmath.mpf(0.3), 2))
+        assert abs(z - mpmath.mpc(0.3, 2)) < 1e-15
+        assert g == GroupElement(1, -10 ** 40, 0, 1)
 
 
 def test_import_leaves_mpmath_unloaded():
