@@ -9,6 +9,7 @@ Everything is projective: g and -g are the same motion.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -262,13 +263,8 @@ class GroupId:
             for p in _prime_divisors(n):
                 mu = mu * (p + 1) // p
             return Fraction(mu)
-        if self.family is Family.GAMMA_N:
-            mu = n ** 3
-            for p in _prime_divisors(n):
-                mu = mu * (p * p - 1) // (p * p)
-            return Fraction(mu, 1) if n == 2 else Fraction(mu, 2)
-        if self.family is Family.GAMMA1_N:
-            mu = n * n
+        if self.family in (Family.GAMMA_N, Family.GAMMA1_N):
+            mu = n ** (3 if self.family is Family.GAMMA_N else 2)
             for p in _prime_divisors(n):
                 mu = mu * (p * p - 1) // (p * p)
             return Fraction(mu, 1) if n == 2 else Fraction(mu, 2)
@@ -420,13 +416,9 @@ class CosetTable:
     """Right cosets G\\SL2(Z) with the permutation action of S and T.
 
     Built by breadth-first search from the identity coset; representatives
-    and the induced actions are deterministic.
-
-    The T-orbits are the cusp classes: the coset G g lies on the orbit of
-    the class of g(inf), and the orbit's length is that cusp's width.
-    ``cusps`` lists one (cusp, width) per orbit, sorted by (q, p), with the
-    cusp g(inf) of the orbit's first coset; ``orbit[i]`` is the index of the
-    orbit of coset i in that list.
+    and the induced actions are deterministic.  The table serves the
+    Schreier generators and the cosets G \\ SL2(Z); cusp classes and widths
+    are read off mod N without it.
     """
 
     def __init__(self, G: GroupId):
@@ -451,25 +443,6 @@ class CosetTable:
         self._index = {_coset_invariant(G, r): i for i, r in enumerate(self.reps)}
         self.act_T = [self.coset_of(r * T) for r in self.reps]
         self.act_S = [self.coset_of(r * S) for r in self.reps]
-        orbits = []
-        seen = set()
-        for i in range(len(self.reps)):
-            if i in seen:
-                continue
-            orbit = [i]
-            j = self.act_T[i]
-            while j != i:
-                orbit.append(j)
-                j = self.act_T[j]
-            seen.update(orbit)
-            orbits.append(orbit)
-        firsts = [self.reps[o[0]].apply_cusp(Cusp.infinity()) for o in orbits]
-        ranked = sorted(range(len(orbits)), key=lambda k: (firsts[k].q, firsts[k].p))
-        self.cusps = tuple((firsts[k], Fraction(len(orbits[k]))) for k in ranked)
-        self.orbit = [0] * len(self.reps)
-        for cls, k in enumerate(ranked):
-            for i in orbits[k]:
-                self.orbit[i] = cls
 
     def _shrink(self, g: GroupElement) -> GroupElement:
         """Left-multiply by elements of G to keep representative entries small."""
@@ -504,18 +477,12 @@ class CosetTable:
                 break
         return best.canonical()
 
-    def __len__(self):
-        return len(self.reps)
-
     def coset_of(self, g: GroupElement) -> int:
         key = _coset_invariant(self.group, g)
         try:
             return self._index[key]
         except KeyError:
             raise ValueError(f"{g} does not lie in a known coset") from None
-
-    def act(self, i: int, letter: str) -> int:
-        return (self.act_T if letter == "T" else self.act_S)[i]
 
 
 def _size(g: GroupElement) -> int:
@@ -560,52 +527,86 @@ def atkin_lehner_exponents(N: int):
 # cusp classes and widths
 
 
-def _single_cusp(G: GroupId) -> bool:
-    # Gamma0(N)+ is defined for squarefree N only, where the Atkin-Lehner
-    # involutions act transitively on the cusps of Gamma0(N)
-    return G.family in (Family.SL2Z, Family.GAMMA0N_PLUS) or G.level == 1
+def _cusp_key(G: GroupId, c: Cusp):
+    """A value that two cusps share exactly when G takes one to the other.
+
+    With d = gcd(q, N), p/q has the key (d, p (q/d) mod gcd(d, N/d)) on
+    Gamma0(N), the lesser of (+-q mod N, +-p mod d) on Gamma1(N), and
+    +-(p, q) mod N on Gamma(N), which is normal in SL2(Z).  Gamma0(N)+ is
+    defined for squarefree N only, where the Atkin-Lehner involutions act
+    transitively on the cusps of Gamma0(N): it has one class.
+    """
+    n, p, q = G.level, c.p, c.q
+    if G.family is Family.GAMMA0N_PLUS:
+        return 0
+    if G.family is Family.GAMMA_N:
+        return min((p % n, q % n), (-p % n, -q % n))
+    d = gcd(q, n)
+    if G.family is Family.GAMMA1_N:
+        return min((q % n, p % d), (-q % n, -p % d))
+    return d, p * (q // d) % gcd(d, n // d)
 
 
+@functools.lru_cache(maxsize=None)
 def cusps(G: GroupId) -> tuple:
-    """One (Cusp, width) per cusp class, sorted by (q, p)."""
-    if _single_cusp(G):
+    """One (Cusp, width) per cusp class: the (q, p)-least member p/q of each,
+    0 <= p < t q with T^t the least translation in G, in (q, p) order, until
+    the widths add up to the index.  On Gamma0(N) every class with
+    gcd(q, N) = d < N has a member p/d, so only q = 0 and those d are read."""
+    if G.family is Family.GAMMA0N_PLUS:
         return ((Cusp.infinity(), Fraction(1)),)
-    return coset_table(G).cusps
+    n = G.level
+    if G.family is Family.GAMMA0_N:
+        qs = [0] + [d for d in range(1, n) if n % d == 0]
+    else:
+        qs = itertools.count()
+    step = n if G.family is Family.GAMMA_N else 1
+    out, seen, total = [], set(), 0
+    for q in qs:
+        # a p/q not in lowest terms is a member read at a smaller q
+        for p in range(step * q) if q else (1,):
+            c = Cusp(p, q)
+            key = _cusp_key(G, c)
+            if key not in seen:
+                seen.add(key)
+                out.append((c, cusp_width(G, c)))
+                total += out[-1][1]
+        if total == G.psl2z_index():
+            return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_indices(G: GroupId) -> dict:
+    return {_cusp_key(G, c): i for i, (c, _w) in enumerate(cusps(G))}
 
 
 def cusp_class_index(G: GroupId, c: Cusp) -> int:
     """Index of the equivalence class of c in cusps(G)."""
-    if _single_cusp(G):
-        return 0
-    tab = coset_table(G)
-    return tab.orbit[tab.coset_of(c.base_matrix())]
+    return _class_indices(G)[_cusp_key(G, c)]
 
 
 def cusp_width(G: GroupId, c: Cusp) -> Fraction:
     """Width of the cusp c for G: least w >= 1 with base T^w base^{-1} in G.
 
-    Gamma(N) is normal in SL2(Z), so every cusp has width N; otherwise it
-    is the length of the T-orbit of the coset of base.  Gamma0(N)+ has the
-    widths of Gamma0(N), since base T^w base^{-1} has determinant 1.
+    With d = gcd(q, N) it is N/gcd(d^2, N) on Gamma0(N), N on Gamma(N) and
+    N/d on Gamma1(N), but 1 at the irregular cusp 1/2 of Gamma1(4), fixed
+    by -base T base^{-1}.  Gamma0(N)+ has the widths of Gamma0(N) because
+    GroupId admits it only for squarefree N: there the Atkin-Lehner
+    involutions move every cusp, so each stabilizer lies in Gamma0(N); at
+    other N they can narrow a cusp (1/2 has width 1/2 on Gamma0(4)+).
     """
+    n = G.level
     if G.family is Family.GAMMA_N:
-        return Fraction(G.level)
-    if G.family is Family.GAMMA0N_PLUS:
-        G = GroupId.gamma0(G.level)
-    return cusps(G)[cusp_class_index(G, c)][1]
+        return Fraction(n)
+    d = gcd(c.q, n)
+    if G.family is Family.GAMMA1_N:
+        return Fraction(1 if n == 4 and d == 2 else n // d)
+    return Fraction(n // gcd(d * d, n))
 
 
 def cusp_equivalent(G: GroupId, c1: Cusp, c2: Cusp) -> bool:
-    """Whether some element of G takes c1 to c2.
-
-    Gamma(N) is normal in SL2(Z), so p1/q1 and p2/q2 are equivalent exactly
-    when (p2, q2) = +-(p1, q1) mod N; otherwise the classes are compared.
-    """
-    if G.family is Family.GAMMA_N:
-        n = G.level
-        return any((c2.p - s * c1.p) % n == 0 and (c2.q - s * c1.q) % n == 0
-                   for s in (1, -1))
-    return cusp_class_index(G, c1) == cusp_class_index(G, c2)
+    """Whether some element of G takes c1 to c2."""
+    return _cusp_key(G, c1) == _cusp_key(G, c2)
 
 
 def cusp_stabilizer_generator(G: GroupId, c: Cusp) -> GroupElement:
@@ -703,8 +704,8 @@ def schreier_generators(G: GroupId):
     gens = []
     seen = set()
     for i, rep in enumerate(tab.reps):
-        for letter, gen in (("T", T), ("S", S)):
-            j = tab.act(i, letter)
+        for act, gen in ((tab.act_T, T), (tab.act_S, S)):
+            j = act[i]
             g = rep * gen * tab.reps[j].inverse()
             key = g.canonical()
             if key.is_identity() or key in seen or key.inverse().canonical() in seen:

@@ -1,7 +1,7 @@
 """Period integrals and torsion certificates for cuspidal divisors.
 
-Three independent numeric/exact routes tie the symbol engines to classical
-modular function theory:
+Two independent routes and one consistency check tie the symbol engines to
+classical modular function theory:
 
 * ``eta_log`` / ``phi_from_eta``: the Dedekind eta function's multiplier
   system reproduces the classical Dedekind symbol Phi.
@@ -12,10 +12,10 @@ modular function theory:
   a strip, and a nested trapezoidal sum converges geometrically; it starts
   at the least power of two n >= max(4, 2L) (L the translation length), so
   that the shorter period of a k-th power is not aliased.
-* ``x0_period_exact``: on X0(N), N a prime or a prime square, the divisor
-  (0) - (inf) has a canonical differential whose periods reduce to pure
-  classical Dedekind sums, giving a fully exact oracle for the
-  generalized-symbol pipeline.
+* ``x0_period_exact``: on X0(N), N a prime or a prime square, the periods
+  of (0) - (inf) as a difference of two classical Rademacher symbols: a
+  consistency check, not an oracle, since ``psi_gamma0_divisor`` shares
+  both terms (its e = 1 and e = N).
 
 Torsion certificates for degree-zero cuspidal divisors are assembled from
 Rademacher-symbol period values over a Schreier generating set: the class

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -50,6 +49,7 @@ from .modgroup import (
     GroupId,
     Motion,
     T,
+    _cusp_key,
     _prime_divisors,
     classify,
     cosets,
@@ -473,14 +473,13 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     gk = g ** k               # positive trace, +-unipotent mod N
     j = gk.a * gk.b % n       # gk = +-h T^j with h in Gamma(N)
     if j == 0:
-        above, mult = {}, Counter()
-        for tau in cosets(GroupId.gamma(n), G):
+        above = {}                # class key: [first cusp, coset count]
+        gamma_n = GroupId.gamma(n)
+        for tau in cosets(gamma_n, G):
             c = tau.inverse().apply_cusp(cusp)
-            key = min((c.p % n, c.q % n), (-c.p % n, -c.q % n))
-            above.setdefault(key, c)
-            mult[key] += 1
-        total = sum(mult[key] * psi_gamma(n, c, gk).as_fraction()
-                    for key, c in above.items())
+            above.setdefault(_cusp_key(gamma_n, c), [c, 0])[1] += 1
+        total = sum(m * psi_gamma(n, c, gk).as_fraction()
+                    for c, m in above.values())
         return SymbolValue.exact(total / k)
     tj = T ** j
     h = gk * T ** (-j)

@@ -8,6 +8,7 @@ import pytest
 
 from radsym.dedekind import pi_over_volume, sign
 from radsym.modgroup import (
+    CosetTable,
     Cusp,
     Family,
     GroupElement,
@@ -133,7 +134,7 @@ def dedekind_sum_direct(a: int, c: int) -> Fraction:
 def cusp_equivalent_search(G: GroupId, c1: Cusp, c2: Cusp) -> GroupElement | None:
     """A witness tau in G with tau*c1 = c2, or None, by trying
     base2 T^k base1^{-1} for k = 0..N-1 with a membership test each: the
-    oracle for the T-orbit lookup in modgroup.cusp_equivalent."""
+    oracle for the class keys in modgroup.cusp_equivalent."""
     g1 = c1.base_matrix()
     g2 = c2.base_matrix()
     n = G.level
@@ -157,7 +158,7 @@ def cusp_equivalent_search(G: GroupId, c1: Cusp, c2: Cusp) -> GroupElement | Non
 
 def cusp_width_search(G: GroupId, c: Cusp) -> Fraction:
     """Least w >= 1 with base T^w base^{-1} in G, by search: the oracle for
-    the T-orbit lengths in modgroup.cusp_width."""
+    the closed-form widths in modgroup.cusp_width."""
     base = c.base_matrix()
     binv = base.inverse()
     btw = base                                  # base T^w
@@ -167,6 +168,28 @@ def cusp_width_search(G: GroupId, c: Cusp) -> Fraction:
         if member(btw * binv, G):
             return Fraction(w)
     raise ValueError(f"no width <= {bound} found for {c} in {G}")
+
+
+def cusp_t_orbits(G: GroupId):
+    """The cusp classes of G as the T-orbits of its SL2(Z) coset table: the
+    coset G g lies on the orbit of the class of g(inf), and the orbit's
+    length is that cusp's width.  Returns (the table, the orbit of each
+    coset, the length of each orbit).  The retired table route of
+    modgroup.cusps: the oracle for the class keys and widths read off
+    mod N.  The table is built afresh, not cached."""
+    tab = CosetTable(G)
+    orbit = [None] * len(tab.reps)
+    lengths = []
+    for i in range(len(tab.reps)):
+        if orbit[i] is not None:
+            continue
+        j, length = i, 0
+        while orbit[j] is None:
+            orbit[j] = len(lengths)
+            j = tab.act_T[j]
+            length += 1
+        lengths.append(Fraction(length))
+    return tab, orbit, lengths
 
 
 def level_sawtooth_direct(n: int, a: int, c: int) -> Fraction:

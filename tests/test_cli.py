@@ -187,6 +187,21 @@ def test_cusps(capsys):
     assert len(payload["cusps"]) == 2
 
 
+def test_cusps_show_the_least_member_of_each_class(capsys):
+    # each class of Gamma0(30) is shown by its (q, p)-least member, 1/d
+    assert run(["cusps", "--group", "gamma0", "--level", "30", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [row["cusp"] for row in payload["cusps"]] == [
+        "inf", "0", "1/2", "1/3", "1/5", "1/6", "1/10", "1/15"]
+    assert [row["width"] for row in payload["cusps"]] == [
+        "1", "30", "15", "10", "6", "5", "3", "2"]
+    assert run(["torsion", "--group", "gamma0", "--level", "30",
+                "--divisor", "1/10:1,inf:-1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["divisor"] == "-1(inf) +1(1/10)"
+    assert payload["order"] == 6
+
+
 def test_cosets(capsys):
     assert run(["cosets", "--group", "gamma", "--level", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -28,10 +28,12 @@ from radsym.modgroup import (
     parse_matrix,
     schreier_generators,
 )
+from radsym.periods import Divisor
 from radsym.symbols import psi_general
 
 from conftest import (
     cusp_equivalent_search,
+    cusp_t_orbits,
     cusp_width_search,
     random_in_group,
     random_sl2z,
@@ -202,6 +204,59 @@ def test_cusp_structure_matches_search(G):
             assert cusp_equivalent(G, r, c) == (i == j)
 
 
+ORBIT_ORACLE_GROUPS = ([GroupId.gamma0(n) for n in range(1, 101)]
+                       + [GroupId.gamma1(n) for n in range(1, 101)]
+                       + [GroupId.gamma(n) for n in range(1, 25)])
+
+
+@pytest.mark.parametrize("G", ORBIT_ORACLE_GROUPS, ids=str)
+def test_cusp_classes_match_t_orbits(G):
+    # the keys split the cusps r(inf), r over the coset representatives, as
+    # the T-orbits do, and each width is the length of the cusp's orbit
+    tab, orbit, lengths = cusp_t_orbits(G)
+    reps = cusps(G)
+    assert len(reps) == len(lengths)
+    class_of_orbit = {}
+    pairs = {(r.apply_cusp(Cusp.infinity()), o) for r, o in zip(tab.reps, orbit)}
+    for c, o in pairs:
+        i = cusp_class_index(G, c)
+        assert class_of_orbit.setdefault(o, i) == i
+        assert cusp_width(G, c) == lengths[o]
+    assert sorted(class_of_orbit.values()) == list(range(len(reps)))
+    for i, (c, w) in enumerate(reps):
+        o = orbit[tab.coset_of(c.base_matrix())]
+        assert class_of_orbit[o] == i and w == lengths[o]
+
+
+def test_cusp_questions_build_no_coset_table(monkeypatch):
+    def refuse(self, G):
+        raise AssertionError(f"coset table built for {G}")
+
+    monkeypatch.setattr(modgroup.CosetTable, "__init__", refuse)
+    monkeypatch.setattr(modgroup, "_table_cache", {})
+    modgroup.cusps.cache_clear()
+    modgroup._class_indices.cache_clear()
+    G = GroupId.gamma(36)
+    assert len(cusps(G)) == 432
+    assert all(w == 36 for _c, w in cusps(G))
+    assert cusp_class_index(G, Cusp(37, 72)) == cusp_class_index(G, Cusp(1, 0))
+    G = GroupId.gamma0(420)
+    assert cusp_width(G, Cusp(1, 2)) == 105
+    assert cusp_width(G, Cusp(1, 6)) == 35
+    assert cusp_equivalent(G, Cusp(1, 3), Cusp(1, 9)) is True
+    assert cusp_equivalent(G, Cusp(1, 2), Cusp(1, 4)) is False
+    assert psi_general(G, Cusp.infinity(), T ** 3).as_fraction() == 3
+    G = GroupId.gamma1(4)
+    assert cusp_width(G, Cusp(1, 2)) == 1
+    assert cusp_equivalent(G, Cusp(1, 2), Cusp(-1, 2)) is True
+    assert cusp_equivalent(G, Cusp(1, 2), Cusp(0, 1)) is False
+    G = GroupId.gamma0(30)
+    D = Divisor.from_dict(G, {"1/10": 1, "-3/20": 1, "inf": -2})
+    assert str(D) == "-2(inf) +2(1/10)"
+    with pytest.raises(AssertionError, match="coset table"):
+        coset_table(GroupId.gamma0(11))
+
+
 def test_cusp_stabilizer_generator():
     G = GroupId.gamma0(11)
     assert cusp_stabilizer_generator(G, Cusp.infinity()) == T
@@ -316,7 +371,7 @@ def schreier_rewrite(G: GroupId, g: GroupElement):
         use = gen if n > 0 else gen.inverse()
         for _ in step:
             if n > 0:
-                j = tab.act(state, sym)
+                j = (tab.act_T if sym == "T" else tab.act_S)[state]
                 factors.append(tab.reps[state] * use * tab.reps[j].inverse())
             else:
                 # find predecessor state under the generator
