@@ -11,7 +11,10 @@ classical modular function theory:
   period of the closed geodesic the integrand is periodic and analytic in
   a strip, and a nested trapezoidal sum converges geometrically; it starts
   at the least power of two n >= max(4, 2L) (L the translation length), so
-  that the shorter period of a k-th power is not aliased.
+  that the shorter period of a k-th power is not aliased.  The integrand
+  is written once against an mpmath context: hardware floats
+  (``mpmath.fp``) where tol asks for the 15-digit floor on a geodesic
+  shorter than 12, ``mpmath.mp`` with guard bits otherwise.
 * ``x0_period_exact``: on X0(N), N a prime or a prime square, the periods
   of (0) - (inf) as a difference of two classical Rademacher symbols: a
   consistency check, not an oracle, since ``psi_gamma0_divisor`` shares
@@ -136,28 +139,32 @@ def _reduce_to_fundamental(z):
     return g, z
 
 
-def _e2_star_mp(z):
+def _e2_star_mp(z, ctx=None):
     """The completed weight-2 Eisenstein series E2*(z) = E2(z) - 3/(pi Im z)
-    at mpmath working precision.  E2* transforms with weight 2 under
-    SL2(Z), so the point is moved to the fundamental domain (where a handful
-    of q-series terms suffice) and the value is transported back."""
+    in the mpmath context ctx: ``mpmath.fp`` evaluates it in hardware
+    floats, ``mpmath.mp`` (the default) at its working precision.  E2*
+    transforms with weight 2 under SL2(Z), so the point is moved to the
+    fundamental domain (where a handful of q-series terms suffice) and the
+    value is transported back."""
     import mpmath  # on first use: importing radsym does not load mpmath
 
+    if ctx is None:
+        ctx = mpmath.mp
     g, zr = _reduce_to_fundamental(z)
-    q = mpmath.expjpi(2 * zr)
+    q = ctx.expjpi(2 * zr)
     # |q|^terms <= 10^-(dps+4); with |q| <= e^{-pi sqrt 3} and sigma1(n) <= n^2
     # the dropped tail 24 sum_{n > terms} sigma1(n) |q|^n stays below 10^-dps.
     # Along the arc |dz| / |j|^2 = Im(zr) du, so the tail adds at most about
     # L 10^-dps to a period of translation length L, far below the rounding
     # term L e^L eps that period_numeric reports
-    terms = int((mpmath.mp.dps + 4) * math.log(10) / (2 * math.pi * float(zr.imag))) + 1
+    terms = int((ctx.dps + 4) * math.log(10) / (2 * math.pi * float(zr.imag))) + 1
     sig = _sigma1_ints(terms)
-    acc = mpmath.mpc(0)
-    qn = mpmath.mpc(1)
+    acc = ctx.mpc(0)
+    qn = ctx.mpc(1)
     for n in range(1, terms + 1):
         qn *= q
         acc += sig[n] * qn
-    star = 1 - 24 * acc - 3 / (mpmath.pi * zr.imag)
+    star = 1 - 24 * acc - 3 / (ctx.pi * zr.imag)
     j = g.c * z + g.d
     return star / (j * j)
 
@@ -174,26 +181,88 @@ def _translation_length(tr: int) -> float:
 
 
 def _raise_axis(g: GroupElement):
-    """Conjugate a hyperbolic g so the apex of its axis is high in the
-    upper half-plane; returns the conjugated element (same Psi)."""
+    """Conjugate a hyperbolic g so that its axis is well placed for the
+    quadrature; returns the conjugated element (same Psi).
+
+    A short axis (radius below 0.3) is moved so that its apex lies high in
+    the upper half-plane.  Every axis is then translated by an exact integer
+    T^k so that its center (a - d)/(2c) lies within 1/2 of 0: the nodes of
+    a far-off axis carry its center's integer digits, which hardware floats
+    would spend on the move into the fundamental domain."""
     a, b, c, d = g.entries()
     if c == 0:
         raise ValueError("axis undefined for c = 0 (cusp at infinity)")
     disc = (a + d) ** 2 - 4
-    # the radius sqrt(disc) / (2|c|) is at least 0.3, compared in integers
-    if 25 * disc >= 9 * c * c:
-        return g
-    # the apex center + i radius, center = k + r/(2c) with 0 <= r/(2c) < 1;
-    # the radius to 64 bits by isqrt, so no entry is converted to a float
-    k, r = divmod(a - d, 2 * c)
-    s = max(0, 64 - disc.bit_length() // 2)
-    radius = math.isqrt(disc << 2 * s) / (abs(c) << (s + 1))
-    h, _ = _reduce_to_fundamental(complex(r / (2 * c), radius))
-    return g.conjugate_by(h * GroupElement(1, -k, 0, 1))
+    # the radius sqrt(disc) / (2|c|) is below 0.3, compared in integers
+    if 25 * disc < 9 * c * c:
+        # the apex center + i radius, center = k + r/(2c) with 0 <= r/(2c) < 1;
+        # the radius to 64 bits by isqrt, so no entry is converted to a float
+        k, r = divmod(a - d, 2 * c)
+        s = max(0, 64 - disc.bit_length() // 2)
+        radius = math.isqrt(disc << 2 * s) / (abs(c) << (s + 1))
+        h, _ = _reduce_to_fundamental(complex(r / (2 * c), radius))
+        g = g.conjugate_by(h * GroupElement(1, -k, 0, 1))
+        a, b, c, d = g.entries()
+    # k = floor((a - d)/(2c) + 1/2), and T^-k moves the center by -k
+    k = (a - d + c) // (2 * c)
+    return g.conjugate_by(GroupElement(1, -k, 0, 1))
 
 
 # past this many trapezoidal nodes the error estimate stands as it is
 _MAX_NODES = 1 << 16
+
+# hardware floats carry no guard bits, and the rounding term L e^L 2^-52
+# covers their error only on short geodesics: forced onto floats, the worst
+# true/estimate ratio over 400 seeded elements was 0.15 for L < 12, 0.55
+# for 12 <= L < 16 and 14.8 at L = 19.6 (trace -18469)
+_FLOAT_MAX_LENGTH = 12
+
+
+def _geodesic_trapezoid(ctx, g: GroupElement, length: float, round_err, tol: float):
+    """The nested trapezoidal sums of E2*(z) dz over one period of the axis
+    of g, in the mpmath context ctx; returns the last sum and its distance
+    from the one before.  Doubles the nodes until the two agree to
+    round_err (see ``period_numeric``)."""
+    a, b, c, d = g.entries()
+    tr = g.trace
+    # hyperbolic-arclength parametrization z(u) = center + R(tanh u + i sech u):
+    # u = 0 is the apex and u1 = +-(translation length) reaches g z0, keeping
+    # the nodes equidistributed along the geodesic; g moves z0 toward its
+    # attracting fixed point, which lies right of the center exactly when c > 0
+    root = ctx.sqrt(ctx.mpf(tr * tr - 4))
+    ctr = ctx.mpf(a - d) / (2 * c)
+    rad = root / (2 * abs(c))
+    # the endpoint 2 arccosh(tr/2) at the context's precision, not the float
+    # length: a float endpoint moved values by up to 3e-14 (trace 100)
+    u1 = 2 * ctx.ln((tr + root) / 2)
+    if c < 0:
+        u1 = -u1
+
+    def integrand(u):
+        sech = 1 / ctx.cosh(u)
+        th = ctx.tanh(u)
+        z = ctr + rad * (th + 1j * sech)
+        dz = rad * sech * (sech - 1j * th)
+        return _e2_star_mp(z, ctx) * dz
+
+    # an odd n, or n below the power k of a k-th power, aliases the
+    # period u1/k and gives T_2n = T_n exactly
+    n = 4
+    while n < 2 * length:
+        n *= 2
+    total = ctx.fsum(integrand(u1 * k / n) for k in range(n))
+    val = u1 * total / n
+    while True:
+        total += ctx.fsum(integrand(u1 * k / (2 * n)) for k in range(1, 2 * n, 2))
+        n *= 2
+        prev, val = val, u1 * total / n
+        quad_err = abs(val - prev)
+        # a value known to within its float rounding, which alone
+        # exceeds tol, fails the check in period_numeric at any n
+        float_err = abs(val.real) * 2.0 ** -52
+        if (quad_err <= round_err or n >= _MAX_NODES
+                or (float_err > tol and quad_err <= float_err)):
+            return val, quad_err
 
 
 def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
@@ -202,25 +271,33 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     semicircle to g z0.
 
     Equals the Rademacher symbol Psi(g); the path is the geodesic arc
-    parametrized by hyperbolic arclength u.  The axis is conjugated into the
-    fundamental domain first so the quadrature stays numerically healthy.
+    parametrized by hyperbolic arclength u.  The axis is conjugated first
+    (``_raise_axis``): raised when short, and centered within 1/2 of 0 by an
+    exact translation, so the quadrature stays numerically healthy.
 
     The working precision follows tol: enough digits that the rounding
     term L e^L eps (L the translation length) is at most tol/1000, at least
-    15, and at most max(25, L + 15).  E2*(z) dz is SL2(Z)-invariant and g
-    moves the arc by u1 = +-L, so the integrand is u1-periodic in u, and
-    real-analytic in the strip |Im u| < pi/2, where the arc stays in the
-    upper half-plane.  On such an integrand the trapezoidal rule converges
-    geometrically; it starts at the least power of two n >= max(4, 2L), so
-    that a k-th power (k <= L/1.92, period u1/k) is not aliased, and doubles
-    n, reusing every node, until two sums agree to the rounding term.  E2*
-    is summed to a q-series cut whose tail stays below 10^-dps.
+    15, and at most max(25, L + 15).  At the 15-digit floor and L < 12 the
+    integrand is evaluated in hardware floats (``mpmath.fp``, eps = 2^-52
+    as at 15 digits, and no guard bits, which the centered axis of a short
+    geodesic does without); otherwise in ``mpmath.mp`` at that many digits
+    plus 20 guard bits.  (At tol <= 2e-6 the floor implies L < 12.)
+    E2*(z) dz is SL2(Z)-invariant and g moves the arc by u1 = +-L, so the
+    integrand is u1-periodic in u, and real-analytic in the strip
+    |Im u| < pi/2, where the arc stays in the upper half-plane.  On such an
+    integrand the trapezoidal rule converges geometrically; it starts at
+    the least power of two n >= max(4, 2L), so that a k-th power
+    (k <= L/1.92, period u1/k) is not aliased, and doubles n, reusing every
+    node, until two sums agree to the rounding term.  E2* is summed to a
+    q-series cut whose tail stays below 10^-dps.
 
     The reported error is an estimate: the difference of the last two
     trapezoidal sums, the working precision's rounding (amplified by the
     reduction into the fundamental domain) and the rounding of the value to
     a float, |value| 2^-52.  Raises ValueError when tol is not positive, and
-    when the estimate exceeds tol.
+    when the estimate exceeds tol.  Since |12 s(d, c)| < |c|, the bound
+    |Psi(g)| >= |t|/|c| - |c| - 3 (t the trace) refuses, before any
+    quadrature, a g whose float rounding alone would exceed tol.
     """
     import mpmath  # on first use: importing radsym does not load mpmath
 
@@ -233,64 +310,36 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     if g.trace < 0:
         g = -g
     g = _raise_axis(g)
-    a, b, c, d = g.entries()
-    # hyperbolic-arclength parametrization z(u) = center + R(tanh u + i sech u):
-    # u = 0 is the apex and u1 = +-(translation length) reaches g z0, keeping
-    # the nodes equidistributed along the geodesic; g moves z0 toward its
-    # attracting fixed point, which lies right of the center exactly when c > 0
-    tr = g.trace
+    tr, c = g.trace, g.c
+    # |12 s(d, c)| < |c| gives |Psi| >= least, so returning Psi as a float
+    # alone costs at least least * 2^-52
+    least = tr // abs(c) - abs(c) - 3
+    if least > tol * 2.0 ** 52:
+        err = least / 2 ** 52 if least.bit_length() < 1076 else math.inf
+        raise ValueError(f"period error estimate {err:.3g} exceeds tol = {tol:.3g}")
     length = _translation_length(tr)
 
-    # the arc may dip within e^{-length} of the real axis, so the integrand
-    # is evaluated in mpmath with guard digits for the reduction: enough
-    # that the rounding term round_err = L e^L eps below is at most tol/1000
+    # the arc may dip within e^{-length} of the real axis, and the move into
+    # the fundamental domain amplifies the rounding about e^{|u|}: enough
+    # digits that the rounding term round_err = L e^L eps is at most tol/1000
     # (at least 15 digits for the float result), and never more than
     # max(25, L + 15) digits, past which a tighter tol raises instead
     need = max(15, math.log10(length) + length / math.log(10) - math.log10(tol) + 3)
     dps = min(max(25, int(length) + 15), math.ceil(need))
-    with mpmath.workdps(dps):
-        # rounding: at u the arc is within R e^{-|u|} of the real axis, and
-        # the move into the fundamental domain amplifies it about e^{|u|}
-        round_err = length * mpmath.exp(length) * mpmath.eps
-        # the geometry and the nodes carry 20 guard bits, which keep their
-        # rounding below round_err: with the center, radius and endpoint at
-        # dps digits, the error of the trace -55 period of
-        # [[-2110, 149519], [-29, 2055]] reached 1.5 round_err
-        with mpmath.workprec(mpmath.mp.prec + 20):
-            ctr = mpmath.mpf(a - d) / (2 * c)
-            rad = mpmath.sqrt(mpmath.mpf(tr * tr - 4)) / (2 * abs(c))
-            # the endpoint in working precision: a float endpoint moved
-            # values by up to 3e-14 (trace 100)
-            u1 = 2 * mpmath.acosh(mpmath.mpf(tr) / 2)
-            if c < 0:
-                u1 = -u1
-
-            def integrand(u):
-                sech = 1 / mpmath.cosh(u)
-                th = mpmath.tanh(u)
-                z = ctr + rad * (th + 1j * sech)
-                dz = rad * sech * (sech - 1j * th)
-                return _e2_star_mp(z) * dz
-
-            # an odd n, or n below the power k of a k-th power, aliases the
-            # period u1/k and gives T_2n = T_n exactly
-            n = 4
-            while n < 2 * length:
-                n *= 2
-            total = mpmath.fsum(integrand(u1 * k / n) for k in range(n))
-            val = u1 * total / n
-            while True:
-                total += mpmath.fsum(integrand(u1 * k / (2 * n))
-                                     for k in range(1, 2 * n, 2))
-                n *= 2
-                prev, val = val, u1 * total / n
-                quad_err = abs(val - prev)
-                # a value known to within its float rounding, which alone
-                # exceeds tol, fails the check below at any n
-                float_err = abs(val.real) * 2.0 ** -52
-                if (quad_err <= round_err or n >= _MAX_NODES
-                        or (float_err > tol and quad_err <= float_err)):
-                    break
+    if dps == 15 and length < _FLOAT_MAX_LENGTH:
+        ctx = mpmath.fp
+        round_err = length * ctx.exp(length) * ctx.eps
+        val, quad_err = _geodesic_trapezoid(ctx, g, length, round_err, tol)
+    else:
+        with mpmath.workdps(dps):
+            round_err = length * mpmath.exp(length) * mpmath.eps
+            # the geometry and the nodes carry 20 guard bits, which keep their
+            # rounding below round_err: with the center, radius and endpoint at
+            # dps digits, the error of the trace -55 period of
+            # [[-2110, 149519], [-29, 2055]] reached 1.5 round_err
+            with mpmath.workprec(mpmath.mp.prec + 20):
+                val, quad_err = _geodesic_trapezoid(mpmath.mp, g, length,
+                                                    round_err, tol)
     value = complex(val).real
     err = float(quad_err + round_err) + abs(value) * 2.0 ** -52
     if err > tol:

@@ -142,6 +142,23 @@ def quad_dps(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def quad_contexts(monkeypatch):
+    """Record the mpmath context of every integrand evaluation: "fp" for
+    hardware floats, "mp" for the multiprecision context."""
+    import radsym.periods as periods
+
+    seen = []
+    e2_star = periods._e2_star_mp
+
+    def recording(z, ctx=None):
+        seen.append("fp" if ctx is mpmath.fp else "mp")
+        return e2_star(z, ctx)
+
+    monkeypatch.setattr(periods, "_e2_star_mp", recording)
+    return seen
+
+
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
 def test_period_numeric_rejects_bad_tol(quad_dps, tol):
     # a NaN tol would switch the error check off (err > nan is False)
@@ -150,14 +167,39 @@ def test_period_numeric_rejects_bad_tol(quad_dps, tol):
     assert quad_dps == []
 
 
-def test_period_numeric_precision_follows_tol(quad_dps):
+def test_period_numeric_precision_follows_tol(quad_dps, quad_contexts):
     g = GroupElement(6, 563, 1, 94)
+    # the 15-digit floor is evaluated in hardware floats, at no mpmath digits
     assert abs(period_numeric(g, math.inf).approx - 97) < 1e-9
+    assert quad_dps == [] and set(quad_contexts) == {"fp"}
+    quad_contexts.clear()
     assert abs(period_numeric(g, 1e-8).approx - 97) < 1e-9
+    assert quad_dps == [16] and set(quad_contexts) == {"mp"}
+    quad_contexts.clear()
     # the ceiling max(25, L + 15) serves a tol no precision can reach
     with pytest.raises(ValueError, match="error estimate"):
         period_numeric(GroupElement(2, 1, 1, 1), 1e-30)
-    assert quad_dps == [15, 16, 25]
+    assert quad_dps == [16, 25] and set(quad_contexts) == {"mp"}
+
+
+def test_period_numeric_refuses_hopeless_values_before_quadrature(quad_contexts):
+    # Psi = 2a - 3, whose float rounding |Psi| 2^-52 is about 4.4e154: the
+    # bound |Psi| >= |t|/|c| - |c| - 3 refuses it without evaluating the
+    # integrand
+    a = 10 ** 170
+    with pytest.raises(ValueError, match="error estimate .* exceeds tol"):
+        period_numeric(GroupElement(a, a * a - 1, 1, a), 1e-8)
+    assert quad_contexts == []
+    # past the float range the estimate reads inf
+    a = 10 ** 400
+    with pytest.raises(ValueError, match="error estimate inf exceeds tol"):
+        period_numeric(GroupElement(a, a * a - 1, 1, a), 1e-8)
+    assert quad_contexts == []
+    # tol = inf refuses nothing; a geodesic this long (L = 783) keeps the
+    # 15-digit floor in mpmath.mp
+    a = 10 ** 170
+    p = period_numeric(GroupElement(a, a * a - 1, 1, a), math.inf)
+    assert p.error == math.inf and set(quad_contexts) == {"mp"}
 
 
 def _element_with(rng, c_sign: int, t_sign: int, tmax: int = 20000,
@@ -188,6 +230,31 @@ def test_period_numeric_error_is_honest_on_long_geodesics():
         for g in elements:
             p = period_numeric(g, tol)
             assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= tol, (g, tol)
+
+
+def test_period_numeric_float_route_is_honest(quad_contexts):
+    # hardware floats carry no guard bits: an axis centered far from 0 (the
+    # fixed element's center is -356.6) would spend the nodes' digits on its
+    # center; traces up to the largest on the float route at each tol
+    rng = random.Random(20261019)
+    for tol, tmax, elements in ((1e-8, 37, [GroupElement(1798, 635773, -5, -1768)]),
+                                (1e-9, 13, [])):
+        for c_sign, t_sign in itertools.product((1, -1), repeat=2):
+            for _ in range(8):
+                g = _element_with(rng, c_sign, t_sign, tmax=tmax, cmax=40)
+                elements.append(g.conjugate_by(T ** rng.randint(-1000, 1000)))
+        for g in elements:
+            quad_contexts.clear()
+            p = period_numeric(g, tol)
+            assert set(quad_contexts) == {"fp"}, (g, tol)
+            assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= tol, (g, tol)
+    # a loose tol puts a long geodesic (L = 19.6) at the 15-digit floor but
+    # not on floats, whose error was 14.8 times the estimate here
+    g = GroupElement(721, -13835991, 1, -19190)
+    quad_contexts.clear()
+    p = period_numeric(g, 1.0)
+    assert set(quad_contexts) == {"mp"}
+    assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= 1.0
 
 
 def test_period_numeric_error_covers_the_geometry_rounding():
