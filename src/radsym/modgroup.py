@@ -415,67 +415,35 @@ def _coset_invariant(G: GroupId, g: GroupElement):
 class CosetTable:
     """Right cosets G\\SL2(Z) with the permutation action of S and T.
 
-    Built by breadth-first search from the identity coset; representatives
-    and the induced actions are deterministic.  The table serves the
-    Schreier generators and the cosets G \\ SL2(Z); cusp classes and widths
-    are read off mod N without it.
+    Built by one breadth-first search over the coset keys from the identity
+    coset, T before S: each representative is the S/T product that first
+    reached its key, so every edge of the search tree gives +-I and no
+    Schreier generator.  The cosets are listed in key order.  The table
+    serves the Schreier generators and the cosets G \\ SL2(Z); cusp classes
+    and widths are read off mod N without it.
     """
 
     def __init__(self, G: GroupId):
         if G.family not in _TABLE_FAMILIES:
             raise ValueError(f"no SL2(Z) coset table for {G}")
         self.group = G
-        reps = [I2]
-        index = {_coset_invariant(G, I2): 0}
-        queue = [0]
-        while queue:
-            i = queue.pop(0)
+        found = {_coset_invariant(G, I2): I2}   # key -> representative
+        images = {}                             # key -> keys of rep*T, rep*S
+        queue = list(found)
+        for key in queue:                       # the queue grows as keys are found
+            images[key] = []
             for gen in (T, S):
-                h = reps[i] * gen
-                key = _coset_invariant(G, h)
-                if key not in index:
-                    index[key] = len(reps)
-                    reps.append(self._shrink(h))
-                    queue.append(index[key])
-        # canonical order: sort by invariant key
-        order = sorted(range(len(reps)), key=lambda i: _coset_invariant(G, reps[i]))
-        self.reps = [reps[i] for i in order]
-        self._index = {_coset_invariant(G, r): i for i, r in enumerate(self.reps)}
-        self.act_T = [self.coset_of(r * T) for r in self.reps]
-        self.act_S = [self.coset_of(r * S) for r in self.reps]
-
-    def _shrink(self, g: GroupElement) -> GroupElement:
-        """Left-multiply by elements of G to keep representative entries small."""
-        G = self.group
-        n = G.level
-        if G.family is Family.SL2Z or n == 1:
-            return I2
-        # translation steps staying inside G
-        t_step = n if G.family is Family.GAMMA_N else 1
-        l_step = n
-        best = g
-        for _ in range(12):
-            improved = False
-            a, b, c, d = best.entries()
-            # T^{k*t_step} from the left: row1 += k*t_step*row2
-            if c or d:
-                k = -round((a * c + b * d) / (t_step * (c * c + d * d)))
-                if k:
-                    cand = (T ** (k * t_step)) * best
-                    if _size(cand) < _size(best):
-                        best, improved = cand, True
-            a, b, c, d = best.entries()
-            # [[1,0],[l_step,1]]^k from the left: row2 += k*l_step*row1
-            if a or b:
-                k = -round((a * c + b * d) / (l_step * (a * a + b * b)))
-                if k:
-                    L = GroupElement(1, 0, l_step, 1)
-                    cand = (L ** k) * best
-                    if _size(cand) < _size(best):
-                        best, improved = cand, True
-            if not improved:
-                break
-        return best.canonical()
+                h = found[key] * gen
+                image = _coset_invariant(G, h)
+                if image not in found:
+                    found[image] = h
+                    queue.append(image)
+                images[key].append(image)
+        keys = sorted(found)
+        self._index = {key: i for i, key in enumerate(keys)}
+        self.reps = [found[key].canonical() for key in keys]
+        self.act_T = [self._index[images[key][0]] for key in keys]
+        self.act_S = [self._index[images[key][1]] for key in keys]
 
     def coset_of(self, g: GroupElement) -> int:
         key = _coset_invariant(self.group, g)
@@ -483,11 +451,6 @@ class CosetTable:
             return self._index[key]
         except KeyError:
             raise ValueError(f"{g} does not lie in a known coset") from None
-
-
-def _size(g: GroupElement) -> int:
-    a, b, c, d = g.entries()
-    return a * a + b * b + c * c + d * d
 
 
 _table_cache: dict[GroupId, CosetTable] = {}

@@ -13,9 +13,12 @@ from radsym.modgroup import (
     Family,
     GroupElement,
     GroupId,
+    I2,
     Motion,
     S,
     T,
+    _TABLE_FAMILIES,
+    _coset_invariant,
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
@@ -190,6 +193,80 @@ def cusp_t_orbits(G: GroupId):
             length += 1
         lengths.append(Fraction(length))
     return tab, orbit, lengths
+
+
+class SearchCosetTable:
+    """The breadth-first coset table with representatives shrunk by _shrink,
+    as modgroup.CosetTable built it before it kept the S/T products of its
+    search: the oracle for the index, the key order and the act maps."""
+
+    def __init__(self, G: GroupId):
+        if G.family not in _TABLE_FAMILIES:
+            raise ValueError(f"no SL2(Z) coset table for {G}")
+        self.group = G
+        reps = [I2]
+        index = {_coset_invariant(G, I2): 0}
+        queue = [0]
+        while queue:
+            i = queue.pop(0)
+            for gen in (T, S):
+                h = reps[i] * gen
+                key = _coset_invariant(G, h)
+                if key not in index:
+                    index[key] = len(reps)
+                    reps.append(self._shrink(h))
+                    queue.append(index[key])
+        # canonical order: sort by invariant key
+        order = sorted(range(len(reps)), key=lambda i: _coset_invariant(G, reps[i]))
+        self.reps = [reps[i] for i in order]
+        self._index = {_coset_invariant(G, r): i for i, r in enumerate(self.reps)}
+        self.act_T = [self.coset_of(r * T) for r in self.reps]
+        self.act_S = [self.coset_of(r * S) for r in self.reps]
+
+    def _shrink(self, g: GroupElement) -> GroupElement:
+        """Left-multiply by elements of G to keep representative entries small."""
+        G = self.group
+        n = G.level
+        if G.family is Family.SL2Z or n == 1:
+            return I2
+        # translation steps staying inside G
+        t_step = n if G.family is Family.GAMMA_N else 1
+        l_step = n
+        best = g
+        for _ in range(12):
+            improved = False
+            a, b, c, d = best.entries()
+            # T^{k*t_step} from the left: row1 += k*t_step*row2
+            if c or d:
+                k = -round((a * c + b * d) / (t_step * (c * c + d * d)))
+                if k:
+                    cand = (T ** (k * t_step)) * best
+                    if _size(cand) < _size(best):
+                        best, improved = cand, True
+            a, b, c, d = best.entries()
+            # [[1,0],[l_step,1]]^k from the left: row2 += k*l_step*row1
+            if a or b:
+                k = -round((a * c + b * d) / (l_step * (a * a + b * b)))
+                if k:
+                    L = GroupElement(1, 0, l_step, 1)
+                    cand = (L ** k) * best
+                    if _size(cand) < _size(best):
+                        best, improved = cand, True
+            if not improved:
+                break
+        return best.canonical()
+
+    def coset_of(self, g: GroupElement) -> int:
+        key = _coset_invariant(self.group, g)
+        try:
+            return self._index[key]
+        except KeyError:
+            raise ValueError(f"{g} does not lie in a known coset") from None
+
+
+def _size(g: GroupElement) -> int:
+    a, b, c, d = g.entries()
+    return a * a + b * b + c * c + d * d
 
 
 def level_sawtooth_direct(n: int, a: int, c: int) -> Fraction:
