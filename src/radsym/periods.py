@@ -11,10 +11,13 @@ classical modular function theory:
   period of the closed geodesic the integrand is periodic and analytic in
   a strip, and a nested trapezoidal sum converges geometrically; it starts
   at the least power of two n >= max(4, 2L) (L the translation length), so
-  that the shorter period of a k-th power is not aliased.  The integrand
-  is written once against an mpmath context: hardware floats
-  (``mpmath.fp``) where tol asks for the 15-digit floor on a geodesic
-  shorter than 12, ``mpmath.mp`` with guard bits otherwise.
+  that the shorter period of a k-th power is not aliased.  The window of
+  one period is centered on the apex of the axis, so the arc dips only to
+  Im z ~ 1/|c| (not 1/(|c| t), t the trace) and the rounding term is
+  4 L e^{L/2} eps.  The integrand is written once against an mpmath
+  context: hardware floats (``mpmath.fp``) where tol asks for the 15-digit
+  floor on a geodesic shorter than 12, ``mpmath.mp`` with guard bits
+  otherwise.
 * ``x0_period_exact``: on X0(N), N a prime or a prime square, the periods
   of (0) - (inf) as a difference of two classical Rademacher symbols: a
   consistency check, not an oracle, since ``psi_gamma0_divisor`` shares
@@ -156,7 +159,7 @@ def _e2_star_mp(z, ctx=None):
     # the dropped tail 24 sum_{n > terms} sigma1(n) |q|^n stays below 10^-dps.
     # Along the arc |dz| / |j|^2 = Im(zr) du, so the tail adds at most about
     # L 10^-dps to a period of translation length L, far below the rounding
-    # term L e^L eps that period_numeric reports
+    # term 4 L e^{L/2} eps that period_numeric reports
     terms = int((ctx.dps + 4) * math.log(10) / (2 * math.pi * float(zr.imag))) + 1
     sig = _sigma1_ints(terms)
     acc = ctx.mpc(0)
@@ -211,10 +214,10 @@ def _raise_axis(g: GroupElement):
 # past this many trapezoidal nodes the error estimate stands as it is
 _MAX_NODES = 1 << 16
 
-# hardware floats carry no guard bits, and the rounding term L e^L 2^-52
-# covers their error only on short geodesics: forced onto floats, the worst
-# true/estimate ratio over 400 seeded elements was 0.15 for L < 12, 0.55
-# for 12 <= L < 16 and 14.8 at L = 19.6 (trace -18469)
+# hardware floats carry no guard bits, and the rounding term 4 L e^{L/2} 2^-52
+# covers their error with less room on long geodesics: forced onto floats,
+# the worst true/estimate ratio over 1200 seeded elements was 0.09 for
+# L < 12, 0.41 for 12 <= L < 16 and 0.47 beyond
 _FLOAT_MAX_LENGTH = 12
 
 
@@ -226,9 +229,12 @@ def _geodesic_trapezoid(ctx, g: GroupElement, length: float, round_err, tol: flo
     a, b, c, d = g.entries()
     tr = g.trace
     # hyperbolic-arclength parametrization z(u) = center + R(tanh u + i sech u):
-    # u = 0 is the apex and u1 = +-(translation length) reaches g z0, keeping
-    # the nodes equidistributed along the geodesic; g moves z0 toward its
-    # attracting fixed point, which lies right of the center exactly when c > 0
+    # u = 0 is the apex and g moves z(u) to z(u + u1), u1 = +-(translation
+    # length), keeping the nodes equidistributed along the geodesic; g moves
+    # toward its attracting fixed point, which lies right of the center
+    # exactly when c > 0.  The nodes span the window -u1/2 <= u < u1/2
+    # centered on the apex, which dips only to Im z = R sech(u1/2)
+    # = sqrt(t^2 - 4) / (|c| t)
     root = ctx.sqrt(ctx.mpf(tr * tr - 4))
     ctr = ctx.mpf(a - d) / (2 * c)
     rad = root / (2 * abs(c))
@@ -250,10 +256,12 @@ def _geodesic_trapezoid(ctx, g: GroupElement, length: float, round_err, tol: flo
     n = 4
     while n < 2 * length:
         n *= 2
-    total = ctx.fsum(integrand(u1 * k / n) for k in range(n))
+    half = u1 / 2
+    total = ctx.fsum(integrand(u1 * k / n - half) for k in range(n))
     val = u1 * total / n
     while True:
-        total += ctx.fsum(integrand(u1 * k / (2 * n)) for k in range(1, 2 * n, 2))
+        total += ctx.fsum(integrand(u1 * k / (2 * n) - half)
+                          for k in range(1, 2 * n, 2))
         n *= 2
         prev, val = val, u1 * total / n
         quad_err = abs(val - prev)
@@ -267,8 +275,9 @@ def _geodesic_trapezoid(ctx, g: GroupElement, length: float, round_err, tol: flo
 
 def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     """The integral of E2*(z) dz along the axis of a hyperbolic g in SL2(Z),
-    over one period of the closed geodesic: from the apex z0 of the axis
-    semicircle to g z0.
+    over one period of the closed geodesic, centered on the apex of the axis
+    semicircle: from the point z0 half a period before the apex to g z0,
+    half a period after it.
 
     Equals the Rademacher symbol Psi(g); the path is the geodesic arc
     parametrized by hyperbolic arclength u.  The axis is conjugated first
@@ -276,12 +285,12 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     exact translation, so the quadrature stays numerically healthy.
 
     The working precision follows tol: enough digits that the rounding
-    term L e^L eps (L the translation length) is at most tol/1000, at least
-    15, and at most max(25, L + 15).  At the 15-digit floor and L < 12 the
-    integrand is evaluated in hardware floats (``mpmath.fp``, eps = 2^-52
+    term 4 L e^{L/2} eps (L the translation length) is at most tol/1000, at
+    least 15, and at most max(25, L + 15).  At the 15-digit floor and L < 12
+    the integrand is evaluated in hardware floats (``mpmath.fp``, eps = 2^-52
     as at 15 digits, and no guard bits, which the centered axis of a short
     geodesic does without); otherwise in ``mpmath.mp`` at that many digits
-    plus 20 guard bits.  (At tol <= 2e-6 the floor implies L < 12.)
+    plus 20 guard bits.  (At tol <= 1.9e-8 the floor implies L < 12.)
     E2*(z) dz is SL2(Z)-invariant and g moves the arc by u1 = +-L, so the
     integrand is u1-periodic in u, and real-analytic in the strip
     |Im u| < pi/2, where the arc stays in the upper half-plane.  On such an
@@ -293,8 +302,9 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
 
     The reported error is an estimate: the difference of the last two
     trapezoidal sums, the working precision's rounding (amplified by the
-    reduction into the fundamental domain) and the rounding of the value to
-    a float, |value| 2^-52.  Raises ValueError when tol is not positive, and
+    reduction into the fundamental domain, about e^{L/2} at the ends of the
+    centered window) and the rounding of the value to a float,
+    |value| 2^-52.  Raises ValueError when tol is not positive, and
     when the estimate exceeds tol.  Since |12 s(d, c)| < |c|, the bound
     |Psi(g)| >= |t|/|c| - |c| - 3 (t the trace) refuses, before any
     quadrature, a g whose float rounding alone would exceed tol.
@@ -319,20 +329,24 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
         raise ValueError(f"period error estimate {err:.3g} exceeds tol = {tol:.3g}")
     length = _translation_length(tr)
 
-    # the arc may dip within e^{-length} of the real axis, and the move into
-    # the fundamental domain amplifies the rounding about e^{|u|}: enough
-    # digits that the rounding term round_err = L e^L eps is at most tol/1000
-    # (at least 15 digits for the float result), and never more than
-    # max(25, L + 15) digits, past which a tighter tol raises instead
-    need = max(15, math.log10(length) + length / math.log(10) - math.log10(tol) + 3)
+    # the window |u| <= L/2 centered on the apex dips only to Im z ~ 1/|c|,
+    # and the move into the fundamental domain amplifies the rounding about
+    # e^{|u|} <= e^{L/2}: enough digits that the rounding term
+    # round_err = 4 L e^{L/2} eps is at most tol/1000 (at least 15 digits for
+    # the float result), and never more than max(25, L + 15) digits, past
+    # which a tighter tol raises instead; the factor 4 leaves room: forced
+    # onto floats, [[-127168, 45909089], [-353, 127437]] was off by 0.18 of
+    # this estimate, and by 0.70 of the estimate without the factor
+    need = max(15, math.log10(4 * length) + length / (2 * math.log(10))
+               - math.log10(tol) + 3)
     dps = min(max(25, int(length) + 15), math.ceil(need))
     if dps == 15 and length < _FLOAT_MAX_LENGTH:
         ctx = mpmath.fp
-        round_err = length * ctx.exp(length) * ctx.eps
+        round_err = 4 * length * ctx.exp(length / 2) * ctx.eps
         val, quad_err = _geodesic_trapezoid(ctx, g, length, round_err, tol)
     else:
         with mpmath.workdps(dps):
-            round_err = length * mpmath.exp(length) * mpmath.eps
+            round_err = 4 * length * mpmath.exp(length / 2) * mpmath.eps
             # the geometry and the nodes carry 20 guard bits, which keep their
             # rounding below round_err: with the center, radius and endpoint at
             # dps digits, the error of the trace -55 period of

@@ -173,7 +173,7 @@ def test_period_numeric_precision_follows_tol(quad_dps, quad_contexts):
     assert abs(period_numeric(g, math.inf).approx - 97) < 1e-9
     assert quad_dps == [] and set(quad_contexts) == {"fp"}
     quad_contexts.clear()
-    assert abs(period_numeric(g, 1e-8).approx - 97) < 1e-9
+    assert abs(period_numeric(g, 1e-9).approx - 97) < 1e-9
     assert quad_dps == [16] and set(quad_contexts) == {"mp"}
     quad_contexts.clear()
     # the ceiling max(25, L + 15) serves a tol no precision can reach
@@ -196,10 +196,12 @@ def test_period_numeric_refuses_hopeless_values_before_quadrature(quad_contexts)
         period_numeric(GroupElement(a, a * a - 1, 1, a), 1e-8)
     assert quad_contexts == []
     # tol = inf refuses nothing; a geodesic this long (L = 783) keeps the
-    # 15-digit floor in mpmath.mp
+    # 15-digit floor in mpmath.mp, and its finite error (about 1.4e158)
+    # still covers the rounding of Psi
     a = 10 ** 170
     p = period_numeric(GroupElement(a, a * a - 1, 1, a), math.inf)
-    assert p.error == math.inf and set(quad_contexts) == {"mp"}
+    assert abs(Fraction(p.approx) - (2 * a - 3)) <= p.error
+    assert set(quad_contexts) == {"mp"}
 
 
 def _element_with(rng, c_sign: int, t_sign: int, tmax: int = 20000,
@@ -220,8 +222,9 @@ def _element_with(rng, c_sign: int, t_sign: int, tmax: int = 20000,
 
 
 def test_period_numeric_error_is_honest_on_long_geodesics():
-    # traces up to 20000: the arc dips within e^-L ~ 2.5e-9 of the real
-    # axis, so the precision must grow with e^L as well as with 1/tol
+    # traces up to 20000: the move into the fundamental domain amplifies
+    # the rounding about e^{L/2} ~ 2e4 at the ends of the window centered on
+    # the apex, so the precision must grow with e^{L/2} as well as with 1/tol
     rng = random.Random(20261018)
     elements = [GroupElement(1, 19998, 1, 19999),
                 GroupElement(2, 5715, -7, -20002),
@@ -230,26 +233,42 @@ def test_period_numeric_error_is_honest_on_long_geodesics():
         for g in elements:
             p = period_numeric(g, tol)
             assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= tol, (g, tol)
+    # a loose tol keeps the 15-digit floor at L = 52 and 57, where a window
+    # from the apex to g z0 dipped to e^-L and its error was 122 and 12.2
+    # times the estimate; Psi = 2a - 3
+    for a in (10 ** 11, 10 ** 12):
+        g = GroupElement(a, a * a - 1, 1, a)
+        for tol in (math.inf, 1e6):
+            p = period_numeric(g, tol)
+            assert abs(Fraction(p.approx) - (2 * a - 3)) <= p.error <= tol, (a, tol)
 
 
 def test_period_numeric_float_route_is_honest(quad_contexts):
     # hardware floats carry no guard bits: an axis centered far from 0 (the
     # fixed element's center is -356.6) would spend the nodes' digits on its
-    # center; traces up to the largest on the float route at each tol
+    # center; without its e^{L/2} factor the rounding term was 1.69 times
+    # too small on the trace -184 element; traces up to the largest on the
+    # float route at each tol, tmax, which trace tmax + 1 leaves
     rng = random.Random(20261019)
-    for tol, tmax, elements in ((1e-8, 37, [GroupElement(1798, 635773, -5, -1768)]),
-                                (1e-9, 13, [])):
+    for tol, tmax, elements in ((1e-8, 229, [GroupElement(1798, 635773, -5, -1768),
+                                             GroupElement(103333, 99969366, -107, -103517)]),
+                                (1e-9, 35, [])):
         for c_sign, t_sign in itertools.product((1, -1), repeat=2):
             for _ in range(8):
                 g = _element_with(rng, c_sign, t_sign, tmax=tmax, cmax=40)
                 elements.append(g.conjugate_by(T ** rng.randint(-1000, 1000)))
+        elements.append(GroupElement(1, tmax - 2, 1, tmax - 1))
         for g in elements:
             quad_contexts.clear()
             p = period_numeric(g, tol)
             assert set(quad_contexts) == {"fp"}, (g, tol)
             assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= tol, (g, tol)
+        quad_contexts.clear()
+        period_numeric(GroupElement(1, tmax - 1, 1, tmax), tol)
+        assert set(quad_contexts) == {"mp"}, tol
     # a loose tol puts a long geodesic (L = 19.6) at the 15-digit floor but
-    # not on floats, whose error was 14.8 times the estimate here
+    # not on floats, which keep a wide margin under the estimate only below
+    # L = 12
     g = GroupElement(721, -13835991, 1, -19190)
     quad_contexts.clear()
     p = period_numeric(g, 1.0)
