@@ -160,6 +160,10 @@ def _cmd_symbol(args) -> int:
 
 def _cmd_period(args) -> int:
     g = parse_matrix(args.matrix)
+    if args.numeric and (args.divisor is not None or args.level is not None
+                         or args.group != "gamma0"):
+        raise ValueError("--numeric integrates E2* on SL2(Z) and takes "
+                         "no --divisor, --level or --group")
     if args.divisor is not None:
         G = _group_from_args(args)
         D = _parse_divisor(args.divisor, G)
@@ -174,6 +178,9 @@ def _cmd_period(args) -> int:
               f"{v.approx:.12g}")
         return 0
     if args.level is not None:
+        if args.group != "gamma0":
+            raise ValueError(f"--level without --divisor is the X0(N) period; "
+                             f"--group {args.group} needs --divisor")
         v = x0_period_exact(args.level, g)
         _emit(args, {"matrix": str(g), "level": args.level,
                      "value": str(v), "method": "x0-exact"}, str(v))

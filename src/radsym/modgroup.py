@@ -413,14 +413,17 @@ def _coset_invariant(G: GroupId, g: GroupElement):
 
 
 class CosetTable:
-    """Right cosets G\\SL2(Z) with the permutation action of S and T.
+    """Right cosets G\\SL2(Z) and the Schreier generators of G over {S, T}.
 
     Built by one breadth-first search over the coset keys from the identity
     coset, T before S: each representative is the S/T product that first
-    reached its key, so every edge of the search tree gives +-I and no
-    Schreier generator.  The cosets are listed in key order.  The table
-    serves the Schreier generators and the cosets G \\ SL2(Z); cusp classes
-    and widths are read off mod N without it.
+    reached its key, so the representatives are a Schreier transversal.  An
+    edge rep * gen whose key was found before closes a loop, and
+    rep * gen * rep'^-1 is a Schreier generator (Reidemeister-Schreier);
+    +-I and the inverse of an earlier generator are dropped.  The cosets
+    are listed in key order.  The table serves the Schreier generators and
+    the cosets G \\ SL2(Z); cusp classes and widths are read off mod N
+    without it.
     """
 
     def __init__(self, G: GroupId):
@@ -428,29 +431,23 @@ class CosetTable:
             raise ValueError(f"no SL2(Z) coset table for {G}")
         self.group = G
         found = {_coset_invariant(G, I2): I2}   # key -> representative
-        images = {}                             # key -> keys of rep*T, rep*S
         queue = list(found)
+        self.generators = []
+        seen = set()
         for key in queue:                       # the queue grows as keys are found
-            images[key] = []
             for gen in (T, S):
                 h = found[key] * gen
                 image = _coset_invariant(G, h)
                 if image not in found:
                     found[image] = h
                     queue.append(image)
-                images[key].append(image)
-        keys = sorted(found)
-        self._index = {key: i for i, key in enumerate(keys)}
-        self.reps = [found[key].canonical() for key in keys]
-        self.act_T = [self._index[images[key][0]] for key in keys]
-        self.act_S = [self._index[images[key][1]] for key in keys]
-
-    def coset_of(self, g: GroupElement) -> int:
-        key = _coset_invariant(self.group, g)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"{g} does not lie in a known coset") from None
+                    continue
+                g = (h * found[image].inverse()).canonical()
+                if g.is_identity() or g in seen or g.inverse().canonical() in seen:
+                    continue
+                seen.add(g)
+                self.generators.append(g)
+        self.reps = [found[key].canonical() for key in sorted(found)]
 
 
 _table_cache: dict[GroupId, CosetTable] = {}
@@ -656,24 +653,9 @@ def _check_containment(G1: GroupId, G: GroupId):
 
 def schreier_generators(G: GroupId):
     """Generating set for G via Reidemeister-Schreier over {S, T}."""
-    if G.family is Family.SL2Z or G.level == 1:
-        return [S, T]
     if G.family is Family.GAMMA0N_PLUS:
         n = G.level
         gens = list(schreier_generators(GroupId.gamma0(n)))
         gens.extend(atkin_lehner(n, e) for e in atkin_lehner_exponents(n) if e > 1)
         return gens
-    tab = coset_table(G)
-    gens = []
-    seen = set()
-    for i, rep in enumerate(tab.reps):
-        for act, gen in ((tab.act_T, T), (tab.act_S, S)):
-            j = act[i]
-            g = rep * gen * tab.reps[j].inverse()
-            key = g.canonical()
-            if key.is_identity() or key in seen or key.inverse().canonical() in seen:
-                continue
-            seen.add(key)
-            gens.append(key)
-    return gens
-
+    return list(coset_table(G).generators)

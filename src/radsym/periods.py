@@ -43,6 +43,7 @@ from .modgroup import (
     GroupElement,
     GroupId,
     Motion,
+    S,
     classify,
     cusp_class_index,
     cusps,
@@ -142,17 +143,13 @@ def _reduce_to_fundamental(z):
     return g, z
 
 
-def _e2_star_mp(z, ctx=None):
+def _e2_star_mp(z, ctx):
     """The completed weight-2 Eisenstein series E2*(z) = E2(z) - 3/(pi Im z)
     in the mpmath context ctx: ``mpmath.fp`` evaluates it in hardware
-    floats, ``mpmath.mp`` (the default) at its working precision.  E2*
-    transforms with weight 2 under SL2(Z), so the point is moved to the
-    fundamental domain (where a handful of q-series terms suffice) and the
-    value is transported back."""
-    import mpmath  # on first use: importing radsym does not load mpmath
-
-    if ctx is None:
-        ctx = mpmath.mp
+    floats, ``mpmath.mp`` at its working precision.  E2* transforms with
+    weight 2 under SL2(Z), so the point is moved to the fundamental domain
+    (where a handful of q-series terms suffice) and the value is
+    transported back."""
     g, zr = _reduce_to_fundamental(z)
     q = ctx.expjpi(2 * zr)
     # |q|^terms <= 10^-(dps+4); with |q| <= e^{-pi sqrt 3} and sigma1(n) <= n^2
@@ -184,31 +181,26 @@ def _translation_length(tr: int) -> float:
 
 
 def _raise_axis(g: GroupElement):
-    """Conjugate a hyperbolic g so that its axis is well placed for the
-    quadrature; returns the conjugated element (same Psi).
+    """Conjugate a hyperbolic g so that the apex of its axis lies in the
+    fundamental domain F; returns the conjugated element (same Psi).
 
-    A short axis (radius below 0.3) is moved so that its apex lies high in
-    the upper half-plane.  Every axis is then translated by an exact integer
-    T^k so that its center (a - d)/(2c) lies within 1/2 of 0: the nodes of
-    a far-off axis carry its center's integer digits, which hardware floats
-    would spend on the move into the fundamental domain."""
-    a, b, c, d = g.entries()
-    if c == 0:
+    In exact integers: T^k moves the center (a - d)/(2c) within 1/2 of 0,
+    so the nodes of a far-off axis carry no integer digits that hardware
+    floats would spend on the move into F.  The apex then lies in F exactly
+    when its modulus squared (a^2 + d^2 - 2)/(2c^2) is at least 1; if not,
+    the ends of the axis have a product -b/c of modulus below 1, and S
+    takes c to -b with |b| < |c|, so the steps end."""
+    if g.c == 0:
         raise ValueError("axis undefined for c = 0 (cusp at infinity)")
-    disc = (a + d) ** 2 - 4
-    # the radius sqrt(disc) / (2|c|) is below 0.3, compared in integers
-    if 25 * disc < 9 * c * c:
-        # the apex center + i radius, center = k + r/(2c) with 0 <= r/(2c) < 1;
-        # the radius to 64 bits by isqrt, so no entry is converted to a float
-        k, r = divmod(a - d, 2 * c)
-        s = max(0, 64 - disc.bit_length() // 2)
-        radius = math.isqrt(disc << 2 * s) / (abs(c) << (s + 1))
-        h, _ = _reduce_to_fundamental(complex(r / (2 * c), radius))
-        g = g.conjugate_by(h * GroupElement(1, -k, 0, 1))
-        a, b, c, d = g.entries()
-    # k = floor((a - d)/(2c) + 1/2), and T^-k moves the center by -k
-    k = (a - d + c) // (2 * c)
-    return g.conjugate_by(GroupElement(1, -k, 0, 1))
+    while True:
+        a, _b, c, d = g.entries()
+        # k = floor((a - d)/(2c) + 1/2), and T^-k moves the center by -k
+        k = (a - d + c) // (2 * c)
+        g = g.conjugate_by(GroupElement(1, -k, 0, 1))
+        a, _b, c, d = g.entries()
+        if a * a + d * d - 2 >= 2 * c * c:
+            return g
+        g = g.conjugate_by(S)
 
 
 # past this many trapezoidal nodes the error estimate stands as it is
@@ -281,8 +273,8 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
 
     Equals the Rademacher symbol Psi(g); the path is the geodesic arc
     parametrized by hyperbolic arclength u.  The axis is conjugated first
-    (``_raise_axis``): raised when short, and centered within 1/2 of 0 by an
-    exact translation, so the quadrature stays numerically healthy.
+    (``_raise_axis``): exact S and T steps move the apex of its axis into
+    the fundamental domain, so the quadrature stays numerically healthy.
 
     The working precision follows tol: enough digits that the rounding
     term 4 L e^{L/2} eps (L the translation length) is at most tol/1000, at

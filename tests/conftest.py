@@ -22,6 +22,7 @@ from radsym.modgroup import (
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
+    coset_table,
     cusp_equivalent,
     cusps,
     member,
@@ -176,11 +177,12 @@ def cusp_width_search(G: GroupId, c: Cusp) -> Fraction:
 def cusp_t_orbits(G: GroupId):
     """The cusp classes of G as the T-orbits of its SL2(Z) coset table: the
     coset G g lies on the orbit of the class of g(inf), and the orbit's
-    length is that cusp's width.  Returns (the table, the orbit of each
-    coset, the length of each orbit).  The retired table route of
+    length is that cusp's width.  Returns (the table, the position of each
+    coset key, the orbit of each coset, the length of each orbit).  The retired table route of
     modgroup.cusps: the oracle for the class keys and widths read off
     mod N.  The table is built afresh, not cached."""
     tab = CosetTable(G)
+    index, act_T, _act_S = coset_action(G, tab.reps)
     orbit = [None] * len(tab.reps)
     lengths = []
     for i in range(len(tab.reps)):
@@ -189,10 +191,20 @@ def cusp_t_orbits(G: GroupId):
         j, length = i, 0
         while orbit[j] is None:
             orbit[j] = len(lengths)
-            j = tab.act_T[j]
+            j = act_T[j]
             length += 1
         lengths.append(Fraction(length))
-    return tab, orbit, lengths
+    return tab, index, orbit, lengths
+
+
+def coset_action(G: GroupId, reps):
+    """The permutation action of T and S on the right cosets G r, r in reps,
+    read off the coset keys: returns (the position of each key, act_T,
+    act_S), with r_i * T in the coset of r_{act_T[i]}."""
+    index = {_coset_invariant(G, r): i for i, r in enumerate(reps)}
+    act_T = [index[_coset_invariant(G, r * T)] for r in reps]
+    act_S = [index[_coset_invariant(G, r * S)] for r in reps]
+    return index, act_T, act_S
 
 
 class SearchCosetTable:
@@ -219,9 +231,7 @@ class SearchCosetTable:
         # canonical order: sort by invariant key
         order = sorted(range(len(reps)), key=lambda i: _coset_invariant(G, reps[i]))
         self.reps = [reps[i] for i in order]
-        self._index = {_coset_invariant(G, r): i for i, r in enumerate(self.reps)}
-        self.act_T = [self.coset_of(r * T) for r in self.reps]
-        self.act_S = [self.coset_of(r * S) for r in self.reps]
+        self._index, self.act_T, self.act_S = coset_action(G, self.reps)
 
     def _shrink(self, g: GroupElement) -> GroupElement:
         """Left-multiply by elements of G to keep representative entries small."""
@@ -256,12 +266,27 @@ class SearchCosetTable:
                 break
         return best.canonical()
 
-    def coset_of(self, g: GroupElement) -> int:
-        key = _coset_invariant(self.group, g)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"{g} does not lie in a known coset") from None
+
+def schreier_generators_search(G: GroupId):
+    """The Schreier generators of G by a second pass over the coset table:
+    rep_i * g * rep_j^-1 for every edge i -> j of T and S, in key order,
+    dropping +-I and the inverse of an earlier generator.  The act maps are
+    SearchCosetTable's, the representatives modgroup.coset_table's (the two
+    share their key order): the oracle for the generators that the coset
+    search collects on its non-tree edges."""
+    tab, oracle = coset_table(G), SearchCosetTable(G)
+    gens = []
+    seen = set()
+    for i, rep in enumerate(tab.reps):
+        for act, gen in ((oracle.act_T, T), (oracle.act_S, S)):
+            j = act[i]
+            g = rep * gen * tab.reps[j].inverse()
+            key = g.canonical()
+            if key.is_identity() or key in seen or key.inverse().canonical() in seen:
+                continue
+            seen.add(key)
+            gens.append(key)
+    return gens
 
 
 def _size(g: GroupElement) -> int:

@@ -154,6 +154,20 @@ def test_period_level_out_of_range(capsys, level):
     assert "period needs" not in captured.err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--numeric", "--divisor", "0:1,inf:-1", "--level", "11"], "--numeric"),
+    (["--numeric", "--level", "7"], "--numeric"),
+    (["--group", "gamma1", "--level", "11"], "--group gamma1 needs --divisor"),
+], ids=["numeric-divisor", "numeric-level", "gamma1-without-divisor"])
+def test_period_refuses_flags_it_would_ignore(capsys, extra, message):
+    # each used to exit 0: the divisor's exact period, the quadrature without
+    # its level, and the Gamma0 x0-exact value for a Gamma1 group
+    assert run(["period", "--matrix", "1,1,11,12"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_torsion_json(capsys):
     assert run(["torsion", "--group", "gamma0", "--level", "11",
                 "--divisor", "0:-1,inf:1", "--json"]) == 0

@@ -6,13 +6,13 @@ import pytest
 from radsym import modgroup
 from radsym.modgroup import (
     Cusp,
-    Family,
     GroupElement,
     GroupId,
     I2,
     Motion,
     S,
     T,
+    _coset_invariant,
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
@@ -33,11 +33,13 @@ from radsym.symbols import psi_general
 
 from conftest import (
     SearchCosetTable,
+    coset_action,
     cusp_equivalent_search,
     cusp_t_orbits,
     cusp_width_search,
     random_in_group,
     random_sl2z,
+    schreier_generators_search,
 )
 
 
@@ -214,7 +216,7 @@ ORBIT_ORACLE_GROUPS = ([GroupId.gamma0(n) for n in range(1, 101)]
 def test_cusp_classes_match_t_orbits(G):
     # the keys split the cusps r(inf), r over the coset representatives, as
     # the T-orbits do, and each width is the length of the cusp's orbit
-    tab, orbit, lengths = cusp_t_orbits(G)
+    tab, index, orbit, lengths = cusp_t_orbits(G)
     reps = cusps(G)
     assert len(reps) == len(lengths)
     class_of_orbit = {}
@@ -225,7 +227,7 @@ def test_cusp_classes_match_t_orbits(G):
         assert cusp_width(G, c) == lengths[o]
     assert sorted(class_of_orbit.values()) == list(range(len(reps)))
     for i, (c, w) in enumerate(reps):
-        o = orbit[tab.coset_of(c.base_matrix())]
+        o = orbit[index[_coset_invariant(G, c.base_matrix())]]
         assert class_of_orbit[o] == i and w == lengths[o]
 
 
@@ -315,11 +317,12 @@ def test_coset_table_matches_search_oracle(G):
     # same index, key order and act maps as the table with shrunk
     # representatives; each representative lies in the oracle's coset
     tab, oracle = coset_table(G), SearchCosetTable(G)
-    assert list(tab._index) == list(oracle._index)
-    assert tab.act_T == oracle.act_T and tab.act_S == oracle.act_S
+    index, act_T, act_S = coset_action(G, tab.reps)
+    assert list(index) == list(oracle._index)
+    assert act_T == oracle.act_T and act_S == oracle.act_S
     for r, o in zip(tab.reps, oracle.reps, strict=True):
         assert member(o * r.inverse(), G)
-    assert tab.reps[tab.coset_of(I2)] == I2
+    assert tab.reps[index[_coset_invariant(G, I2)]] == I2
 
 
 @pytest.mark.parametrize("G", TABLE_ORACLE_GROUPS + [GroupId.gamma0(143)], ids=str)
@@ -329,10 +332,23 @@ def test_coset_representatives_form_a_schreier_transversal(G):
     # lifted from the keys alone meet far fewer edges (147 of 336 on
     # Gamma0(143), where the search tree has 167)
     tab = coset_table(G)
+    _index, act_T, act_S = coset_action(G, tab.reps)
     tree = sum((r * g).canonical() == tab.reps[act[i]]
-               for act, g in ((tab.act_T, T), (tab.act_S, S))
+               for act, g in ((act_T, T), (act_S, S))
                for i, r in enumerate(tab.reps))
     assert tree >= len(tab.reps) - 1
+
+
+@pytest.mark.parametrize("G", TABLE_ORACLE_GROUPS + [GroupId.gamma0(143)], ids=str)
+def test_schreier_generators_match_second_pass(G):
+    # the generators met on the search's non-tree edges are those of a
+    # second pass over every edge, up to order and inversion
+    def pair(g):
+        return frozenset((g.canonical(), g.inverse().canonical()))
+
+    gens, oracle = schreier_generators(G), schreier_generators_search(G)
+    assert len(gens) == len(oracle) == len({pair(g) for g in gens})
+    assert {pair(g) for g in gens} == {pair(g) for g in oracle}
 
 
 def test_level_cosets_build_no_gamma_table():
@@ -391,25 +407,24 @@ def schreier_rewrite(G: GroupId, g: GroupElement):
     """
     if not member(g, G):
         raise ValueError(f"{g} is not in {G}")
-    if G.family is Family.SL2Z or G.level == 1:
-        return [evaluate_word([p]) for p in word_decompose(g)]
     tab = coset_table(G)
+    index, act_T, act_S = coset_action(G, tab.reps)
     factors = []
-    state = tab.coset_of(I2)
+    state = index[_coset_invariant(G, I2)]
     for sym, n in word_decompose(g):
         gen = S if sym == "S" else T
         step = range(n) if n > 0 else range(-n)
         use = gen if n > 0 else gen.inverse()
         for _ in step:
             if n > 0:
-                j = (tab.act_T if sym == "T" else tab.act_S)[state]
+                j = (act_T if sym == "T" else act_S)[state]
                 factors.append(tab.reps[state] * use * tab.reps[j].inverse())
             else:
                 # find predecessor state under the generator
-                j = (tab.act_T if sym == "T" else tab.act_S).index(state)
+                j = (act_T if sym == "T" else act_S).index(state)
                 factors.append(tab.reps[state] * use * tab.reps[j].inverse())
             state = j
-    if state != tab.coset_of(I2):
+    if state != index[_coset_invariant(G, I2)]:
         raise ValueError("rewriting did not return to the identity coset")
     return [f for f in factors if not f.is_identity()]
 
@@ -418,15 +433,27 @@ def test_schreier_generators_generate(rng):
     # +-I is never a generator, so callers need not skip it
     for G in CUSP_ORACLE_GROUPS:
         assert not any(g.is_identity() for g in schreier_generators(G))
-    for G in [GroupId.gamma(2), GroupId.gamma0(11), GroupId.gamma1(5)]:
+    # the rewrite of an element of G uses only the listed generators, also
+    # for elements drawn without them: h r^-1 with r the representative of
+    # the coset of a random h in SL2(Z)
+    for G in [GroupId.sl2z(), GroupId.gamma(2), GroupId.gamma0(11),
+              GroupId.gamma1(5)]:
         gens = schreier_generators(G)
+        listed = {h for g in gens for h in (g.canonical(), g.inverse().canonical())}
         for g in gens:
             assert member(g, G)
-        for _ in range(20):
-            g = random_in_group(rng, G)
+        tab = coset_table(G)
+        rep_of = {_coset_invariant(G, r): r for r in tab.reps}
+        for k in range(40):
+            if k % 2:
+                g = random_in_group(rng, G)
+            else:
+                h = random_sl2z(rng)
+                g = h * rep_of[_coset_invariant(G, h)].inverse()
             factors = schreier_rewrite(G, g)
             prod = GroupElement.identity()
             for f in factors:
+                assert f.canonical() in listed
                 prod = prod * f
             assert prod.canonical() == g.canonical()
 

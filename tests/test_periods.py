@@ -91,20 +91,21 @@ def test_phi_from_eta_random(rng):
 
 
 def test_e2_constant_term():
-    v = _e2_star_mp(8j)
+    v = _e2_star_mp(8j, mpmath.mp)
     assert abs(v - (1 - 3 / (math.pi * 8))) < 1e-12
 
 
 def test_e2_fixed_point():
     # E2(i) = 3/pi classically, so the completed series vanishes at i
-    assert abs(_e2_star_mp(1j)) < 1e-12
+    assert abs(_e2_star_mp(1j, mpmath.mp)) < 1e-12
 
 
 def test_e2_weight_two():
     for g in [S, T * S, GroupElement(2, 1, 1, 1)]:
         for z in [0.3 + 0.8j, -0.1 + 1.7j, 0.45 + 0.31j]:
             j = g.c * z + g.d
-            assert abs(_e2_star_mp(g.apply(z)) - j * j * _e2_star_mp(z)) < 1e-10
+            assert abs(_e2_star_mp(g.apply(z), mpmath.mp)
+                       - j * j * _e2_star_mp(z, mpmath.mp)) < 1e-10
 
 
 # -- geodesic periods ---------------------------------------------------------
@@ -151,7 +152,7 @@ def quad_contexts(monkeypatch):
     seen = []
     e2_star = periods._e2_star_mp
 
-    def recording(z, ctx=None):
+    def recording(z, ctx):
         seen.append("fp" if ctx is mpmath.fp else "mp")
         return e2_star(z, ctx)
 
@@ -307,12 +308,15 @@ def test_translation_length_and_axis_on_huge_entries():
         for tr in (3, 100, big, -big - 7, 3 * big):
             exact = 2 * mpmath.acosh(mpmath.mpf(abs(tr)) / 2)
             assert abs(_translation_length(tr) - exact) <= 1e-15 * exact
-        # a long axis stays; a short one far right is raised into F
+        # a long axis stays; a short one far right is raised into F: its
+        # center (a - d)/(2c) within 1/2 of 0, its apex of modulus >= 1
         h = GroupElement(5, 2, 2, 1).conjugate_by(GroupElement(1, 0, 7, 1))
         for g in (GroupElement(big, big * big - 1, 1, big),
                   h.conjugate_by(GroupElement(1, big + 3, 0, 1))):
             raised = _raise_axis(g)
             a, b, c, d = raised.entries()
+            assert abs(a - d) <= abs(c)
+            assert a * a + d * d - 2 >= 2 * c * c
             radius = mpmath.sqrt(mpmath.mpf((a + d) ** 2 - 4)) / (2 * abs(c))
             assert radius >= 0.3
             assert raised.trace == g.trace
