@@ -161,9 +161,11 @@ def _cmd_symbol(args) -> int:
 def _cmd_period(args) -> int:
     g = parse_matrix(args.matrix)
     if args.numeric and (args.divisor is not None or args.level is not None
-                         or args.group != "gamma0"):
+                         or args.group is not None):
         raise ValueError("--numeric integrates E2* on SL2(Z) and takes "
                          "no --divisor, --level or --group")
+    if args.group is None:           # the exact routes default to Gamma0(N)
+        args.group = "gamma0"
     if args.divisor is not None:
         G = _group_from_args(args)
         D = _parse_divisor(args.divisor, G)
@@ -409,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--numeric", action="store_true",
                     help="Eisenstein quadrature along the geodesic axis")
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--group", default="gamma0", choices=sorted(_FAMILIES))
+    sp.add_argument("--group", default=None, choices=sorted(_FAMILIES),
+                    help="group of --divisor or --level (default gamma0)")
     sp.add_argument("--level", type=int, default=None)
     sp.add_argument("--divisor", default=None,
                     help='degree-zero divisor "cusp:mult,..."')

@@ -307,6 +307,13 @@ def _squarefree(n: int) -> bool:
     return True
 
 
+def _principal_member(n: int, a: int, b: int, c: int, d: int) -> bool:
+    """Whether the determinant-1 matrix [[a, b], [c, d]] is +-I mod n, that
+    is, lies in Gamma(n) projectively."""
+    return (b % n == 0 and c % n == 0 and (a - d) % n == 0
+            and a % n in (1 % n, -1 % n))
+
+
 def member(g: GroupElement, G: GroupId) -> bool:
     """Membership test, projective (g and -g are equivalent)."""
     n = G.level
@@ -321,17 +328,7 @@ def member(g: GroupElement, G: GroupId) -> bool:
             g.a % n == (-1) % n and g.d % n == (-1) % n
         )
     if G.family is Family.GAMMA_N:
-        if g.e != 1:
-            return False
-        for s in (1, -1):
-            if (
-                (s * g.a) % n == 1 % n
-                and (s * g.d) % n == 1 % n
-                and g.b % n == 0
-                and g.c % n == 0
-            ):
-                return True
-        return False
+        return g.e == 1 and _principal_member(n, g.a, g.b, g.c, g.d)
     if G.family is Family.GAMMA0N_PLUS:
         e = g.e
         if n % e != 0 or gcd(e, n // e) != 1:

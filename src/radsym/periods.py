@@ -123,24 +123,25 @@ def _sigma1_ints(limit: int):
 
 
 def _reduce_to_fundamental(z):
-    """SL2(Z) element g with g z in the standard fundamental domain.
+    """The entries (a, b, c, d) of an SL2(Z) element g with g z in the
+    standard fundamental domain, and g z.
 
     Works for both complex and mpmath.mpc points.
     """
-    g = GroupElement.identity()
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(500):
         k = int(round(float(z.real)))
         if k:
             z -= k
-            g = GroupElement(1, -k, 0, 1) * g
+            a, b = a - k * c, b - k * d          # T^-k g
         if abs(z) < 1 - 1e-15:
             z = -1 / z
-            g = GroupElement(0, -1, 1, 0) * g
+            a, b, c, d = -c, -d, a, b            # S g
         elif abs(z.real) <= 0.5 + 1e-15:
-            return g, z
+            return (a, b, c, d), z
         # else float(z.real) dropped integer digits of a real part past 2^53:
         # translate again
-    return g, z
+    return (a, b, c, d), z
 
 
 def _e2_star_mp(z, ctx):
@@ -150,7 +151,7 @@ def _e2_star_mp(z, ctx):
     weight 2 under SL2(Z), so the point is moved to the fundamental domain
     (where a handful of q-series terms suffice) and the value is
     transported back."""
-    g, zr = _reduce_to_fundamental(z)
+    (_a, _b, c, d), zr = _reduce_to_fundamental(z)
     q = ctx.expjpi(2 * zr)
     # |q|^terms <= 10^-(dps+4); with |q| <= e^{-pi sqrt 3} and sigma1(n) <= n^2
     # the dropped tail 24 sum_{n > terms} sigma1(n) |q|^n stays below 10^-dps.
@@ -165,7 +166,7 @@ def _e2_star_mp(z, ctx):
         qn *= q
         acc += sig[n] * qn
     star = 1 - 24 * acc - 3 / (ctx.pi * zr.imag)
-    j = g.c * z + g.d
+    j = c * z + d
     return star / (j * j)
 
 

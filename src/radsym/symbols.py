@@ -23,9 +23,13 @@ the closed geodesic of g k times, so Psi_a(g^k) = k Psi_a(g), and the
 least power of g that is +-unipotent mod N is peeled to Gamma(N) or lifted
 by a sum over the Gamma(N)-cusps above a, each weighted by the number of
 cosets of Gamma(N) that send a to it: one level-N descent for a Gamma1(N)
-symbol at infinity.  An Atkin-Lehner element of Gamma0(N)+ is evaluated
-through its square.  Elliptic and parabolic symbols need no engine: they
-are closed forms of the composition law.
+symbol at infinity.  The cusps above a are cached per (group, cusp).  The
+Gamma(N) symbols run on integer entries: one integer formula gives
+Phi^{Gamma(N)}_inf to takada_phi, psi_gamma and the class sum, and the terms
+are added over one integer denominator into one Fraction (besides the one
+each level-N descent returns).  An Atkin-Lehner element of Gamma0(N)+ is
+evaluated through its square.  Elliptic and parabolic symbols need no
+engine: they are closed forms of the composition law.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .modgroup import (
     T,
     _cusp_key,
     _prime_divisors,
+    _principal_member,
     classify,
     cosets,
     cusp_equivalent,
@@ -75,7 +80,7 @@ class SymbolValue:
 
     @staticmethod
     def exact(r) -> "SymbolValue":
-        return SymbolValue("exact", rational=Fraction(r))
+        return SymbolValue("exact", rational=r if type(r) is Fraction else Fraction(r))
 
     @staticmethod
     def approximate(v, err) -> "SymbolValue":
@@ -278,7 +283,57 @@ def _level_sawtooth(n: int, a: int, c: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the Gamma(N) Dedekind symbol at infinity
+# the Gamma(N) symbols on integer entries
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_index(n: int) -> int:
+    """The projective index mu of Gamma(n) in PSL2(Z), so that pi/V = 3/mu."""
+    return int(GroupId.gamma(n).psl2z_index())
+
+
+def _phi_gamma_inf(n: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Phi^{Gamma(n)}_inf of [[a, b], [c, d]] (see takada_phi) as integers
+    (numerator, denominator): for c != 0 the closed formula over the common
+    denominator n |c| mu D, where D is the denominator of the sawtooth sum."""
+    if c == 0:
+        return b * d, n                      # d = +-1
+    if n == 1:
+        phi = phi_classical(GroupElement(a, b, c, d))
+        return phi.numerator, phi.denominator
+    saw = _level_sawtooth(n, a, c)
+    mu, den = _gamma_index(n), saw.denominator
+    return ((a + d) * sign(c) * mu * den - 12 * n * saw.numerator,
+            n * abs(c) * mu * den)
+
+
+def _to_infinity(base, g):
+    """The entries of base^-1 g base, for determinant-1 integer 4-tuples
+    base = (p, r, q, s) and g = (a, b, c, d): the conjugate of g that moves
+    the cusp p/q = base(inf) to infinity."""
+    p, r, q, s = base
+    a, b, c, d = g
+    x, y = s * a - r * c, s * b - r * d      # first row of base^-1 g
+    z, w = p * c - q * a, p * d - q * b      # second row
+    return x * p + y * q, x * r + y * s, z * p + w * q, z * r + w * s
+
+
+def _psi_gamma_sum(n: int, above, g) -> tuple[int, int]:
+    """sum m Psi^{Gamma(n)}_{base(inf)}(g) over the pairs (m, base) of
+    above, for g = (a, b, c, d) in Gamma(n) up to sign, as integers
+    (numerator, denominator).  Each term is Phi - (3/mu) sign(c t) of the
+    cusp-normalized conjugate, and the terms are added over the product of
+    their denominators, so the caller builds one Fraction."""
+    mu, t = _gamma_index(n), g[0] + g[3]
+    num, den = 0, 1
+    for m, base in above:
+        a, b, c, d = _to_infinity(base, g)
+        pn, pd = _phi_gamma_inf(n, a, b, c, d)
+        # mu divides pd wherever the sign term is not 0: at c != 0 for
+        # n >= 2, and mu = 1 for n = 1
+        num = num * pd + m * (pn - 3 * sign(c * t) * (pd // mu)) * den
+        den *= pd
+    return num, den
 
 
 def takada_phi(n: int, g: GroupElement) -> SymbolValue:
@@ -296,14 +351,7 @@ def takada_phi(n: int, g: GroupElement) -> SymbolValue:
     """
     if g.e != 1:
         raise ValueError("takada_phi needs e = 1")
-    a, b, c, d = g.entries()
-    if c == 0:
-        return SymbolValue.exact(Fraction(b, n * d))
-    if n == 1:
-        return SymbolValue.exact(phi_classical(g))
-    mu = GroupId.gamma(n).psl2z_index()     # projective index; pi/V = 3/mu
-    coeff = Fraction(12, mu * abs(c))
-    return SymbolValue.exact(Fraction(a + d, n * c) - coeff * _level_sawtooth(n, a, c))
+    return SymbolValue.exact(Fraction(*_phi_gamma_inf(n, *g.entries())))
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +362,13 @@ def psi_gamma(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi for Gamma(N) at any cusp, via transport to infinity.
 
     Every cusp of Gamma(N) is SL2(Z)-equivalent to infinity and Gamma(N) is
-    normal in SL2(Z), so Psi_a(g) = Psi_inf(tau g tau^{-1}) with tau a = inf.
+    normal in SL2(Z), so Psi_a(g) = Psi_inf(tau g tau^{-1}) with tau a = inf,
+    and Psi_inf = Phi_inf - (pi/V) sign(c (a+d)).
     """
-    if not member(g, GroupId.gamma(n)):
+    if g.e != 1 or not _principal_member(n, g.a, g.b, g.c, g.d):
         raise ValueError(f"{g} is not in Gamma({n})")
-    h = g.conjugate_by(cusp.base_matrix().inverse())
-    corr = pi_over_volume(GroupId.gamma(n)) * sign(h.c * h.trace)
-    return takada_phi(n, h) + SymbolValue.exact(-corr)
+    above = ((1, cusp.base_matrix().entries()),)
+    return SymbolValue.exact(Fraction(*_psi_gamma_sum(n, above, g.entries())))
 
 
 def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolValue:
@@ -449,6 +497,20 @@ def psi_gamma0_divisor(g: GroupElement, basis) -> Fraction:
 # Gamma1(N) and fallback Gamma0(N): a power peels to Gamma(N)
 
 
+@functools.lru_cache(maxsize=None)
+def _cusps_above(G: GroupId, cusp: Cusp) -> tuple:
+    """The Gamma(N)-cusps above the cusp a of G, for G = Gamma0(N) or
+    Gamma1(N): one (coset count, base entries) per Gamma(N)-class of the
+    cusps tau^-1 a, tau in Gamma(N)\\G, with the base matrix of the first
+    member of the class."""
+    gamma_n = GroupId.gamma(G.level)
+    above = {}                    # class key: [first cusp, coset count]
+    for tau in cosets(gamma_n, G):
+        c = tau.inverse().apply_cusp(cusp)
+        above.setdefault(_cusp_key(gamma_n, c), [c, 0])[1] += 1
+    return tuple((m, c.base_matrix().entries()) for c, m in above.values())
+
+
 def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi_a(g) for hyperbolic g in Gamma0(N) or Gamma1(N): raise g to the
     least power g^k whose image mod N is +-unipotent, so g^k = h T^j with h
@@ -456,11 +518,12 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     Gamma(N) and Psi^G_a(g^k) is the coset sum over tau in Gamma(N)\\G of
     Psi^{Gamma(N)}_a(tau g^k tau^-1) = Psi^{Gamma(N)}_{tau^-1 a}(g^k).  Its
     terms depend only on the Gamma(N)-class +-(p, q) mod N of tau^-1 a, so
-    it is a sum over the Gamma(N)-cusps above a, each weighted by its number
-    of cosets and evaluated by one psi_gamma call (one level-N descent and
-    one membership check of g^k).  A Gamma1(N) cusp p/q has at most
-    N/gcd(q, N) of them, so infinity has one.  Otherwise the composition
-    law peels T^j off once."""
+    it is a sum over the Gamma(N)-cusps above a (cached per (G, a) by
+    _cusps_above), each weighted by its number of cosets: one membership
+    check of g^k, one level-N descent per class, and one Fraction, since
+    _psi_gamma_sum adds the terms in integers.  A Gamma1(N) cusp p/q has at
+    most N/gcd(q, N) classes, so infinity has one.  Otherwise the
+    composition law peels T^j off once."""
     n = G.level
     # order of a mod N in (Z/N)*/{+-1}
     k = 1
@@ -473,14 +536,10 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     gk = g ** k               # positive trace, +-unipotent mod N
     j = gk.a * gk.b % n       # gk = +-h T^j with h in Gamma(N)
     if j == 0:
-        above = {}                # class key: [first cusp, coset count]
-        gamma_n = GroupId.gamma(n)
-        for tau in cosets(gamma_n, G):
-            c = tau.inverse().apply_cusp(cusp)
-            above.setdefault(_cusp_key(gamma_n, c), [c, 0])[1] += 1
-        total = sum(m * psi_gamma(n, c, gk).as_fraction()
-                    for c, m in above.values())
-        return SymbolValue.exact(total / k)
+        if not _principal_member(n, gk.a, gk.b, gk.c, gk.d):
+            raise ValueError(f"{gk} is not in Gamma({n})")
+        num, den = _psi_gamma_sum(n, _cusps_above(G, cusp), gk.entries())
+        return SymbolValue.exact(Fraction(num, den * k))
     tj = T ** j
     h = gk * T ** (-j)
     binv = cusp.base_matrix().inverse()

@@ -35,9 +35,9 @@ from radsym.symbols import (
     _solve_rational,
     lift_coset_sum,
     phi_general,
-    psi_gamma,
     psi_general,
     takada_C_row_exact,
+    takada_phi,
 )
 
 
@@ -384,6 +384,21 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
         h, k, alpha, beta, sg = k, h, beta, alpha, -sg
 
 
+# The Gamma(N) symbol through GroupElement conjugation and takada_phi: the
+# oracle for the integer class sum of symbols.psi_gamma and the lift route.
+def psi_gamma_conjugated(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
+    """Psi for Gamma(N) at any cusp, via transport to infinity.
+
+    Every cusp of Gamma(N) is SL2(Z)-equivalent to infinity and Gamma(N) is
+    normal in SL2(Z), so Psi_a(g) = Psi_inf(tau g tau^{-1}) with tau a = inf.
+    """
+    if not member(g, GroupId.gamma(n)):
+        raise ValueError(f"{g} is not in Gamma({n})")
+    h = g.conjugate_by(cusp.base_matrix().inverse())
+    corr = pi_over_volume(GroupId.gamma(n)) * sign(h.c * h.trace)
+    return takada_phi(n, h) + SymbolValue.exact(-corr)
+
+
 def _phi_of(G: GroupId, cusp: Cusp, g: GroupElement, psi: Fraction) -> Fraction:
     h = g.conjugate_by(cusp.base_matrix().inverse())
     return psi + pi_over_volume(G) * sign(h.c * h.trace)
@@ -422,7 +437,7 @@ def phi_peel_core_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
         hh = h if h.trace > 0 else -h
         lifted = lift_coset_sum(
             GroupId.gamma(n), G,
-            lambda x: psi_gamma(n, cusp, x), hh)
+            lambda x: psi_gamma_conjugated(n, cusp, x), hh)
         phi_h = _phi_of(G, cusp, h, lifted.as_fraction())
     if j == 0:
         return phi_h
@@ -481,7 +496,7 @@ def psi_peel_lift_coset_sum(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolVa
     j = gk.a * gk.b % n       # gk = +-h T^j with h in Gamma(N)
     if j == 0:
         return lift_coset_sum(GroupId.gamma(n), G,
-                              lambda x: psi_gamma(n, cusp, x), gk
+                              lambda x: psi_gamma_conjugated(n, cusp, x), gk
                               ).scaled(Fraction(1, k))
     tj = T ** j
     h = gk * T ** (-j)

@@ -158,10 +158,13 @@ def test_period_level_out_of_range(capsys, level):
     (["--numeric", "--divisor", "0:1,inf:-1", "--level", "11"], "--numeric"),
     (["--numeric", "--level", "7"], "--numeric"),
     (["--group", "gamma1", "--level", "11"], "--group gamma1 needs --divisor"),
-], ids=["numeric-divisor", "numeric-level", "gamma1-without-divisor"])
+    (["--numeric", "--group", "gamma0"], "--numeric"),
+], ids=["numeric-divisor", "numeric-level", "gamma1-without-divisor",
+        "numeric-explicit-gamma0"])
 def test_period_refuses_flags_it_would_ignore(capsys, extra, message):
     # each used to exit 0: the divisor's exact period, the quadrature without
-    # its level, and the Gamma0 x0-exact value for a Gamma1 group
+    # its level, the Gamma0 x0-exact value for a Gamma1 group, and the
+    # quadrature printing -10 under an explicit --group gamma0
     assert run(["period", "--matrix", "1,1,11,12"] + extra) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -326,7 +326,7 @@ def test_translation_length_and_axis_on_huge_entries():
         # a real part past 2^53 is translated until it lies in [-1/2, 1/2]
         g, z = _reduce_to_fundamental(mpmath.mpc(10 ** 40 + mpmath.mpf(0.3), 2))
         assert abs(z - mpmath.mpc(0.3, 2)) < 1e-15
-        assert g == GroupElement(1, -10 ** 40, 0, 1)
+        assert g == (1, -10 ** 40, 0, 1)
 
 
 def test_import_leaves_mpmath_unloaded():

@@ -54,9 +54,11 @@ from conftest import (
     phi_elliptic_recursion,
     psi_gamma0_plus_cocycle,
     psi_gamma0_plus_lift,
+    psi_gamma_conjugated,
     psi_peel_lift_coset_sum,
     psi_peel_lift_cocycle,
     random_in_group,
+    random_sl2z,
     random_principal,
     random_principal_deep,
     random_principal_hyperbolic,
@@ -724,6 +726,96 @@ def test_lift_route_matches_coset_sum(monkeypatch):
     for (G, cu, g), value in zip(triples, new):
         assert value == psi_peel_lift_coset_sum(G, cu, g), (G, cu, g)
     assert len(triples) == 501
+
+
+def random_principal_parabolic(rng, n):
+    """gamma T^(nm) gamma^-1 for a random gamma in SL2(Z) and m = +-1, +-2:
+    a parabolic element of Gamma(n), normal in SL2(Z)."""
+    gamma = random_sl2z(rng, 4)
+    return (T ** (n * rng.choice((-2, -1, 1, 2)))).conjugate_by(gamma)
+
+
+def test_psi_gamma_matches_conjugation_oracle():
+    # the integer conjugation, sign term and formula against GroupElement
+    # conjugation and takada_phi, at every cusp of Gamma(2..12), on
+    # hyperbolic and parabolic elements of both trace signs
+    rng = random.Random(20261105)
+    checked = 0
+    for n in range(2, 13):
+        for cu, _w in cusps(GroupId.gamma(n)):
+            for g in (random_principal_hyperbolic(rng, n),
+                      random_principal_parabolic(rng, n)):
+                for x in (g, -g):
+                    assert psi_gamma(n, cu, x) == psi_gamma_conjugated(n, cu, x), (n, cu, x)
+                    checked += 1
+    assert checked == 4 * 265
+
+
+def test_psi_gamma_refuses_elements_outside_gamma_n():
+    # T, a lower-left entry that is odd, and a scale e = 3 that is +-I mod 2
+    for g in (GroupElement(1, 1, 0, 1), GroupElement(1, 2, 1, 3),
+              GroupElement(3, 2, 0, 1, 3)):
+        with pytest.raises(ValueError, match="is not in Gamma"):
+            psi_gamma(2, INF, g)
+
+
+def lift_cases(rng, make):
+    """(G, cusp, g) for every cusp of Gamma1(2..13) and every split cusp of
+    Gamma0(9, 16, 25), with g = make(G)."""
+    groups = [GroupId.gamma1(n) for n in range(2, 14)]
+    out = [(G, cu, make(G)) for G in groups for cu, _w in cusps(G)]
+    out += [(GroupId.gamma0(n), cu, make(GroupId.gamma0(n)))
+            for n in (9, 16, 25) for cu in split_cusps(n)]
+    return out
+
+
+def assert_lift_route_matches_oracles(monkeypatch, cases):
+    new = [_psi_peel_lift(G, cu, g) for G, cu, g in cases]
+    for (G, cu, g), value in zip(cases, new):
+        assert value == psi_peel_lift_cocycle(G, cu, g), (G, cu, g)
+    monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
+    for (G, cu, g), value in zip(cases, new):
+        assert value == psi_peel_lift_coset_sum(G, cu, g), (G, cu, g)
+
+
+def test_lift_route_peels_off_a_parabolic_part(monkeypatch):
+    # g = h T^j with h parabolic in Gamma(N) and j != 0 mod N: the power
+    # is g itself, and its Gamma(N) part goes to psi_general, not to the
+    # class sum
+    rng = random.Random(20261106)
+
+    def make(G):
+        n = G.level
+        while True:
+            h = random_principal_parabolic(rng, n)
+            g = h * T ** rng.randrange(1, n)
+            if abs(g.trace) > 2:
+                assert classify(g * T ** -(g.a * g.b % n)).tag is Motion.PARABOLIC
+                return g if g.trace > 0 else -g
+
+    assert_lift_route_matches_oracles(monkeypatch, lift_cases(rng, make))
+
+
+def test_lift_route_takes_negative_traces(monkeypatch):
+    # Psi(-g) = Psi(g): the powers, the class sum and the peeled sign terms
+    # of a negative-trace element give the value of its negative
+    rng = random.Random(20261107)
+    cases = lift_cases(rng, lambda G: -random_hyperbolic(rng, G))
+    for G, cu, g in cases:
+        assert g.trace < -2
+        assert _psi_peel_lift(G, cu, g) == _psi_peel_lift(G, cu, -g), (G, cu, g)
+    assert_lift_route_matches_oracles(monkeypatch, cases)
+
+
+def test_lift_route_at_the_irregular_cusp_of_gamma1_4(monkeypatch):
+    # 1/2 has width 1 on Gamma1(4), fixed by -base T base^-1, where
+    # Gamma(4) has width 4: all four cosets send it to one Gamma(4)-class
+    G, half = GroupId.gamma1(4), Cusp(1, 2)
+    assert [m for m, _base in symbols._cusps_above(G, half)] == [4]
+    rng = random.Random(20261108)
+    cases = [(G, half, random_hyperbolic(rng, G, 6)) for _ in range(40)]
+    cases += [(G, cu, -g) for G, cu, g in cases]
+    assert_lift_route_matches_oracles(monkeypatch, cases)
 
 
 def test_gamma1_symbol_at_infinity_takes_one_descent(monkeypatch):
