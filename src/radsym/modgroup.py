@@ -179,13 +179,15 @@ class Cusp:
 
     @staticmethod
     def from_str(text: str) -> "Cusp":
-        text = text.strip().lower()
-        if text in ("inf", "infinity", "oo"):
+        text = text.strip()
+        if text.lower() in ("inf", "infinity", "oo"):
             return Cusp(1, 0)
-        if "/" in text:
-            p, q = text.split("/", 1)
-            return Cusp(int(p), int(q))
-        return Cusp(int(text), 1)
+        p, slash, q = text.partition("/")
+        try:
+            p, q = int(p), int(q) if slash else 1
+        except ValueError:
+            raise ValueError(f"{text!r} is not a cusp") from None
+        return Cusp(p, q)
 
     def __str__(self):
         return "inf" if self.q == 0 else (f"{self.p}/{self.q}" if self.q != 1 else str(self.p))

@@ -27,7 +27,10 @@ symbol at infinity.  The cusps above a are cached per (group, cusp).  The
 Gamma(N) symbols run on integer entries: one integer formula gives
 Phi^{Gamma(N)}_inf to takada_phi, psi_gamma and the class sum, and the terms
 are added over one integer denominator into one Fraction (besides the one
-each level-N descent returns).  An Atkin-Lehner element of Gamma0(N)+ is
+each level-N descent returns).  The peel runs on integer 4-tuples too: g^k
+by repeated squaring, h = g^k T^-j, a hyperbolic h through the same class
+sum, and the four sign terms of the composition law read off the
+cusp-normalized conjugates.  An Atkin-Lehner element of Gamma0(N)+ is
 evaluated through its square.  Elliptic and parabolic symbols need no
 engine: they are closed forms of the composition law.
 """
@@ -52,7 +55,6 @@ from .modgroup import (
     GroupElement,
     GroupId,
     Motion,
-    T,
     _cusp_key,
     _prime_divisors,
     _principal_member,
@@ -308,9 +310,9 @@ def _phi_gamma_inf(n: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
 
 def _to_infinity(base, g):
-    """The entries of base^-1 g base, for determinant-1 integer 4-tuples
-    base = (p, r, q, s) and g = (a, b, c, d): the conjugate of g that moves
-    the cusp p/q = base(inf) to infinity."""
+    """The entries of base^-1 g base, for a determinant-1 integer 4-tuple
+    base = (p, r, q, s) and an integer 4-tuple g = (a, b, c, d): the
+    conjugate of g that moves the cusp p/q = base(inf) to infinity."""
     p, r, q, s = base
     a, b, c, d = g
     x, y = s * a - r * c, s * b - r * d      # first row of base^-1 g
@@ -414,8 +416,8 @@ def phi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 def _sign_term(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
     """(pi/V) sign(c (a+d)) of the cusp-normalized conjugate of g, the
     difference Phi_a(g) - Psi_a(g)."""
-    h = g.conjugate_by(cusp.base_matrix().inverse())
-    return pi_over_volume(G) * sign(h.c * h.trace)
+    c = _to_infinity(cusp.base_matrix().entries(), g.entries())[2]
+    return pi_over_volume(G) * sign(c * g.trace)
 
 
 def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
@@ -511,44 +513,81 @@ def _cusps_above(G: GroupId, cusp: Cusp) -> tuple:
     return tuple((m, c.base_matrix().entries()) for c, m in above.values())
 
 
+def _int_mul(x, y):
+    """The product of two integer matrices given as 4-tuples (a, b, c, d)."""
+    a, b, c, d = x
+    p, q, r, s = y
+    return a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+
+
+def _int_pow(g, k: int):
+    """g^k for an integer 4-tuple g and k >= 1, by repeated squaring."""
+    r = None
+    while True:
+        if k & 1:
+            r = g if r is None else _int_mul(r, g)
+        k >>= 1
+        if not k:
+            return r
+        g = _int_mul(g, g)
+
+
 def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi_a(g) for hyperbolic g in Gamma0(N) or Gamma1(N): raise g to the
     least power g^k whose image mod N is +-unipotent, so g^k = h T^j with h
-    in Gamma(N), and return Psi_a(g^k) / k.  For j = 0 the power lies in
-    Gamma(N) and Psi^G_a(g^k) is the coset sum over tau in Gamma(N)\\G of
-    Psi^{Gamma(N)}_a(tau g^k tau^-1) = Psi^{Gamma(N)}_{tau^-1 a}(g^k).  Its
-    terms depend only on the Gamma(N)-class +-(p, q) mod N of tau^-1 a, so
-    it is a sum over the Gamma(N)-cusps above a (cached per (G, a) by
-    _cusps_above), each weighted by its number of cosets: one membership
-    check of g^k, one level-N descent per class, and one Fraction, since
-    _psi_gamma_sum adds the terms in integers.  A Gamma1(N) cusp p/q has at
-    most N/gcd(q, N) classes, so infinity has one.  Otherwise the
-    composition law peels T^j off once."""
+    in Gamma(N) up to sign, and return Psi_a(g^k) / k.  The power and the
+    peel run on integer 4-tuples.
+
+    For j = 0 the power lies in Gamma(N) and Psi^G_a(g^k) is the coset sum
+    over tau in Gamma(N)\\G of Psi^{Gamma(N)}_a(tau g^k tau^-1) =
+    Psi^{Gamma(N)}_{tau^-1 a}(g^k).  Its terms depend only on the
+    Gamma(N)-class +-(p, q) mod N of tau^-1 a, so it is a sum over the
+    Gamma(N)-cusps above a (cached per (G, a) by _cusps_above), each
+    weighted by its number of cosets: one level-N descent per class, added
+    in integers by _psi_gamma_sum.  A Gamma1(N) cusp p/q has at most
+    N/gcd(q, N) classes, so infinity has one.
+
+    Otherwise h = (a, b - ja, c, d - jc), and the composition law
+    Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_g) gives
+
+        Psi(g^k) = Psi(h) + Psi(T^j) + (pi/V) (sign(c_h t_h) + sign(c_T)
+                   - sign(c_h c_T c_g) - sign(c_g t_g)),
+
+    with each c read off the cusp-normalized conjugate.  A hyperbolic h
+    takes the same class sum, on +-h of positive trace; only a
+    non-hyperbolic h goes to psi_general.  Psi_a(T^j) is j when a is
+    G-equivalent to infinity, whose width is 1 on both families, and 0
+    otherwise."""
     n = G.level
-    # order of a mod N in (Z/N)*/{+-1}
+    # order of a mod N in (Z/N)*/{+-1}: a is a unit mod N since g is in G,
+    # so the loop ends within phi(N) steps
     k = 1
     acc = g.a % n
-    while acc % n not in (1 % n, (n - 1) % n):
+    while acc not in (1 % n, (n - 1) % n):
         acc = acc * g.a % n
         k += 1
-        if k > n:
-            raise RuntimeError("unit order computation failed")
-    gk = g ** k               # positive trace, +-unipotent mod N
-    j = gk.a * gk.b % n       # gk = +-h T^j with h in Gamma(N)
+    gk = _int_pow(g.entries(), k)     # positive trace, +-unipotent mod N
+    a, b, c, d = gk
+    j = a * b % n                     # gk = +-h T^j with h in Gamma(N)
+    above = _cusps_above(G, cusp)
     if j == 0:
-        if not _principal_member(n, gk.a, gk.b, gk.c, gk.d):
-            raise ValueError(f"{gk} is not in Gamma({n})")
-        num, den = _psi_gamma_sum(n, _cusps_above(G, cusp), gk.entries())
+        if not _principal_member(n, a, b, c, d):
+            raise ValueError(f"{GroupElement(*gk)} is not in Gamma({n})")
+        num, den = _psi_gamma_sum(n, above, gk)
         return SymbolValue.exact(Fraction(num, den * k))
-    tj = T ** j
-    h = gk * T ** (-j)
-    binv = cusp.base_matrix().inverse()
-    c3 = (h.conjugate_by(binv).c * tj.conjugate_by(binv).c
-          * gk.conjugate_by(binv).c)
-    # Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_gk)
-    phi = (phi_general(G, cusp, h) + phi_general(G, cusp, tj)).as_fraction()
-    psi = phi - pi_over_volume(G) * sign(c3) - _sign_term(G, cusp, gk)
-    return SymbolValue.exact(psi / k)
+    h = (a, b - j * a, c, d - j * c)
+    th = h[0] + h[3]
+    if abs(th) > 2:
+        num, den = _psi_gamma_sum(n, above, h if th > 0 else tuple(-x for x in h))
+        psi = Fraction(num, den)
+    else:
+        psi = psi_general(G, cusp, GroupElement(*h)).as_fraction()
+    if cusp_equivalent(G, Cusp.infinity(), cusp):
+        psi += j
+    base = cusp.base_matrix().entries()
+    ch, ct, cg = (_to_infinity(base, x)[2] for x in (h, (1, j, 0, 1), gk))
+    signs = sign(ch * th) + sign(ct) - sign(ch * ct * cg) - sign(cg * (a + d))
+    return SymbolValue.exact((psi + pi_over_volume(G) * signs) / k)
 
 
 def _psi_gamma0_plus(n: int, g: GroupElement) -> SymbolValue:

@@ -94,6 +94,19 @@ def test_cusp_zero_over_zero_is_rejected(capsys):
     assert "0/0" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["symbol", "--group", "gamma0", "--level", "11", "--cusp", "abc",
+     "--matrix", "4,1,11,3"],
+    ["torsion", "--group", "gamma0", "--level", "11",
+     "--divisor", "abc:1,inf:-1"],
+], ids=["symbol", "torsion"])
+def test_cusp_that_is_no_number_is_rejected(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: 'abc' is not a cusp"
+
+
 def test_period_numeric(capsys):
     assert run(["period", "--matrix", "5,2,2,1", "--numeric",
                 "--tol", "1e-8"]) == 0

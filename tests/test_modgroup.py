@@ -134,6 +134,9 @@ def test_cusp_parsing_and_str():
     assert Cusp(-5, 0) == Cusp.infinity()
     with pytest.raises(ValueError):
         Cusp.from_str("0/0")
+    for text in ("abc", "1/x", "1/", "/2", "1/2/3"):
+        with pytest.raises(ValueError, match=f"^'{text}' is not a cusp$"):
+            Cusp.from_str(text)
 
 
 def test_cusp_base_matrix():

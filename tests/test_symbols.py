@@ -761,12 +761,45 @@ def test_psi_gamma_refuses_elements_outside_gamma_n():
 
 def lift_cases(rng, make):
     """(G, cusp, g) for every cusp of Gamma1(2..13) and every split cusp of
-    Gamma0(9, 16, 25), with g = make(G)."""
+    Gamma0(9, 16, 25, 27, 32, 36), with g = make(G)."""
     groups = [GroupId.gamma1(n) for n in range(2, 14)]
     out = [(G, cu, make(G)) for G in groups for cu, _w in cusps(G)]
     out += [(GroupId.gamma0(n), cu, make(GroupId.gamma0(n)))
-            for n in (9, 16, 25) for cu in split_cusps(n)]
+            for n in (9, 16, 25, 27, 32, 36) for cu in split_cusps(n)]
     return out
+
+
+def peeled_part(g, n):
+    """(j, h) with g^k = h T^j for the least power g^k of g that is
+    +-unipotent mod n, as the lift route peels it; h is in Gamma(n) up to
+    sign."""
+    gk = g
+    while gk.a % n not in (1 % n, (n - 1) % n):
+        gk = gk * g
+    j = gk.a * gk.b % n
+    return j, gk * T ** -j
+
+
+def parabolic_peel(rng, G):
+    """A hyperbolic g = h T^j of G with h parabolic in Gamma(N) and
+    j != 0 mod N, of positive trace: the power is g itself."""
+    n = G.level
+    while True:
+        g = random_principal_parabolic(rng, n) * T ** rng.randrange(1, n)
+        if abs(g.trace) > 2:
+            g = g if g.trace > 0 else -g
+            assert classify(peeled_part(g, n)[1]).tag is Motion.PARABOLIC
+            return g
+
+
+def hyperbolic_peel(rng, G, negative=False):
+    """A hyperbolic g of G of positive trace whose peeled h has j != 0 and
+    is hyperbolic, of negative trace when negative is set."""
+    while True:
+        g = random_hyperbolic(rng, G)
+        j, h = peeled_part(g, G.level)
+        if j and (h.trace < -2 if negative else abs(h.trace) > 2):
+            return g
 
 
 def assert_lift_route_matches_oracles(monkeypatch, cases):
@@ -783,17 +816,8 @@ def test_lift_route_peels_off_a_parabolic_part(monkeypatch):
     # is g itself, and its Gamma(N) part goes to psi_general, not to the
     # class sum
     rng = random.Random(20261106)
-
-    def make(G):
-        n = G.level
-        while True:
-            h = random_principal_parabolic(rng, n)
-            g = h * T ** rng.randrange(1, n)
-            if abs(g.trace) > 2:
-                assert classify(g * T ** -(g.a * g.b % n)).tag is Motion.PARABOLIC
-                return g if g.trace > 0 else -g
-
-    assert_lift_route_matches_oracles(monkeypatch, lift_cases(rng, make))
+    cases = lift_cases(rng, lambda G: parabolic_peel(rng, G))
+    assert_lift_route_matches_oracles(monkeypatch, cases)
 
 
 def test_lift_route_takes_negative_traces(monkeypatch):
@@ -805,6 +829,48 @@ def test_lift_route_takes_negative_traces(monkeypatch):
         assert g.trace < -2
         assert _psi_peel_lift(G, cu, g) == _psi_peel_lift(G, cu, -g), (G, cu, g)
     assert_lift_route_matches_oracles(monkeypatch, cases)
+
+
+def test_lift_route_negates_a_peeled_part_of_negative_trace(monkeypatch):
+    # j != 0 and tr h < -2: the class sum takes -h, of positive trace
+    rng = random.Random(20261109)
+    cases = lift_cases(rng, lambda G: hyperbolic_peel(rng, G, negative=True))
+    assert_lift_route_matches_oracles(monkeypatch, cases)
+
+
+def test_peel_cost_in_descents_and_calls(monkeypatch):
+    # a class sum is one level-N descent per Gamma(N)-cusp above the cusp;
+    # a hyperbolic peeled h takes the class sum with no psi_general call
+    # and no GroupElement product, a parabolic one takes one psi_general
+    rng = random.Random(20261110)
+    draws = [("class sum", lambda G: random_principal_hyperbolic(rng, G.level)),
+             ("hyperbolic h", lambda G: hyperbolic_peel(rng, G)),
+             ("parabolic h", lambda G: parabolic_peel(rng, G))]
+    cases = [(kind, G, cu, g) for kind, make in draws
+             for G, cu, g in lift_cases(rng, make)]
+    calls = {"descent": 0, "psi_general": 0, "mul": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(symbols, "_level_sawtooth",
+                        counting("descent", symbols._level_sawtooth))
+    monkeypatch.setattr(symbols, "psi_general",
+                        counting("psi_general", symbols.psi_general))
+    monkeypatch.setattr(GroupElement, "__mul__",
+                        counting("mul", GroupElement.__mul__))
+    for kind, G, cu, g in cases:
+        above = len(symbols._cusps_above(G, cu))
+        for key in calls:
+            calls[key] = 0
+        _psi_peel_lift(G, cu, g)
+        if kind == "parabolic h":
+            assert calls["psi_general"] == 1 and calls["descent"] == 0, (G, cu, g)
+        else:
+            assert calls == {"descent": above, "psi_general": 0, "mul": 0}, (kind, G, cu, g)
 
 
 def test_lift_route_at_the_irregular_cusp_of_gamma1_4(monkeypatch):
