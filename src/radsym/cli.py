@@ -84,7 +84,11 @@ def _parse_divisor(text: str, G: GroupId) -> Divisor:
         cu, _, mult = part.rpartition(":")
         if not cu:
             raise ValueError(f"divisor term '{part}' is not cusp:multiplicity")
-        coeffs[cu] = coeffs.get(cu, 0) + int(mult)
+        try:
+            coeffs[cu] = coeffs.get(cu, 0) + int(mult)
+        except ValueError:
+            raise ValueError(f"divisor term '{part}' has a multiplicity that is "
+                             f"not an integer") from None
     return Divisor.from_dict(G, coeffs)
 
 
@@ -111,15 +115,17 @@ def _cmd_sum(args) -> int:
     return 0
 
 
+_METHOD_NAMES = {
+    Family.SL2Z: "classical",
+    Family.GAMMA_N: "principal-level",
+    Family.GAMMA0_N: "hecke-level",
+    Family.GAMMA1_N: "hecke-level-1",
+    Family.GAMMA0N_PLUS: "fricke-extended",
+}
+
+
 def _method_name(G: GroupId, v: SymbolValue) -> str:
-    fam = {
-        Family.SL2Z: "classical",
-        Family.GAMMA_N: "principal-level",
-        Family.GAMMA0_N: "hecke-level",
-        Family.GAMMA1_N: "hecke-level-1",
-        Family.GAMMA0N_PLUS: "fricke-extended",
-    }[G.family]
-    return f"{fam}/{v.kind}"
+    return f"{_METHOD_NAMES[G.family]}/{v.kind}"
 
 
 def _cmd_symbol(args) -> int:
@@ -140,9 +146,8 @@ def _cmd_symbol(args) -> int:
     fn = phi_general if args.phi else psi_general
     rows = [(g, fn(G, cusp, g)) for g in matrices]
     if args.csv:
-        print("matrix,value,method")
-        for g, v in rows:
-            print(f"\"{g}\",{v},{_method_name(G, v)}")
+        print("\n".join(["matrix,value,method"] + [
+            f"\"{g}\",{v},{_method_name(G, v)}" for g, v in rows]))
         return 0
     for g, v in rows:
         payload = {

@@ -130,13 +130,14 @@ I2 = GroupElement.identity()
 def parse_matrix(text: str) -> GroupElement:
     """Parse "a,b,c,d" or "a,b,c,d;e"."""
     text = text.strip()
-    e = 1
-    if ";" in text:
-        text, etext = text.split(";", 1)
-        e = int(etext)
-    parts = [int(p) for p in text.split(",")]
+    entries, semicolon, etext = text.partition(";")
+    try:
+        parts = [int(p) for p in entries.split(",")]
+        e = int(etext) if semicolon else 1
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer matrix a,b,c,d[;e]") from None
     if len(parts) != 4:
-        raise ValueError(f"expected 4 comma-separated entries, got {text!r}")
+        raise ValueError(f"expected 4 comma-separated entries, got {entries!r}")
     return GroupElement(parts[0], parts[1], parts[2], parts[3], e)
 
 
@@ -366,8 +367,14 @@ class MotionClass:
 _ELLIPTIC_ORDERS = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
+_HYPERBOLIC = MotionClass(Motion.HYPERBOLIC)
+
+
 def classify(g: GroupElement) -> MotionClass:
     """Trace classification of the determinant-1 normalization e^{-1/2} g."""
+    # at e = 1 the content is 1, and t^2 > 4 rules out the identity
+    if g.e == 1 and g.trace * g.trace > 4:
+        return _HYPERBOLIC
     g = g.reduced()
     if g.is_identity():
         return MotionClass(Motion.IDENTITY)
@@ -379,7 +386,7 @@ def classify(g: GroupElement) -> MotionClass:
         return MotionClass(Motion.ELLIPTIC, m)
     if t2 == e4:
         return MotionClass(Motion.PARABOLIC)
-    return MotionClass(Motion.HYPERBOLIC)
+    return _HYPERBOLIC
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,21 @@ formula with cosine-sum constants C_{N,j}.  The constants are rational:
 for N = 2 they are (-1)^j, and for N >= 3 each row is the unique solution
 of a rational linear system.  The sawtooth sum over 0 < j < |c| splits by
 residue class mod N into Rademacher's shifted Dedekind sums, which a single
-Euclid descent on (a, |c|/N) evaluates through their reciprocity law, so
-every Gamma(N) value is exact and costs O(log |c|) at any size of c.
+Euclid descent on (a, |c|/N) evaluates through their reciprocity law, for
+C_{N,j} or any other even weight row mod N, so every Gamma(N) value is
+exact and costs O(log |c|) at any size of c.
 
 The Gamma0 family takes one divisor-basis solve, with one weight per
 divisor d of N for the cusps p/q with gcd(q, N) = d.  Those cusps are the
 phi(gcd(d, N/d)) classes a/d, a a unit mod gcd(d, N/d), so a Gamma0(N) cusp
 has a basis, the indicator of its d, exactly when gcd(d, N/d) <= 2: always
-at 0 and infinity, and at every cusp for squarefree N.  Gamma0(N)+ takes
-weight 1 at every d, since its Atkin-Lehner involutions permute the cusps
-of Gamma0(N) simply transitively.  Neither builds a coset table.
+at 0 and infinity, and at every cusp for squarefree N.  A Gamma0(N) symbol
+is the divisor sum sum_e c_e psi_classical([[a, eb], [c/e, d]]).
+Gamma0(N)+ takes weight 1 at every d, since its Atkin-Lehner involutions
+permute the cusps of Gamma0(N) simply transitively, and its divisor sum is
+one level-N descent with the even weight w_j = sum_{e | gcd(j, N)} c_e in
+place of C_{N,j}, added with its two closed-form terms into one Fraction.
+Neither builds a coset table.
 
 Gamma1(N), and the Gamma0(N) cusps that share gcd(q, N) with another
 class, are assembled from the Gamma(N) engine through homogeneity: g^k runs
@@ -23,20 +28,24 @@ the closed geodesic of g k times, so Psi_a(g^k) = k Psi_a(g), and the
 least power of g that is +-unipotent mod N is peeled to Gamma(N) or lifted
 by a sum over the Gamma(N)-cusps above a, each weighted by the number of
 cosets of Gamma(N) that send a to it: one level-N descent for a Gamma1(N)
-symbol at infinity.  The cusps above a are cached per (group, cusp).  The
-Gamma(N) symbols run on integer entries: one integer formula gives
-Phi^{Gamma(N)}_inf to takada_phi, psi_gamma and the class sum, and the terms
-are added over one integer denominator into one Fraction (besides the one
-each level-N descent returns).  The peel runs on integer 4-tuples too: g^k
-by repeated squaring, h = g^k T^-j, a hyperbolic h through the same class
-sum, and the four sign terms of the composition law read off the
-cusp-normalized conjugates.  An Atkin-Lehner element of Gamma0(N)+ is
-evaluated through its square.  Elliptic and parabolic symbols need no
-engine: they are closed forms of the composition law.
+symbol at infinity.  The cusps above a are cached per (group, cusp), with
+the other constants of the peel at a: the base matrix of a, whether a is
+equivalent to infinity, and pi/V as integers.  The Gamma(N) symbols run on
+integer entries: one integer formula gives Phi^{Gamma(N)}_inf to
+takada_phi, psi_gamma and the class sum, and the terms are added over one
+integer denominator into one Fraction (besides the one each level-N
+descent returns).  The peel runs on integer 4-tuples too: g^k by repeated
+squaring, h = g^k T^-j, a hyperbolic h through the same class sum, and the
+four sign terms of the composition law read off the cusp-normalized
+conjugates, all added over one denominator into one Fraction.  An
+Atkin-Lehner element of Gamma0(N)+ is evaluated through its square.
+Elliptic and parabolic symbols need no engine: they are closed forms of the
+composition law.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -205,15 +214,14 @@ def takada_C_row_exact(n: int):
 # the level-N sawtooth sum by Rademacher reciprocity
 
 
-@functools.lru_cache(maxsize=None)
-def _level_tables(n: int):
-    """Integer tables for the level-n descent.  With the row written as
-    C_r = C[r] / D over a common denominator, u[t][r] = 2n ((tr/n)) and
+def _weight_tables(n: int, row):
+    """Integer tables for the level-n descent of an even weight row
+    (w_0, ..., w_{n-1}) of rationals.  With the row written as
+    w_r = C[r] / D over a common denominator, u[t][r] = 2n ((tr/n)) and
     v[t][r] = 6n^2 B2bar(tr/n), returns (C, D, u, W, B) where, for t mod n,
 
         W[t] = sum_r C[r] u[t][r],   B[t] = sum_r C[r] v[t][r].
     """
-    row = takada_C_row_exact(n)
     D = math.lcm(*(x.denominator for x in row))
     C = tuple(int(x * D) for x in row)
     # with k = tr mod n: 2n ((k/n)) = 2k - n (0 at k = 0) and
@@ -227,15 +235,28 @@ def _level_tables(n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_sum(n: int, alpha: int, beta: int) -> int:
-    """sum_r C[r] u[alpha][r] u[beta][r], that is
-    4n^2 D sum_r C_r ((alpha r/n)) ((beta r/n))."""
-    C, _D, u, _W, _B = _level_tables(n)
-    return sum(C[r] * u[alpha][r] * u[beta][r] for r in range(n))
+def _level_tables(n: int):
+    """_weight_tables of the row C_{n,j} of takada_C_row_exact."""
+    return _weight_tables(n, takada_C_row_exact(n))
+
+
+# the pair sums of the row C_{n,j}, per level, as _descent fills them
+_level_pairs = collections.defaultdict(dict)
 
 
 def _level_sawtooth(n: int, a: int, c: int) -> Fraction:
-    """sum_{0 < j < |c|} j C_{n,j} ((aj/c)) for n | c and gcd(a, c) = 1.
+    """sum_{0 < j < |c|} j C_{n,j} ((aj/c)) for n | c and gcd(a, c) = 1,
+    by one _descent."""
+    return Fraction(*_descent(n, _level_tables(n), _level_pairs[n], a, c))
+
+
+def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
+    """sum_{0 < j < |c|} j w_j ((aj/c)) for an even weight row w mod n, with
+    n | c and gcd(a, c) = 1, as integers (numerator, denominator).  tables
+    is _weight_tables(n, w), and pairs a dict, kept with the tables, in
+    which the descent caches the pair sums
+    sum_r C[r] u[alpha][r] u[beta][r] = 4n^2 D sum_r w_r ((alpha r/n)) ((beta r/n))
+    under the key alpha n + beta.
 
     With m = |c| = nM and A = a sign(c) mod m, the residue-r part is
     S_r = m (s(A, M; 0, r/n) + ((Ar/n))/2), where
@@ -254,29 +275,39 @@ def _level_sawtooth(n: int, a: int, c: int) -> Fraction:
     holds for r != 0 because gcd(alpha, beta, n) = 1 is invariant.  At
     r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
     holds with an extra -1/4 on the right.  Each step is O(1) through the
-    per-level tables of _level_tables and _pair_sum, so the cost is
-    O(log |c|) steps.  The sum is accumulated in units of 1/(12 n^2 D) over
-    den = M h k: after the step at (h, k) its denominator divides M h k
-    (observed at every step, not proved, so a remainder raises
-    ArithmeticError), and the integers stay O(log |c|) bits.
+    tables and the cached pair sums (O(n) the first time a pair (alpha, beta)
+    is met), so the cost is O(log |c|) steps.  The sum is accumulated in
+    units of 1/(12 n^2 D) over den = M h k: after the step at (h, k) its
+    denominator divides M h k (observed at every step, not proved, so a
+    remainder raises ArithmeticError), and the integers stay O(log |c|)
+    bits.  Moving from the pair (H, k) to (h, k) with h = H mod k scales
+    the numerator by M h k / (M H k) = h / H.
     """
     m = abs(c)
     if m % n:
         raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
-    C, D, _u, W, B = _level_tables(n)
+    C, D, u, W, B = tables
     A = a * sign(c) % m
     M = m // n
-    num, den = 3 * n * W[A % n], 1
+    den = M * A * M
+    num = 3 * n * W[A % n] * den
     h, k, alpha, beta, sg = A, M, 0, 1, 1
     while True:
+        # den = M H k for the pair (H, k) that this step divides
+        H = h
         q, h = divmod(h, k)
         alpha = (alpha + q * beta) % n
-        num += sg * 3 * _pair_sum(n, alpha, beta) * den
+        pair = pairs.get(alpha * n + beta)
+        if pair is None:
+            ua, ub = u[alpha], u[beta]
+            pair = pairs[alpha * n + beta] = sum(
+                C[r] * ua[r] * ub[r] for r in range(n))
+        num += sg * 3 * pair * den
         if h == 0:                       # k = 1: s(0, 1; x, y) = ((x))((y))
-            return Fraction(m * num, 12 * n * n * D * den)
+            return m * num, 12 * n * n * D * den
         term = (h * h * B[beta] + B[(h * beta + k * alpha) % n] + k * k * B[alpha]
                 - 3 * n * n * C[0] * h * k)
-        num, rem = divmod(num * M * h * k, den)
+        num, rem = divmod(num * h, H)
         if rem:
             raise ArithmeticError(
                 f"level-{n} descent of {a}/{c}: a partial sum is not over M h k")
@@ -501,16 +532,25 @@ def psi_gamma0_divisor(g: GroupElement, basis) -> Fraction:
 
 @functools.lru_cache(maxsize=None)
 def _cusps_above(G: GroupId, cusp: Cusp) -> tuple:
-    """The Gamma(N)-cusps above the cusp a of G, for G = Gamma0(N) or
-    Gamma1(N): one (coset count, base entries) per Gamma(N)-class of the
-    cusps tau^-1 a, tau in Gamma(N)\\G, with the base matrix of the first
-    member of the class."""
+    """The per-(group, cusp) constants of the lift route at the cusp a of
+    G = Gamma0(N) or Gamma1(N), as (above, base, at_infinity, pv, qv):
+
+    - above: the Gamma(N)-cusps above a, one (coset count, base entries) per
+      Gamma(N)-class of the cusps tau^-1 a, tau in Gamma(N)\\G, with the
+      base matrix of the first member of the class;
+    - base: the entries of the base matrix of a;
+    - at_infinity: whether a is G-equivalent to infinity;
+    - pv / qv = pi/V of G in lowest terms.
+    """
     gamma_n = GroupId.gamma(G.level)
     above = {}                    # class key: [first cusp, coset count]
     for tau in cosets(gamma_n, G):
         c = tau.inverse().apply_cusp(cusp)
         above.setdefault(_cusp_key(gamma_n, c), [c, 0])[1] += 1
-    return tuple((m, c.base_matrix().entries()) for c, m in above.values())
+    pv = pi_over_volume(G)
+    return (tuple((m, c.base_matrix().entries()) for c, m in above.values()),
+            cusp.base_matrix().entries(), cusp_equivalent(G, Cusp.infinity(), cusp),
+            pv.numerator, pv.denominator)
 
 
 def _int_mul(x, y):
@@ -569,7 +609,7 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     gk = _int_pow(g.entries(), k)     # positive trace, +-unipotent mod N
     a, b, c, d = gk
     j = a * b % n                     # gk = +-h T^j with h in Gamma(N)
-    above = _cusps_above(G, cusp)
+    above, base, at_infinity, pv, qv = _cusps_above(G, cusp)
     if j == 0:
         if not _principal_member(n, a, b, c, d):
             raise ValueError(f"{GroupElement(*gk)} is not in Gamma({n})")
@@ -579,23 +619,54 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     th = h[0] + h[3]
     if abs(th) > 2:
         num, den = _psi_gamma_sum(n, above, h if th > 0 else tuple(-x for x in h))
-        psi = Fraction(num, den)
     else:
         psi = psi_general(G, cusp, GroupElement(*h)).as_fraction()
-    if cusp_equivalent(G, Cusp.infinity(), cusp):
-        psi += j
-    base = cusp.base_matrix().entries()
+        num, den = psi.numerator, psi.denominator
+    if at_infinity:
+        num += j * den
     ch, ct, cg = (_to_infinity(base, x)[2] for x in (h, (1, j, 0, 1), gk))
     signs = sign(ch * th) + sign(ct) - sign(ch * ct * cg) - sign(cg * (a + d))
-    return SymbolValue.exact((psi + pi_over_volume(G) * signs) / k)
+    return SymbolValue.exact(Fraction(num * qv + signs * pv * den, den * qv * k))
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma0_plus_weight(n: int):
+    """The Gamma0(N)+ symbol as one weighted descent: the divisor basis
+    (e, c_e) with weight 1 at every d | N, and from it the even weight row
+    w_r = sum_{e | gcd(r, N)} c_e mod N.  Returns (tables, pairs, e1, e0, K)
+    for the descent of w, with sum_e e c_e = e1/K and sum_e c_e = w_0 = e0/K.
+    """
+    basis = _gamma0_basis(n, (1,) * len(_divisors(n)))
+    row = [sum(ce for e, ce in basis if r % e == 0) for r in range(n)]
+    e1 = sum(e * ce for e, ce in basis)
+    K = math.lcm(e1.denominator, row[0].denominator)
+    return _weight_tables(n, row), {}, int(e1 * K), int(row[0] * K), K
 
 
 def _psi_gamma0_plus(n: int, g: GroupElement) -> SymbolValue:
     """Psi on Gamma0(N)+, at its one cusp class: sum_a Psi^{Gamma0(N)}_a on
-    Gamma0(N), from the divisor basis with weight 1 at every d | N (N is
-    squarefree, so each d is one class), and Psi(g^2)/2 for e > 1."""
+    Gamma0(N), the symbol of the divisor basis (e, c_e) with weight 1 at
+    every d | N (N is squarefree, so each d is one class).  That is
+    sum_e c_e psi_classical([[a, eb], [c/e, d]]), and with
+    w_j = sum_{e | gcd(j, N)} c_e it is one level-N descent:
+
+        Psi(g) = (a+d)/c sum_e e c_e - 3 sign(c (a+d)) sum_e c_e
+                 - (12/|c|) sum_{0 < j < |c|} j w_j ((aj/c)),
+
+    since s(a, |c|/e) is the part of sum_j ((j/|c|)) ((aj/|c|)) over
+    j = 0 mod e, and j = |c| ((j/|c|)) + |c|/2 for 0 < j < |c|, where the
+    1/2 part cancels under j -> |c| - j because w is even.  The terms are
+    added over one denominator.  An Atkin-Lehner element (e > 1) is
+    Psi(g^2)/2, with g^2 = e h for h a hyperbolic element of Gamma0(N) of
+    positive trace."""
+    a, b, c, d = g.entries()
+    half = 1
     if g.e > 1:
-        # g^2 is a hyperbolic element of Gamma0(N) of positive trace
-        return _psi_gamma0_plus(n, g * g).scaled(Fraction(1, 2))
-    ones = (1,) * len(_divisors(n))
-    return SymbolValue.exact(psi_gamma0_divisor(g, _gamma0_basis(n, ones)))
+        a, b, c, d = (x // g.e for x in _int_mul((a, b, c, d), (a, b, c, d)))
+        half = 2
+    tables, pairs, e1, e0, K = _gamma0_plus_weight(n)
+    sn, sd = _descent(n, tables, pairs, a, c)
+    t = a + d
+    return SymbolValue.exact(Fraction(
+        sign(c) * t * e1 * sd - 3 * sign(c * t) * e0 * abs(c) * sd - 12 * K * sn,
+        abs(c) * K * sd * half))

@@ -30,7 +30,6 @@ from radsym.modgroup import (
 from radsym.symbols import (
     SymbolValue,
     _level_tables,
-    _pair_sum,
     _sign_term,
     _solve_rational,
     lift_coset_sum,
@@ -294,10 +293,11 @@ def _size(g: GroupElement) -> int:
     return a * a + b * b + c * c + d * d
 
 
-def level_sawtooth_direct(n: int, a: int, c: int) -> Fraction:
-    """sum_{0 < j < |c|} j C_{n,j} ((aj/c)) term by term: the O(|c|) oracle
-    for the reciprocity descent.  ((t/m)) = (2t - m)/(2m) for 0 < t < m,
-    so each residue class mod n is accumulated as an integer over 2m."""
+def level_sawtooth_direct(n: int, a: int, c: int, row=None) -> Fraction:
+    """sum_{0 < j < |c|} j w_j ((aj/c)) term by term, for the row w mod n
+    (by default C_{n,j}): the O(|c|) oracle for the reciprocity descent.
+    ((t/m)) = (2t - m)/(2m) for 0 < t < m, so each residue class mod n is
+    accumulated as an integer over 2m."""
     m = abs(c)
     A = a * (1 if c > 0 else -1) % m
     sums = [0] * n
@@ -305,7 +305,8 @@ def level_sawtooth_direct(n: int, a: int, c: int) -> Fraction:
         t = A * j % m
         if t:
             sums[j % n] += j * (2 * t - m)
-    row = takada_C_row_exact(n)
+    if row is None:
+        row = takada_C_row_exact(n)
     return sum((Fraction(s, 2 * m) * cr for s, cr in zip(sums, row)), Fraction(0))
 
 
@@ -358,14 +359,14 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
     73 (1995)).  The reciprocity law needs x, y not both integers, which
     holds for r != 0 because gcd(alpha, beta, n) = 1 is invariant.  At
     r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
-    holds with an extra -1/4 on the right.  Each step is O(1) through the
-    per-level tables of _level_tables and _pair_sum, so the cost is
-    O(log |c|).  The sum is accumulated in units of 1/(12 n^2 D).
+    holds with an extra -1/4 on the right.  Each step takes O(n) through
+    the per-level tables of _level_tables, so the cost is O(n log |c|).
+    The sum is accumulated in units of 1/(12 n^2 D).
     """
     m = abs(c)
     if m % n:
         raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
-    C, D, _u, W, B = _level_tables(n)
+    C, D, u, W, B = _level_tables(n)
     A = a * sign(c) % m
     # the reciprocity terms have denominators hk; num/den keeps them exact
     # without reducing at every step
@@ -374,7 +375,8 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
     while True:
         q, h = divmod(h, k)
         alpha = (alpha + q * beta) % n
-        num += sg * 3 * _pair_sum(n, alpha, beta) * den
+        pair = sum(C[r] * u[alpha][r] * u[beta][r] for r in range(n))
+        num += sg * 3 * pair * den
         if h == 0:                       # k = 1: s(0, 1; x, y) = ((x))((y))
             return Fraction(m * num, 12 * n * n * D * den)
         term = (h * h * B[beta] + B[(h * beta + k * alpha) % n] + k * k * B[alpha]

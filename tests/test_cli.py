@@ -107,6 +107,28 @@ def test_cusp_that_is_no_number_is_rejected(capsys, argv):
     assert captured.err.strip() == "error: 'abc' is not a cusp"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["symbol", "--group", "gamma", "--level", "3", "--matrix", "1,x,0,1"],
+     "error: '1,x,0,1' is not an integer matrix a,b,c,d[;e]"),
+    (["symbol", "--group", "gamma", "--level", "3", "--matrix", "1,2,0,1;y"],
+     "error: '1,2,0,1;y' is not an integer matrix a,b,c,d[;e]"),
+    (["period", "--matrix", "2,1,1,z", "--numeric"],
+     "error: '2,1,1,z' is not an integer matrix a,b,c,d[;e]"),
+    (["torsion", "--level", "11", "--divisor", "0:x,inf:-1"],
+     "error: divisor term '0:x' has a multiplicity that is not an integer"),
+    (["torsion", "--level", "11", "--divisor", "0:1,inf:"],
+     "error: divisor term 'inf:' has a multiplicity that is not an integer"),
+], ids=["matrix-entry", "matrix-scale", "period-matrix", "divisor-multiplicity",
+        "divisor-empty-multiplicity"])
+def test_non_integer_input_names_the_matrix_or_term(capsys, argv, message):
+    # int()'s own message ("invalid literal for int() with base 10") named
+    # neither the matrix nor the divisor term
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
 def test_period_numeric(capsys):
     assert run(["period", "--matrix", "5,2,2,1", "--numeric",
                 "--tol", "1e-8"]) == 0

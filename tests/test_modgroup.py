@@ -53,6 +53,11 @@ def test_parse_matrix():
     assert w.e == 11
     with pytest.raises(ValueError):
         parse_matrix("1,2,3")
+    # a non-integer entry or scale is named, not reported through int()
+    for text in ("1,x,0,1", "1,2,0,1;y", "1,2,0,1;", "1.5,2,0,1"):
+        with pytest.raises(ValueError, match=r"is not an integer matrix") as exc:
+            parse_matrix(text)
+        assert repr(text) in str(exc.value)
 
 
 def test_group_law():

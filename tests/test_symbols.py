@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from radsym import modgroup, symbols
+from radsym import dedekind, modgroup, symbols
 from radsym.dedekind import (
     cocycle_defect,
     phi_classical,
@@ -548,6 +548,7 @@ def test_gamma0_basis_failed_check_raises(monkeypatch):
     monkeypatch.setattr(symbols, "pi_over_volume", lambda G: Fraction(1, 7))
     symbols._gamma0_basis.cache_clear()
     symbols.gamma0_cusp_basis.cache_clear()
+    symbols._gamma0_plus_weight.cache_clear()
     with pytest.raises(ArithmeticError):
         psi_general(GroupId.gamma0(11), INF, GroupElement(4, 1, 11, 3))
     with pytest.raises(ArithmeticError):
@@ -623,6 +624,107 @@ def test_gamma0_plus_fricke_elements(rng):
         if abs(classify_trace(g)) > 2:
             h = random_in_group(rng, GroupId.gamma0(n), 2)
             assert psi_general(Gp, INF, g.conjugate_by(h)).as_fraction() == a
+
+
+def deep_gamma0(rng, n, digits):
+    """A hyperbolic element of Gamma0(n) with |c| up to about 10^digits,
+    of either sign of c and of the trace."""
+    while True:
+        c = n * rng.randint(1, max(1, 10 ** digits // n)) * rng.choice((-1, 1))
+        a = rng.randint(-3 * abs(c), 3 * abs(c))
+        while math.gcd(a, c) != 1:
+            a += 1
+        d = pow(a, -1, abs(c)) + c * rng.randint(-2, 2)
+        g = GroupElement(a, (a * d - 1) // c, c, d)
+        if abs(g.trace) > 2:
+            return g
+
+
+def deep_atkin_lehner(rng, n, digits):
+    """A hyperbolic element of Gamma0(n)+ with scale e > 1, e || n."""
+    while True:
+        e = rng.choice(atkin_lehner_exponents(n)[1:])
+        w = (deep_gamma0(rng, n, digits) * atkin_lehner(n, e)).reduced()
+        if w.trace * w.trace > 4 * w.e:
+            return w
+
+
+def test_gamma0_plus_descent_matches_divisor_sum():
+    # the one weighted descent against the divisor sum
+    # sum_e c_e psi_classical([[a, eb], [c/e, d]]) over the all-ones basis, at
+    # every squarefree N <= 200, |c| up to 10^40, both signs, and Psi(g^2)/2
+    # at e > 1
+    rng = random.Random(20261111)
+    checked = 0
+    for n in range(2, 201):
+        if not _squarefree(n):
+            continue
+        basis = symbols._gamma0_basis(n, (1,) * len(symbols._divisors(n)))
+        for digits in (2, 4, 9, 20, 40):
+            g = deep_gamma0(rng, n, digits)
+            for x in (g, -g):
+                assert symbols._psi_gamma0_plus(n, x).as_fraction() \
+                    == psi_gamma0_divisor(x, basis), (n, x)
+            w = deep_atkin_lehner(rng, n, digits)
+            for x in (w, -w):
+                assert symbols._psi_gamma0_plus(n, x).as_fraction() \
+                    == psi_gamma0_divisor(x * x, basis) / 2, (n, x)
+            checked += 4
+    assert checked == 4 * 5 * 121     # 121 squarefree N in 2..200
+
+
+def divisor_row(n, basis):
+    """The weight row w_r = sum_{e | gcd(r, N)} c_e mod N of a divisor
+    basis ((e, c_e), ...)."""
+    return [sum(ce for e, ce in basis if r % e == 0) for r in range(n)]
+
+
+@pytest.mark.parametrize("n", [6, 30, 210])
+def test_weighted_descent_matches_direct_sum(n):
+    # the descent with the row of each indicator basis of Gamma0(N), and of
+    # the all-ones basis of Gamma0(N)+, against the O(|c|) sum
+    rng = random.Random(20261112 + n)
+    ones = (1,) * len(symbols._divisors(n))
+    bases = [gamma0_cusp_basis(n, cu) for cu, _w in cusps(GroupId.gamma0(n))]
+    for basis in bases + [symbols._gamma0_basis(n, ones)]:
+        row = divisor_row(n, basis)
+        tables, pairs = symbols._weight_tables(n, row), {}
+        for _ in range(12):
+            m = n * int(10 ** rng.uniform(0, 4.3 - math.log10(n)))
+            c = m * rng.choice((-1, 1))
+            a = rng.randint(-3 * m, 3 * m)
+            while math.gcd(a, c) != 1:
+                a += 1
+            assert Fraction(*symbols._descent(n, tables, pairs, a, c)) \
+                == level_sawtooth_direct(n, a, c, row), (n, basis, a, c)
+
+
+def test_gamma0_plus_symbol_takes_one_descent(monkeypatch):
+    # one weighted level-N descent per symbol, at e = 1 and e > 1, and no
+    # psi_classical or dedekind_sum call: the divisor sum took tau(N) of each
+    rng = random.Random(20261113)
+    calls = {"descent": 0, "psi_classical": 0, "dedekind_sum": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(symbols, "_descent", counting("descent", symbols._descent))
+    monkeypatch.setattr(symbols, "psi_classical",
+                        counting("psi_classical", symbols.psi_classical))
+    monkeypatch.setattr(dedekind, "dedekind_sum",
+                        counting("dedekind_sum", dedekind.dedekind_sum))
+    for n in (2, 6, 11, 30, 210):
+        Gp = GroupId.gamma0_plus(n)
+        for digits in (3, 12, 30):
+            for g in (deep_gamma0(rng, n, digits), deep_atkin_lehner(rng, n, digits)):
+                for key in calls:
+                    calls[key] = 0
+                psi_general(Gp, INF, g)
+                assert calls == {"descent": 1, "psi_classical": 0,
+                                 "dedekind_sum": 0}, (n, g)
 
 
 def classify_trace(g):
@@ -863,7 +965,7 @@ def test_peel_cost_in_descents_and_calls(monkeypatch):
     monkeypatch.setattr(GroupElement, "__mul__",
                         counting("mul", GroupElement.__mul__))
     for kind, G, cu, g in cases:
-        above = len(symbols._cusps_above(G, cu))
+        above = len(symbols._cusps_above(G, cu)[0])
         for key in calls:
             calls[key] = 0
         _psi_peel_lift(G, cu, g)
@@ -877,7 +979,7 @@ def test_lift_route_at_the_irregular_cusp_of_gamma1_4(monkeypatch):
     # 1/2 has width 1 on Gamma1(4), fixed by -base T base^-1, where
     # Gamma(4) has width 4: all four cosets send it to one Gamma(4)-class
     G, half = GroupId.gamma1(4), Cusp(1, 2)
-    assert [m for m, _base in symbols._cusps_above(G, half)] == [4]
+    assert [m for m, _base in symbols._cusps_above(G, half)[0]] == [4]
     rng = random.Random(20261108)
     cases = [(G, half, random_hyperbolic(rng, G, 6)) for _ in range(40)]
     cases += [(G, cu, -g) for G, cu, g in cases]
