@@ -28,17 +28,22 @@ the closed geodesic of g k times, so Psi_a(g^k) = k Psi_a(g), and the
 least power of g that is +-unipotent mod N is peeled to Gamma(N) or lifted
 by a sum over the Gamma(N)-cusps above a, each weighted by the number of
 cosets of Gamma(N) that send a to it: one level-N descent for a Gamma1(N)
-symbol at infinity.  The cusps above a are cached per (group, cusp), with
-the other constants of the peel at a: the base matrix of a, whether a is
-equivalent to infinity, and pi/V as integers.  The Gamma(N) symbols run on
-integer entries: one integer formula gives Phi^{Gamma(N)}_inf to
-takada_phi, psi_gamma and the class sum, and the terms are added over one
-integer denominator into one Fraction (besides the one each level-N
-descent returns).  The peel runs on integer 4-tuples too: g^k by repeated
-squaring, h = g^k T^-j, a hyperbolic h through the same class sum, and the
-four sign terms of the composition law read off the cusp-normalized
-conjugates, all added over one denominator into one Fraction.  An
-Atkin-Lehner element of Gamma0(N)+ is evaluated through its square.
+symbol at infinity.  The Fricke involution W = [[0, -1], [N, 0]] normalizes
+Gamma1(N), so Psi_a(g) = Psi_{Wa}(W g W^-1); a cusp p/q with d = gcd(q, N)
+has N/d Gamma(N)-cusps above it and W a has d, so where d^2 < N the symbol
+is evaluated at W a, and the cusp 0 takes one descent like infinity.  The
+cusps above a are cached per (group, cusp), with the other constants of the
+peel at a: the Fricke image W a where it is used, the base matrix of the
+cusp evaluated, whether it is equivalent to infinity, and pi/V as
+integers.  The Gamma(N) symbols run on integer entries: one integer formula
+gives Phi^{Gamma(N)}_inf to takada_phi, psi_gamma and the class sum, and
+the terms are added over one integer denominator into one Fraction (besides
+the one each level-N descent returns).  The peel runs on integer 4-tuples
+too: g^k by repeated squaring, h = g^k T^-j, a hyperbolic h through the
+same class sum, and the four sign terms of the composition law read off the
+cusp-normalized conjugates, all added over one denominator into one
+Fraction.  An Atkin-Lehner element of Gamma0(N)+ is evaluated through its
+square.
 Elliptic and parabolic symbols need no engine: they are closed forms of the
 composition law.
 """
@@ -533,16 +538,26 @@ def psi_gamma0_divisor(g: GroupElement, basis) -> Fraction:
 @functools.lru_cache(maxsize=None)
 def _cusps_above(G: GroupId, cusp: Cusp) -> tuple:
     """The per-(group, cusp) constants of the lift route at the cusp a of
-    G = Gamma0(N) or Gamma1(N), as (above, base, at_infinity, pv, qv):
+    G = Gamma0(N) or Gamma1(N), as (above, base, at_infinity, pv, qv, wa):
 
-    - above: the Gamma(N)-cusps above a, one (coset count, base entries) per
-      Gamma(N)-class of the cusps tau^-1 a, tau in Gamma(N)\\G, with the
-      base matrix of the first member of the class;
-    - base: the entries of the base matrix of a;
-    - at_infinity: whether a is G-equivalent to infinity;
+    - wa: W a for the Fricke involution W = [[0, -1], [N, 0]] when the
+      symbols at a are evaluated there, as Psi_{Wa}(W g W^-1), else None.
+      W normalizes Gamma1(N), and a Gamma1(N) cusp p/q with d = gcd(q, N)
+      has N/d Gamma(N)-cusps above it where W a = -q/(Np) has d, so
+      Gamma1(N) transports exactly when d^2 < N;
+    - above: the Gamma(N)-cusps above the cusp evaluated (a, or W a), one
+      (coset count, base entries) per Gamma(N)-class of its images under
+      tau^-1, tau in Gamma(N)\\G, with the base matrix of the first member
+      of the class;
+    - base: the entries of the base matrix of the cusp evaluated;
+    - at_infinity: whether the cusp evaluated is G-equivalent to infinity;
     - pv / qv = pi/V of G in lowest terms.
     """
-    gamma_n = GroupId.gamma(G.level)
+    n = G.level
+    if G.family is Family.GAMMA1_N and gcd(cusp.q, n) ** 2 < n:
+        wa = Cusp(-cusp.q, n * cusp.p)
+        return _cusps_above(G, wa)[:5] + (wa,)
+    gamma_n = GroupId.gamma(n)
     above = {}                    # class key: [first cusp, coset count]
     for tau in cosets(gamma_n, G):
         c = tau.inverse().apply_cusp(cusp)
@@ -550,7 +565,7 @@ def _cusps_above(G: GroupId, cusp: Cusp) -> tuple:
     pv = pi_over_volume(G)
     return (tuple((m, c.base_matrix().entries()) for c, m in above.values()),
             cusp.base_matrix().entries(), cusp_equivalent(G, Cusp.infinity(), cusp),
-            pv.numerator, pv.denominator)
+            pv.numerator, pv.denominator, None)
 
 
 def _int_mul(x, y):
@@ -584,8 +599,13 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     Gamma(N)-class +-(p, q) mod N of tau^-1 a, so it is a sum over the
     Gamma(N)-cusps above a (cached per (G, a) by _cusps_above), each
     weighted by its number of cosets: one level-N descent per class, added
-    in integers by _psi_gamma_sum.  A Gamma1(N) cusp p/q has at most
-    N/gcd(q, N) classes, so infinity has one.
+    in integers by _psi_gamma_sum.  A Gamma1(N) cusp p/q with
+    d = gcd(q, N) has at most N/d classes, so infinity has one.  Where
+    d^2 < N the symbol is Psi_{Wa}(W g W^-1) instead, with the Fricke
+    involution W = [[0, -1], [N, 0]] and W g W^-1 = [[d, -c/N], [-Nb, a]]
+    for g = [[a, b], [c, d]], formed on integers: W a has d classes, so
+    the cusp 0 takes one descent like infinity, and every Gamma1(N) cusp
+    takes at most min(d, N/d).
 
     Otherwise h = (a, b - ja, c, d - jc), and the composition law
     Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_g) gives
@@ -599,17 +619,21 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     G-equivalent to infinity, whose width is 1 on both families, and 0
     otherwise."""
     n = G.level
+    above, base, at_infinity, pv, qv, wa = _cusps_above(G, cusp)
+    ent = g.entries()
+    if wa is not None:                # evaluate Psi_{Wa}(W g W^-1)
+        a, b, c, d = ent
+        cusp, ent = wa, (d, -c // n, -n * b, a)
     # order of a mod N in (Z/N)*/{+-1}: a is a unit mod N since g is in G,
     # so the loop ends within phi(N) steps
     k = 1
-    acc = g.a % n
+    acc = ent[0] % n
     while acc not in (1 % n, (n - 1) % n):
-        acc = acc * g.a % n
+        acc = acc * ent[0] % n
         k += 1
-    gk = _int_pow(g.entries(), k)     # positive trace, +-unipotent mod N
+    gk = _int_pow(ent, k)             # positive trace, +-unipotent mod N
     a, b, c, d = gk
     j = a * b % n                     # gk = +-h T^j with h in Gamma(N)
-    above, base, at_infinity, pv, qv = _cusps_above(G, cusp)
     if j == 0:
         if not _principal_member(n, a, b, c, d):
             raise ValueError(f"{GroupElement(*gk)} is not in Gamma({n})")

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,6 +32,7 @@ from radsym.modgroup import (
     member,
     schreier_generators,
 )
+from radsym.periods import Divisor, divisor_period
 from radsym.symbols import (
     SymbolValue,
     _bernoulli2_bar,
@@ -940,15 +943,43 @@ def test_lift_route_negates_a_peeled_part_of_negative_trace(monkeypatch):
     assert_lift_route_matches_oracles(monkeypatch, cases)
 
 
+def fricke_frame(G, cu, g):
+    """(cusp, element) at which the lift route evaluates Psi_cu(g): on
+    Gamma1(N) at a cusp p/q with gcd(q, N)^2 < N, the Fricke images
+    W cu = -q/(Np) and W g W^-1 = [[d, -c/N], [-N b, a]]; else (cu, g)."""
+    n = G.level
+    if G.family is Family.GAMMA1_N and math.gcd(cu.q, n) ** 2 < n:
+        a, b, c, d = g.entries()
+        return Cusp(-cu.q, n * cu.p), GroupElement(d, -c // n, -n * b, a)
+    return cu, g
+
+
+def classes_above(G, cu):
+    """The number of Gamma(N)-cusps above cu on G = Gamma0(N) or Gamma1(N):
+    the classes +-(u p + x q, q / u) mod N over the cosets of Gamma(N),
+    which are [[u, x], [0, 1/u]] mod N with u = 1 on Gamma1(N)."""
+    n = G.level
+    units = [1] if G.family is Family.GAMMA1_N else [
+        u for u in range(1, n) if math.gcd(u, n) == 1]
+    seen = set()
+    for u in units:
+        for x in range(n):
+            v = ((u * cu.p + x * cu.q) % n, pow(u, -1, n) * cu.q % n)
+            seen.add(min(v, (-v[0] % n, -v[1] % n)))
+    return len(seen)
+
+
 def test_peel_cost_in_descents_and_calls(monkeypatch):
-    # a class sum is one level-N descent per Gamma(N)-cusp above the cusp;
-    # a hyperbolic peeled h takes the class sum with no psi_general call
-    # and no GroupElement product, a parabolic one takes one psi_general
+    # a class sum is one level-N descent per Gamma(N)-cusp above the cusp
+    # evaluated, which on Gamma1(N) is the Fricke image W a where
+    # gcd(q, N)^2 < N, so at most min(N/d, d) descents; a hyperbolic peeled
+    # h takes the class sum with no psi_general call and no GroupElement
+    # product, a parabolic one takes one psi_general
     rng = random.Random(20261110)
     draws = [("class sum", lambda G: random_principal_hyperbolic(rng, G.level)),
              ("hyperbolic h", lambda G: hyperbolic_peel(rng, G)),
              ("parabolic h", lambda G: parabolic_peel(rng, G))]
-    cases = [(kind, G, cu, g) for kind, make in draws
+    cases = [(G, cu, g) for _kind, make in draws
              for G, cu, g in lift_cases(rng, make)]
     calls = {"descent": 0, "psi_general": 0, "mul": 0}
 
@@ -958,21 +989,52 @@ def test_peel_cost_in_descents_and_calls(monkeypatch):
             return fn(*args)
         return counted
 
+    seen = collections.Counter()
     monkeypatch.setattr(symbols, "_level_sawtooth",
                         counting("descent", symbols._level_sawtooth))
     monkeypatch.setattr(symbols, "psi_general",
                         counting("psi_general", symbols.psi_general))
     monkeypatch.setattr(GroupElement, "__mul__",
                         counting("mul", GroupElement.__mul__))
-    for kind, G, cu, g in cases:
-        above = len(symbols._cusps_above(G, cu)[0])
+    for G, cu, g in cases:
+        wa, w = fricke_frame(G, cu, g)
+        j, h = peeled_part(w, G.level)
+        parabolic = j != 0 and classify(h).tag is not Motion.HYPERBOLIC
+        above = classes_above(G, wa)
+        if G.family is Family.GAMMA1_N:
+            d = math.gcd(cu.q, G.level)
+            assert above <= min(G.level // d, d), (G, cu)
+        seen[wa != cu, parabolic] += 1
         for key in calls:
             calls[key] = 0
         _psi_peel_lift(G, cu, g)
-        if kind == "parabolic h":
+        if parabolic:
             assert calls["psi_general"] == 1 and calls["descent"] == 0, (G, cu, g)
         else:
-            assert calls == {"descent": above, "psi_general": 0, "mul": 0}, (kind, G, cu, g)
+            assert calls == {"descent": above, "psi_general": 0, "mul": 0}, (G, cu, g)
+    assert min(seen[k] for k in itertools.product((False, True), repeat=2)) >= 10, seen
+
+
+def test_gamma1_zero_minus_infinity_takes_two_descents_per_generator(monkeypatch):
+    # the cusp 0 is evaluated at W 0 = infinity, so each period of
+    # (0) - (inf) on Gamma1(N) takes at most one level-N descent per cusp
+    calls = []
+
+    def counted(n, a, c):
+        calls.append(n)
+        return _level_sawtooth(n, a, c)
+
+    monkeypatch.setattr(symbols, "_level_sawtooth", counted)
+    total = 0
+    for n in range(2, 24):
+        G = GroupId.gamma1(n)
+        D = Divisor.from_dict(G, {Cusp(0, 1): 1, INF: -1})
+        for g in schreier_generators(G):
+            calls.clear()
+            divisor_period(D, g)
+            assert len(calls) <= 2, (n, g, len(calls))
+            total += len(calls)
+    assert total >= 400
 
 
 def test_lift_route_at_the_irregular_cusp_of_gamma1_4(monkeypatch):
@@ -1028,6 +1090,55 @@ def test_fricke_transport_on_gamma1():
             a, b, c, d = g.entries()
             w = GroupElement(d, -c // n, -n * b, a)
             assert psi_general(G, Cusp(0, 1), g) == psi_general(G, INF, w), (n, g)
+
+
+def deep_gamma1(rng, n, bound):
+    """A hyperbolic element of Gamma1(n) of positive trace with
+    n <= |c| <= bound, either sign of c, built from its bottom row."""
+    while True:
+        c = n * rng.randint(1, bound // n) * rng.choice((-1, 1))
+        d = 1 + n * rng.randint(-bound // n, bound // n)
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, abs(c)) + abs(c) * rng.randint(-2, 2)   # a = 1 mod n
+        if a + d > 2:
+            return GroupElement(a, (a * d - 1) // c, c, d)
+
+
+def test_fricke_transport_matches_coset_sum_at_every_cusp(monkeypatch):
+    # psi_general and phi_general at every cusp class of Gamma1(2..40), on
+    # both sides of gcd(q, N)^2 = N, against the peel-lift whose Gamma(N)
+    # power takes the full coset sum at the cusp itself; the oracle is
+    # swapped in as symbols._psi_peel_lift, so that no symbol it needs goes
+    # through the Fricke transport.  Elements reach |c| = 10^12, and each is
+    # also evaluated as its negative
+    rng = random.Random(20261112)
+    cases = []
+    for n in range(2, 41):
+        G = GroupId.gamma1(n)
+        for cu, _w in cusps(G):
+            for bound in (n * n, 10 ** 12):
+                cases.append((G, cu, deep_gamma1(rng, n, bound)))
+    new = [(psi_general(G, cu, g), psi_general(G, cu, -g),
+            phi_general(G, cu, g), phi_general(G, cu, -g)) for G, cu, g in cases]
+    transported = collections.Counter()
+    for G, cu, _g in cases:
+        d2, n = math.gcd(cu.q, G.level) ** 2, G.level
+        moved = symbols._cusps_above(G, cu)[5] is not None
+        assert moved == (d2 < n), (G, cu)
+        transported[(d2 > n) - (d2 < n)] += 1
+    assert transported == {-1: 824, 0: 30, 1: 824}
+    half = Cusp(1, 2)
+    assert symbols._cusps_above(GroupId.gamma1(4), half)[5] is None
+    assert (GroupId.gamma1(4), half) in {(G, cu) for G, cu, _g in cases}
+    monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
+    for (G, cu, g), (psi, psi_neg, phi, phi_neg) in zip(cases, new):
+        expect = psi_peel_lift_coset_sum(G, cu, g).as_fraction()
+        h = g.conjugate_by(cu.base_matrix().inverse())
+        expect_phi = expect + pi_over_volume(G) * sign(h.c * h.trace)
+        assert psi.as_fraction() == psi_neg.as_fraction() == expect, (G, cu, g)
+        assert phi.as_fraction() == phi_neg.as_fraction() == expect_phi, (G, cu, g)
+    assert max(abs(g.c) for _G, _cu, g in cases) > 10 ** 11
 
 
 def test_gamma0_split_divisor_sums_over_its_classes():
