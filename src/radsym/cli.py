@@ -359,6 +359,10 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if args.level is not None and args.suite in ("reciprocity", "cocycle", "lemma"):
+        raise ValueError(f"the {args.suite} suite takes no --level")
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     failures = _SUITES[args.suite](args)
     status = "PASS" if not failures else "FAIL"
     if getattr(args, "json", False):

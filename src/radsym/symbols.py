@@ -1,14 +1,23 @@
 """Generalized Dedekind and Rademacher symbols for Gamma(N), Gamma0(N) and
 Gamma0(N)+.
 
-The Gamma(N) symbol at infinity is evaluated by the explicit sawtooth
-formula with cosine-sum constants C_{N,j}.  The constants are rational:
-for N = 2 they are (-1)^j, and for N >= 3 each row is the unique solution
-of a rational linear system.  The sawtooth sum over 0 < j < |c| splits by
-residue class mod N into Rademacher's shifted Dedekind sums, which a single
-Euclid descent on (a, |c|/N) evaluates through their reciprocity law, for
-C_{N,j} or any other even weight row mod N, so every Gamma(N) value is
-exact and costs O(log |c|) at any size of c.
+One integer formula, _psi_weighted, gives every level-N symbol: for an even
+weight row w mod N and a constant K1,
+
+    Psi(g) = K1 (a+d)/c - 3 sign(c (a+d)) w_0
+             - (12/|c|) sum_{0 < j < |c|} j w_j ((aj/c)),
+
+with each row's tables and constants cached as one record.  Gamma(N) at
+infinity takes w_j = C_{N,j}/mu and K1 = 1/N, with mu its projective index
+and C_{N,j} its cosine-sum constants: rational, (-1)^j for N = 2, and for
+N >= 3 the unique solution of a rational linear system.  Gamma0(N)+ takes
+w_j = sum_{e | gcd(j, N)} c_e and K1 = sum_e e c_e for its divisor basis
+(e, c_e).  takada_phi is Psi + 3 w_0 sign(c (a+d)); at N = 1, where the
+descent does not run, psi_gamma and takada_phi are the classical symbols.
+The sawtooth sum splits by residue class mod N into Rademacher's shifted
+Dedekind sums, which one Euclid descent on (a, |c|/N) evaluates through
+their reciprocity law, so every value is exact and costs O(log |c|) at any
+size of c.
 
 The Gamma0 family takes one divisor-basis solve, with one weight per
 divisor d of N for the cusps p/q with gcd(q, N) = d.  Those cusps are the
@@ -18,9 +27,7 @@ at 0 and infinity, and at every cusp for squarefree N.  A Gamma0(N) symbol
 is the divisor sum sum_e c_e psi_classical([[a, eb], [c/e, d]]).
 Gamma0(N)+ takes weight 1 at every d, since its Atkin-Lehner involutions
 permute the cusps of Gamma0(N) simply transitively, and its divisor sum is
-one level-N descent with the even weight w_j = sum_{e | gcd(j, N)} c_e in
-place of C_{N,j}, added with its two closed-form terms into one Fraction.
-Neither builds a coset table.
+the one formula above.  Neither builds a coset table.
 
 Gamma1(N), and the Gamma0(N) cusps that share gcd(q, N) with another
 class, are assembled from the Gamma(N) engine through homogeneity: g^k runs
@@ -35,22 +42,17 @@ is evaluated at W a, and the cusp 0 takes one descent like infinity.  The
 cusps above a are cached per (group, cusp), with the other constants of the
 peel at a: the Fricke image W a where it is used, the base matrix of the
 cusp evaluated, whether it is equivalent to infinity, and pi/V as
-integers.  The Gamma(N) symbols run on integer entries: one integer formula
-gives Phi^{Gamma(N)}_inf to takada_phi, psi_gamma and the class sum, and
-the terms are added over one integer denominator into one Fraction (besides
-the one each level-N descent returns).  The peel runs on integer 4-tuples
-too: g^k by repeated squaring, h = g^k T^-j, a hyperbolic h through the
-same class sum, and the four sign terms of the composition law read off the
-cusp-normalized conjugates, all added over one denominator into one
-Fraction.  An Atkin-Lehner element of Gamma0(N)+ is evaluated through its
-square.
-Elliptic and parabolic symbols need no engine: they are closed forms of the
-composition law.
+integers.  The symbols run on integer entries, and their terms are added
+over one integer denominator into one Fraction.  The peel runs on integer
+4-tuples too: g^k by repeated squaring, h = g^k T^-j, a hyperbolic h
+through the same class sum, and the four sign terms of the composition law
+read off the cusp-normalized conjugates.  An Atkin-Lehner element of
+Gamma0(N)+ is evaluated through its square.  Elliptic and parabolic symbols
+need no engine: they are closed forms of the composition law.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -219,11 +221,13 @@ def takada_C_row_exact(n: int):
 # the level-N sawtooth sum by Rademacher reciprocity
 
 
-def _weight_tables(n: int, row):
-    """Integer tables for the level-n descent of an even weight row
-    (w_0, ..., w_{n-1}) of rationals.  With the row written as
-    w_r = C[r] / D over a common denominator, u[t][r] = 2n ((tr/n)) and
-    v[t][r] = 6n^2 B2bar(tr/n), returns (C, D, u, W, B) where, for t mod n,
+def _weight_record(n: int, row, k1: Fraction):
+    """The record that _psi_weighted reads for the even weight row
+    (w_0, ..., w_{n-1}) of rationals mod n and the constant K1:
+    (tables, pairs, e1, e0, K) with K1 = e1/K and w_0 = e0/K, and pairs the
+    dict in which _descent caches the row's pair sums.  With the row written
+    as w_r = C[r] / D over a common denominator, u[t][r] = 2n ((tr/n)) and
+    v[t][r] = 6n^2 B2bar(tr/n), tables is (C, D, u, W, B) where, for t mod n,
 
         W[t] = sum_r C[r] u[t][r],   B[t] = sum_r C[r] v[t][r].
     """
@@ -236,30 +240,16 @@ def _weight_tables(n: int, row):
     v = tuple(tuple(6 * k * k - 6 * k * n + n * n for k in kt) for kt in ks)
     W = tuple(sum(C[r] * u[t][r] for r in range(n)) for t in range(n))
     B = tuple(sum(C[r] * v[t][r] for r in range(n)) for t in range(n))
-    return C, D, u, W, B
-
-
-@functools.lru_cache(maxsize=None)
-def _level_tables(n: int):
-    """_weight_tables of the row C_{n,j} of takada_C_row_exact."""
-    return _weight_tables(n, takada_C_row_exact(n))
-
-
-# the pair sums of the row C_{n,j}, per level, as _descent fills them
-_level_pairs = collections.defaultdict(dict)
-
-
-def _level_sawtooth(n: int, a: int, c: int) -> Fraction:
-    """sum_{0 < j < |c|} j C_{n,j} ((aj/c)) for n | c and gcd(a, c) = 1,
-    by one _descent."""
-    return Fraction(*_descent(n, _level_tables(n), _level_pairs[n], a, c))
+    K = math.lcm(k1.denominator, row[0].denominator)
+    return (C, D, u, W, B), {}, int(k1 * K), int(row[0] * K), K
 
 
 def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
     """sum_{0 < j < |c|} j w_j ((aj/c)) for an even weight row w mod n, with
-    n | c and gcd(a, c) = 1, as integers (numerator, denominator).  tables
-    is _weight_tables(n, w), and pairs a dict, kept with the tables, in
-    which the descent caches the pair sums
+    n >= 2, n | c and gcd(a, c) = 1, as integers (numerator, denominator):
+    the sawtooth term of the one formula that _psi_weighted assembles.
+    tables and pairs are those of the row's _weight_record; the descent
+    caches in pairs the pair sums
     sum_r C[r] u[alpha][r] u[beta][r] = 4n^2 D sum_r w_r ((alpha r/n)) ((beta r/n))
     under the key alpha n + beta.
 
@@ -325,24 +315,32 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _gamma_index(n: int) -> int:
-    """The projective index mu of Gamma(n) in PSL2(Z), so that pi/V = 3/mu."""
-    return int(GroupId.gamma(n).psl2z_index())
+def _gamma_weight(n: int):
+    """The _weight_record of Gamma(n), n >= 2: w_j = C_{n,j}/mu, with mu the
+    projective index of Gamma(n), and K1 = 1/n.  C_{n,0} = 1, the Mobius
+    sum (pi^2/6) prod_{p | n} (1 - p^-2) sum_{gcd(m, n) = 1} mu(m)/m^2, so
+    w_0 = 1/mu and 3 w_0 = pi/V is the sign weight of Gamma(n)."""
+    mu = GroupId.gamma(n).psl2z_index()
+    return _weight_record(n, [x / mu for x in takada_C_row_exact(n)], Fraction(1, n))
 
 
-def _phi_gamma_inf(n: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """Phi^{Gamma(n)}_inf of [[a, b], [c, d]] (see takada_phi) as integers
-    (numerator, denominator): for c != 0 the closed formula over the common
-    denominator n |c| mu D, where D is the denominator of the sawtooth sum."""
+def _psi_weighted(n: int, rec, a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """The one formula of the level-n symbols: for the _weight_record
+    rec = (tables, pairs, e1, e0, K) of an even weight row w mod n and
+    K1 = e1/K, the symbol of [[a, b], [c, d]] with n | c is
+
+        Psi = K1 (a+d)/c - 3 sign(c (a+d)) w_0
+              - (12/|c|) sum_{0 < j < |c|} j w_j ((aj/c)),
+
+    and K1 b d at c = 0, as integers (numerator, denominator): one _descent,
+    and the terms added over its denominator times |c| K."""
+    tables, pairs, e1, e0, K = rec
     if c == 0:
-        return b * d, n                      # d = +-1
-    if n == 1:
-        phi = phi_classical(GroupElement(a, b, c, d))
-        return phi.numerator, phi.denominator
-    saw = _level_sawtooth(n, a, c)
-    mu, den = _gamma_index(n), saw.denominator
-    return ((a + d) * sign(c) * mu * den - 12 * n * saw.numerator,
-            n * abs(c) * mu * den)
+        return e1 * b * d, K
+    sn, sd = _descent(n, tables, pairs, a, c)
+    t = a + d
+    return (sign(c) * t * e1 * sd - 3 * sign(c * t) * e0 * abs(c) * sd - 12 * K * sn,
+            abs(c) * K * sd)
 
 
 def _to_infinity(base, g):
@@ -358,19 +356,15 @@ def _to_infinity(base, g):
 
 def _psi_gamma_sum(n: int, above, g) -> tuple[int, int]:
     """sum m Psi^{Gamma(n)}_{base(inf)}(g) over the pairs (m, base) of
-    above, for g = (a, b, c, d) in Gamma(n) up to sign, as integers
-    (numerator, denominator).  Each term is Phi - (3/mu) sign(c t) of the
-    cusp-normalized conjugate, and the terms are added over the product of
-    their denominators, so the caller builds one Fraction."""
-    mu, t = _gamma_index(n), g[0] + g[3]
+    above, for n >= 2 and g = (a, b, c, d) in Gamma(n) up to sign, as
+    integers (numerator, denominator): _psi_weighted on the row of
+    _gamma_weight at each cusp-normalized conjugate, added over one
+    denominator, so the caller builds one Fraction."""
+    rec = _gamma_weight(n)
     num, den = 0, 1
     for m, base in above:
-        a, b, c, d = _to_infinity(base, g)
-        pn, pd = _phi_gamma_inf(n, a, b, c, d)
-        # mu divides pd wherever the sign term is not 0: at c != 0 for
-        # n >= 2, and mu = 1 for n = 1
-        num = num * pd + m * (pn - 3 * sign(c * t) * (pd // mu)) * den
-        den *= pd
+        pn, pd = _psi_weighted(n, rec, *_to_infinity(base, g))
+        num, den = num * pd + m * pn * den, den * pd
     return num, den
 
 
@@ -385,11 +379,19 @@ def takada_phi(n: int, g: GroupElement) -> SymbolValue:
 
     with mu the projective index of Gamma(N).  This is the unique reading
     of the closed formula consistent with the inverse law, the composition
-    law and the weight-2 Eisenstein geodesic integrals.  Always exact.
+    law and the weight-2 Eisenstein geodesic integrals: Psi + 3 w_0
+    sign(c (a+d)) for Psi = _psi_weighted on the row w_j = C_{N,j}/mu, with
+    3 w_0 = pi/V, and phi_classical at N = 1.  Always exact.
     """
     if g.e != 1:
         raise ValueError("takada_phi needs e = 1")
-    return SymbolValue.exact(Fraction(*_phi_gamma_inf(n, *g.entries())))
+    if n == 1:
+        return SymbolValue.exact(phi_classical(g))
+    a, b, c, d = g.entries()
+    _tables, _pairs, _e1, e0, K = rec = _gamma_weight(n)
+    num, den = _psi_weighted(n, rec, a, b, c, d)
+    return SymbolValue.exact(
+        Fraction(num * K + 3 * sign(c * (a + d)) * e0 * den, den * K))
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +403,13 @@ def psi_gamma(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
 
     Every cusp of Gamma(N) is SL2(Z)-equivalent to infinity and Gamma(N) is
     normal in SL2(Z), so Psi_a(g) = Psi_inf(tau g tau^{-1}) with tau a = inf,
-    and Psi_inf = Phi_inf - (pi/V) sign(c (a+d)).
+    and Psi_inf = Phi_inf - (pi/V) sign(c (a+d)) is _psi_weighted on the
+    row of _gamma_weight (psi_classical at N = 1).
     """
     if g.e != 1 or not _principal_member(n, g.a, g.b, g.c, g.d):
         raise ValueError(f"{g} is not in Gamma({n})")
+    if n == 1:
+        return SymbolValue.exact(psi_classical(g))
     above = ((1, cusp.base_matrix().entries()),)
     return SymbolValue.exact(Fraction(*_psi_gamma_sum(n, above, g.entries())))
 
@@ -655,42 +660,29 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 
 @functools.lru_cache(maxsize=None)
 def _gamma0_plus_weight(n: int):
-    """The Gamma0(N)+ symbol as one weighted descent: the divisor basis
-    (e, c_e) with weight 1 at every d | N, and from it the even weight row
-    w_r = sum_{e | gcd(r, N)} c_e mod N.  Returns (tables, pairs, e1, e0, K)
-    for the descent of w, with sum_e e c_e = e1/K and sum_e c_e = w_0 = e0/K.
-    """
+    """The _weight_record of Gamma0(N)+: the divisor basis (e, c_e) with
+    weight 1 at every d | N gives the even weight row
+    w_r = sum_{e | gcd(r, N)} c_e mod N, with w_0 = sum_e c_e, and
+    K1 = sum_e e c_e."""
     basis = _gamma0_basis(n, (1,) * len(_divisors(n)))
     row = [sum(ce for e, ce in basis if r % e == 0) for r in range(n)]
-    e1 = sum(e * ce for e, ce in basis)
-    K = math.lcm(e1.denominator, row[0].denominator)
-    return _weight_tables(n, row), {}, int(e1 * K), int(row[0] * K), K
+    return _weight_record(n, row, sum(e * ce for e, ce in basis))
 
 
 def _psi_gamma0_plus(n: int, g: GroupElement) -> SymbolValue:
     """Psi on Gamma0(N)+, at its one cusp class: sum_a Psi^{Gamma0(N)}_a on
     Gamma0(N), the symbol of the divisor basis (e, c_e) with weight 1 at
     every d | N (N is squarefree, so each d is one class).  That is
-    sum_e c_e psi_classical([[a, eb], [c/e, d]]), and with
-    w_j = sum_{e | gcd(j, N)} c_e it is one level-N descent:
-
-        Psi(g) = (a+d)/c sum_e e c_e - 3 sign(c (a+d)) sum_e c_e
-                 - (12/|c|) sum_{0 < j < |c|} j w_j ((aj/c)),
-
-    since s(a, |c|/e) is the part of sum_j ((j/|c|)) ((aj/|c|)) over
-    j = 0 mod e, and j = |c| ((j/|c|)) + |c|/2 for 0 < j < |c|, where the
-    1/2 part cancels under j -> |c| - j because w is even.  The terms are
-    added over one denominator.  An Atkin-Lehner element (e > 1) is
-    Psi(g^2)/2, with g^2 = e h for h a hyperbolic element of Gamma0(N) of
-    positive trace."""
+    sum_e c_e psi_classical([[a, eb], [c/e, d]]), which is _psi_weighted on
+    the row of _gamma0_plus_weight: s(a, |c|/e) is the part of
+    sum_j ((j/|c|)) ((aj/|c|)) over j = 0 mod e, and j = |c| ((j/|c|)) + |c|/2
+    for 0 < j < |c|, where the 1/2 part cancels under j -> |c| - j because
+    w is even.  An Atkin-Lehner element (e > 1) is Psi(g^2)/2, with
+    g^2 = e h for h a hyperbolic element of Gamma0(N) of positive trace."""
     a, b, c, d = g.entries()
     half = 1
     if g.e > 1:
         a, b, c, d = (x // g.e for x in _int_mul((a, b, c, d), (a, b, c, d)))
         half = 2
-    tables, pairs, e1, e0, K = _gamma0_plus_weight(n)
-    sn, sd = _descent(n, tables, pairs, a, c)
-    t = a + d
-    return SymbolValue.exact(Fraction(
-        sign(c) * t * e1 * sd - 3 * sign(c * t) * e0 * abs(c) * sd - 12 * K * sn,
-        abs(c) * K * sd * half))
+    num, den = _psi_weighted(n, _gamma0_plus_weight(n), a, b, c, d)
+    return SymbolValue.exact(Fraction(num, den * half))

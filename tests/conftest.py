@@ -29,7 +29,7 @@ from radsym.modgroup import (
 )
 from radsym.symbols import (
     SymbolValue,
-    _level_tables,
+    _gamma_weight,
     _sign_term,
     _solve_rational,
     lift_coset_sum,
@@ -339,9 +339,10 @@ def gamma0_basis_by_class(n: int, weights: tuple):
 
 
 # The descent with num and den never reduced, so den grows to prod h k:
-# the oracle for the rescaled accumulation in symbols._level_sawtooth.
+# the oracle for the rescaled accumulation in symbols._descent.
 def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
-    """sum_{0 < j < |c|} j C_{n,j} ((aj/c)) for n | c and gcd(a, c) = 1.
+    """sum_{0 < j < |c|} j w_j ((aj/c)) for n | c and gcd(a, c) = 1, with
+    w_j = C_{n,j}/mu the row of the Gamma(n) record symbols._gamma_weight.
 
     With m = |c| = nM and A = a sign(c) mod m, the residue-r part is
     S_r = m (s(A, M; 0, r/n) + ((Ar/n))/2), where
@@ -360,13 +361,13 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
     holds for r != 0 because gcd(alpha, beta, n) = 1 is invariant.  At
     r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
     holds with an extra -1/4 on the right.  Each step takes O(n) through
-    the per-level tables of _level_tables, so the cost is O(n log |c|).
+    the tables of the Gamma(n) record, so the cost is O(n log |c|).
     The sum is accumulated in units of 1/(12 n^2 D).
     """
     m = abs(c)
     if m % n:
         raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
-    C, D, u, W, B = _level_tables(n)
+    C, D, u, W, B = _gamma_weight(n)[0]
     A = a * sign(c) % m
     # the reciprocity terms have denominators hk; num/den keeps them exact
     # without reducing at every step

@@ -287,6 +287,25 @@ def test_verify_level_zero_is_out_of_range(capsys, suite):
     assert "level must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("suite", ["reciprocity", "cocycle", "lemma"])
+def test_verify_refuses_level_on_sl2z_suites(capsys, suite):
+    # these suites check SL2(Z) only, so a --level would be ignored
+    assert run(["verify", suite, "--level", "5"]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"error: the {suite} suite takes no --level" in captured.err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize("suite", ["cocycle", "coset-sum"])
+def test_verify_count_below_one_is_an_error(capsys, suite, count):
+    # a suite that ran no check does not pass
+    assert run(["verify", suite, "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "error: --count must be >= 1" in captured.err
+
+
 def test_deterministic_output(capsys):
     args = ["torsion", "--group", "gamma0", "--level", "11",
             "--divisor", "0:-1,inf:1", "--json"]

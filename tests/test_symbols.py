@@ -36,8 +36,8 @@ from radsym.periods import Divisor, divisor_period
 from radsym.symbols import (
     SymbolValue,
     _bernoulli2_bar,
-    _level_sawtooth,
-    _level_tables,
+    _descent,
+    _gamma_weight,
     _psi_peel_lift,
     _solve_rational,
     gamma0_cusp_basis,
@@ -131,6 +131,31 @@ def test_takada_C_rows_against_direct_oracle_high_level(n):
 # -- the level-N sawtooth sum ------------------------------------------------
 
 
+def gamma_descent(n: int, a: int, c: int) -> Fraction:
+    """sum_{0 < j < |c|} j w_j ((aj/c)) for the row w_j = C_{n,j}/mu of the
+    Gamma(n) record, by one _descent."""
+    tables, pairs = _gamma_weight(n)[:2]
+    return Fraction(*_descent(n, tables, pairs, a, c))
+
+
+def test_weight_records_read_their_definitions():
+    # C_{N,0} = 1, so the Gamma(N) row C_{N,j}/mu has w_0 = 1/mu and its
+    # sign weight 3 w_0 is pi/V; each record's e1/K and e0/K are its K1 and
+    # w_0: 1/N and 1/mu on Gamma(N), sum_e e c_e and sum_e c_e on Gamma0(N)+
+    for n in range(2, 61):
+        assert takada_C_row_exact(n)[0] == 1, n
+        mu = GroupId.gamma(n).psl2z_index()
+        _tables, _pairs, e1, e0, K = _gamma_weight(n)
+        assert Fraction(e1, K) == Fraction(1, n), n
+        assert Fraction(e0, K) == 1 / mu, n
+        assert 3 * Fraction(e0, K) == pi_over_volume(GroupId.gamma(n)), n
+        if _squarefree(n):
+            basis = symbols._gamma0_basis(n, (1,) * len(symbols._divisors(n)))
+            _tables, _pairs, e1, e0, K = symbols._gamma0_plus_weight(n)
+            assert Fraction(e1, K) == sum(e * ce for e, ce in basis), n
+            assert Fraction(e0, K) == sum(ce for _e, ce in basis), n
+
+
 def test_level_sawtooth_matches_direct_sum():
     # 1010 seeded triples: log-uniform |c| <= 10^4, the first ten near 10^6
     rng = random.Random(20261017)
@@ -144,12 +169,13 @@ def test_level_sawtooth_matches_direct_sum():
         a = rng.randint(-3 * m, 3 * m)
         while math.gcd(a, c) != 1:
             a += 1
-        assert _level_sawtooth(n, a, c) == level_sawtooth_direct(n, a, c), (n, a, c)
+        mu = GroupId.gamma(n).psl2z_index()
+        assert gamma_descent(n, a, c) * mu == level_sawtooth_direct(n, a, c), (n, a, c)
 
 
 def test_level_sawtooth_needs_level_dividing_c():
     with pytest.raises(ValueError):
-        _level_sawtooth(3, 1, 7)
+        gamma_descent(3, 1, 7)
 
 
 def test_level_sawtooth_matches_unreduced_descent():
@@ -163,13 +189,14 @@ def test_level_sawtooth_matches_unreduced_descent():
         a = rng.randint(-3 * m, 3 * m)
         while math.gcd(a, c) != 1:
             a += 1
-        assert _level_sawtooth(n, a, c) == level_sawtooth_unreduced(n, a, c), (n, a, c)
+        assert gamma_descent(n, a, c) == level_sawtooth_unreduced(n, a, c), (n, a, c)
 
 
 def test_level_tables_match_fraction_definitions():
     for n in range(2, 61):
-        C, D, u, W, B = _level_tables(n)
-        assert [Fraction(x, D) for x in C] == list(takada_C_row_exact(n))
+        C, D, u, W, B = _gamma_weight(n)[0]
+        mu = GroupId.gamma(n).psl2z_index()
+        assert [Fraction(x, D) for x in C] == [x / mu for x in takada_C_row_exact(n)]
         for t in range(n):
             assert list(u[t]) == [2 * n * sawtooth(Fraction(t * r, n))
                                   for r in range(n)]
@@ -691,7 +718,8 @@ def test_weighted_descent_matches_direct_sum(n):
     bases = [gamma0_cusp_basis(n, cu) for cu, _w in cusps(GroupId.gamma0(n))]
     for basis in bases + [symbols._gamma0_basis(n, ones)]:
         row = divisor_row(n, basis)
-        tables, pairs = symbols._weight_tables(n, row), {}
+        k1 = sum(e * ce for e, ce in basis)
+        tables, pairs = symbols._weight_record(n, row, k1)[:2]
         for _ in range(12):
             m = n * int(10 ** rng.uniform(0, 4.3 - math.log10(n)))
             c = m * rng.choice((-1, 1))
@@ -990,8 +1018,7 @@ def test_peel_cost_in_descents_and_calls(monkeypatch):
         return counted
 
     seen = collections.Counter()
-    monkeypatch.setattr(symbols, "_level_sawtooth",
-                        counting("descent", symbols._level_sawtooth))
+    monkeypatch.setattr(symbols, "_descent", counting("descent", symbols._descent))
     monkeypatch.setattr(symbols, "psi_general",
                         counting("psi_general", symbols.psi_general))
     monkeypatch.setattr(GroupElement, "__mul__",
@@ -1020,11 +1047,11 @@ def test_gamma1_zero_minus_infinity_takes_two_descents_per_generator(monkeypatch
     # (0) - (inf) on Gamma1(N) takes at most one level-N descent per cusp
     calls = []
 
-    def counted(n, a, c):
+    def counted(n, tables, pairs, a, c):
         calls.append(n)
-        return _level_sawtooth(n, a, c)
+        return _descent(n, tables, pairs, a, c)
 
-    monkeypatch.setattr(symbols, "_level_sawtooth", counted)
+    monkeypatch.setattr(symbols, "_descent", counted)
     total = 0
     for n in range(2, 24):
         G = GroupId.gamma1(n)
@@ -1057,11 +1084,11 @@ def test_gamma1_symbol_at_infinity_takes_one_descent(monkeypatch):
     rng = random.Random(20261102)
     calls = []
 
-    def counted(n, a, c):
+    def counted(n, tables, pairs, a, c):
         calls.append((n, a, c))
-        return _level_sawtooth(n, a, c)
+        return _descent(n, tables, pairs, a, c)
 
-    monkeypatch.setattr(symbols, "_level_sawtooth", counted)
+    monkeypatch.setattr(symbols, "_descent", counted)
     evaluated = []
     for n in range(3, 24):
         G = GroupId.gamma1(n)
@@ -1073,7 +1100,7 @@ def test_gamma1_symbol_at_infinity_takes_one_descent(monkeypatch):
             calls.clear()
             evaluated.append((G, g, psi_general(G, INF, g)))
             assert len(calls) <= 1, (n, g)
-    monkeypatch.setattr(symbols, "_level_sawtooth", _level_sawtooth)
+    monkeypatch.setattr(symbols, "_descent", _descent)
     monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
     for G, g, value in evaluated:
         assert value == psi_general(G, INF, g), (G, g)
