@@ -356,11 +356,24 @@ _SUITES = {
     "lemma": _suite_lemma,
     "oracle-consistency": _suite_oracle_consistency,
 }
+# the flags each suite reads; a flag that its suite never reads is refused
+_SUITE_FLAGS = {
+    "reciprocity": ("count",),
+    "cocycle": ("seed", "count"),
+    "coset-sum": ("level", "seed", "count"),
+    "lemma": ("tol", "seed", "count"),
+    "oracle-consistency": ("level",),
+}
+# no --level means the suite's own levels
+_VERIFY_DEFAULTS = {"level": None, "tol": 1e-8, "seed": 20260101, "count": 500}
 
 
 def _cmd_verify(args) -> int:
-    if args.level is not None and args.suite in ("reciprocity", "cocycle", "lemma"):
-        raise ValueError(f"the {args.suite} suite takes no --level")
+    for flag, default in _VERIFY_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in _SUITE_FLAGS[args.suite]:
+            raise ValueError(f"the {args.suite} suite takes no --{flag}")
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     failures = _SUITES[args.suite](args)
@@ -447,10 +460,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a built-in consistency suite")
     sp.add_argument("suite", choices=sorted(_SUITES))
-    sp.add_argument("--level", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--seed", type=int, default=20260101)
-    sp.add_argument("--count", type=int, default=500)
+    sp.add_argument("--level", type=int, default=None,
+                    help="coset-sum and oracle-consistency only")
+    sp.add_argument("--tol", type=float, default=None,
+                    help="lemma only (default 1e-8)")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="cocycle, coset-sum and lemma (default 20260101)")
+    sp.add_argument("--count", type=int, default=None,
+                    help="reciprocity checks every c <= count, cocycle runs count "
+                         "trials, coset-sum max(5, count // 50) and lemma "
+                         "max(10, count // 100) (default 500)")
     add_common(sp)
     sp.set_defaults(fn=_cmd_verify)
 

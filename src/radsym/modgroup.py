@@ -396,7 +396,14 @@ _TABLE_FAMILIES = (Family.SL2Z, Family.GAMMA_N, Family.GAMMA0_N, Family.GAMMA1_N
 
 
 def _coset_invariant(G: GroupId, g: GroupElement):
-    """A value identifying the right coset G*g, for G a subgroup of SL2(Z)."""
+    """A value identifying the right coset G*g, for G a subgroup of SL2(Z).
+
+    For Gamma0(N) it is the least u (c : d) mod N over the units u, the
+    canonical point of P^1(Z/N).  Its first coordinate is g = gcd(c, N),
+    reached exactly by the units u = (c/g)^-1 mod N/g, so only those, at
+    most g of them, are tried for the second; when N | c, d is a unit and
+    the point is (0, 1).
+    """
     n = G.level
     if G.family is Family.SL2Z:
         return 0
@@ -406,15 +413,12 @@ def _coset_invariant(G: GroupId, g: GroupElement):
     if G.family is Family.GAMMA1_N:
         return min((c, d), ((-c) % n, (-d) % n))
     if G.family is Family.GAMMA0_N:
-        # point (c : d) of P^1(Z/N), canonicalized over units
-        best = None
-        for u in range(1, n):
-            if gcd(u, n) != 1:
-                continue
-            cand = ((u * c) % n, (u * d) % n)
-            if best is None or cand < best:
-                best = cand
-        return best
+        g = gcd(c, n)
+        if g == n:
+            return (0, 1)
+        m = n // g
+        u0 = pow(c // g, -1, m)
+        return (g, min(u * d % n for u in range(u0, n, m) if gcd(u, n) == 1))
     raise ValueError(G.family)
 
 

@@ -126,28 +126,38 @@ class SymbolValue:
 
 
 def _solve_rational(aug):
-    """Gauss-Jordan elimination over Q on the augmented rows [A | y].
+    """Fraction-free Gauss-Jordan elimination on the augmented rows [A | y]
+    of rationals (ints or Fractions).
 
-    Returns the solution x of A x = y as a list, or None when A has fewer
-    independent rows than columns or the system is inconsistent.  A may
-    have more rows than columns.
+    Returns the solution x of A x = y as a list of Fractions, or None when
+    A has fewer independent rows than columns or the system is
+    inconsistent.  A may have more rows than columns.  Each row is scaled
+    to integers by the lcm of its denominators; a pivot row p clears its
+    column from every other row r as p[col] r - r[col] p, and the new row
+    is divided by its content, so no Fraction is built until the one per
+    unknown, rhs / diagonal, at the end.
     """
-    aug = [list(row) for row in aug]
-    m, cols = len(aug), len(aug[0]) - 1
+    rows = []
+    for row in aug:
+        den = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    m, cols = len(rows), len(rows[0]) - 1
     for col in range(cols):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, m) if rows[r][col]), None)
         if piv is None:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col]
+        p = prow[col]
         for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    if any(aug[r][cols] for r in range(cols, m)):
+            f = rows[r][col]
+            if r != col and f:
+                new = [p * x - f * y for x, y in zip(rows[r], prow)]
+                g = math.gcd(*new)
+                rows[r] = [x // g for x in new] if g > 1 else new
+    if any(rows[r][cols] for r in range(cols, m)):
         return None
-    return [aug[i][cols] for i in range(cols)]
+    return [Fraction(rows[i][cols], rows[i][i]) for i in range(cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +188,9 @@ def takada_C_row_exact(n: int):
     and in the unit equations the Mobius sum over m m' = +-1/k collapses to
     [k = +-1] (a Stickelberger-type inversion, cf. Kubert-Lang, Modular
     Units).  The solution is unique because L(2, chi) != 0 for every even
-    character chi mod n.
+    character chi mod n.  The rows are built as Fractions and solved by
+    _solve_rational's fraction-free integer elimination, one Fraction per
+    unknown C_b.
     """
     if n < 2:
         raise ValueError("need N >= 2")

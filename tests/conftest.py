@@ -31,7 +31,6 @@ from radsym.symbols import (
     SymbolValue,
     _gamma_weight,
     _sign_term,
-    _solve_rational,
     lift_coset_sum,
     phi_general,
     psi_general,
@@ -310,6 +309,49 @@ def level_sawtooth_direct(n: int, a: int, c: int, row=None) -> Fraction:
     return sum((Fraction(s, 2 * m) * cr for s, cr in zip(sums, row)), Fraction(0))
 
 
+# Gauss-Jordan elimination on Fractions, the solver that symbols used before
+# its fraction-free integer elimination: the oracle for
+# symbols._solve_rational, and the solver of the test-side divisor bases.
+def solve_rational_gauss_jordan(aug):
+    """Gauss-Jordan elimination over Q on the augmented rows [A | y].
+
+    Returns the solution x of A x = y as a list, or None when A has fewer
+    independent rows than columns or the system is inconsistent.  A may
+    have more rows than columns.
+    """
+    aug = [list(row) for row in aug]
+    m, cols = len(aug), len(aug[0]) - 1
+    for col in range(cols):
+        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if any(aug[r][cols] for r in range(cols, m)):
+        return None
+    return [aug[i][cols] for i in range(cols)]
+
+
+# The Gamma0(N) coset key that tries every unit mod N: the oracle for the
+# gcd normal form in modgroup._coset_invariant.
+def gamma0_key_unit_loop(n: int, c: int, d: int):
+    """The least (u c mod N, u d mod N) over the units u mod N, N >= 2."""
+    c, d = c % n, d % n
+    best = None
+    for u in range(1, n):
+        if gcd(u, n) != 1:
+            continue
+        cand = ((u * c) % n, (u * d) % n)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
 # The class-indexed divisor-basis solve, one row per cusp class of the
 # coset table, whose overdetermined system fails where classes share
 # gcd(q, N): the oracle for symbols._gamma0_basis over the divisors of N.
@@ -327,7 +369,7 @@ def gamma0_basis_by_class(n: int, weights: tuple):
     """
     G = GroupId.gamma0(n)
     divs = [e for e in range(1, n + 1) if n % e == 0]
-    sol = _solve_rational(
+    sol = solve_rational_gauss_jordan(
         [[Fraction(w * gcd(e, cu.q) ** 2, e) for e in divs] + [Fraction(x)]
          for (cu, w), x in zip(cusps(G), weights)])
     if sol is None:

@@ -306,6 +306,35 @@ def test_verify_count_below_one_is_an_error(capsys, suite, count):
     assert "error: --count must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cocycle", "--tol", "5", "--count", "10"],
+    ["reciprocity", "--tol", "1e-3"],
+    ["coset-sum", "--tol", "1e-3"],
+    ["oracle-consistency", "--tol", "1e-3"],
+    ["reciprocity", "--seed", "3"],
+    ["oracle-consistency", "--seed", "3"],
+    ["oracle-consistency", "--count", "10"],
+])
+def test_verify_refuses_flags_the_suite_never_reads(capsys, argv):
+    # --tol is read by lemma only, --seed by cocycle, coset-sum and lemma,
+    # --count by every suite but oracle-consistency
+    assert run(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"error: the {argv[0]} suite takes no {argv[1]}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reciprocity", "--count", "20"],
+    ["cocycle", "--seed", "3", "--count", "10"],
+    ["coset-sum", "--level", "3", "--seed", "3", "--count", "10"],
+    ["lemma", "--tol", "1e-6", "--seed", "3", "--count", "1"],
+])
+def test_verify_reads_every_flag_of_its_suite(capsys, argv):
+    assert run(["verify", *argv]) == 0
+    assert f"{argv[0]}: PASS" in capsys.readouterr().out
+
+
 def test_deterministic_output(capsys):
     args = ["torsion", "--group", "gamma0", "--level", "11",
             "--divisor", "0:-1,inf:1", "--json"]

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -37,6 +38,7 @@ from conftest import (
     cusp_equivalent_search,
     cusp_t_orbits,
     cusp_width_search,
+    gamma0_key_unit_loop,
     random_in_group,
     random_sl2z,
     schreier_generators_search,
@@ -318,6 +320,43 @@ def test_level_cosets(inner, outer):
 TABLE_ORACLE_GROUPS = ([GroupId.gamma0(n) for n in range(1, 101)]
                        + [GroupId.gamma1(n) for n in range(1, 31)]
                        + [GroupId.gamma(n) for n in range(1, 11)])
+
+
+def _with_bottom_row(n: int, c: int, d: int) -> GroupElement:
+    """An element of SL2(Z) with bottom row (c, d) mod n, for
+    gcd(c, d, n) = 1."""
+    c = c or n
+    d = next(d + k * n for k in itertools.count() if gcd(c, d + k * n) == 1)
+    a = pow(d, -1, abs(c))
+    return GroupElement(a, (a * d - 1) // c, c, d)
+
+
+def test_gamma0_key_matches_unit_loop_at_every_point():
+    # every (c, d) with gcd(c, d, N) = 1 for N <= 60: the least of
+    # u (c : d) over the units u is the gcd normal form that
+    # _coset_invariant computes, one key per point of P^1(Z/N)
+    for n in range(2, 61):
+        G = GroupId.gamma0(n)
+        keys = set()
+        for c in range(n):
+            for d in range(n):
+                if gcd(c, d, n) == 1:
+                    key = _coset_invariant(G, _with_bottom_row(n, c, d))
+                    assert key == gamma0_key_unit_loop(n, c, d), (n, c, d)
+                    keys.add(key)
+        assert len(keys) == G.psl2z_index(), n
+
+
+def test_gamma0_key_matches_unit_loop_at_seeded_points(rng):
+    # bottom rows of either sign up to 1e6, some with N | c, at N <= 1000
+    for _ in range(1500):
+        n = rng.randint(2, 1000)
+        c = rng.choice((rng.randint(-10 ** 6, 10 ** 6), n * rng.randint(-99, 99)))
+        d = rng.randint(-10 ** 6, 10 ** 6)
+        if gcd(c, d, n) != 1:
+            continue
+        g = _with_bottom_row(n, c, d)
+        assert _coset_invariant(GroupId.gamma0(n), g) == gamma0_key_unit_loop(n, g.c, g.d), (n, g)
 
 
 @pytest.mark.parametrize("G", TABLE_ORACLE_GROUPS, ids=str)

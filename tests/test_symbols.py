@@ -66,6 +66,7 @@ from conftest import (
     random_principal_deep,
     random_principal_hyperbolic,
     sawtooth,
+    solve_rational_gauss_jordan,
     takada_C_direct,
 )
 
@@ -126,6 +127,92 @@ def test_takada_C_rows_against_direct_oracle_high_level(n):
     for j in range(n):
         direct, err = takada_C_direct(n, j, cutoff=10 ** 6)
         assert abs(float(row[j]) - direct) < err
+
+
+def _random_rational(rng: random.Random, size: int) -> Fraction:
+    return Fraction(rng.randint(-size, size), rng.randint(1, size))
+
+
+def _random_system(rng: random.Random, rows: int, cols: int, size: int):
+    """[A | A x] for random rationals A and x with numerators and
+    denominators up to size, about a third of the entries of A zero."""
+    x = [_random_rational(rng, size) for _ in range(cols)]
+    A = [[Fraction(0) if rng.random() < 1 / 3 else _random_rational(rng, size)
+          for _ in range(cols)] for _ in range(rows)]
+    return [row + [sum(a * xi for a, xi in zip(row, x))] for row in A], x
+
+
+def test_integer_solver_matches_gauss_jordan_on_seeded_systems():
+    # square and overdetermined systems with negative, large and zero
+    # entries; a system with a unique solution must return it
+    rng = random.Random(20261019)
+    solved = 0
+    for size in (3, 10 ** 6, 10 ** 30):
+        for _ in range(40):
+            cols = rng.randint(1, 7)
+            aug, x = _random_system(rng, cols + rng.choice((0, 0, 1, 3)), cols, size)
+            expect = solve_rational_gauss_jordan(aug)
+            assert _solve_rational(aug) == expect, aug
+            if expect is not None:
+                assert expect == x
+                solved += 1
+    assert solved > 100
+
+
+def test_integer_solver_swaps_zero_pivots():
+    # the first pivot column is zero on the diagonal: rows must be swapped
+    aug = [[Fraction(0), Fraction(2), Fraction(3), Fraction(1)],
+           [Fraction(0), Fraction(-5), Fraction(1), Fraction(2)],
+           [Fraction(-7, 3), Fraction(1), Fraction(0), Fraction(3)]]
+    sol = _solve_rational(aug)
+    assert sol == solve_rational_gauss_jordan(aug)
+    assert all(sum(a * x for a, x in zip(row, sol)) == row[-1] for row in aug)
+    # a zero that appears on the diagonal only after elimination
+    aug = [[Fraction(1), Fraction(1), Fraction(1), Fraction(6)],
+           [Fraction(1), Fraction(1), Fraction(2), Fraction(9)],
+           [Fraction(1), Fraction(2), Fraction(1), Fraction(8)]]
+    assert _solve_rational(aug) == solve_rational_gauss_jordan(aug) == [1, 2, 3]
+
+
+def test_integer_solver_refuses_singular_and_inconsistent_systems():
+    rng = random.Random(20261020)
+    for size in (5, 10 ** 25):
+        for _ in range(30):
+            cols = rng.randint(2, 6)
+            aug, _x = _random_system(rng, cols + rng.choice((0, 2)), cols, size)
+            # rank-deficient: one column a multiple of another
+            i, j = rng.sample(range(cols), 2)
+            f = _random_rational(rng, size)
+            singular = [row[:j] + [f * row[i]] + row[j + 1:] for row in aug]
+            assert _solve_rational(singular) is None
+            assert solve_rational_gauss_jordan(singular) is None
+            # inconsistent: one more row that repeats a row with a new rhs
+            k = rng.randrange(len(aug))
+            extra = aug[k][:-1] + [aug[k][-1] + rng.randint(1, size)]
+            assert _solve_rational(aug + [extra]) is None
+            assert solve_rational_gauss_jordan(aug + [extra]) is None
+    # a zero column, and a zero row with a nonzero rhs
+    aug = [[Fraction(0), Fraction(0), Fraction(1)],
+           [Fraction(0), Fraction(1), Fraction(0)]]
+    assert _solve_rational(aug) is None is solve_rational_gauss_jordan(aug)
+
+
+def test_integer_solver_matches_gauss_jordan_on_the_C_systems(monkeypatch):
+    # every C_{N,j} system for N = 3..60, solved by both eliminations
+    rows = {n: takada_C_row_exact(n) for n in range(3, 61)}
+    systems = []
+    solve = symbols._solve_rational
+
+    def record(aug):
+        systems.append(aug)
+        return solve(aug)
+
+    monkeypatch.setattr(symbols, "_solve_rational", record)
+    for n, row in rows.items():
+        assert takada_C_row_exact.__wrapped__(n) == row
+    assert len(systems) == 58
+    for aug in systems:
+        assert solve(aug) == solve_rational_gauss_jordan(aug)
 
 
 # -- the level-N sawtooth sum ------------------------------------------------
@@ -1181,7 +1268,7 @@ def test_gamma0_split_divisor_sums_over_its_classes():
             classes = [cu for cu, _w in cusps(G) if math.gcd(cu.q, n) == d]
             m = math.gcd(d, n // d)
             assert len(classes) == sum(math.gcd(a, m) == 1 for a in range(m)) > 1
-            sol = _solve_rational(
+            sol = solve_rational_gauss_jordan(
                 [[Fraction(n // math.gcd(x * x, n) * math.gcd(e, x) ** 2, e)
                   for e in divs] + [Fraction(int(x == d))] for x in divs])
             assert sum(sol) == len(classes) * pi_over_volume(G) / 3
