@@ -66,11 +66,10 @@ _FAMILIES = {
 
 
 def _group_from_args(args) -> GroupId:
-    fam = args.group
-    if fam == "sl2z":
-        return GroupId.sl2z()
-    level = getattr(args, "level", None)
-    if level is None:
+    fam, level = args.group, args.level
+    if fam == "sl2z" and level is not None:
+        raise ValueError("--group sl2z takes no --level")
+    if fam != "sl2z" and level is None:
         raise ValueError(f"group family '{fam}' needs --level")
     return _FAMILIES[fam](level)
 
@@ -143,6 +142,8 @@ def _cmd_symbol(args) -> int:
     if not matrices:
         raise ValueError("no matrix given (--matrix or --input)")
 
+    if args.csv and args.json:
+        raise ValueError("--csv and --json are two output formats; give one")
     fn = phi_general if args.phi else psi_general
     rows = [(g, fn(G, cusp, g)) for g in matrices]
     if args.csv:
@@ -169,6 +170,9 @@ def _cmd_period(args) -> int:
                          or args.group is not None):
         raise ValueError("--numeric integrates E2* on SL2(Z) and takes "
                          "no --divisor, --level or --group")
+    if args.tol is not None and not args.numeric:
+        raise ValueError("--tol is the tolerance of --numeric; the exact "
+                         "routes take none")
     if args.group is None:           # the exact routes default to Gamma0(N)
         args.group = "gamma0"
     if args.divisor is not None:
@@ -179,7 +183,7 @@ def _cmd_period(args) -> int:
                      "value": _value_json(v)}, str(v))
         return 0
     if args.numeric:
-        v = period_numeric(g, args.tol)
+        v = period_numeric(g, 1e-8 if args.tol is None else args.tol)
         _emit(args, {"matrix": str(g), "value": _value_json(v),
                      "method": "eisenstein-quadrature"},
               f"{v.approx:.12g}")
@@ -432,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--numeric", action="store_true",
                     help="Eisenstein quadrature along the geodesic axis")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="--numeric only (default 1e-8)")
     sp.add_argument("--group", default=None, choices=sorted(_FAMILIES),
                     help="group of --divisor or --level (default gamma0)")
     sp.add_argument("--level", type=int, default=None)

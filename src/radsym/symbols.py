@@ -35,20 +35,18 @@ the closed geodesic of g k times, so Psi_a(g^k) = k Psi_a(g), and the
 least power of g that is +-unipotent mod N is peeled to Gamma(N) or lifted
 by a sum over the Gamma(N)-cusps above a, each weighted by the number of
 cosets of Gamma(N) that send a to it: one level-N descent for a Gamma1(N)
-symbol at infinity.  The Fricke involution W = [[0, -1], [N, 0]] normalizes
-Gamma1(N), so Psi_a(g) = Psi_{Wa}(W g W^-1); a cusp p/q with d = gcd(q, N)
-has N/d Gamma(N)-cusps above it and W a has d, so where d^2 < N the symbol
-is evaluated at W a, and the cusp 0 takes one descent like infinity.  The
-cusps above a are cached per (group, cusp), with the other constants of the
-peel at a: the Fricke image W a where it is used, the base matrix of the
-cusp evaluated, whether it is equivalent to infinity, and pi/V as
-integers.  The symbols run on integer entries, and their terms are added
-over one integer denominator into one Fraction.  The peel runs on integer
-4-tuples too: g^k by repeated squaring, h = g^k T^-j, a hyperbolic h
-through the same class sum, and the four sign terms of the composition law
-read off the cusp-normalized conjugates.  An Atkin-Lehner element of
-Gamma0(N)+ is evaluated through its square.  Elliptic and parabolic symbols
-need no engine: they are closed forms of the composition law.
+symbol at infinity.  Every Atkin-Lehner matrix W_Q, Q || N, normalizes
+Gamma0(N) and +-Gamma1(N), so Psi_a(g) = Psi_{W_Q a}(W_Q g W_Q^-1), and
+each symbol is evaluated at the W_Q a with the fewest Gamma(N)-cusps
+above it, cached per (group, cusp) with the other constants of the peel;
+the cusp 0 takes one descent like infinity.  The symbols run on integer
+entries, and their terms are added over one integer denominator into one
+Fraction.  The peel runs on integer 4-tuples too: W_Q g W_Q^-1 by exact
+division, g^k, h = g^k T^-j, a hyperbolic h through the same class sum,
+and the four sign terms of the composition law read off the
+cusp-normalized conjugates.  An Atkin-Lehner element of Gamma0(N)+ is
+evaluated through its square.  Elliptic and parabolic symbols need no
+engine: they are closed forms of the composition law.
 """
 
 from __future__ import annotations
@@ -74,6 +72,7 @@ from .modgroup import (
     _cusp_key,
     _prime_divisors,
     _principal_member,
+    atkin_lehner,
     classify,
     cosets,
     cusp_equivalent,
@@ -239,9 +238,8 @@ def _weight_record(n: int, row, k1: Fraction):
     (tables, pairs, e1, e0, K) with K1 = e1/K and w_0 = e0/K, and pairs the
     dict in which _descent caches the row's pair sums.  With the row written
     as w_r = C[r] / D over a common denominator, u[t][r] = 2n ((tr/n)) and
-    v[t][r] = 6n^2 B2bar(tr/n), tables is (C, D, u, W, B) where, for t mod n,
-
-        W[t] = sum_r C[r] u[t][r],   B[t] = sum_r C[r] v[t][r].
+    v[t][r] = 6n^2 B2bar(tr/n), tables is (C, D, u, B) with
+    B[t] = sum_r C[r] v[t][r] for t mod n.
     """
     D = math.lcm(*(x.denominator for x in row))
     C = tuple(int(x * D) for x in row)
@@ -250,10 +248,9 @@ def _weight_record(n: int, row, k1: Fraction):
     ks = [[t * r % n for r in range(n)] for t in range(n)]
     u = tuple(tuple(2 * k - n if k else 0 for k in kt) for kt in ks)
     v = tuple(tuple(6 * k * k - 6 * k * n + n * n for k in kt) for kt in ks)
-    W = tuple(sum(C[r] * u[t][r] for r in range(n)) for t in range(n))
     B = tuple(sum(C[r] * v[t][r] for r in range(n)) for t in range(n))
     K = math.lcm(k1.denominator, row[0].denominator)
-    return (C, D, u, W, B), {}, int(k1 * K), int(row[0] * K), K
+    return (C, D, u, B), {}, int(k1 * K), int(row[0] * K), K
 
 
 def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
@@ -270,8 +267,10 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
 
         s(h, k; x, y) = sum_{mu mod k} ((h(mu + y)/k + x)) (((mu + y)/k))
 
-    is Rademacher's shifted Dedekind sum.  One Euclid descent evaluates all
-    residues at once, with x = alpha r/n and y = beta r/n, from
+    is Rademacher's shifted Dedekind sum.  The ((Ar/n))/2 parts cancel in
+    the sum over r, since w is even and ((x)) odd, so the sum starts at 0.
+    One Euclid descent evaluates all residues at once, with x = alpha r/n
+    and y = beta r/n, from
 
         s(h + qk, k; x, y) = s(h, k; x + qy, y),
         s(h, k; x, y) + s(k, h; y, x) = ((x))((y))
@@ -293,11 +292,10 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
     m = abs(c)
     if m % n:
         raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
-    C, D, u, W, B = tables
+    C, D, u, B = tables
     A = a * sign(c) % m
     M = m // n
-    den = M * A * M
-    num = 3 * n * W[A % n] * den
+    den, num = M * A * M, 0
     h, k, alpha, beta, sg = A, M, 0, 1, 1
     while True:
         # den = M H k for the pair (H, k) that this step divides
@@ -356,9 +354,10 @@ def _psi_weighted(n: int, rec, a: int, b: int, c: int, d: int) -> tuple[int, int
 
 
 def _to_infinity(base, g):
-    """The entries of base^-1 g base, for a determinant-1 integer 4-tuple
-    base = (p, r, q, s) and an integer 4-tuple g = (a, b, c, d): the
-    conjugate of g that moves the cusp p/q = base(inf) to infinity."""
+    """The entries of adj(base) g base, for integer 4-tuples
+    base = (p, r, q, s) and g = (a, b, c, d): at determinant 1, base^-1 g
+    base, the conjugate of g that moves the cusp p/q = base(inf) to
+    infinity."""
     p, r, q, s = base
     a, b, c, d = g
     x, y = s * a - r * c, s * b - r * d      # first row of base^-1 g
@@ -554,35 +553,44 @@ def psi_gamma0_divisor(g: GroupElement, basis) -> Fraction:
 
 @functools.lru_cache(maxsize=None)
 def _cusps_above(G: GroupId, cusp: Cusp) -> tuple:
-    """The per-(group, cusp) constants of the lift route at the cusp a of
-    G = Gamma0(N) or Gamma1(N), as (above, base, at_infinity, pv, qv, wa):
+    """The per-(group, cusp) constants of the lift route at the cusp a = p/q
+    of G = Gamma0(N) or Gamma1(N), as (w, Q, wa, above, base, at_infinity,
+    pv, qv):
 
-    - wa: W a for the Fricke involution W = [[0, -1], [N, 0]] when the
-      symbols at a are evaluated there, as Psi_{Wa}(W g W^-1), else None.
-      W normalizes Gamma1(N), and a Gamma1(N) cusp p/q with d = gcd(q, N)
-      has N/d Gamma(N)-cusps above it where W a = -q/(Np) has d, so
-      Gamma1(N) transports exactly when d^2 < N;
-    - above: the Gamma(N)-cusps above the cusp evaluated (a, or W a), one
-      (coset count, base entries) per Gamma(N)-class of its images under
-      tau^-1, tau in Gamma(N)\\G, with the base matrix of the first member
-      of the class;
-    - base: the entries of the base matrix of the cusp evaluated;
-    - at_infinity: whether the cusp evaluated is G-equivalent to infinity;
+    - w, Q, wa: the entries of W_Q = atkin_lehner(N, Q) and the cusp
+      W_Q a at which the symbols at a are evaluated.  With d = gcd(q, N),
+      W_Q sends the p-part of d to that of N_p / gcd(d, N_p) for each
+      prime-power part N_p || Q, and a Gamma1(N) cusp with d has at most
+      N/d Gamma(N)-cusps above it, so Q is the product of the N_p || N
+      with gcd(d, N_p)^2 < N_p, and W_Q a has at most gcd(d, N/d):
+      Q = 1 (W_Q = I) at infinity and Q = N at 0;
+    - above: the Gamma(N)-cusps above W_Q a, one (coset count, base
+      entries) per Gamma(N)-class of its images under tau^-1,
+      tau in Gamma(N)\\G, with the base matrix of the first member;
+    - base: the entries of the base matrix of W_Q a;
+    - at_infinity: whether W_Q a is G-equivalent to infinity;
     - pv / qv = pi/V of G in lowest terms.
     """
     n = G.level
-    if G.family is Family.GAMMA1_N and gcd(cusp.q, n) ** 2 < n:
-        wa = Cusp(-cusp.q, n * cusp.p)
-        return _cusps_above(G, wa)[:5] + (wa,)
+    d, Q = gcd(cusp.q, n), 1
+    for p in _prime_divisors(n):
+        n_p = p
+        while n % (n_p * p) == 0:
+            n_p *= p
+        if gcd(d, n_p) ** 2 < n_p:
+            Q *= n_p
+    w = atkin_lehner(n, Q)
+    wa = w.apply_cusp(cusp)
     gamma_n = GroupId.gamma(n)
     above = {}                    # class key: [first cusp, coset count]
     for tau in cosets(gamma_n, G):
-        c = tau.inverse().apply_cusp(cusp)
+        c = tau.inverse().apply_cusp(wa)
         above.setdefault(_cusp_key(gamma_n, c), [c, 0])[1] += 1
     pv = pi_over_volume(G)
-    return (tuple((m, c.base_matrix().entries()) for c, m in above.values()),
-            cusp.base_matrix().entries(), cusp_equivalent(G, Cusp.infinity(), cusp),
-            pv.numerator, pv.denominator, None)
+    return (w.entries(), Q, wa,
+            tuple((m, c.base_matrix().entries()) for c, m in above.values()),
+            wa.base_matrix().entries(), cusp_equivalent(G, Cusp.infinity(), wa),
+            pv.numerator, pv.denominator)
 
 
 def _int_mul(x, y):
@@ -592,37 +600,23 @@ def _int_mul(x, y):
     return a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
 
 
-def _int_pow(g, k: int):
-    """g^k for an integer 4-tuple g and k >= 1, by repeated squaring."""
-    r = None
-    while True:
-        if k & 1:
-            r = g if r is None else _int_mul(r, g)
-        k >>= 1
-        if not k:
-            return r
-        g = _int_mul(g, g)
-
-
 def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi_a(g) for hyperbolic g in Gamma0(N) or Gamma1(N): raise g to the
     least power g^k whose image mod N is +-unipotent, so g^k = h T^j with h
     in Gamma(N) up to sign, and return Psi_a(g^k) / k.  The power and the
     peel run on integer 4-tuples.
 
-    For j = 0 the power lies in Gamma(N) and Psi^G_a(g^k) is the coset sum
-    over tau in Gamma(N)\\G of Psi^{Gamma(N)}_a(tau g^k tau^-1) =
-    Psi^{Gamma(N)}_{tau^-1 a}(g^k).  Its terms depend only on the
-    Gamma(N)-class +-(p, q) mod N of tau^-1 a, so it is a sum over the
-    Gamma(N)-cusps above a (cached per (G, a) by _cusps_above), each
-    weighted by its number of cosets: one level-N descent per class, added
-    in integers by _psi_gamma_sum.  A Gamma1(N) cusp p/q with
-    d = gcd(q, N) has at most N/d classes, so infinity has one.  Where
-    d^2 < N the symbol is Psi_{Wa}(W g W^-1) instead, with the Fricke
-    involution W = [[0, -1], [N, 0]] and W g W^-1 = [[d, -c/N], [-Nb, a]]
-    for g = [[a, b], [c, d]], formed on integers: W a has d classes, so
-    the cusp 0 takes one descent like infinity, and every Gamma1(N) cusp
-    takes at most min(d, N/d).
+    W_Q of _cusps_above normalizes Gamma0(N) and +-Gamma1(N), so the
+    symbol is Psi_b(W_Q g adj(W_Q) / Q) at b = W_Q a, formed on integers
+    with exact division.  For j = 0 the power lies in Gamma(N) and
+    Psi^G_b(g^k) is the coset sum over tau in Gamma(N)\\G of
+    Psi^{Gamma(N)}_b(tau g^k tau^-1) = Psi^{Gamma(N)}_{tau^-1 b}(g^k).  Its
+    terms depend only on the Gamma(N)-class +-(p, q) mod N of tau^-1 b, so
+    it is a sum over the Gamma(N)-cusps above b, each weighted by its
+    number of cosets: one level-N descent per class, added in integers by
+    _psi_gamma_sum.  On Gamma1(N) a cusp with d = gcd(q, N) takes at most
+    gcd(d, N/d) descents: one at 0 and infinity, and one at every cusp for
+    squarefree N.
 
     Otherwise h = (a, b - ja, c, d - jc), and the composition law
     Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_g) gives
@@ -630,26 +624,23 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
         Psi(g^k) = Psi(h) + Psi(T^j) + (pi/V) (sign(c_h t_h) + sign(c_T)
                    - sign(c_h c_T c_g) - sign(c_g t_g)),
 
-    with each c read off the cusp-normalized conjugate.  A hyperbolic h
+    with each c read off the conjugate normalized at b.  A hyperbolic h
     takes the same class sum, on +-h of positive trace; only a
-    non-hyperbolic h goes to psi_general.  Psi_a(T^j) is j when a is
+    non-hyperbolic h goes to psi_general.  Psi_b(T^j) is j when b is
     G-equivalent to infinity, whose width is 1 on both families, and 0
     otherwise."""
     n = G.level
-    above, base, at_infinity, pv, qv, wa = _cusps_above(G, cusp)
-    ent = g.entries()
-    if wa is not None:                # evaluate Psi_{Wa}(W g W^-1)
-        a, b, c, d = ent
-        cusp, ent = wa, (d, -c // n, -n * b, a)
-    # order of a mod N in (Z/N)*/{+-1}: a is a unit mod N since g is in G,
-    # so the loop ends within phi(N) steps
-    k = 1
-    acc = ent[0] % n
-    while acc not in (1 % n, (n - 1) % n):
-        acc = acc * ent[0] % n
-        k += 1
-    gk = _int_pow(ent, k)             # positive trace, +-unipotent mod N
-    a, b, c, d = gk
+    w, Q, wa, above, base, at_infinity, pv, qv = _cusps_above(G, cusp)
+    p, q, r, s = w                    # base adj(W_Q): W_Q g adj(W_Q)
+    a, b, c, d = _to_infinity((s, -q, -r, p), g.entries())
+    ent = a // Q, b // Q, c // Q, d // Q
+    # the least power of a unit a mod N that is +-1, with g^k formed on the
+    # way: c = 0 mod N, so the top-left entry of g^k is a^k mod N, and the
+    # loop ends within phi(N) steps
+    gk, k = ent, 1
+    while gk[0] % n not in (1 % n, n - 1):
+        gk, k = _int_mul(gk, ent), k + 1
+    a, b, c, d = gk                   # positive trace, +-unipotent mod N
     j = a * b % n                     # gk = +-h T^j with h in Gamma(N)
     if j == 0:
         if not _principal_member(n, a, b, c, d):
@@ -661,7 +652,7 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     if abs(th) > 2:
         num, den = _psi_gamma_sum(n, above, h if th > 0 else tuple(-x for x in h))
     else:
-        psi = psi_general(G, cusp, GroupElement(*h)).as_fraction()
+        psi = psi_general(G, wa, GroupElement(*h)).as_fraction()
         num, den = psi.numerator, psi.denominator
     if at_infinity:
         num += j * den

@@ -409,11 +409,11 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
     m = abs(c)
     if m % n:
         raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
-    C, D, u, W, B = _gamma_weight(n)[0]
+    C, D, u, B = _gamma_weight(n)[0]
     A = a * sign(c) % m
     # the reciprocity terms have denominators hk; num/den keeps them exact
-    # without reducing at every step
-    num, den = 3 * n * W[A % n], 1
+    # without reducing at every step; the sum starts at the ((Ar/n))/2 parts
+    num, den = 3 * n * sum(C[r] * u[A % n][r] for r in range(n)), 1
     h, k, alpha, beta, sg = A, m // n, 0, 1, 1
     while True:
         q, h = divmod(h, k)

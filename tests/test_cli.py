@@ -71,6 +71,44 @@ def test_symbol_needs_level(capsys):
     assert run(["symbol", "--group", "gamma0", "--matrix", "1,1,0,1"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["symbol", "--matrix", "2,1,1,1"],
+    ["cusps"],
+    ["cosets"],
+    ["torsion", "--divisor", "inf:0"],
+    ["period", "--matrix", "2,1,1,1", "--divisor", "inf:0"],
+], ids=lambda argv: argv[0])
+def test_sl2z_refuses_level(capsys, argv):
+    # each used to exit 0 with --level 5 ignored
+    assert run(argv + ["--group", "sl2z", "--level", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: --group sl2z takes no --level"
+    assert run(argv + ["--group", "sl2z"]) == 0
+
+
+def test_symbol_refuses_json_with_csv(capsys):
+    # used to print CSV and exit 0
+    assert run(["symbol", "--group", "sl2z", "--matrix", "2,1,1,1",
+                "--json", "--csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--csv" in captured.err and "--json" in captured.err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--level", "11"],
+    ["--divisor", "0:1,inf:-1", "--level", "11"],
+], ids=["level", "divisor"])
+def test_period_refuses_tol_without_numeric(capsys, extra):
+    # --level 11 --tol 5 used to print the exact -10 and exit 0
+    assert run(["period", "--matrix", "1,0,11,1", "--tol", "5"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tol ")
+    assert run(["period", "--matrix", "1,0,11,1"] + extra) == 0
+
+
 def test_symbol_level_zero_is_out_of_range(capsys):
     # --level 0 is given, so the error is its range, not a missing --level
     assert run(["symbol", "--group", "gamma0", "--level", "0",

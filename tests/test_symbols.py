@@ -280,16 +280,23 @@ def test_level_sawtooth_matches_unreduced_descent():
 
 
 def test_level_tables_match_fraction_definitions():
+    # sum_r C[r] u[t][r] is 0 for every t on both record kinds, the Gamma(N)
+    # rows and the Gamma0(N)+ rows: the row is even and u[t] odd in r, so
+    # _descent starts its sum at 0
     for n in range(2, 61):
-        C, D, u, W, B = _gamma_weight(n)[0]
+        C, D, u, B = _gamma_weight(n)[0]
         mu = GroupId.gamma(n).psl2z_index()
         assert [Fraction(x, D) for x in C] == [x / mu for x in takada_C_row_exact(n)]
         for t in range(n):
             assert list(u[t]) == [2 * n * sawtooth(Fraction(t * r, n))
                                   for r in range(n)]
-            assert W[t] == sum(C[r] * u[t][r] for r in range(n))
+            assert sum(C[r] * u[t][r] for r in range(n)) == 0, (n, t)
             assert B[t] == sum(C[r] * 6 * n * n * _bernoulli2_bar(Fraction(t * r, n))
                                for r in range(n))
+        if _squarefree(n):
+            C, _D, u, _B = symbols._gamma0_plus_weight(n)[0]
+            assert all(sum(C[r] * u[t][r] for r in range(n)) == 0
+                       for t in range(n)), n
 
 
 # -- the Gamma(N) symbol at infinity ----------------------------------------
@@ -1058,15 +1065,12 @@ def test_lift_route_negates_a_peeled_part_of_negative_trace(monkeypatch):
     assert_lift_route_matches_oracles(monkeypatch, cases)
 
 
-def fricke_frame(G, cu, g):
-    """(cusp, element) at which the lift route evaluates Psi_cu(g): on
-    Gamma1(N) at a cusp p/q with gcd(q, N)^2 < N, the Fricke images
-    W cu = -q/(Np) and W g W^-1 = [[d, -c/N], [-N b, a]]; else (cu, g)."""
-    n = G.level
-    if G.family is Family.GAMMA1_N and math.gcd(cu.q, n) ** 2 < n:
-        a, b, c, d = g.entries()
-        return Cusp(-cu.q, n * cu.p), GroupElement(d, -c // n, -n * b, a)
-    return cu, g
+def atkin_lehner_frame(G, cu, g):
+    """(W_Q cu, W_Q g W_Q^-1): the cusp and element at which the lift route
+    evaluates Psi_cu(g), for the Q || N of its record, by GroupElement
+    conjugation."""
+    w = atkin_lehner(G.level, symbols._cusps_above(G, cu)[1])
+    return w.apply_cusp(cu), g.conjugate_by(w)
 
 
 def classes_above(G, cu):
@@ -1084,12 +1088,49 @@ def classes_above(G, cu):
     return len(seen)
 
 
+def fewest_classes(G, cu):
+    """The Gamma(N)-cusps above the best Atkin-Lehner image of cu: on
+    Gamma1(N), gcd(d, N/d) = prod_p p^min(v_p(d), v_p(N) - v_p(d)) for
+    d = gcd(q, N), and 1 at the irregular cusp 1/2 of Gamma1(4); on
+    Gamma0(N), that times the Gamma1(N)-classes in the Gamma0(N)-class of
+    cu, which W_Q permutes."""
+    n = G.level
+    if (G, cu) == (GroupId.gamma1(4), Cusp(1, 2)):
+        return 1
+    d = math.gcd(cu.q, n)
+    if G.family is Family.GAMMA1_N:
+        return math.gcd(d, n // d)
+    return math.gcd(d, n // d) * sum(
+        modgroup.cusp_equivalent(G, b, cu) for b, _w in cusps(GroupId.gamma1(n)))
+
+
+def test_lift_route_takes_the_fewest_classes_at_every_cusp():
+    # cusp by cusp, the Gamma(N)-cusps above the cusp evaluated, W_Q a, are
+    # the fewest over every Q || N and the count of fewest_classes: 2,533
+    # over every cusp of Gamma1(2..60), where the Fricke transport at
+    # gcd(q, N)^2 < N alone took 4,247, and 2,154 over the split cusps of
+    # Gamma0(2..100), where no transport took 5,342
+    cases = [(GroupId.gamma1(n), cu) for n in range(2, 61)
+             for cu, _w in cusps(GroupId.gamma1(n))]
+    cases += [(GroupId.gamma0(n), cu) for n in range(2, 101) for cu in split_cusps(n)]
+    totals = collections.Counter()
+    for G, cu in cases:
+        n = G.level
+        w, Q, wa, above = symbols._cusps_above(G, cu)[:4]
+        assert (w, wa) == (atkin_lehner(n, Q).entries(), atkin_lehner(n, Q).apply_cusp(cu))
+        least = min(classes_above(G, atkin_lehner(n, e).apply_cusp(cu))
+                    for e in atkin_lehner_exponents(n))
+        assert len(above) == classes_above(G, wa) == least == fewest_classes(G, cu), (G, cu)
+        totals[G.family] += len(above)
+    assert totals == {Family.GAMMA1_N: 2533, Family.GAMMA0_N: 2154}
+
+
 def test_peel_cost_in_descents_and_calls(monkeypatch):
     # a class sum is one level-N descent per Gamma(N)-cusp above the cusp
-    # evaluated, which on Gamma1(N) is the Fricke image W a where
-    # gcd(q, N)^2 < N, so at most min(N/d, d) descents; a hyperbolic peeled
-    # h takes the class sum with no psi_general call and no GroupElement
-    # product, a parabolic one takes one psi_general
+    # evaluated, the Atkin-Lehner image W_Q a, so fewest_classes descents:
+    # gcd(d, N/d) on Gamma1(N), with 1 at the irregular 1/2 of Gamma1(4); a
+    # hyperbolic peeled h takes the class sum with no psi_general call and
+    # no GroupElement product, a parabolic one takes one psi_general
     rng = random.Random(20261110)
     draws = [("class sum", lambda G: random_principal_hyperbolic(rng, G.level)),
              ("hyperbolic h", lambda G: hyperbolic_peel(rng, G)),
@@ -1111,13 +1152,11 @@ def test_peel_cost_in_descents_and_calls(monkeypatch):
     monkeypatch.setattr(GroupElement, "__mul__",
                         counting("mul", GroupElement.__mul__))
     for G, cu, g in cases:
-        wa, w = fricke_frame(G, cu, g)
+        wa, w = atkin_lehner_frame(G, cu, g)
         j, h = peeled_part(w, G.level)
         parabolic = j != 0 and classify(h).tag is not Motion.HYPERBOLIC
         above = classes_above(G, wa)
-        if G.family is Family.GAMMA1_N:
-            d = math.gcd(cu.q, G.level)
-            assert above <= min(G.level // d, d), (G, cu)
+        assert above == fewest_classes(G, cu), (G, cu)
         seen[wa != cu, parabolic] += 1
         for key in calls:
             calls[key] = 0
@@ -1155,7 +1194,7 @@ def test_lift_route_at_the_irregular_cusp_of_gamma1_4(monkeypatch):
     # 1/2 has width 1 on Gamma1(4), fixed by -base T base^-1, where
     # Gamma(4) has width 4: all four cosets send it to one Gamma(4)-class
     G, half = GroupId.gamma1(4), Cusp(1, 2)
-    assert [m for m, _base in symbols._cusps_above(G, half)[0]] == [4]
+    assert [m for m, _base in symbols._cusps_above(G, half)[3]] == [4]
     rng = random.Random(20261108)
     cases = [(G, half, random_hyperbolic(rng, G, 6)) for _ in range(40)]
     cases += [(G, cu, -g) for G, cu, g in cases]
@@ -1206,53 +1245,93 @@ def test_fricke_transport_on_gamma1():
             assert psi_general(G, Cusp(0, 1), g) == psi_general(G, INF, w), (n, g)
 
 
-def deep_gamma1(rng, n, bound):
-    """A hyperbolic element of Gamma1(n) of positive trace with
-    n <= |c| <= bound, either sign of c, built from its bottom row."""
+def deep_element(rng, G, bound):
+    """A hyperbolic element of G = Gamma0(n) or Gamma1(n) of positive trace
+    with n <= |c| <= bound, either sign of c, built from its bottom row:
+    d = 1 mod n on Gamma1(n), d = +-1 mod n on Gamma0(n)."""
+    n = G.level
     while True:
         c = n * rng.randint(1, bound // n) * rng.choice((-1, 1))
         d = 1 + n * rng.randint(-bound // n, bound // n)
+        if G.family is Family.GAMMA0_N:
+            d *= rng.choice((-1, 1))
         if math.gcd(c, d) != 1:
             continue
-        a = pow(d, -1, abs(c)) + abs(c) * rng.randint(-2, 2)   # a = 1 mod n
+        a = pow(d, -1, abs(c)) + abs(c) * rng.randint(-2, 2)   # a = d mod n
         if a + d > 2:
             return GroupElement(a, (a * d - 1) // c, c, d)
 
 
+class StayAtA(GroupElement):
+    """W_Q for the mutant that conjugates g by W_Q but evaluates the
+    symbol at a instead of W_Q a."""
+
+    def apply_cusp(self, cusp):
+        return cusp
+
+
 def test_fricke_transport_matches_coset_sum_at_every_cusp(monkeypatch):
-    # psi_general and phi_general at every cusp class of Gamma1(2..40), on
-    # both sides of gcd(q, N)^2 = N, against the peel-lift whose Gamma(N)
+    # psi_general and phi_general at every cusp class of Gamma1(2..40), at
+    # |c| <= N^2 and |c| <= 10^12, and at every split cusp of
+    # Gamma0(2..100), at |c| <= 4N, against the peel-lift whose Gamma(N)
     # power takes the full coset sum at the cusp itself; the oracle is
     # swapped in as symbols._psi_peel_lift, so that no symbol it needs goes
-    # through the Fricke transport.  Elements reach |c| = 10^12, and each is
-    # also evaluated as its negative
+    # through the Atkin-Lehner transport.  Each element is also evaluated as
+    # its negative.  On Gamma0(N), d = +-1 mod N keeps the power k = 1 and
+    # |c| <= 4N the descents short, since the oracle takes N phi(N)/2 of them
+    # per symbol; powers k > 1 after the transport are swept on
+    # Gamma0(9..36) by test_lift_route_matches_coset_sum
     rng = random.Random(20261112)
     cases = []
     for n in range(2, 41):
         G = GroupId.gamma1(n)
         for cu, _w in cusps(G):
             for bound in (n * n, 10 ** 12):
-                cases.append((G, cu, deep_gamma1(rng, n, bound)))
+                cases.append((G, cu, deep_element(rng, G, bound)))
+    for n in range(2, 101):
+        G = GroupId.gamma0(n)
+        cases += [(G, cu, deep_element(rng, G, 4 * n)) for cu in split_cusps(n)]
     new = [(psi_general(G, cu, g), psi_general(G, cu, -g),
             phi_general(G, cu, g), phi_general(G, cu, -g)) for G, cu, g in cases]
+    # W_Q moves a = p/q, d = gcd(q, N), exactly at the prime-power parts
+    # N_p || N with gcd(d, N_p)^2 < N_p: Q = N is the Fricke involution,
+    # 1 < Q < N a partial Atkin-Lehner involution
     transported = collections.Counter()
     for G, cu, _g in cases:
-        d2, n = math.gcd(cu.q, G.level) ** 2, G.level
-        moved = symbols._cusps_above(G, cu)[5] is not None
-        assert moved == (d2 < n), (G, cu)
-        transported[(d2 > n) - (d2 < n)] += 1
-    assert transported == {-1: 824, 0: 30, 1: 824}
+        n, d = G.level, math.gcd(cu.q, G.level)
+        parts = [e for e in atkin_lehner_exponents(n)
+                 if len(modgroup._prime_divisors(e)) == 1]
+        Q = symbols._cusps_above(G, cu)[1]
+        assert Q == math.prod(e for e in parts if math.gcd(d, e) ** 2 < e), (G, cu)
+        transported[G.family, "none" if Q == 1 else "all" if Q == n else "part"] += 1
+    assert transported == {
+        (Family.GAMMA1_N, "none"): 596, (Family.GAMMA1_N, "all"): 536,
+        (Family.GAMMA1_N, "part"): 546, (Family.GAMMA0_N, "none"): 80,
+        (Family.GAMMA0_N, "all"): 12, (Family.GAMMA0_N, "part"): 50}
     half = Cusp(1, 2)
-    assert symbols._cusps_above(GroupId.gamma1(4), half)[5] is None
+    assert symbols._cusps_above(GroupId.gamma1(4), half)[1] == 1
     assert (GroupId.gamma1(4), half) in {(G, cu) for G, cu, _g in cases}
     monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
+    expected = []
     for (G, cu, g), (psi, psi_neg, phi, phi_neg) in zip(cases, new):
         expect = psi_peel_lift_coset_sum(G, cu, g).as_fraction()
         h = g.conjugate_by(cu.base_matrix().inverse())
         expect_phi = expect + pi_over_volume(G) * sign(h.c * h.trace)
         assert psi.as_fraction() == psi_neg.as_fraction() == expect, (G, cu, g)
         assert phi.as_fraction() == phi_neg.as_fraction() == expect_phi, (G, cu, g)
+        expected.append(expect)
     assert max(abs(g.c) for _G, _cu, g in cases) > 10 ** 11
+    # the mutant that stays at a must fail the sweep on both families
+    monkeypatch.setattr(symbols, "atkin_lehner",
+                        lambda n, e: StayAtA(*atkin_lehner(n, e).entries(), e))
+    symbols._cusps_above.cache_clear()
+    try:
+        wrong = collections.Counter(
+            G.family for (G, cu, g), expect in zip(cases, expected)
+            if _psi_peel_lift(G, cu, g).as_fraction() != expect)
+    finally:
+        symbols._cusps_above.cache_clear()
+    assert wrong[Family.GAMMA1_N] > 0 and wrong[Family.GAMMA0_N] > 0, wrong
 
 
 def test_gamma0_split_divisor_sums_over_its_classes():
