@@ -16,13 +16,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def _igcd(*xs: int) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g
-
-
 @dataclass(frozen=True, order=True)
 class GroupElement:
     a: int
@@ -47,7 +40,7 @@ class GroupElement:
 
     def reduced(self) -> "GroupElement":
         """Divide out the content; (t*M, t^2*e) and (M, e) are the same motion."""
-        t = _igcd(self.a, self.b, self.c, self.d)
+        t = gcd(self.a, self.b, self.c, self.d)
         if t > 1 and self.e % (t * t) == 0:
             return GroupElement(
                 self.a // t, self.b // t, self.c // t, self.d // t, self.e // (t * t)

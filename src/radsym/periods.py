@@ -407,8 +407,6 @@ class Divisor:
             if isinstance(cu, str):
                 cu = Cusp.from_str(cu)
             out[cusp_class_index(G, cu)] += int(m)
-        if sum(out) != 0:
-            raise ValueError("divisor must have degree zero")
         return Divisor(G, tuple(zip(reps, out)))
 
     def __post_init__(self):
@@ -436,11 +434,9 @@ class PeriodValue:
 
 def divisor_period(D: Divisor, g: GroupElement) -> SymbolValue:
     """I(g) = sum_i m_i Psi_{a_i}(g) for one group element."""
-    total = SymbolValue.exact(0)
-    for cu, m in D.multiplicities:
-        if m:
-            total = total + psi_general(D.group, cu, g).scaled(m)
-    return total
+    return SymbolValue.exact(sum(
+        (m * psi_general(D.group, cu, g).as_fraction()
+         for cu, m in D.multiplicities if m), Fraction(0)))
 
 
 def divisor_periods(G: GroupId, D: Divisor) -> list[PeriodValue]:

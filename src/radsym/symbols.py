@@ -12,8 +12,9 @@ infinity takes w_j = C_{N,j}/mu and K1 = 1/N, with mu its projective index
 and C_{N,j} its cosine-sum constants: rational, (-1)^j for N = 2, and for
 N >= 3 the unique solution of a rational linear system.  Gamma0(N)+ takes
 w_j = sum_{e | gcd(j, N)} c_e and K1 = sum_e e c_e for its divisor basis
-(e, c_e).  takada_phi is Psi + 3 w_0 sign(c (a+d)); at N = 1, where the
-descent does not run, psi_gamma and takada_phi are the classical symbols.
+(e, c_e).  takada_phi is phi_general on Gamma(N) at infinity, Psi +
+3 w_0 sign(c (a+d)); at N = 1, where the descent does not run, psi_gamma
+and takada_phi are the classical symbols.
 The sawtooth sum splits by residue class mod N into Rademacher's shifted
 Dedekind sums, which one Euclid descent on (a, |c|/N) evaluates through
 their reciprocity law, so every value is exact and costs O(log |c|) at any
@@ -41,12 +42,14 @@ each symbol is evaluated at the W_Q a with the fewest Gamma(N)-cusps
 above it, cached per (group, cusp) with the other constants of the peel;
 the cusp 0 takes one descent like infinity.  The symbols run on integer
 entries, and their terms are added over one integer denominator into one
-Fraction.  The peel runs on integer 4-tuples too: W_Q g W_Q^-1 by exact
-division, g^k, h = g^k T^-j, a hyperbolic h through the same class sum,
-and the four sign terms of the composition law read off the
-cusp-normalized conjugates.  An Atkin-Lehner element of Gamma0(N)+ is
-evaluated through its square.  Elliptic and parabolic symbols need no
-engine: they are closed forms of the composition law.
+Fraction; a SymbolValue has no arithmetic, so every sum of symbols adds
+Fractions and builds one SymbolValue.  The peel runs on integer 4-tuples
+too: W_Q g W_Q^-1 by exact division, g^k, h = g^k T^-j, a hyperbolic h
+through the same class sum, and the four sign terms of the composition
+law read off the cusp-normalized conjugates, which cancel at j = 0.  An
+Atkin-Lehner element of Gamma0(N)+ is evaluated through its square.
+Elliptic and parabolic symbols need no engine: they are closed forms of
+the composition law.
 """
 
 from __future__ import annotations
@@ -57,12 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .dedekind import (
-    phi_classical,
-    pi_over_volume,
-    psi_classical,
-    sign,
-)
+from .dedekind import pi_over_volume, psi_classical, sign
 from .modgroup import (
     Cusp,
     Family,
@@ -87,8 +85,9 @@ from .modgroup import (
 
 @dataclass(frozen=True)
 class SymbolValue:
-    """Exact rational, or a float approximation with an error estimate;
-    arithmetic on an approximation raises ValueError."""
+    """Exact rational, or a float approximation with an error estimate.
+    It has no arithmetic: sums of symbols add Fractions, and as_fraction
+    raises ValueError on an approximation."""
 
     kind: str  # "exact" | "approx"
     rational: Fraction | None = None
@@ -111,12 +110,6 @@ class SymbolValue:
         if self.rational is None:
             raise ValueError("no rational value available (approximation only)")
         return self.rational
-
-    def __add__(self, other: "SymbolValue") -> "SymbolValue":
-        return SymbolValue.exact(self.as_fraction() + other.as_fraction())
-
-    def scaled(self, r) -> "SymbolValue":
-        return SymbolValue.exact(self.as_fraction() * Fraction(r))
 
     def __str__(self):
         if self.is_rational:
@@ -380,7 +373,8 @@ def _psi_gamma_sum(n: int, above, g) -> tuple[int, int]:
 
 
 def takada_phi(n: int, g: GroupElement) -> SymbolValue:
-    """Dedekind symbol Phi at the cusp infinity of Gamma(N), for g with N | c.
+    """Dedekind symbol Phi at the cusp infinity of Gamma(N), for g in
+    Gamma(N); ValueError for any other g.
 
     The value is stated in width-normalized coordinates, i.e. for the
     conjugate [[a, b/N], [Nc, d]] of g by the scaling map of the cusp:
@@ -388,21 +382,11 @@ def takada_phi(n: int, g: GroupElement) -> SymbolValue:
 
         Phi(g) = (a+d)/(Nc) - (12 / (mu |c|)) * sum_{j=1}^{|c|-1} j C_{N,j} ((aj/c))
 
-    with mu the projective index of Gamma(N).  This is the unique reading
-    of the closed formula consistent with the inverse law, the composition
-    law and the weight-2 Eisenstein geodesic integrals: Psi + 3 w_0
-    sign(c (a+d)) for Psi = _psi_weighted on the row w_j = C_{N,j}/mu, with
-    3 w_0 = pi/V, and phi_classical at N = 1.  Always exact.
+    with mu the projective index of Gamma(N): Psi + (pi/V) sign(c (a+d)),
+    which is phi_general on Gamma(N) at infinity, and phi_classical at
+    N = 1.  Always exact.
     """
-    if g.e != 1:
-        raise ValueError("takada_phi needs e = 1")
-    if n == 1:
-        return SymbolValue.exact(phi_classical(g))
-    a, b, c, d = g.entries()
-    _tables, _pairs, _e1, e0, K = rec = _gamma_weight(n)
-    num, den = _psi_weighted(n, rec, a, b, c, d)
-    return SymbolValue.exact(
-        Fraction(num * K + 3 * sign(c * (a + d)) * e0 * den, den * K))
+    return phi_general(GroupId.gamma(n), Cusp.infinity(), g)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +415,9 @@ def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolVa
     """
     if not member(g, G1):
         raise ValueError(f"{g} is not in {G1}")
-    total = SymbolValue.exact(0)
-    for tau in cosets(G1, G):
-        total = total + engine(g.conjugate_by(tau))
-    return total
+    return SymbolValue.exact(sum(
+        (engine(g.conjugate_by(tau)).as_fraction() for tau in cosets(G1, G)),
+        Fraction(0)))
 
 
 def psi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
@@ -446,23 +429,24 @@ def psi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     if not member(g, G):
         raise ValueError(f"{g} is not in {G}")
     cls = classify(g)
-    if cls.tag is Motion.IDENTITY:
-        return SymbolValue.exact(0)
+    if cls.tag is Motion.HYPERBOLIC:
+        # normalize to positive trace (Psi(-g) = Psi(g))
+        return _psi_hyperbolic(G, cusp, g if g.trace > 0 else -g)
     if cls.tag is Motion.ELLIPTIC:
-        return SymbolValue.exact(-2 * _sign_term(G, cusp, g) / cls.order)
-    if cls.tag is Motion.PARABOLIC:
+        value = -2 * _sign_term(G, cusp, g) / cls.order
+    elif cls.tag is Motion.PARABOLIC:
         fixed, k = parabolic_power(G, g)
-        return SymbolValue.exact(k if cusp_equivalent(G, fixed, cusp) else 0)
-    # hyperbolic: normalize to positive trace (Psi(-g) = Psi(g))
-    if g.trace < 0:
-        g = -g
-    return _psi_hyperbolic(G, cusp, g)
+        value = k if cusp_equivalent(G, fixed, cusp) else 0
+    else:                                 # the identity
+        value = 0
+    return SymbolValue.exact(value)
 
 
 def phi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Dedekind symbol Phi_a(g) = Psi_a(g) + (pi/V) sign(c (a+d)), with the
     sign read off the cusp-normalized conjugate."""
-    return psi_general(G, cusp, g) + SymbolValue.exact(_sign_term(G, cusp, g))
+    return SymbolValue.exact(
+        psi_general(G, cusp, g).as_fraction() + _sign_term(G, cusp, g))
 
 
 def _sign_term(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
@@ -608,27 +592,27 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 
     W_Q of _cusps_above normalizes Gamma0(N) and +-Gamma1(N), so the
     symbol is Psi_b(W_Q g adj(W_Q) / Q) at b = W_Q a, formed on integers
-    with exact division.  For j = 0 the power lies in Gamma(N) and
-    Psi^G_b(g^k) is the coset sum over tau in Gamma(N)\\G of
-    Psi^{Gamma(N)}_b(tau g^k tau^-1) = Psi^{Gamma(N)}_{tau^-1 b}(g^k).  Its
-    terms depend only on the Gamma(N)-class +-(p, q) mod N of tau^-1 b, so
-    it is a sum over the Gamma(N)-cusps above b, each weighted by its
-    number of cosets: one level-N descent per class, added in integers by
-    _psi_gamma_sum.  On Gamma1(N) a cusp with d = gcd(q, N) takes at most
-    gcd(d, N/d) descents: one at 0 and infinity, and one at every cusp for
-    squarefree N.
-
-    Otherwise h = (a, b - ja, c, d - jc), and the composition law
-    Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_g) gives
+    with exact division.  With h = (a, b - ja, c, d - jc) in Gamma(N), the
+    composition law Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_g)
+    gives
 
         Psi(g^k) = Psi(h) + Psi(T^j) + (pi/V) (sign(c_h t_h) + sign(c_T)
                    - sign(c_h c_T c_g) - sign(c_g t_g)),
 
-    with each c read off the conjugate normalized at b.  A hyperbolic h
-    takes the same class sum, on +-h of positive trace; only a
-    non-hyperbolic h goes to psi_general.  Psi_b(T^j) is j when b is
-    G-equivalent to infinity, whose width is 1 on both families, and 0
-    otherwise."""
+    with each c read off the conjugate normalized at b.  Psi_b(T^j) is j
+    when b is G-equivalent to infinity, whose width is 1 on both families,
+    and 0 otherwise.  At j = 0, h = g^k and c_T = 0, so every sign term
+    cancels and the one step serves every j.
+
+    A hyperbolic h, on +-h of positive trace, has Psi^G_b(h) the coset sum
+    over tau in Gamma(N)\\G of Psi^{Gamma(N)}_b(tau h tau^-1) =
+    Psi^{Gamma(N)}_{tau^-1 b}(h).  Its terms depend only on the
+    Gamma(N)-class +-(p, q) mod N of tau^-1 b, so it is a sum over the
+    Gamma(N)-cusps above b, each weighted by its number of cosets: one
+    level-N descent per class, added in integers by _psi_gamma_sum.  On
+    Gamma1(N) a cusp with d = gcd(q, N) takes at most gcd(d, N/d)
+    descents: one at 0 and infinity, and one at every cusp for squarefree
+    N.  Only a non-hyperbolic h goes to psi_general."""
     n = G.level
     w, Q, wa, above, base, at_infinity, pv, qv = _cusps_above(G, cusp)
     p, q, r, s = w                    # base adj(W_Q): W_Q g adj(W_Q)
@@ -642,12 +626,9 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
         gk, k = _int_mul(gk, ent), k + 1
     a, b, c, d = gk                   # positive trace, +-unipotent mod N
     j = a * b % n                     # gk = +-h T^j with h in Gamma(N)
-    if j == 0:
-        if not _principal_member(n, a, b, c, d):
-            raise ValueError(f"{GroupElement(*gk)} is not in Gamma({n})")
-        num, den = _psi_gamma_sum(n, above, gk)
-        return SymbolValue.exact(Fraction(num, den * k))
     h = (a, b - j * a, c, d - j * c)
+    if not _principal_member(n, *h):
+        raise ValueError(f"{GroupElement(*h)} is not in Gamma({n})")
     th = h[0] + h[3]
     if abs(th) > 2:
         num, den = _psi_gamma_sum(n, above, h if th > 0 else tuple(-x for x in h))

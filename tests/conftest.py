@@ -35,7 +35,6 @@ from radsym.symbols import (
     phi_general,
     psi_general,
     takada_C_row_exact,
-    takada_phi,
 )
 
 
@@ -429,19 +428,41 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
         h, k, alpha, beta, sg = k, h, beta, alpha, -sg
 
 
-# The Gamma(N) symbol through GroupElement conjugation and takada_phi: the
-# oracle for the integer class sum of symbols.psi_gamma and the lift route.
+# The Gamma(N) symbol through GroupElement conjugation and the unreduced
+# sawtooth descent: the oracle for the integer class sum of
+# symbols.psi_gamma and the lift route.
 def psi_gamma_conjugated(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi for Gamma(N) at any cusp, via transport to infinity.
 
     Every cusp of Gamma(N) is SL2(Z)-equivalent to infinity and Gamma(N) is
-    normal in SL2(Z), so Psi_a(g) = Psi_inf(tau g tau^{-1}) with tau a = inf.
+    normal in SL2(Z), so Psi_a(g) = Psi_inf(h) for h = tau g tau^{-1} with
+    tau a = inf, and
+
+        Psi_inf(h) = (a+d)/(Nc) - (12/|c|) L - (3/mu) sign(c (a+d)),
+
+    with L = level_sawtooth_unreduced(N, a, c) and mu the projective index
+    of Gamma(N), and b d / N at c = 0.
     """
-    if not member(g, GroupId.gamma(n)):
+    G = GroupId.gamma(n)
+    if not member(g, G):
         raise ValueError(f"{g} is not in Gamma({n})")
     h = g.conjugate_by(cusp.base_matrix().inverse())
-    corr = pi_over_volume(GroupId.gamma(n)) * sign(h.c * h.trace)
-    return takada_phi(n, h) + SymbolValue.exact(-corr)
+    if h.c == 0:
+        return SymbolValue.exact(Fraction(h.b * h.d, n))
+    return SymbolValue.exact(
+        Fraction(h.trace, n * h.c)
+        - Fraction(12, abs(h.c)) * level_sawtooth_unreduced(n, h.a, h.c)
+        - Fraction(3, G.psl2z_index()) * sign(h.c * h.trace))
+
+
+def psi_word(exponents) -> int:
+    """The Rademacher symbol a_1 - a_2 + ... - a_2k of the word
+    T^{a_1} U^{a_2} ... U^{a_2k} in T and U = [[1, 0], [1, 1]], for an even
+    number of positive exponents, read off the exponents alone: the oracle
+    for dedekind.psi_classical on hyperbolic elements."""
+    if len(exponents) % 2 or min(exponents) < 1:
+        raise ValueError("need an even number of positive exponents")
+    return sum(x if i % 2 == 0 else -x for i, x in enumerate(exponents))
 
 
 def _phi_of(G: GroupId, cusp: Cusp, g: GroupElement, psi: Fraction) -> Fraction:
@@ -540,16 +561,17 @@ def psi_peel_lift_coset_sum(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolVa
     gk = g ** k               # positive trace, +-unipotent mod N
     j = gk.a * gk.b % n       # gk = +-h T^j with h in Gamma(N)
     if j == 0:
-        return lift_coset_sum(GroupId.gamma(n), G,
-                              lambda x: psi_gamma_conjugated(n, cusp, x), gk
-                              ).scaled(Fraction(1, k))
+        lifted = lift_coset_sum(GroupId.gamma(n), G,
+                                lambda x: psi_gamma_conjugated(n, cusp, x), gk)
+        return SymbolValue.exact(lifted.as_fraction() / k)
     tj = T ** j
     h = gk * T ** (-j)
     binv = cusp.base_matrix().inverse()
     c3 = (h.conjugate_by(binv).c * tj.conjugate_by(binv).c
           * gk.conjugate_by(binv).c)
     # Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_gk)
-    phi = (phi_general(G, cusp, h) + phi_general(G, cusp, tj)).as_fraction()
+    phi = (phi_general(G, cusp, h).as_fraction()
+           + phi_general(G, cusp, tj).as_fraction())
     psi = phi - pi_over_volume(G) * sign(c3) - _sign_term(G, cusp, gk)
     return SymbolValue.exact(psi / k)
 
@@ -560,10 +582,9 @@ def psi_gamma0_plus_lift(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     W_e: the oracle for the all-cusps divisor weighting in
     symbols._psi_gamma0_plus."""
     G0 = GroupId.gamma0(n)
-    total = SymbolValue.exact(0)
-    for e in atkin_lehner_exponents(n):
-        total = total + psi_general(G0, cusp, g.conjugate_by(atkin_lehner(n, e)))
-    return total
+    return SymbolValue.exact(sum(
+        psi_general(G0, cusp, g.conjugate_by(atkin_lehner(n, e))).as_fraction()
+        for e in atkin_lehner_exponents(n)))
 
 
 def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
@@ -580,16 +601,14 @@ def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     h, h2 = g.conjugate_by(binv), g2.conjugate_by(binv)
     cls2 = classify(g2)
     if cls2.tag is Motion.IDENTITY:
-        phi_g2 = SymbolValue.exact(0)
+        phi_g2 = Fraction(0)
     elif cls2.tag is Motion.ELLIPTIC:
-        phi_g2 = phi_general(Gp, cusp, g2)
+        phi_g2 = phi_general(Gp, cusp, g2).as_fraction()
     else:
-        psi2 = psi_general(Gp, cusp, g2)
-        corr2 = pv * sign(h2.c * h2.trace)
-        phi_g2 = psi2 + SymbolValue.exact(corr2)
-    defect = SymbolValue.exact(pv * sign(h.c * h.c * h2.c))
-    phi_g = (phi_g2 + defect).scaled(Fraction(1, 2))
-    return phi_g + SymbolValue.exact(-pv * sign(h.c * h.trace))
+        psi2 = psi_general(Gp, cusp, g2).as_fraction()
+        phi_g2 = psi2 + pv * sign(h2.c * h2.trace)
+    phi_g = (phi_g2 + pv * sign(h.c * h.c * h2.c)) / 2
+    return SymbolValue.exact(phi_g - pv * sign(h.c * h.trace))
 
 
 def phi_elliptic_recursion(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:

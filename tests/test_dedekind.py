@@ -16,6 +16,7 @@ from radsym.modgroup import Cusp, GroupElement, GroupId, S, T
 from conftest import (
     dedekind_sum_direct,
     dedekind_sum_reciprocity,
+    psi_word,
     random_sl2z,
     sawtooth,
 )
@@ -107,6 +108,22 @@ def test_psi_laws(rng):
         h = random_sl2z(rng, 4)
         if abs(g.trace) > 2:
             assert psi_classical(g.conjugate_by(h)) == psi_classical(g)
+
+
+def test_psi_classical_matches_word_oracle(rng):
+    # Rademacher's word formula on T^{a_1} U^{a_2} ... U^{a_2k}, U = [[1, 0],
+    # [1, 1]], with exponents from 1 to 10^6, on conjugates of both signs:
+    # Psi is a class function and Psi(-g) = Psi(g)
+    for _ in range(2000):
+        exponents = [rng.choice((rng.randint(1, 9), rng.randint(1, 10 ** 6)))
+                     for _ in range(2 * rng.randint(1, 3))]
+        g = GroupElement.identity()
+        for i, x in enumerate(exponents):
+            g = g * (GroupElement(1, x, 0, 1) if i % 2 == 0 else GroupElement(1, 0, x, 1))
+        g = g.conjugate_by(random_sl2z(rng, 4))
+        if rng.random() < 0.5:
+            g = -g
+        assert psi_classical(g) == psi_word(exponents), exponents
 
 
 def test_pi_over_volume():

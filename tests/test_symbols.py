@@ -311,6 +311,15 @@ def test_takada_phi_translation_convention():
     assert takada_phi(2, GroupElement.identity()).as_fraction() == 0
 
 
+def test_takada_phi_refuses_elements_outside_gamma_n():
+    # elements of Gamma0(N) with N | c that are not +-I mod N
+    for n, g in ((2, T), (3, GroupElement(2, 1, 3, 2)), (5, GroupElement(3, 1, 5, 2)),
+                 (7, GroupElement(8, 3, 21, 8))):
+        assert member(g, GroupId.gamma0(n))
+        with pytest.raises(ValueError, match="is not in"):
+            takada_phi(n, g)
+
+
 def test_takada_phi_level2_example():
     v = takada_phi(2, GroupElement(3, 2, 4, 3))
     assert v.kind == "exact"
@@ -419,15 +428,19 @@ def test_elliptic_closed_form_matches_recursion():
 
 
 def test_symbol_value_arithmetic_is_exact_only():
+    # a SymbolValue has no arithmetic: the sums that build one add
+    # Fractions, and an approximation refuses to become one
     one = SymbolValue.exact(1)
     approx = SymbolValue.approximate(0.5, 1e-12)
-    assert (one + one).scaled(Fraction(1, 4)) == SymbolValue.exact(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        one + one
     with pytest.raises(ValueError):
-        one + approx
+        approx.as_fraction()
     with pytest.raises(ValueError):
-        approx + one
-    with pytest.raises(ValueError):
-        approx.scaled(2)
+        lift_coset_sum(GroupId.gamma(2), GroupId.sl2z(), lambda x: approx,
+                       GroupElement(3, 2, 4, 3))
+    assert lift_coset_sum(GroupId.gamma(2), GroupId.sl2z(), lambda x: one,
+                          GroupElement(3, 2, 4, 3)) == SymbolValue.exact(6)
 
 
 # -- dispatch and laws across groups ----------------------------------------
@@ -462,6 +475,43 @@ def test_psi_laws_per_group(G, rng):
         if abs(g.trace) > 2:
             h = random_in_group(rng, G, 1)
             assert psi_general(G, INF, g.conjugate_by(h)).as_fraction() == a
+
+
+CUSP_SUM_GROUPS = ([GroupId.gamma0(n) for n in range(2, 101)]
+                   + [GroupId.gamma1(n) for n in range(2, 41)]
+                   + [GroupId.gamma(n) for n in range(2, 9)])
+
+
+def assert_cusp_sums(groups, seed):
+    """sum_b w_b Psi^G_b(g) over the cusp classes b of G, of widths w_b,
+    equals psi_classical(g), for two hyperbolic g per group: E2* is the sum
+    of the cusp Eisenstein series of G, each weighted by its width."""
+    rng = random.Random(seed)
+    for G in groups:
+        for _ in range(2):
+            g = random_in_group(rng, G)
+            while classify(g).tag is not Motion.HYPERBOLIC:
+                g = random_in_group(rng, G)
+            total = sum(w * symbols.psi_general(G, cu, g).as_fraction()
+                        for cu, w in cusps(G))
+            assert total == psi_classical(g), (G, g)
+
+
+def test_cusp_sum_recovers_classical():
+    assert_cusp_sums(CUSP_SUM_GROUPS, 20261019)
+
+
+def test_cusp_sum_catches_a_doubled_cusp(monkeypatch):
+    # a mutant that doubles the symbol at the cusp 0 must break the identity
+    psi = symbols.psi_general
+
+    def doubled(G, cu, g):
+        v = psi(G, cu, g)
+        return SymbolValue.exact(2 * v.as_fraction()) if cu == Cusp(0, 1) else v
+
+    monkeypatch.setattr(symbols, "psi_general", doubled)
+    with pytest.raises(AssertionError):
+        assert_cusp_sums(CUSP_SUM_GROUPS[:20], 20261019)
 
 
 @pytest.mark.parametrize("G", [
@@ -964,7 +1014,8 @@ def random_principal_parabolic(rng, n):
 
 def test_psi_gamma_matches_conjugation_oracle():
     # the integer conjugation, sign term and formula against GroupElement
-    # conjugation and takada_phi, at every cusp of Gamma(2..12), on
+    # conjugation and the unreduced sawtooth descent, at every cusp of
+    # Gamma(2..12), on
     # hyperbolic and parabolic elements of both trace signs
     rng = random.Random(20261105)
     checked = 0
