@@ -18,10 +18,11 @@ classical modular function theory:
   context: hardware floats (``mpmath.fp``) where tol asks for the 15-digit
   floor on a geodesic shorter than 12, ``mpmath.mp`` with guard bits
   otherwise.
-* ``x0_period_exact``: on X0(N), N a prime or a prime square, the periods
-  of (0) - (inf) as a difference of two classical Rademacher symbols: a
-  consistency check, not an oracle, since ``psi_gamma0_divisor`` shares
-  both terms (its e = 1 and e = N).
+* ``x0_period_exact``: on X0(N), the periods of the divisor D_N of
+  E2(z) - N E2(Nz), which is (N - 1)((0) - (inf)) at prime N, as a
+  difference of two classical Rademacher symbols: a consistency check, not
+  an oracle, since ``psi_gamma0_divisor`` shares both terms (its e = 1 and
+  e = N); only the split cusps of D_N take another route, the peel-lift.
 
 Torsion certificates for degree-zero cuspidal divisors are assembled from
 Rademacher-symbol period values over a Schreier generating set: the class
@@ -363,16 +364,20 @@ def x0_period_exact(N: int, g: GroupElement) -> Fraction:
     via pure classical Dedekind sums: Psi(g) - Psi(AgA^{-1}) with
     A = diag(N, 1).
 
-    At the cusp p/q (q | N) of width w the form has constant term
-    w (1 - q^2/N): N - 1 at 0, 1 - N at infinity, and zero at every other
-    cusp exactly when N is a prime or the square of a prime.  For those N
-    the form is the canonical differential of (N-1)((0) - (inf)), i.e.
+    At the cusp a = p/q of Gamma0(N), with d_a = gcd(q, N) (d_a = N at
+    infinity) and width w_a = N/gcd(d_a^2, N), the form has constant term
+    w_a (1 - d_a^2/N), so it is the canonical differential of
 
-        x0_period_exact(N, g) = (N - 1) * (Psi_0 - Psi_inf)(g)
+        D_N = sum_a (N - d_a^2)/gcd(d_a^2, N) (a),
 
-    in terms of the Gamma0(N) Rademacher symbols at the two cusps.  For
-    other N (for example 6, 8, 10, 15, 16) the form also carries the
-    intermediate cusps and the identity fails on some generators.
+    and at every N
+
+        x0_period_exact(N, g) = divisor_period(D_N, g)
+                              = sum_a (N - d_a^2)/gcd(d_a^2, N) Psi_a(g)
+
+    in terms of the Gamma0(N) Rademacher symbols.  At prime N,
+    D_N = (N - 1)((0) - (inf)); at composite N it also carries the
+    intermediate cusps, the split classes among them.
     """
     if N < 1:
         raise ValueError("level must be >= 1")

@@ -7,10 +7,11 @@ weight row w mod N and a constant K1,
     Psi(g) = K1 (a+d)/c - 3 sign(c (a+d)) w_0
              - (12/|c|) sum_{0 < j < |c|} j w_j ((aj/c)),
 
-with each row's tables and constants cached as one record.  Gamma(N) at
-infinity takes w_j = C_{N,j}/mu and K1 = 1/N, with mu its projective index
-and C_{N,j} its cosine-sum constants: rational, (-1)^j for N = 2, and for
-N >= 3 the unique solution of a rational linear system.  Gamma0(N)+ takes
+with each row's constants and its vectors of length N, indexed by residue
+mod N, cached as one record.  Gamma(N) at infinity takes w_j = C_{N,j}/mu
+and K1 = 1/N, with mu its projective index and C_{N,j} its cosine-sum
+constants: rational, (-1)^j for N = 2, and for N >= 3 the unique solution
+of a rational linear system.  Gamma0(N)+ takes
 w_j = sum_{e | gcd(j, N)} c_e and K1 = sum_e e c_e for its divisor basis
 (e, c_e).  takada_phi is phi_general on Gamma(N) at infinity, Psi +
 3 w_0 sign(c (a+d)); at N = 1, where the descent does not run, psi_gamma
@@ -230,18 +231,17 @@ def _weight_record(n: int, row, k1: Fraction):
     (w_0, ..., w_{n-1}) of rationals mod n and the constant K1:
     (tables, pairs, e1, e0, K) with K1 = e1/K and w_0 = e0/K, and pairs the
     dict in which _descent caches the row's pair sums.  With the row written
-    as w_r = C[r] / D over a common denominator, u[t][r] = 2n ((tr/n)) and
-    v[t][r] = 6n^2 B2bar(tr/n), tables is (C, D, u, B) with
-    B[t] = sum_r C[r] v[t][r] for t mod n.
+    as w_r = C[r] / D over a common denominator, tables is (C, D, u, B),
+    each of C, u and B a tuple of n ints: the residue vectors
+    u[k] = 2n ((k/n)) = 2k - n (0 at k = 0) and, from
+    6n^2 B2bar(k/n) = 6k^2 - 6kn + n^2, B[t] = sum_r C[r] 6n^2 B2bar(tr/n),
+    both read at the residue k = tr mod n.
     """
     D = math.lcm(*(x.denominator for x in row))
     C = tuple(int(x * D) for x in row)
-    # with k = tr mod n: 2n ((k/n)) = 2k - n (0 at k = 0) and
-    # 6n^2 B2bar(k/n) = 6k^2 - 6kn + n^2
-    ks = [[t * r % n for r in range(n)] for t in range(n)]
-    u = tuple(tuple(2 * k - n if k else 0 for k in kt) for kt in ks)
-    v = tuple(tuple(6 * k * k - 6 * k * n + n * n for k in kt) for kt in ks)
-    B = tuple(sum(C[r] * v[t][r] for r in range(n)) for t in range(n))
+    u = tuple(2 * k - n if k else 0 for k in range(n))
+    v = [6 * k * k - 6 * k * n + n * n for k in range(n)]
+    B = tuple(sum(C[r] * v[t * r % n] for r in range(n)) for t in range(n))
     K = math.lcm(k1.denominator, row[0].denominator)
     return (C, D, u, B), {}, int(k1 * K), int(row[0] * K), K
 
@@ -252,8 +252,10 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
     the sawtooth term of the one formula that _psi_weighted assembles.
     tables and pairs are those of the row's _weight_record; the descent
     caches in pairs the pair sums
-    sum_r C[r] u[alpha][r] u[beta][r] = 4n^2 D sum_r w_r ((alpha r/n)) ((beta r/n))
-    under the key alpha n + beta.
+    sum_r C[r] u[alpha r] u[beta r] = 4n^2 D sum_r w_r ((alpha r/n)) ((beta r/n)),
+    indices mod n, under the key alpha n + beta.  C is even, u odd and
+    u[0] = u[n/2] = 0, so the terms at r and n - r are equal and the pair
+    sum is twice its part over 0 < r < n/2.
 
     With m = |c| = nM and A = a sign(c) mod m, the residue-r part is
     S_r = m (s(A, M; 0, r/n) + ((Ar/n))/2), where
@@ -297,9 +299,9 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
         alpha = (alpha + q * beta) % n
         pair = pairs.get(alpha * n + beta)
         if pair is None:
-            ua, ub = u[alpha], u[beta]
-            pair = pairs[alpha * n + beta] = sum(
-                C[r] * ua[r] * ub[r] for r in range(n))
+            pair = pairs[alpha * n + beta] = 2 * sum(
+                C[r] * u[alpha * r % n] * u[beta * r % n]
+                for r in range(1, (n + 1) // 2))
         num += sg * 3 * pair * den
         if h == 0:                       # k = 1: s(0, 1; x, y) = ((x))((y))
             return m * num, 12 * n * n * D * den

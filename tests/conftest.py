@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -29,7 +30,6 @@ from radsym.modgroup import (
 )
 from radsym.symbols import (
     SymbolValue,
-    _gamma_weight,
     _sign_term,
     lift_coset_sum,
     phi_general,
@@ -379,11 +379,33 @@ def gamma0_basis_by_class(n: int, weights: tuple):
     return tuple(zip(divs, sol))
 
 
+@functools.lru_cache(maxsize=None)
+def gamma_sawtooth_tables(n: int):
+    """(C, D, u, B) for the Gamma(n) row w_r = C_{n,r}/mu = C[r]/D, mu the
+    projective index, built from the Fraction definitions rather than read
+    from the engine's record: the n x n table u[t][r] = 2n ((tr/n)) and
+    B[t] = sum_r C[r] 6n^2 B2bar(tr/n), with B2bar(x) = {x}^2 - {x} + 1/6."""
+    mu = GroupId.gamma(n).psl2z_index()
+    row = [x / mu for x in takada_C_row_exact(n)]
+    D = math.lcm(*(x.denominator for x in row))
+    C = [int(x * D) for x in row]
+    u = [[int(2 * n * sawtooth(Fraction(t * r, n))) for r in range(n)]
+         for t in range(n)]
+
+    def b2bar(x: Fraction) -> Fraction:
+        x -= math.floor(x)
+        return x * x - x + Fraction(1, 6)
+
+    B = [int(sum(C[r] * 6 * n * n * b2bar(Fraction(t * r, n)) for r in range(n)))
+         for t in range(n)]
+    return C, D, u, B
+
+
 # The descent with num and den never reduced, so den grows to prod h k:
 # the oracle for the rescaled accumulation in symbols._descent.
 def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
     """sum_{0 < j < |c|} j w_j ((aj/c)) for n | c and gcd(a, c) = 1, with
-    w_j = C_{n,j}/mu the row of the Gamma(n) record symbols._gamma_weight.
+    w_j = C_{n,j}/mu the Gamma(n) row of takada_C_row_exact.
 
     With m = |c| = nM and A = a sign(c) mod m, the residue-r part is
     S_r = m (s(A, M; 0, r/n) + ((Ar/n))/2), where
@@ -402,13 +424,13 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
     holds for r != 0 because gcd(alpha, beta, n) = 1 is invariant.  At
     r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
     holds with an extra -1/4 on the right.  Each step takes O(n) through
-    the tables of the Gamma(n) record, so the cost is O(n log |c|).
+    the tables of gamma_sawtooth_tables, so the cost is O(n log |c|).
     The sum is accumulated in units of 1/(12 n^2 D).
     """
     m = abs(c)
     if m % n:
         raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
-    C, D, u, B = _gamma_weight(n)[0]
+    C, D, u, B = gamma_sawtooth_tables(n)
     A = a * sign(c) % m
     # the reciprocity terms have denominators hk; num/den keeps them exact
     # without reducing at every step; the sum starts at the ((Ar/n))/2 parts

@@ -1,8 +1,13 @@
+import argparse
 import json
+from math import gcd
 
 import pytest
 
+from radsym import cli, symbols
 from radsym.cli import _build_parser, run
+from radsym.modgroup import Cusp, GroupId, cusp_equivalent, cusps, schreier_generators
+from radsym.symbols import SymbolValue
 
 
 def test_sum(capsys):
@@ -306,14 +311,46 @@ def test_verify_suites(capsys):
     assert run(["verify", "oracle-consistency", "--level", "9"]) == 0
 
 
-def test_verify_oracle_consistency_refuses_other_levels(capsys):
-    # x0_period_exact is (N-1)(Psi_0 - Psi_inf) only for N prime or a prime
-    # square; elsewhere the suite is a domain error, not a FAIL
-    for level in ["6", "8", "15"]:
-        assert run(["verify", "oracle-consistency", "--level", level]) == 1
-        captured = capsys.readouterr()
-        assert "FAIL" not in captured.out
-        assert "error: oracle-consistency needs" in captured.err
+def test_verify_oracle_consistency_passes_at_composite_levels(capsys):
+    # x0_period_exact is the period of D_N at every N, the intermediate
+    # cusps included; 27, 32 and 36 put weight on split classes
+    for level in ["6", "8", "15", "27", "32", "36"]:
+        assert run(["verify", "oracle-consistency", "--level", level]) == 0
+        assert capsys.readouterr().out == "oracle-consistency: PASS\n"
+
+
+def oracle_consistency_failures(levels):
+    return [f for n in levels
+            for f in cli._suite_oracle_consistency(argparse.Namespace(level=n))]
+
+
+def test_oracle_consistency_sweep_gamma0_2_to_60():
+    # x0_period_exact against the period of D_N on the 671 Schreier
+    # generators of Gamma0(2..60)
+    assert sum(len(schreier_generators(GroupId.gamma0(n)))
+               for n in range(2, 61)) == 671
+    assert oracle_consistency_failures(range(2, 61)) == []
+
+
+def test_oracle_consistency_sweep_catches_peel_lift_mutants(monkeypatch):
+    # the split classes of Gamma0(N), gcd(d, N/d) > 2, take _psi_peel_lift,
+    # and D_N weighs them at 8 of the levels 2..60 (18, 27, 32, 36, 45, 48,
+    # 50 and 54): doubling every value, or adding 1 at the class of 1/3,
+    # fails the sweep.  A uniform +1 on every split class passes it, since
+    # the split multiplicities of D_N sum to 0 at every N <= 60
+    peel = symbols._psi_peel_lift
+    mutants = [
+        lambda G, cu, g: SymbolValue.exact(2 * peel(G, cu, g).as_fraction()),
+        lambda G, cu, g: SymbolValue.exact(
+            peel(G, cu, g).as_fraction() + cusp_equivalent(G, cu, Cusp(1, 3))),
+    ]
+    for mutant in mutants:
+        monkeypatch.setattr(symbols, "_psi_peel_lift", mutant)
+        assert oracle_consistency_failures(range(2, 61))
+    for n in range(2, 61):
+        split = [gcd(cu.q, n) for cu, _w in cusps(GroupId.gamma0(n))
+                 if gcd(gcd(cu.q, n), n // gcd(cu.q, n)) > 2]
+        assert sum((n - d * d) // gcd(d * d, n) for d in split) == 0, n
 
 
 @pytest.mark.parametrize("suite", ["oracle-consistency", "coset-sum"])

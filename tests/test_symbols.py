@@ -280,23 +280,38 @@ def test_level_sawtooth_matches_unreduced_descent():
 
 
 def test_level_tables_match_fraction_definitions():
-    # sum_r C[r] u[t][r] is 0 for every t on both record kinds, the Gamma(N)
-    # rows and the Gamma0(N)+ rows: the row is even and u[t] odd in r, so
-    # _descent starts its sum at 0
+    # the record's vectors are indexed by the residue k = tr mod n:
+    # u[k] = 2n ((k/n)) and B[t] = sum_r C[r] 6n^2 B2bar(tr/n); sum_r C[r]
+    # u[tr mod n] is 0 for every t on both record kinds, the Gamma(N) rows
+    # and the Gamma0(N)+ rows: the row is even and u odd, so _descent starts
+    # its sum at 0
     for n in range(2, 61):
         C, D, u, B = _gamma_weight(n)[0]
         mu = GroupId.gamma(n).psl2z_index()
         assert [Fraction(x, D) for x in C] == [x / mu for x in takada_C_row_exact(n)]
+        assert list(u) == [2 * n * sawtooth(Fraction(k, n)) for k in range(n)]
         for t in range(n):
-            assert list(u[t]) == [2 * n * sawtooth(Fraction(t * r, n))
-                                  for r in range(n)]
-            assert sum(C[r] * u[t][r] for r in range(n)) == 0, (n, t)
+            assert sum(C[r] * u[t * r % n] for r in range(n)) == 0, (n, t)
             assert B[t] == sum(C[r] * 6 * n * n * _bernoulli2_bar(Fraction(t * r, n))
                                for r in range(n))
         if _squarefree(n):
             C, _D, u, _B = symbols._gamma0_plus_weight(n)[0]
-            assert all(sum(C[r] * u[t][r] for r in range(n)) == 0
+            assert all(sum(C[r] * u[t * r % n] for r in range(n)) == 0
                        for t in range(n)), n
+
+
+def test_gamma0_plus_record_at_level_2310_holds_vectors():
+    # the weight record holds O(N) data: C, u and B are flat tuples of N
+    # ints, and D an int; the element of the CI step has the release value
+    # 184255/96, a pin of the output, not an oracle
+    n = 2310
+    C, D, u, B = symbols._gamma0_plus_weight(n)[0]
+    assert type(D) is int
+    for vec in (C, u, B):
+        assert len(vec) == n and all(type(x) is int for x in vec)
+    g = GroupElement(123456789011, 35704906219, 2281481481510, 659826672881)
+    assert psi_general(GroupId.gamma0_plus(n), Cusp.infinity(), g).as_fraction() \
+        == Fraction(184255, 96)
 
 
 # -- the Gamma(N) symbol at infinity ----------------------------------------
