@@ -14,7 +14,6 @@ from radsym import (
     takada_C_row_exact,
     takada_phi,
 )
-from radsym.symbols import psi_gamma
 
 INF = Cusp.infinity()
 
@@ -34,7 +33,7 @@ print()
 print("== Coset-sum identity: Gamma(2) symbols assemble the classical one ==")
 g = GroupElement(3, 2, 4, 3)
 total = lift_coset_sum(GroupId.gamma(2), GroupId.sl2z(),
-                       lambda x: psi_gamma(2, INF, x), g)
+                       lambda x: psi_general(GroupId.gamma(2), INF, x), g)
 print(f"sum over the 6 cosets of Psi^Gamma(2)(t g t^-1) = {total}")
 print(f"classical Psi(g)                                = {psi_classical(g)}")
 

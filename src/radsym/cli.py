@@ -33,6 +33,7 @@ from .modgroup import (
     Family,
     GroupElement,
     GroupId,
+    S,
     T,
     classify,
     cosets,
@@ -52,7 +53,6 @@ from .symbols import (
     SymbolValue,
     lift_coset_sum,
     phi_general,
-    psi_gamma,
     psi_general,
 )
 
@@ -239,7 +239,6 @@ def _cmd_cosets(args) -> int:
 
 
 def _rand_sl2z(rng, steps=8) -> GroupElement:
-    S = GroupElement(0, -1, 1, 0)
     g = GroupElement.identity()
     for _ in range(rng.randint(2, steps)):
         g = g * T ** rng.randint(-3, 3) * S
@@ -298,7 +297,7 @@ def _suite_coset_sum(args):
         if g.trace < 0:
             g = -g
         lifted = lift_coset_sum(G1, GroupId.sl2z(),
-                                lambda x: psi_gamma(n, Cusp.infinity(), x),
+                                lambda x: psi_general(G1, Cusp.infinity(), x),
                                 g)
         target = psi_classical(g)
         if lifted.rational != target:

@@ -418,10 +418,6 @@ class Divisor:
         if sum(m for _, m in self.multiplicities) != 0:
             raise ValueError("divisor must have degree zero")
 
-    def coefficient(self, cu: Cusp) -> int:
-        i = cusp_class_index(self.group, cu)
-        return self.multiplicities[i][1]
-
     def __str__(self):
         parts = [f"{m:+d}({c})" for c, m in self.multiplicities if m]
         return " ".join(parts) if parts else "0"

@@ -1,5 +1,5 @@
-"""Generalized Dedekind and Rademacher symbols for Gamma(N), Gamma0(N) and
-Gamma0(N)+.
+"""Generalized Dedekind and Rademacher symbols for Gamma(N), Gamma0(N),
+Gamma1(N) and Gamma0(N)+.
 
 One integer formula, _psi_weighted, gives every level-N symbol: for an even
 weight row w mod N and a constant K1,
@@ -14,7 +14,7 @@ constants: rational, (-1)^j for N = 2, and for N >= 3 the unique solution
 of a rational linear system.  Gamma0(N)+ takes
 w_j = sum_{e | gcd(j, N)} c_e and K1 = sum_e e c_e for its divisor basis
 (e, c_e).  takada_phi is phi_general on Gamma(N) at infinity, Psi +
-3 w_0 sign(c (a+d)); at N = 1, where the descent does not run, psi_gamma
+3 w_0 sign(c (a+d)); at N = 1, where the descent does not run, psi_general
 and takada_phi are the classical symbols.
 The sawtooth sum splits by residue class mod N into Rademacher's shifted
 Dedekind sums, which one Euclid descent on (a, |c|/N) evaluates through
@@ -31,26 +31,23 @@ Gamma0(N)+ takes weight 1 at every d, since its Atkin-Lehner involutions
 permute the cusps of Gamma0(N) simply transitively, and its divisor sum is
 the one formula above.  Neither builds a coset table.
 
-Gamma1(N), and the Gamma0(N) cusps that share gcd(q, N) with another
-class, are assembled from the Gamma(N) engine through homogeneity: g^k runs
-the closed geodesic of g k times, so Psi_a(g^k) = k Psi_a(g), and the
-least power of g that is +-unipotent mod N is peeled to Gamma(N) or lifted
-by a sum over the Gamma(N)-cusps above a, each weighted by the number of
-cosets of Gamma(N) that send a to it: one level-N descent for a Gamma1(N)
-symbol at infinity.  Every Atkin-Lehner matrix W_Q, Q || N, normalizes
-Gamma0(N) and +-Gamma1(N), so Psi_a(g) = Psi_{W_Q a}(W_Q g W_Q^-1), and
-each symbol is evaluated at the W_Q a with the fewest Gamma(N)-cusps
-above it, cached per (group, cusp) with the other constants of the peel;
-the cusp 0 takes one descent like infinity.  The symbols run on integer
-entries, and their terms are added over one integer denominator into one
-Fraction; a SymbolValue has no arithmetic, so every sum of symbols adds
-Fractions and builds one SymbolValue.  The peel runs on integer 4-tuples
-too: W_Q g W_Q^-1 by exact division, g^k, h = g^k T^-j, a hyperbolic h
-through the same class sum, and the four sign terms of the composition
-law read off the cusp-normalized conjugates, which cancel at j = 0.  An
-Atkin-Lehner element of Gamma0(N)+ is evaluated through its square.
-Elliptic and parabolic symbols need no engine: they are closed forms of
-the composition law.
+Gamma(N), Gamma1(N) and the Gamma0(N) cusps that share gcd(q, N) with
+another class take one weighted descent per Gamma1(N)-class.  Every
+Atkin-Lehner matrix W_Q, Q || N, normalizes Gamma0(N) and +-Gamma1(N), so
+Psi_a(g) = Psi_b(W_Q g W_Q^-1) at b = W_Q a, with Q chosen so that N | q^2
+at b = p/q.  For the base matrix sigma = [[p, r], [q, s]] of b, every
+element of sigma^-1 Gamma1(N) sigma is then +-[[1/u, *], [0, u]] mod N with
+u = 1 mod gcd(q s, N), so its Eisenstein series at infinity is a sum of
+Gamma(N) series of which only u = +-1 has a constant term: one
+_psi_weighted on a row of sums of C_{N,j}, over the width of b.  Gamma(N)
+at any cusp is the case u = 1.  On Gamma0(N), g^k lies in +-Gamma1(N) for
+some k, Psi(g) = Psi(g^k)/k, and Psi(g^k) is a sum over the
+Gamma1(N)-classes above b.  The symbols run on integer entries, and their
+terms are added over one integer denominator into one Fraction; a
+SymbolValue has no arithmetic, so every sum of symbols adds Fractions and
+builds one SymbolValue.  An Atkin-Lehner element of Gamma0(N)+ is
+evaluated through its square.  Elliptic and parabolic symbols need no
+engine: they are closed forms of the composition law.
 """
 
 from __future__ import annotations
@@ -70,11 +67,11 @@ from .modgroup import (
     Motion,
     _cusp_key,
     _prime_divisors,
-    _principal_member,
     atkin_lehner,
     classify,
     cosets,
     cusp_equivalent,
+    cusp_width,
     member,
     parabolic_power,
 )
@@ -316,17 +313,7 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# the Gamma(N) symbols on integer entries
-
-
-@functools.lru_cache(maxsize=None)
-def _gamma_weight(n: int):
-    """The _weight_record of Gamma(n), n >= 2: w_j = C_{n,j}/mu, with mu the
-    projective index of Gamma(n), and K1 = 1/n.  C_{n,0} = 1, the Mobius
-    sum (pi^2/6) prod_{p | n} (1 - p^-2) sum_{gcd(m, n) = 1} mu(m)/m^2, so
-    w_0 = 1/mu and 3 w_0 = pi/V is the sign weight of Gamma(n)."""
-    mu = GroupId.gamma(n).psl2z_index()
-    return _weight_record(n, [x / mu for x in takada_C_row_exact(n)], Fraction(1, n))
+# the level-N symbols on integer entries
 
 
 def _psi_weighted(n: int, rec, a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -360,20 +347,6 @@ def _to_infinity(base, g):
     return x * p + y * q, x * r + y * s, z * p + w * q, z * r + w * s
 
 
-def _psi_gamma_sum(n: int, above, g) -> tuple[int, int]:
-    """sum m Psi^{Gamma(n)}_{base(inf)}(g) over the pairs (m, base) of
-    above, for n >= 2 and g = (a, b, c, d) in Gamma(n) up to sign, as
-    integers (numerator, denominator): _psi_weighted on the row of
-    _gamma_weight at each cusp-normalized conjugate, added over one
-    denominator, so the caller builds one Fraction."""
-    rec = _gamma_weight(n)
-    num, den = 0, 1
-    for m, base in above:
-        pn, pd = _psi_weighted(n, rec, *_to_infinity(base, g))
-        num, den = num * pd + m * pn * den, den * pd
-    return num, den
-
-
 def takada_phi(n: int, g: GroupElement) -> SymbolValue:
     """Dedekind symbol Phi at the cusp infinity of Gamma(N), for g in
     Gamma(N); ValueError for any other g.
@@ -393,22 +366,6 @@ def takada_phi(n: int, g: GroupElement) -> SymbolValue:
 
 # ---------------------------------------------------------------------------
 # symbol engines
-
-
-def psi_gamma(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Psi for Gamma(N) at any cusp, via transport to infinity.
-
-    Every cusp of Gamma(N) is SL2(Z)-equivalent to infinity and Gamma(N) is
-    normal in SL2(Z), so Psi_a(g) = Psi_inf(tau g tau^{-1}) with tau a = inf,
-    and Psi_inf = Phi_inf - (pi/V) sign(c (a+d)) is _psi_weighted on the
-    row of _gamma_weight (psi_classical at N = 1).
-    """
-    if g.e != 1 or not _principal_member(n, g.a, g.b, g.c, g.d):
-        raise ValueError(f"{g} is not in Gamma({n})")
-    if n == 1:
-        return SymbolValue.exact(psi_classical(g))
-    above = ((1, cusp.base_matrix().entries()),)
-    return SymbolValue.exact(Fraction(*_psi_gamma_sum(n, above, g.entries())))
 
 
 def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolValue:
@@ -463,15 +420,12 @@ def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     fam = G.family
     if fam is Family.SL2Z or n == 1:
         return SymbolValue.exact(psi_classical(g))
-    if fam is Family.GAMMA_N:
-        return psi_gamma(n, cusp, g)
     if fam is Family.GAMMA0_N:
         basis = gamma0_cusp_basis(n, cusp)
         if basis is not None:
             return SymbolValue.exact(psi_gamma0_divisor(g, basis))
-        return _psi_peel_lift(G, cusp, g)
-    if fam is Family.GAMMA1_N:
-        return _psi_peel_lift(G, cusp, g)
+    if fam in (Family.GAMMA_N, Family.GAMMA0_N, Family.GAMMA1_N):
+        return _psi_lift(G, cusp, g)
     if fam is Family.GAMMA0N_PLUS:
         return _psi_gamma0_plus(n, g)
     raise ValueError(f"unsupported group {G}")
@@ -534,30 +488,47 @@ def psi_gamma0_divisor(g: GroupElement, basis) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Gamma1(N) and fallback Gamma0(N): a power peels to Gamma(N)
+# Gamma(N), Gamma1(N) and the split Gamma0(N) cusps: one weighted descent
 
 
 @functools.lru_cache(maxsize=None)
-def _cusps_above(G: GroupId, cusp: Cusp) -> tuple:
-    """The per-(group, cusp) constants of the lift route at the cusp a = p/q
-    of G = Gamma0(N) or Gamma1(N), as (w, Q, wa, above, base, at_infinity,
-    pv, qv):
+def _cusp_weight(n: int, g: int):
+    """The _weight_record, K1 = 1 and w_j = n sum_{u in U/+-1} C_{n,uj}/mu
+    with mu the projective index of Gamma(n), of the Eisenstein series at
+    infinity of a group whose elements are +-[[1/u, *], [0, u]] mod n for
+    u in U = 1 + gZ/n, g | n: a sum of Gamma(n) series at the cusps with
+    bottom row +-(0, u), of which only u = +-1 has a constant term.  g = n,
+    U = {1}, serves Gamma(n) at every cusp and Gamma1(n) at infinity."""
+    C = takada_C_row_exact(n)
+    mu = GroupId.gamma(n).psl2z_index()
+    units = {min(u, n - u) for u in range(1, n + 1, g)}
+    return _weight_record(
+        n, [n * sum(C[u * j % n] for u in units) / mu for j in range(n)], Fraction(1))
 
-    - w, Q, wa: the entries of W_Q = atkin_lehner(N, Q) and the cusp
-      W_Q a at which the symbols at a are evaluated.  With d = gcd(q, N),
-      W_Q sends the p-part of d to that of N_p / gcd(d, N_p) for each
-      prime-power part N_p || Q, and a Gamma1(N) cusp with d has at most
-      N/d Gamma(N)-cusps above it, so Q is the product of the N_p || N
-      with gcd(d, N_p)^2 < N_p, and W_Q a has at most gcd(d, N/d):
-      Q = 1 (W_Q = I) at infinity and Q = N at 0;
-    - above: the Gamma(N)-cusps above W_Q a, one (coset count, base
-      entries) per Gamma(N)-class of its images under tau^-1,
-      tau in Gamma(N)\\G, with the base matrix of the first member;
-    - base: the entries of the base matrix of W_Q a;
-    - at_infinity: whether W_Q a is G-equivalent to infinity;
-    - pv / qv = pi/V of G in lowest terms.
+
+@functools.lru_cache(maxsize=None)
+def _lift_record(G: GroupId, cusp: Cusp) -> tuple:
+    """The per-(group, cusp) constants of _psi_lift at the cusp a = p/q of
+    G = Gamma(N), Gamma1(N) or Gamma0(N), N >= 2, as (w, Q, terms, m):
+
+    - w, Q: the entries of W_Q = atkin_lehner(N, Q) and its determinant Q.
+      The symbols at a are evaluated at b = W_Q a.  With d = gcd(q, N), W_Q
+      sends the p-part of d to that of N_p / gcd(d, N_p) for each
+      prime-power part N_p || Q, so Q is the product of the N_p || N with
+      gcd(d, N_p)^2 < N_p, after which N | q_b^2.  Q = 1 (W_Q = I) at
+      infinity, Q = N at 0, and Q = 1 on Gamma(N), which is normal in
+      SL2(Z);
+    - terms: one (base entries, record) per Gamma1(N)-class b' above b, read
+      off the images tau^-1 b, tau in Gamma1(N)\\G (b alone on Gamma1(N)
+      and Gamma(N)), with the base matrix [[p', r'], [q', s']] of the first
+      member and its record _cusp_weight(N, gcd(q' s', N)) (N on Gamma(N));
+    - m: the weight of each term, the number of cosets that send b to its
+      class over the width of b on Gamma1(N); 1/N on Gamma(N).
     """
     n = G.level
+    if G.family is Family.GAMMA_N:
+        base = cusp.base_matrix().entries()
+        return (1, 0, 0, 1), 1, ((base, _cusp_weight(n, n)),), Fraction(1, n)
     d, Q = gcd(cusp.q, n), 1
     for p in _prime_divisors(n):
         n_p = p
@@ -566,17 +537,17 @@ def _cusps_above(G: GroupId, cusp: Cusp) -> tuple:
         if gcd(d, n_p) ** 2 < n_p:
             Q *= n_p
     w = atkin_lehner(n, Q)
-    wa = w.apply_cusp(cusp)
-    gamma_n = GroupId.gamma(n)
-    above = {}                    # class key: [first cusp, coset count]
-    for tau in cosets(gamma_n, G):
-        c = tau.inverse().apply_cusp(wa)
-        above.setdefault(_cusp_key(gamma_n, c), [c, 0])[1] += 1
-    pv = pi_over_volume(G)
-    return (w.entries(), Q, wa,
-            tuple((m, c.base_matrix().entries()) for c, m in above.values()),
-            wa.base_matrix().entries(), cusp_equivalent(G, Cusp.infinity(), wa),
-            pv.numerator, pv.denominator)
+    b = w.apply_cusp(cusp)
+    gamma1 = GroupId.gamma1(n)
+    above = {}                            # class key: first member
+    taus = cosets(gamma1, G)
+    for tau in taus:
+        c = tau.inverse().apply_cusp(b)
+        above.setdefault(_cusp_key(gamma1, c), c)
+    bases = [c.base_matrix().entries() for c in above.values()]
+    terms = tuple((x, _cusp_weight(n, gcd(x[2] * x[3], n))) for x in bases)
+    return (w.entries(), Q, terms,
+            Fraction(len(taus) // len(terms)) / cusp_width(gamma1, b))
 
 
 def _int_mul(x, y):
@@ -586,37 +557,28 @@ def _int_mul(x, y):
     return a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
 
 
-def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Psi_a(g) for hyperbolic g in Gamma0(N) or Gamma1(N): raise g to the
-    least power g^k whose image mod N is +-unipotent, so g^k = h T^j with h
-    in Gamma(N) up to sign, and return Psi_a(g^k) / k.  The power and the
-    peel run on integer 4-tuples.
+def _psi_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
+    """Psi_a(g) for hyperbolic g in Gamma(N), Gamma1(N) or Gamma0(N),
+    N >= 2, on integer 4-tuples: the terms of _lift_record, each
+    _psi_weighted on its record at its conjugate of g^k, added with the
+    weight m and divided by k.
 
-    W_Q of _cusps_above normalizes Gamma0(N) and +-Gamma1(N), so the
-    symbol is Psi_b(W_Q g adj(W_Q) / Q) at b = W_Q a, formed on integers
-    with exact division.  With h = (a, b - ja, c, d - jc) in Gamma(N), the
-    composition law Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_g)
-    gives
-
-        Psi(g^k) = Psi(h) + Psi(T^j) + (pi/V) (sign(c_h t_h) + sign(c_T)
-                   - sign(c_h c_T c_g) - sign(c_g t_g)),
-
-    with each c read off the conjugate normalized at b.  Psi_b(T^j) is j
-    when b is G-equivalent to infinity, whose width is 1 on both families,
-    and 0 otherwise.  At j = 0, h = g^k and c_T = 0, so every sign term
-    cancels and the one step serves every j.
-
-    A hyperbolic h, on +-h of positive trace, has Psi^G_b(h) the coset sum
-    over tau in Gamma(N)\\G of Psi^{Gamma(N)}_b(tau h tau^-1) =
-    Psi^{Gamma(N)}_{tau^-1 b}(h).  Its terms depend only on the
-    Gamma(N)-class +-(p, q) mod N of tau^-1 b, so it is a sum over the
-    Gamma(N)-cusps above b, each weighted by its number of cosets: one
-    level-N descent per class, added in integers by _psi_gamma_sum.  On
-    Gamma1(N) a cusp with d = gcd(q, N) takes at most gcd(d, N/d)
-    descents: one at 0 and infinity, and one at every cusp for squarefree
-    N.  Only a non-hyperbolic h goes to psi_general."""
+    W_Q normalizes Gamma0(N) and +-Gamma1(N), so Psi_a(g) = Psi_b(W_Q g
+    adj(W_Q) / Q) at b = W_Q a, formed by exact division.  The least power
+    g^k whose top-left entry is +-1 mod N lies in +-Gamma1(N) (k = 1 on
+    Gamma(N) and Gamma1(N)), and Psi_b(g^k) = k Psi_b(g).  On Gamma0(N),
+    Psi_b(g^k) is the coset sum over tau in Gamma1(N)\\Gamma0(N) of
+    Psi^{Gamma1(N)}_{tau^-1 b}(g^k), a sum over the Gamma1(N)-classes b'
+    above b.  With sigma = [[p, r], [q, s]] the base matrix of b', N | q^2
+    and gamma = +-[[1, beta], [0, 1]] mod N, sigma^-1 gamma sigma has bottom
+    row +-(-q^2 beta, 1 - q s beta) = +-(0, u) mod N with u = 1 mod
+    gcd(q s, N), so the Gamma1(N) symbol at b' is _psi_weighted on that
+    conjugate with the record of _cusp_weight, over the width of b'.  At a
+    b' with N not dividing q^2 the conjugate's c need not be 0 mod N, and
+    _descent refuses it.
+    """
     n = G.level
-    w, Q, wa, above, base, at_infinity, pv, qv = _cusps_above(G, cusp)
+    w, Q, terms, m = _lift_record(G, cusp)
     p, q, r, s = w                    # base adj(W_Q): W_Q g adj(W_Q)
     a, b, c, d = _to_infinity((s, -q, -r, p), g.entries())
     ent = a // Q, b // Q, c // Q, d // Q
@@ -626,22 +588,11 @@ def _psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     gk, k = ent, 1
     while gk[0] % n not in (1 % n, n - 1):
         gk, k = _int_mul(gk, ent), k + 1
-    a, b, c, d = gk                   # positive trace, +-unipotent mod N
-    j = a * b % n                     # gk = +-h T^j with h in Gamma(N)
-    h = (a, b - j * a, c, d - j * c)
-    if not _principal_member(n, *h):
-        raise ValueError(f"{GroupElement(*h)} is not in Gamma({n})")
-    th = h[0] + h[3]
-    if abs(th) > 2:
-        num, den = _psi_gamma_sum(n, above, h if th > 0 else tuple(-x for x in h))
-    else:
-        psi = psi_general(G, wa, GroupElement(*h)).as_fraction()
-        num, den = psi.numerator, psi.denominator
-    if at_infinity:
-        num += j * den
-    ch, ct, cg = (_to_infinity(base, x)[2] for x in (h, (1, j, 0, 1), gk))
-    signs = sign(ch * th) + sign(ct) - sign(ch * ct * cg) - sign(cg * (a + d))
-    return SymbolValue.exact(Fraction(num * qv + signs * pv * den, den * qv * k))
+    num, den = 0, 1
+    for base, rec in terms:
+        pn, pd = _psi_weighted(n, rec, *_to_infinity(base, gk))
+        num, den = num * pd + pn * den, den * pd
+    return SymbolValue.exact(Fraction(num * m.numerator, den * m.denominator * k))
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,17 +20,25 @@ from radsym.modgroup import (
     T,
     _TABLE_FAMILIES,
     _coset_invariant,
+    _cusp_key,
+    _prime_divisors,
+    _principal_member,
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
     coset_table,
+    cosets,
     cusp_equivalent,
     cusps,
     member,
 )
 from radsym.symbols import (
     SymbolValue,
+    _int_mul,
+    _psi_weighted,
     _sign_term,
+    _to_infinity,
+    _weight_record,
     lift_coset_sum,
     phi_general,
     psi_general,
@@ -451,8 +459,8 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
 
 
 # The Gamma(N) symbol through GroupElement conjugation and the unreduced
-# sawtooth descent: the oracle for the integer class sum of
-# symbols.psi_gamma and the lift route.
+# sawtooth descent: the oracle for the Gamma(N) symbols of the lift route,
+# symbols._psi_lift, and of the old route below.
 def psi_gamma_conjugated(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi for Gamma(N) at any cusp, via transport to infinity.
 
@@ -539,7 +547,7 @@ def psi_peel_lift_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValu
     """Psi_a(g) for g in Gamma0(N) or Gamma1(N): raise g to a power whose
     image mod N is +-unipotent, evaluate there via Gamma(N), then unwind
     the composition law one power at a time: the oracle for the
-    homogeneity route Psi(g^k)/k in symbols._psi_peel_lift."""
+    homogeneity route Psi(g^k)/k in symbols._psi_lift."""
     n = G.level
     kappa = pi_over_volume(G)
     binv = cusp.base_matrix().inverse()
@@ -563,8 +571,8 @@ def psi_peel_lift_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValu
 
 
 # The peel-lift with its Gamma(N) power lifted by the full coset sum, one
-# level-N descent per coset: the oracle for the sum over the Gamma(N)-cusps
-# above a, with multiplicities, in symbols._psi_peel_lift.
+# level-N descent per coset: the oracle for the sum over the classes above
+# a, with multiplicities, in symbols._psi_lift.
 def psi_peel_lift_coset_sum(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi_a(g) for hyperbolic g in Gamma0(N) or Gamma1(N): raise g to the
     least power g^k whose image mod N is +-unipotent, so g^k = h T^j with h
@@ -596,6 +604,145 @@ def psi_peel_lift_coset_sum(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolVa
            + phi_general(G, cusp, tj).as_fraction())
     psi = phi - pi_over_volume(G) * sign(c3) - _sign_term(G, cusp, gk)
     return SymbolValue.exact(psi / k)
+
+
+# The lift route that symbols._psi_lift replaced, kept as its reference:
+# the least power g^k that is +-unipotent mod N is peeled to g^k = h T^j
+# with h in Gamma(N), and h is lifted by a sum over the Gamma(N)-cusps above
+# the cusp, each weighted by its number of cosets of Gamma(N), found by a
+# walk over the N phi(N)/2 cosets of Gamma(N) in Gamma0(N).
+
+
+@functools.lru_cache(maxsize=None)
+def gamma_weight(n: int):
+    """The _weight_record of Gamma(n), n >= 2: w_j = C_{n,j}/mu, with mu the
+    projective index of Gamma(n), and K1 = 1/n.  C_{n,0} = 1, the Mobius
+    sum (pi^2/6) prod_{p | n} (1 - p^-2) sum_{gcd(m, n) = 1} mu(m)/m^2, so
+    w_0 = 1/mu and 3 w_0 = pi/V is the sign weight of Gamma(n)."""
+    mu = GroupId.gamma(n).psl2z_index()
+    return _weight_record(n, [x / mu for x in takada_C_row_exact(n)], Fraction(1, n))
+
+
+def psi_gamma_sum(n: int, above, g) -> tuple[int, int]:
+    """sum m Psi^{Gamma(n)}_{base(inf)}(g) over the pairs (m, base) of
+    above, for n >= 2 and g = (a, b, c, d) in Gamma(n) up to sign, as
+    integers (numerator, denominator): _psi_weighted on the row of
+    gamma_weight at each cusp-normalized conjugate, added over one
+    denominator, so the caller builds one Fraction."""
+    rec = gamma_weight(n)
+    num, den = 0, 1
+    for m, base in above:
+        pn, pd = _psi_weighted(n, rec, *_to_infinity(base, g))
+        num, den = num * pd + m * pn * den, den * pd
+    return num, den
+
+
+@functools.lru_cache(maxsize=None)
+def cusps_above(G: GroupId, cusp: Cusp) -> tuple:
+    """The per-(group, cusp) constants of the old lift route at the cusp
+    a = p/q of G = Gamma0(N) or Gamma1(N), as (w, Q, wa, above, base,
+    at_infinity, pv, qv):
+
+    - w, Q, wa: the entries of W_Q = atkin_lehner(N, Q) and the cusp
+      W_Q a at which the symbols at a are evaluated.  With d = gcd(q, N),
+      W_Q sends the p-part of d to that of N_p / gcd(d, N_p) for each
+      prime-power part N_p || Q, and a Gamma1(N) cusp with d has at most
+      N/d Gamma(N)-cusps above it, so Q is the product of the N_p || N
+      with gcd(d, N_p)^2 < N_p, and W_Q a has at most gcd(d, N/d):
+      Q = 1 (W_Q = I) at infinity and Q = N at 0;
+    - above: the Gamma(N)-cusps above W_Q a, one (coset count, base
+      entries) per Gamma(N)-class of its images under tau^-1,
+      tau in Gamma(N)\\G, with the base matrix of the first member;
+    - base: the entries of the base matrix of W_Q a;
+    - at_infinity: whether W_Q a is G-equivalent to infinity;
+    - pv / qv = pi/V of G in lowest terms.
+    """
+    n = G.level
+    d, Q = gcd(cusp.q, n), 1
+    for p in _prime_divisors(n):
+        n_p = p
+        while n % (n_p * p) == 0:
+            n_p *= p
+        if gcd(d, n_p) ** 2 < n_p:
+            Q *= n_p
+    w = atkin_lehner(n, Q)
+    wa = w.apply_cusp(cusp)
+    gamma_n = GroupId.gamma(n)
+    above = {}                    # class key: [first cusp, coset count]
+    for tau in cosets(gamma_n, G):
+        c = tau.inverse().apply_cusp(wa)
+        above.setdefault(_cusp_key(gamma_n, c), [c, 0])[1] += 1
+    pv = pi_over_volume(G)
+    return (w.entries(), Q, wa,
+            tuple((m, c.base_matrix().entries()) for c, m in above.values()),
+            wa.base_matrix().entries(), cusp_equivalent(G, Cusp.infinity(), wa),
+            pv.numerator, pv.denominator)
+
+
+def psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
+    """Psi_a(g) for hyperbolic g in Gamma0(N) or Gamma1(N): raise g to the
+    least power g^k whose image mod N is +-unipotent, so g^k = h T^j with h
+    in Gamma(N) up to sign, and return Psi_a(g^k) / k.  The power and the
+    peel run on integer 4-tuples.
+
+    W_Q of cusps_above normalizes Gamma0(N) and +-Gamma1(N), so the
+    symbol is Psi_b(W_Q g adj(W_Q) / Q) at b = W_Q a, formed on integers
+    with exact division.  With h = (a, b - ja, c, d - jc) in Gamma(N), the
+    composition law Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_g)
+    gives
+
+        Psi(g^k) = Psi(h) + Psi(T^j) + (pi/V) (sign(c_h t_h) + sign(c_T)
+                   - sign(c_h c_T c_g) - sign(c_g t_g)),
+
+    with each c read off the conjugate normalized at b.  Psi_b(T^j) is j
+    when b is G-equivalent to infinity, whose width is 1 on both families,
+    and 0 otherwise.  At j = 0, h = g^k and c_T = 0, so every sign term
+    cancels and the one step serves every j.
+
+    A hyperbolic h, on +-h of positive trace, has Psi^G_b(h) the coset sum
+    over tau in Gamma(N)\\G of Psi^{Gamma(N)}_b(tau h tau^-1) =
+    Psi^{Gamma(N)}_{tau^-1 b}(h).  Its terms depend only on the
+    Gamma(N)-class +-(p, q) mod N of tau^-1 b, so it is a sum over the
+    Gamma(N)-cusps above b, each weighted by its number of cosets: one
+    level-N descent per class, added in integers by psi_gamma_sum.  Only a
+    non-hyperbolic h goes to psi_general."""
+    n = G.level
+    w, Q, wa, above, base, at_infinity, pv, qv = cusps_above(G, cusp)
+    p, q, r, s = w                    # base adj(W_Q): W_Q g adj(W_Q)
+    a, b, c, d = _to_infinity((s, -q, -r, p), g.entries())
+    ent = a // Q, b // Q, c // Q, d // Q
+    # the least power of a unit a mod N that is +-1, with g^k formed on the
+    # way: c = 0 mod N, so the top-left entry of g^k is a^k mod N, and the
+    # loop ends within phi(N) steps
+    gk, k = ent, 1
+    while gk[0] % n not in (1 % n, n - 1):
+        gk, k = _int_mul(gk, ent), k + 1
+    a, b, c, d = gk                   # positive trace, +-unipotent mod N
+    j = a * b % n                     # gk = +-h T^j with h in Gamma(N)
+    h = (a, b - j * a, c, d - j * c)
+    if not _principal_member(n, *h):
+        raise ValueError(f"{GroupElement(*h)} is not in Gamma({n})")
+    th = h[0] + h[3]
+    if abs(th) > 2:
+        num, den = psi_gamma_sum(n, above, h if th > 0 else tuple(-x for x in h))
+    else:
+        psi = psi_general(G, wa, GroupElement(*h)).as_fraction()
+        num, den = psi.numerator, psi.denominator
+    if at_infinity:
+        num += j * den
+    ch, ct, cg = (_to_infinity(base, x)[2] for x in (h, (1, j, 0, 1), gk))
+    signs = sign(ch * th) + sign(ct) - sign(ch * ct * cg) - sign(cg * (a + d))
+    return SymbolValue.exact(Fraction(num * qv + signs * pv * den, den * qv * k))
+
+
+def psi_old_route(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
+    """Psi_a(g) for hyperbolic g by the old route: on
+    Gamma(N) one Gamma(N) symbol at the cusp, on Gamma0(N) and Gamma1(N)
+    psi_peel_lift: the reference for symbols._psi_lift."""
+    if G.family is Family.GAMMA_N:
+        above = ((1, cusp.base_matrix().entries()),)
+        return SymbolValue.exact(Fraction(*psi_gamma_sum(G.level, above, g.entries())))
+    return psi_peel_lift(G, cusp, g)
 
 
 def psi_gamma0_plus_lift(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:

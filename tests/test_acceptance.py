@@ -14,7 +14,16 @@ from radsym.dedekind import (
     phi_classical,
     psi_classical,
 )
-from radsym.modgroup import Cusp, GroupElement, GroupId, S, T, classify, Motion
+from radsym.modgroup import (
+    Cusp,
+    GroupElement,
+    GroupId,
+    Motion,
+    S,
+    T,
+    classify,
+    cusp_class_index,
+)
 from radsym.periods import (
     Divisor,
     divisor_period,
@@ -23,7 +32,7 @@ from radsym.periods import (
     torsion_certificate,
     x0_period_exact,
 )
-from radsym.symbols import lift_coset_sum, psi_gamma, takada_C_row_exact
+from radsym.symbols import lift_coset_sum, psi_general, takada_C_row_exact
 
 from conftest import (
     dedekind_sum_direct,
@@ -119,7 +128,7 @@ def test_6_coset_sum_identity_level2():
         if g.trace < 0:
             g = -g
         lifted = lift_coset_sum(G1, GroupId.sl2z(),
-                                lambda x: psi_gamma(2, INF, x), g)
+                                lambda x: psi_general(G1, INF, x), g)
         assert lifted.kind == "exact"
         assert lifted.as_fraction() == psi_classical(g)
         checked += 1
@@ -171,7 +180,7 @@ def test_9_period_homomorphism_properties():
         elif mode == 1:
             k = rng.randint(-6, 6) or 1
             gen = T if rng.random() < 0.5 else L0
-            m = D.coefficient(INF if gen is T else Cusp(0, 1))
+            m = D.multiplicities[cusp_class_index(G, INF if gen is T else Cusp(0, 1))][1]
             assert divisor_period(D, gen ** k).as_fraction() == k * m
         else:
             g1 = random_in_group(rng, G, 3)

@@ -333,19 +333,19 @@ def test_oracle_consistency_sweep_gamma0_2_to_60():
 
 
 def test_oracle_consistency_sweep_catches_peel_lift_mutants(monkeypatch):
-    # the split classes of Gamma0(N), gcd(d, N/d) > 2, take _psi_peel_lift,
+    # the split classes of Gamma0(N), gcd(d, N/d) > 2, take _psi_lift,
     # and D_N weighs them at 8 of the levels 2..60 (18, 27, 32, 36, 45, 48,
     # 50 and 54): doubling every value, or adding 1 at the class of 1/3,
     # fails the sweep.  A uniform +1 on every split class passes it, since
     # the split multiplicities of D_N sum to 0 at every N <= 60
-    peel = symbols._psi_peel_lift
+    lift = symbols._psi_lift
     mutants = [
-        lambda G, cu, g: SymbolValue.exact(2 * peel(G, cu, g).as_fraction()),
+        lambda G, cu, g: SymbolValue.exact(2 * lift(G, cu, g).as_fraction()),
         lambda G, cu, g: SymbolValue.exact(
-            peel(G, cu, g).as_fraction() + cusp_equivalent(G, cu, Cusp(1, 3))),
+            lift(G, cu, g).as_fraction() + cusp_equivalent(G, cu, Cusp(1, 3))),
     ]
     for mutant in mutants:
-        monkeypatch.setattr(symbols, "_psi_peel_lift", mutant)
+        monkeypatch.setattr(symbols, "_psi_lift", mutant)
         assert oracle_consistency_failures(range(2, 61))
     for n in range(2, 61):
         split = [gcd(cu.q, n) for cu, _w in cusps(GroupId.gamma0(n))

@@ -20,6 +20,7 @@ from radsym.modgroup import (
     S,
     T,
     classify,
+    cusp_class_index,
     cusps,
     parabolic_power,
     schreier_generators,
@@ -38,7 +39,7 @@ from radsym.periods import (
     torsion_certificate,
     x0_period_exact,
 )
-from radsym.symbols import _psi_peel_lift
+from radsym.symbols import _psi_lift
 
 from conftest import random_hyperbolic_sl2z, random_in_group, random_sl2z
 
@@ -403,8 +404,8 @@ def test_x0_period_is_homomorphism(rng):
 def test_divisor_construction():
     G = GroupId.gamma0(11)
     D = Divisor.from_dict(G, {"0": -1, "inf": 1})
-    assert D.coefficient(Cusp.infinity()) == 1
-    assert D.coefficient(Cusp(0, 1)) == -1
+    assert D.multiplicities[cusp_class_index(G, Cusp.infinity())][1] == 1
+    assert D.multiplicities[cusp_class_index(G, Cusp(0, 1))][1] == -1
     with pytest.raises(ValueError):
         Divisor.from_dict(G, {"inf": 1})
 
@@ -448,7 +449,7 @@ def test_non_hyperbolic_periods(G):
                 assert value == 0
             else:
                 fixed, k = parabolic_power(G, g)
-                assert value == k * D.coefficient(fixed)
+                assert value == k * D.multiplicities[cusp_class_index(G, fixed)][1]
     assert seen[Motion.PARABOLIC] > 0
     if G in (GroupId.gamma0(2), GroupId.gamma0(10), GroupId.gamma0(13),
              GroupId.gamma1(3)):
@@ -495,7 +496,7 @@ def test_torsion_orders_x0():
 def test_torsion_orders_x0_non_squarefree(n, expected):
     # 0 and inf are the only cusps with their gcd(q, N), so the certificate
     # takes the divisor basis; the test below recomputes these orders from
-    # the peel-lift alone (X0(18) has genus 0, so its order 1 is forced)
+    # the lift route alone (X0(18) has genus 0, so its order 1 is forced)
     G = GroupId.gamma0(n)
     D = Divisor.from_dict(G, {"0": -1, "inf": 1})
     cert = torsion_certificate(G, D)
@@ -506,7 +507,7 @@ def test_torsion_orders_x0_non_squarefree(n, expected):
 @pytest.mark.parametrize("n, expected", [(18, 1), (27, 3), (32, 4), (36, 6)])
 def test_torsion_orders_x0_non_squarefree_by_peel_lift(n, expected):
     # the (0) - (inf) order as the lcm of the hyperbolic period denominators
-    # Psi_inf(g) - Psi_0(g), each symbol from _psi_peel_lift; parabolic
+    # Psi_inf(g) - Psi_0(g), each symbol from _psi_lift; parabolic
     # periods are integers and elliptic ones vanish
     G = GroupId.gamma0(n)
     order = 1
@@ -514,8 +515,8 @@ def test_torsion_orders_x0_non_squarefree_by_peel_lift(n, expected):
         if classify(g).tag is not Motion.HYPERBOLIC:
             continue
         g = g if g.trace > 0 else -g
-        period = (_psi_peel_lift(G, Cusp.infinity(), g).as_fraction()
-                  - _psi_peel_lift(G, Cusp(0, 1), g).as_fraction())
+        period = (_psi_lift(G, Cusp.infinity(), g).as_fraction()
+                  - _psi_lift(G, Cusp(0, 1), g).as_fraction())
         order = math.lcm(order, period.denominator)
     assert order == expected
 

@@ -36,14 +36,13 @@ from radsym.periods import Divisor, divisor_period
 from radsym.symbols import (
     SymbolValue,
     _bernoulli2_bar,
+    _cusp_weight,
     _descent,
-    _gamma_weight,
-    _psi_peel_lift,
+    _psi_lift,
     _solve_rational,
     gamma0_cusp_basis,
     lift_coset_sum,
     phi_general,
-    psi_gamma,
     psi_gamma0_divisor,
     psi_general,
     takada_C_row_exact,
@@ -58,6 +57,7 @@ from conftest import (
     psi_gamma0_plus_cocycle,
     psi_gamma0_plus_lift,
     psi_gamma_conjugated,
+    psi_old_route,
     psi_peel_lift_coset_sum,
     psi_peel_lift_cocycle,
     random_in_group,
@@ -219,23 +219,25 @@ def test_integer_solver_matches_gauss_jordan_on_the_C_systems(monkeypatch):
 
 
 def gamma_descent(n: int, a: int, c: int) -> Fraction:
-    """sum_{0 < j < |c|} j w_j ((aj/c)) for the row w_j = C_{n,j}/mu of the
-    Gamma(n) record, by one _descent."""
-    tables, pairs = _gamma_weight(n)[:2]
-    return Fraction(*_descent(n, tables, pairs, a, c))
+    """sum_{0 < j < |c|} j w_j ((aj/c)) for the row w_j = C_{n,j}/mu, by one
+    _descent on the Gamma(n) record _cusp_weight(n, n), whose row is n w."""
+    tables, pairs = _cusp_weight(n, n)[:2]
+    return Fraction(*_descent(n, tables, pairs, a, c)) / n
 
 
 def test_weight_records_read_their_definitions():
     # C_{N,0} = 1, so the Gamma(N) row C_{N,j}/mu has w_0 = 1/mu and its
     # sign weight 3 w_0 is pi/V; each record's e1/K and e0/K are its K1 and
-    # w_0: 1/N and 1/mu on Gamma(N), sum_e e c_e and sum_e c_e on Gamma0(N)+
+    # w_0: 1 and N/mu on the Gamma(N) record _cusp_weight(N, N), which
+    # holds N times the row C_{N,j}/mu and the K1 = 1/N of Gamma(N) at
+    # infinity, and sum_e e c_e and sum_e c_e on Gamma0(N)+
     for n in range(2, 61):
         assert takada_C_row_exact(n)[0] == 1, n
         mu = GroupId.gamma(n).psl2z_index()
-        _tables, _pairs, e1, e0, K = _gamma_weight(n)
-        assert Fraction(e1, K) == Fraction(1, n), n
-        assert Fraction(e0, K) == 1 / mu, n
-        assert 3 * Fraction(e0, K) == pi_over_volume(GroupId.gamma(n)), n
+        _tables, _pairs, e1, e0, K = _cusp_weight(n, n)
+        assert Fraction(e1, K) == 1, n
+        assert Fraction(e0, K) == n / mu, n
+        assert 3 * Fraction(e0, K) / n == pi_over_volume(GroupId.gamma(n)), n
         if _squarefree(n):
             basis = symbols._gamma0_basis(n, (1,) * len(symbols._divisors(n)))
             _tables, _pairs, e1, e0, K = symbols._gamma0_plus_weight(n)
@@ -286,9 +288,9 @@ def test_level_tables_match_fraction_definitions():
     # and the Gamma0(N)+ rows: the row is even and u odd, so _descent starts
     # its sum at 0
     for n in range(2, 61):
-        C, D, u, B = _gamma_weight(n)[0]
+        C, D, u, B = _cusp_weight(n, n)[0]
         mu = GroupId.gamma(n).psl2z_index()
-        assert [Fraction(x, D) for x in C] == [x / mu for x in takada_C_row_exact(n)]
+        assert [Fraction(x, D) for x in C] == [n * x / mu for x in takada_C_row_exact(n)]
         assert list(u) == [2 * n * sawtooth(Fraction(k, n)) for k in range(n)]
         for t in range(n):
             assert sum(C[r] * u[t * r % n] for r in range(n)) == 0, (n, t)
@@ -386,7 +388,7 @@ def test_gamma2_ground_truth():
         g = GroupElement(*entries)
         if g.trace < 0:
             g = -g
-        assert psi_gamma(2, INF, g).as_fraction() == expected
+        assert psi_general(GroupId.gamma(2), INF, g).as_fraction() == expected
 
 
 # -- parabolic and elliptic rules -------------------------------------------
@@ -566,14 +568,14 @@ def test_transport_cusp(rng):
     n = 2
     engine = transport_cusp(
         GroupId.gamma(n), GroupId.sl2z(), S, Cusp(0, 1), INF,
-        lambda g: psi_gamma(n, INF, g))
+        lambda g: psi_general(GroupId.gamma(n), INF, g))
     for _ in range(10):
         g = random_principal_hyperbolic(rng, n)
-        direct = psi_gamma(n, Cusp(0, 1), g).as_fraction()
+        direct = psi_general(GroupId.gamma(n), Cusp(0, 1), g).as_fraction()
         assert engine(g).as_fraction() == direct
     with pytest.raises(ValueError):
         transport_cusp(GroupId.gamma(2), GroupId.sl2z(), S, INF, INF,
-                       lambda g: psi_gamma(2, INF, g))
+                       lambda g: psi_general(GroupId.gamma(2), INF, g))
 
 
 def test_transport_representative_independence(rng):
@@ -582,9 +584,9 @@ def test_transport_representative_independence(rng):
     tau1 = S
     tau2 = T ** 2 * S
     e1 = transport_cusp(GroupId.gamma(n), GroupId.sl2z(), tau1, Cusp(0, 1),
-                        INF, lambda g: psi_gamma(n, INF, g))
+                        INF, lambda g: psi_general(GroupId.gamma(n), INF, g))
     e2 = transport_cusp(GroupId.gamma(n), GroupId.sl2z(), tau2, Cusp(0, 1),
-                        INF, lambda g: psi_gamma(n, INF, g))
+                        INF, lambda g: psi_general(GroupId.gamma(n), INF, g))
     for _ in range(10):
         g = random_principal_hyperbolic(rng, n)
         assert e1(g).as_fraction() == e2(g).as_fraction()
@@ -596,7 +598,7 @@ def test_coset_sum_recovers_classical(n, rng):
     for _ in range(8):
         g = random_principal_hyperbolic(rng, n)
         lifted = lift_coset_sum(G1, GroupId.sl2z(),
-                                lambda x: psi_gamma(n, INF, x), g)
+                                lambda x: psi_general(G1, INF, x), g)
         assert lifted.as_fraction() == psi_classical(g)
 
 
@@ -610,8 +612,8 @@ def test_coset_sum_independent_of_representatives(n, rng):
         assert len(filtered) == len(cosets(G1, G))
         for _ in range(3):
             g = random_principal_hyperbolic(rng, n)
-            lifted = lift_coset_sum(G1, G, lambda x: psi_gamma(n, INF, x), g)
-            direct = sum((psi_gamma(n, INF, g.conjugate_by(tau)).as_fraction()
+            lifted = lift_coset_sum(G1, G, lambda x: psi_general(G1, INF, x), g)
+            direct = sum((psi_general(G1, INF, g.conjugate_by(tau)).as_fraction()
                           for tau in filtered), Fraction(0))
             assert lifted.as_fraction() == direct
 
@@ -623,7 +625,7 @@ def test_coset_sum_recovers_classical_level19():
     for g in [T ** n * GroupElement(1, 0, n, 1),
               GroupElement(1, 0, -n, 1) * T ** (2 * n)]:
         lifted = lift_coset_sum(G1, GroupId.sl2z(),
-                                lambda x: psi_gamma(n, INF, x), g)
+                                lambda x: psi_general(G1, INF, x), g)
         assert lifted.kind == "exact"
         assert lifted.as_fraction() == psi_classical(g)
 
@@ -635,7 +637,7 @@ def test_coset_sum_recovers_classical_deep(n, rng):
     for _ in range(2):
         g = random_principal_deep(rng, n, 10 ** 18)
         lifted = lift_coset_sum(G1, GroupId.sl2z(),
-                                lambda x: psi_gamma(n, INF, x), g)
+                                lambda x: psi_general(G1, INF, x), g)
         assert lifted.kind == "exact"
         assert lifted.as_fraction() == psi_classical(g)
 
@@ -645,14 +647,14 @@ def test_coset_sum_recovers_classical_past_1e300(rng):
     # keeps it fast only while its integers stay O(log |c|) bits
     g = random_principal_deep(rng, 3, 10 ** 300)
     lifted = lift_coset_sum(GroupId.gamma(3), GroupId.sl2z(),
-                            lambda x: psi_gamma(3, INF, x), g)
+                            lambda x: psi_general(GroupId.gamma(3), INF, x), g)
     assert lifted.as_fraction() == psi_classical(g)
 
 
 def test_coset_sum_rejects_outsiders():
     with pytest.raises(ValueError):
         lift_coset_sum(GroupId.gamma(2), GroupId.sl2z(),
-                       lambda x: psi_gamma(2, INF, x),
+                       lambda x: psi_general(GroupId.gamma(2), INF, x),
                        GroupElement(2, 1, 1, 1))
 
 
@@ -672,7 +674,7 @@ def test_gamma0_divisor_vs_peel_lift(n, rng):
         for _ in range(draws):
             g = random_hyperbolic(rng, G)
             a = psi_gamma0_divisor(g, basis)
-            b = _psi_peel_lift(G, cu, g).as_fraction()
+            b = _psi_lift(G, cu, g).as_fraction()
             assert a == b, (cu, g)
             checked += 1
     assert checked >= 2 * draws
@@ -733,7 +735,7 @@ def test_hyperbolic_gamma0_symbols_build_no_table():
 
 def test_gamma0_basis_failed_check_raises(monkeypatch):
     # a basis that fails its 1/y check is an error, not a silent switch to
-    # the peel-lift engine
+    # the lift route
     monkeypatch.setattr(symbols, "pi_over_volume", lambda G: Fraction(1, 7))
     symbols._gamma0_basis.cache_clear()
     symbols.gamma0_cusp_basis.cache_clear()
@@ -747,7 +749,7 @@ def test_gamma0_basis_failed_check_raises(monkeypatch):
 @pytest.mark.parametrize("n", [9, 27, 32, 36])
 def test_gamma0_fallback_laws(n, rng):
     # another class shares this cusp's gcd(q, N), so it has no divisor basis
-    # and the peel-lift engine is the production route; check its laws
+    # and the lift route is the production route; check its laws
     cu = {9: Cusp(1, 3), 27: Cusp(1, 3), 32: Cusp(1, 4), 36: Cusp(1, 6)}[n]
     assert gamma0_cusp_basis(n, cu) is None
     G = GroupId.gamma0(n)
@@ -967,7 +969,7 @@ def test_homogeneity_routes_match_cocycle_oracles():
                     old = psi_gamma0_plus_cocycle(G.level, cu, g)
                     scaled += g.e > 1
                 else:
-                    new = _psi_peel_lift(G, cu, g)
+                    new = _psi_lift(G, cu, g)
                     old = psi_peel_lift_cocycle(G, cu, g)
                 assert new == old, (G, cu, g)
                 checked += 1
@@ -988,7 +990,7 @@ def test_psi_homogeneous_on_hyperbolic_powers(G, rng):
                 assert psi_general(G, cu, g ** k).as_fraction() == k * psi, (cu, g, k)
 
 
-# -- the lift route: one Gamma(N) symbol per Gamma(N)-cusp above a ------------
+# -- the lift route: one weighted descent per Gamma1(N)-class above a ---------
 
 
 def split_cusps(n):
@@ -1004,7 +1006,7 @@ def split_cusps(n):
 def test_lift_route_matches_coset_sum(monkeypatch):
     # every cusp of Gamma1(2..30) and every split cusp of Gamma0(9..36): the
     # engine against the peel-lift whose Gamma(N) power takes the full coset
-    # sum; the oracle is swapped in as symbols._psi_peel_lift, so that the
+    # sum; the oracle is swapped in as symbols._psi_lift, so that the
     # Gamma(N) part it peels off goes through the coset sum too
     rng = random.Random(20261101)
     triples = [(G, cu, random_hyperbolic(rng, G))
@@ -1013,11 +1015,44 @@ def test_lift_route_matches_coset_sum(monkeypatch):
     triples += [(GroupId.gamma0(n), cu, random_hyperbolic(rng, GroupId.gamma0(n)))
                 for n in (9, 16, 18, 25, 27, 32, 36)
                 for cu in split_cusps(n) for _ in range(2)]
-    new = [_psi_peel_lift(G, cu, g) for G, cu, g in triples]
-    monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
+    new = [_psi_lift(G, cu, g) for G, cu, g in triples]
+    monkeypatch.setattr(symbols, "_psi_lift", psi_peel_lift_coset_sum)
     for (G, cu, g), value in zip(triples, new):
         assert value == psi_peel_lift_coset_sum(G, cu, g), (G, cu, g)
     assert len(triples) == 501
+
+
+def test_lift_route_matches_the_old_route():
+    # the one weighted descent per Gamma1(N)-class against the route it
+    # replaced, kept in conftest: the peel g^k = h T^j with its sign terms
+    # and the sum over the Gamma(N)-cusps above the cusp; at every cusp of
+    # Gamma(2..12) and Gamma1(2..40) and every split cusp of Gamma0(2..60),
+    # one word each, as g and -g.  The Gamma1(N)-cusps with gcd(q s, N) < N
+    # weigh more than one u, and the split Gamma0(N) cusps sum more than
+    # one class with d a unit mod N, so k > 1
+    rng = random.Random(20261120)
+    cases = []
+    for n in range(2, 13):
+        G = GroupId.gamma(n)
+        for cu, _w in cusps(G):
+            g = random_principal_hyperbolic(rng, n).conjugate_by(random_sl2z(rng, 3))
+            cases.append((G, cu, g if g.trace > 0 else -g))
+    for n in range(2, 41):
+        G = GroupId.gamma1(n)
+        cases += [(G, cu, deep_element(rng, G, n * n)) for cu, _w in cusps(G)]
+    for n in range(2, 61):
+        G = GroupId.gamma0(n)
+        cases += [(G, cu, deep_element(rng, G, n * n, any_unit=True))
+                  for cu in split_cusps(n)]
+    multi_u = powers = 0
+    for G, cu, g in cases:
+        expect = psi_old_route(G, cu, g)
+        assert psi_general(G, cu, g) == psi_general(G, cu, -g) == expect, (G, cu, g)
+        terms = symbols._lift_record(G, cu)[2]
+        multi_u += any(math.gcd(base[2] * base[3], G.level) < G.level
+                       for base, _rec in terms)
+        powers += g.a % G.level not in (1 % G.level, G.level - 1)
+    assert (len(cases), multi_u, powers) == (1160, 322, 46)
 
 
 def random_principal_parabolic(rng, n):
@@ -1028,18 +1063,21 @@ def random_principal_parabolic(rng, n):
 
 
 def test_psi_gamma_matches_conjugation_oracle():
-    # the integer conjugation, sign term and formula against GroupElement
-    # conjugation and the unreduced sawtooth descent, at every cusp of
-    # Gamma(2..12), on
-    # hyperbolic and parabolic elements of both trace signs
+    # the integer conjugation, sign term and formula of the lift route
+    # against GroupElement conjugation and the unreduced sawtooth descent,
+    # at every cusp of Gamma(2..12), on hyperbolic and parabolic elements of
+    # both trace signs; psi_general takes the closed form on the parabolic
+    # ones, the lift route its one descent or, at c = 0, b d / N
     rng = random.Random(20261105)
     checked = 0
     for n in range(2, 13):
-        for cu, _w in cusps(GroupId.gamma(n)):
+        G = GroupId.gamma(n)
+        for cu, _w in cusps(G):
             for g in (random_principal_hyperbolic(rng, n),
                       random_principal_parabolic(rng, n)):
                 for x in (g, -g):
-                    assert psi_gamma(n, cu, x) == psi_gamma_conjugated(n, cu, x), (n, cu, x)
+                    expect = psi_gamma_conjugated(n, cu, x)
+                    assert _psi_lift(G, cu, x) == psi_general(G, cu, x) == expect, (n, cu, x)
                     checked += 1
     assert checked == 4 * 265
 
@@ -1049,7 +1087,7 @@ def test_psi_gamma_refuses_elements_outside_gamma_n():
     for g in (GroupElement(1, 1, 0, 1), GroupElement(1, 2, 1, 3),
               GroupElement(3, 2, 0, 1, 3)):
         with pytest.raises(ValueError, match="is not in Gamma"):
-            psi_gamma(2, INF, g)
+            psi_general(GroupId.gamma(2), INF, g)
 
 
 def lift_cases(rng, make):
@@ -1064,7 +1102,7 @@ def lift_cases(rng, make):
 
 def peeled_part(g, n):
     """(j, h) with g^k = h T^j for the least power g^k of g that is
-    +-unipotent mod n, as the lift route peels it; h is in Gamma(n) up to
+    +-unipotent mod n, as the old route peeled it; h is in Gamma(n) up to
     sign."""
     gk = g
     while gk.a % n not in (1 % n, (n - 1) % n):
@@ -1096,36 +1134,36 @@ def hyperbolic_peel(rng, G, negative=False):
 
 
 def assert_lift_route_matches_oracles(monkeypatch, cases):
-    new = [_psi_peel_lift(G, cu, g) for G, cu, g in cases]
+    new = [_psi_lift(G, cu, g) for G, cu, g in cases]
     for (G, cu, g), value in zip(cases, new):
         assert value == psi_peel_lift_cocycle(G, cu, g), (G, cu, g)
-    monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
+    monkeypatch.setattr(symbols, "_psi_lift", psi_peel_lift_coset_sum)
     for (G, cu, g), value in zip(cases, new):
         assert value == psi_peel_lift_coset_sum(G, cu, g), (G, cu, g)
 
 
 def test_lift_route_peels_off_a_parabolic_part(monkeypatch):
     # g = h T^j with h parabolic in Gamma(N) and j != 0 mod N: the power
-    # is g itself, and its Gamma(N) part goes to psi_general, not to the
-    # class sum
+    # is g itself, whose Gamma(N) part the old route sent to psi_general
+    # and the cocycle oracle still does
     rng = random.Random(20261106)
     cases = lift_cases(rng, lambda G: parabolic_peel(rng, G))
     assert_lift_route_matches_oracles(monkeypatch, cases)
 
 
 def test_lift_route_takes_negative_traces(monkeypatch):
-    # Psi(-g) = Psi(g): the powers, the class sum and the peeled sign terms
-    # of a negative-trace element give the value of its negative
+    # Psi(-g) = Psi(g): the powers and the weighted descents of a
+    # negative-trace element give the value of its negative
     rng = random.Random(20261107)
     cases = lift_cases(rng, lambda G: -random_hyperbolic(rng, G))
     for G, cu, g in cases:
         assert g.trace < -2
-        assert _psi_peel_lift(G, cu, g) == _psi_peel_lift(G, cu, -g), (G, cu, g)
+        assert _psi_lift(G, cu, g) == _psi_lift(G, cu, -g), (G, cu, g)
     assert_lift_route_matches_oracles(monkeypatch, cases)
 
 
 def test_lift_route_negates_a_peeled_part_of_negative_trace(monkeypatch):
-    # j != 0 and tr h < -2: the class sum takes -h, of positive trace
+    # j != 0 and tr h < -2, where the old route took -h of positive trace
     rng = random.Random(20261109)
     cases = lift_cases(rng, lambda G: hyperbolic_peel(rng, G, negative=True))
     assert_lift_route_matches_oracles(monkeypatch, cases)
@@ -1135,7 +1173,7 @@ def atkin_lehner_frame(G, cu, g):
     """(W_Q cu, W_Q g W_Q^-1): the cusp and element at which the lift route
     evaluates Psi_cu(g), for the Q || N of its record, by GroupElement
     conjugation."""
-    w = atkin_lehner(G.level, symbols._cusps_above(G, cu)[1])
+    w = atkin_lehner(G.level, symbols._lift_record(G, cu)[1])
     return w.apply_cusp(cu), g.conjugate_by(w)
 
 
@@ -1164,10 +1202,16 @@ def fewest_classes(G, cu):
     if (G, cu) == (GroupId.gamma1(4), Cusp(1, 2)):
         return 1
     d = math.gcd(cu.q, n)
+    return math.gcd(d, n // d) * gamma1_classes(G, cu)
+
+
+def gamma1_classes(G, cu):
+    """The number of Gamma1(N)-classes in the G-class of cu: 1 on
+    Gamma1(N)."""
     if G.family is Family.GAMMA1_N:
-        return math.gcd(d, n // d)
-    return math.gcd(d, n // d) * sum(
-        modgroup.cusp_equivalent(G, b, cu) for b, _w in cusps(GroupId.gamma1(n)))
+        return 1
+    return sum(modgroup.cusp_equivalent(G, b, cu)
+               for b, _w in cusps(GroupId.gamma1(G.level)))
 
 
 def test_lift_route_takes_the_fewest_classes_at_every_cusp():
@@ -1175,28 +1219,35 @@ def test_lift_route_takes_the_fewest_classes_at_every_cusp():
     # the fewest over every Q || N and the count of fewest_classes: 2,533
     # over every cusp of Gamma1(2..60), where the Fricke transport at
     # gcd(q, N)^2 < N alone took 4,247, and 2,154 over the split cusps of
-    # Gamma0(2..100), where no transport took 5,342
+    # Gamma0(2..100), where no transport took 5,342.  There N | q^2 for
+    # W_Q a = p/q, and the lift route takes one term, one descent, per
+    # Gamma1(N)-class above W_Q a: 1,999 over those cusps of Gamma1(N), one
+    # each, and 482 over those of Gamma0(N)
     cases = [(GroupId.gamma1(n), cu) for n in range(2, 61)
              for cu, _w in cusps(GroupId.gamma1(n))]
     cases += [(GroupId.gamma0(n), cu) for n in range(2, 101) for cu in split_cusps(n)]
-    totals = collections.Counter()
+    classes, terms = collections.Counter(), collections.Counter()
     for G, cu in cases:
         n = G.level
-        w, Q, wa, above = symbols._cusps_above(G, cu)[:4]
-        assert (w, wa) == (atkin_lehner(n, Q).entries(), atkin_lehner(n, Q).apply_cusp(cu))
+        w, Q, record_terms = symbols._lift_record(G, cu)[:3]
+        wa = atkin_lehner(n, Q).apply_cusp(cu)
+        assert w == atkin_lehner(n, Q).entries() and wa.q ** 2 % n == 0, (G, cu)
         least = min(classes_above(G, atkin_lehner(n, e).apply_cusp(cu))
                     for e in atkin_lehner_exponents(n))
-        assert len(above) == classes_above(G, wa) == least == fewest_classes(G, cu), (G, cu)
-        totals[G.family] += len(above)
-    assert totals == {Family.GAMMA1_N: 2533, Family.GAMMA0_N: 2154}
+        assert classes_above(G, wa) == least == fewest_classes(G, cu), (G, cu)
+        assert len(record_terms) == gamma1_classes(G, cu), (G, cu)
+        classes[G.family] += least
+        terms[G.family] += len(record_terms)
+    assert classes == {Family.GAMMA1_N: 2533, Family.GAMMA0_N: 2154}
+    assert terms == {Family.GAMMA1_N: 1999, Family.GAMMA0_N: 482}
 
 
 def test_peel_cost_in_descents_and_calls(monkeypatch):
-    # a class sum is one level-N descent per Gamma(N)-cusp above the cusp
-    # evaluated, the Atkin-Lehner image W_Q a, so fewest_classes descents:
-    # gcd(d, N/d) on Gamma1(N), with 1 at the irregular 1/2 of Gamma1(4); a
-    # hyperbolic peeled h takes the class sum with no psi_general call and
-    # no GroupElement product, a parabolic one takes one psi_general
+    # a symbol is one level-N descent per Gamma1(N)-class above the cusp
+    # evaluated, the Atkin-Lehner image W_Q a: one on Gamma1(N), and on a
+    # split Gamma0(N) cusp the Gamma1(N)-classes in its Gamma0(N)-class;
+    # with no psi_general call and no GroupElement product, whether the
+    # Gamma(N) part that the old route peeled off is hyperbolic or not
     rng = random.Random(20261110)
     draws = [("class sum", lambda G: random_principal_hyperbolic(rng, G.level)),
              ("hyperbolic h", lambda G: hyperbolic_peel(rng, G)),
@@ -1221,16 +1272,12 @@ def test_peel_cost_in_descents_and_calls(monkeypatch):
         wa, w = atkin_lehner_frame(G, cu, g)
         j, h = peeled_part(w, G.level)
         parabolic = j != 0 and classify(h).tag is not Motion.HYPERBOLIC
-        above = classes_above(G, wa)
-        assert above == fewest_classes(G, cu), (G, cu)
+        above = gamma1_classes(G, cu)
         seen[wa != cu, parabolic] += 1
         for key in calls:
             calls[key] = 0
-        _psi_peel_lift(G, cu, g)
-        if parabolic:
-            assert calls["psi_general"] == 1 and calls["descent"] == 0, (G, cu, g)
-        else:
-            assert calls == {"descent": above, "psi_general": 0, "mul": 0}, (G, cu, g)
+        _psi_lift(G, cu, g)
+        assert calls == {"descent": above, "psi_general": 0, "mul": 0}, (G, cu, g)
     assert min(seen[k] for k in itertools.product((False, True), repeat=2)) >= 10, seen
 
 
@@ -1258,9 +1305,11 @@ def test_gamma1_zero_minus_infinity_takes_two_descents_per_generator(monkeypatch
 
 def test_lift_route_at_the_irregular_cusp_of_gamma1_4(monkeypatch):
     # 1/2 has width 1 on Gamma1(4), fixed by -base T base^-1, where
-    # Gamma(4) has width 4: all four cosets send it to one Gamma(4)-class
+    # Gamma(4) has width 4: its one term has the weight 1 / 1, and its base
+    # matrix [[1, 0], [2, 1]] gives g = gcd(2, 4) = 2, U = {1, 3} = {+-1}
     G, half = GroupId.gamma1(4), Cusp(1, 2)
-    assert [m for m, _base in symbols._cusps_above(G, half)[3]] == [4]
+    assert symbols._lift_record(G, half) == (
+        (1, 0, 0, 1), 1, (((1, 0, 2, 1), symbols._cusp_weight(4, 2)),), 1)
     rng = random.Random(20261108)
     cases = [(G, half, random_hyperbolic(rng, G, 6)) for _ in range(40)]
     cases += [(G, cu, -g) for G, cu, g in cases]
@@ -1270,9 +1319,8 @@ def test_lift_route_at_the_irregular_cusp_of_gamma1_4(monkeypatch):
 def test_gamma1_symbol_at_infinity_takes_one_descent(monkeypatch):
     # the N cosets of Gamma(N) in Gamma1(N) all send infinity to one
     # Gamma(N)-cusp, so a hyperbolic symbol at infinity is one level-N
-    # descent, weighted by N: exactly one on the hyperbolic elements of
-    # Gamma(N), and at most one on words of Gamma1(N), whose peeled Gamma(N)
-    # part may be parabolic
+    # descent on the record of Gamma(N): exactly one on the hyperbolic
+    # elements of Gamma(N) and on words of Gamma1(N)
     rng = random.Random(20261102)
     calls = []
 
@@ -1293,7 +1341,7 @@ def test_gamma1_symbol_at_infinity_takes_one_descent(monkeypatch):
             evaluated.append((G, g, psi_general(G, INF, g)))
             assert len(calls) <= 1, (n, g)
     monkeypatch.setattr(symbols, "_descent", _descent)
-    monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
+    monkeypatch.setattr(symbols, "_psi_lift", psi_peel_lift_coset_sum)
     for G, g, value in evaluated:
         assert value == psi_general(G, INF, g), (G, g)
 
@@ -1311,16 +1359,20 @@ def test_fricke_transport_on_gamma1():
             assert psi_general(G, Cusp(0, 1), g) == psi_general(G, INF, w), (n, g)
 
 
-def deep_element(rng, G, bound):
+def deep_element(rng, G, bound, any_unit=False):
     """A hyperbolic element of G = Gamma0(n) or Gamma1(n) of positive trace
     with n <= |c| <= bound, either sign of c, built from its bottom row:
-    d = 1 mod n on Gamma1(n), d = +-1 mod n on Gamma0(n)."""
+    d = 1 mod n on Gamma1(n), d = +-1 mod n on Gamma0(n), or any unit mod n
+    on Gamma0(n) with any_unit, so that the least power g^k in +-Gamma1(n)
+    has k up to phi(n)/2."""
     n = G.level
     while True:
         c = n * rng.randint(1, bound // n) * rng.choice((-1, 1))
         d = 1 + n * rng.randint(-bound // n, bound // n)
         if G.family is Family.GAMMA0_N:
             d *= rng.choice((-1, 1))
+            if any_unit:
+                d *= rng.choice([u for u in range(1, n + 1) if math.gcd(u, n) == 1])
         if math.gcd(c, d) != 1:
             continue
         a = pow(d, -1, abs(c)) + abs(c) * rng.randint(-2, 2)   # a = d mod n
@@ -1341,7 +1393,7 @@ def test_fricke_transport_matches_coset_sum_at_every_cusp(monkeypatch):
     # |c| <= N^2 and |c| <= 10^12, and at every split cusp of
     # Gamma0(2..100), at |c| <= 4N, against the peel-lift whose Gamma(N)
     # power takes the full coset sum at the cusp itself; the oracle is
-    # swapped in as symbols._psi_peel_lift, so that no symbol it needs goes
+    # swapped in as symbols._psi_lift, so that no symbol it needs goes
     # through the Atkin-Lehner transport.  Each element is also evaluated as
     # its negative.  On Gamma0(N), d = +-1 mod N keeps the power k = 1 and
     # |c| <= 4N the descents short, since the oracle takes N phi(N)/2 of them
@@ -1367,7 +1419,7 @@ def test_fricke_transport_matches_coset_sum_at_every_cusp(monkeypatch):
         n, d = G.level, math.gcd(cu.q, G.level)
         parts = [e for e in atkin_lehner_exponents(n)
                  if len(modgroup._prime_divisors(e)) == 1]
-        Q = symbols._cusps_above(G, cu)[1]
+        Q = symbols._lift_record(G, cu)[1]
         assert Q == math.prod(e for e in parts if math.gcd(d, e) ** 2 < e), (G, cu)
         transported[G.family, "none" if Q == 1 else "all" if Q == n else "part"] += 1
     assert transported == {
@@ -1375,9 +1427,9 @@ def test_fricke_transport_matches_coset_sum_at_every_cusp(monkeypatch):
         (Family.GAMMA1_N, "part"): 546, (Family.GAMMA0_N, "none"): 80,
         (Family.GAMMA0_N, "all"): 12, (Family.GAMMA0_N, "part"): 50}
     half = Cusp(1, 2)
-    assert symbols._cusps_above(GroupId.gamma1(4), half)[1] == 1
+    assert symbols._lift_record(GroupId.gamma1(4), half)[1] == 1
     assert (GroupId.gamma1(4), half) in {(G, cu) for G, cu, _g in cases}
-    monkeypatch.setattr(symbols, "_psi_peel_lift", psi_peel_lift_coset_sum)
+    monkeypatch.setattr(symbols, "_psi_lift", psi_peel_lift_coset_sum)
     expected = []
     for (G, cu, g), (psi, psi_neg, phi, phi_neg) in zip(cases, new):
         expect = psi_peel_lift_coset_sum(G, cu, g).as_fraction()
@@ -1387,16 +1439,25 @@ def test_fricke_transport_matches_coset_sum_at_every_cusp(monkeypatch):
         assert phi.as_fraction() == phi_neg.as_fraction() == expect_phi, (G, cu, g)
         expected.append(expect)
     assert max(abs(g.c) for _G, _cu, g in cases) > 10 ** 11
-    # the mutant that stays at a must fail the sweep on both families
+    # the mutant that stays at a must fail the sweep on both families: at a
+    # cusp with N not dividing q^2 a conjugate has N not dividing c, which
+    # the descent refuses, and elsewhere its value may differ
     monkeypatch.setattr(symbols, "atkin_lehner",
                         lambda n, e: StayAtA(*atkin_lehner(n, e).entries(), e))
-    symbols._cusps_above.cache_clear()
+    symbols._lift_record.cache_clear()
+
+    def fails(G, cu, g, expect):
+        try:
+            return _psi_lift(G, cu, g).as_fraction() != expect
+        except ValueError:
+            return True
+
     try:
         wrong = collections.Counter(
             G.family for (G, cu, g), expect in zip(cases, expected)
-            if _psi_peel_lift(G, cu, g).as_fraction() != expect)
+            if fails(G, cu, g, expect))
     finally:
-        symbols._cusps_above.cache_clear()
+        symbols._lift_record.cache_clear()
     assert wrong[Family.GAMMA1_N] > 0 and wrong[Family.GAMMA0_N] > 0, wrong
 
 
@@ -1420,7 +1481,7 @@ def test_gamma0_split_divisor_sums_over_its_classes():
             basis = tuple(zip(divs, sol))
             for _ in range(4):
                 g = random_hyperbolic(rng, G)
-                total = sum(_psi_peel_lift(G, cu, g).as_fraction() for cu in classes)
+                total = sum(_psi_lift(G, cu, g).as_fraction() for cu in classes)
                 assert psi_gamma0_divisor(g, basis) == total, (n, d, g)
                 checked += 1
     assert checked == 76
