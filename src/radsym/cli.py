@@ -56,22 +56,13 @@ from .symbols import (
     psi_general,
 )
 
-_FAMILIES = {
-    "sl2z": lambda n: GroupId.sl2z(),
-    "gamma": GroupId.gamma,
-    "gamma0": GroupId.gamma0,
-    "gamma1": GroupId.gamma1,
-    "gamma0+": GroupId.gamma0_plus,
-}
-
-
 def _group_from_args(args) -> GroupId:
     fam, level = args.group, args.level
     if fam == "sl2z" and level is not None:
         raise ValueError("--group sl2z takes no --level")
     if fam != "sl2z" and level is None:
         raise ValueError(f"group family '{fam}' needs --level")
-    return _FAMILIES[fam](level)
+    return GroupId(Family(fam), 1 if level is None else level)
 
 
 def _parse_divisor(text: str, G: GroupId) -> Divisor:
@@ -389,10 +380,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "cuspidal periods and torsion certificates.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    groups = sorted(f.value for f in Family)
 
     def add_group_opts(sp, default_group=None):
         sp.add_argument("--group", default=default_group,
-                        choices=sorted(_FAMILIES),
+                        choices=groups,
                         required=default_group is None)
         sp.add_argument("--level", type=int, default=None)
 
@@ -422,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="Eisenstein quadrature along the geodesic axis")
     sp.add_argument("--tol", type=float, default=None,
                     help="--numeric only (default 1e-8)")
-    sp.add_argument("--group", default=None, choices=sorted(_FAMILIES),
+    sp.add_argument("--group", default=None, choices=groups,
                     help="group of --divisor or --level (default gamma0)")
     sp.add_argument("--level", type=int, default=None)
     sp.add_argument("--divisor", default=None,

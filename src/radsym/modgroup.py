@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 
 @dataclass(frozen=True, order=True)
@@ -250,22 +250,18 @@ class GroupId:
     @functools.lru_cache(maxsize=None)
     def psl2z_index(self) -> Fraction:
         """Index of the image in PSL2(Z); rational "index" for Gamma0(N)+.
-        Cached per group: it factors N."""
-        n = self.level
+        A product over the prime powers q = p^k || N, cached per group."""
+        n, pp = self.level, _prime_powers(self.level)
         if self.family is Family.SL2Z or n == 1:
             return Fraction(1)
         if self.family is Family.GAMMA0_N:
-            mu = n
-            for p in _prime_divisors(n):
-                mu = mu * (p + 1) // p
-            return Fraction(mu)
+            return Fraction(prod(q + q // p for p, q in pp))
         if self.family in (Family.GAMMA_N, Family.GAMMA1_N):
-            mu = n ** (3 if self.family is Family.GAMMA_N else 2)
-            for p in _prime_divisors(n):
-                mu = mu * (p * p - 1) // (p * p)
+            k = 3 if self.family is Family.GAMMA_N else 2
+            mu = prod(q ** k - q ** k // (p * p) for p, q in pp)
             return Fraction(mu, 1) if n == 2 else Fraction(mu, 2)
         if self.family is Family.GAMMA0N_PLUS:
-            return GroupId.gamma0(n).psl2z_index() / (1 << len(_prime_divisors(n)))
+            return GroupId.gamma0(n).psl2z_index() / (1 << len(pp))
         raise ValueError(self.family)
 
     def __str__(self):
@@ -280,27 +276,44 @@ class GroupId:
         return name.format(self.level)
 
 
-def _prime_divisors(n: int):
-    ps = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            ps.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
+@functools.lru_cache(maxsize=None)
+def _prime_powers(n: int) -> tuple:
+    """The pairs (p, p^k) with p^k || n, in increasing p: the one
+    factorization of the level, from which its primes, divisors and
+    unitary divisors are read."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            out.append((p, q))
+        p += 1
     if n > 1:
-        ps.append(n)
-    return ps
+        out.append((n, n))
+    return tuple(out)
+
+
+def _prime_divisors(n: int):
+    return [p for p, _q in _prime_powers(n)]
 
 
 def _squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return all(p == q for p, q in _prime_powers(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple:
+    """The divisors of n in increasing order: the products of one power
+    p^i, 0 <= i <= k, of each p^k || n."""
+    divs = [1]
+    for p, q in _prime_powers(n):
+        layer = divs
+        while q > 1:
+            layer = [d * p for d in layer]
+            divs, q = divs + layer, q // p
+    return tuple(sorted(divs))
 
 
 def _principal_member(n: int, a: int, b: int, c: int, d: int) -> bool:
@@ -480,10 +493,12 @@ def atkin_lehner(N: int, e: int) -> GroupElement:
 
 
 def atkin_lehner_exponents(N: int):
-    """All e || N in increasing order."""
-    return sorted(
-        e for e in range(1, N + 1) if N % e == 0 and gcd(e, N // e) == 1
-    )
+    """All e || N in increasing order: the products of subsets of the
+    prime powers p^k || N."""
+    es = [1]
+    for _p, q in _prime_powers(N):
+        es += [e * q for e in es]
+    return sorted(es)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +535,7 @@ def cusps(G: GroupId) -> tuple:
         return ((Cusp.infinity(), Fraction(1)),)
     n = G.level
     if G.family is Family.GAMMA0_N:
-        qs = [0] + [d for d in range(1, n) if n % d == 0]
+        qs = (0,) + _divisors(n)[:-1]
     else:
         qs = itertools.count()
     step = n if G.family is Family.GAMMA_N else 1

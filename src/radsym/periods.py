@@ -22,7 +22,7 @@ classical modular function theory:
   E2(z) - N E2(Nz), which is (N - 1)((0) - (inf)) at prime N, as a
   difference of two classical Rademacher symbols: a consistency check, not
   an oracle, since ``psi_gamma0_divisor`` shares both terms (its e = 1 and
-  e = N); only the split cusps of D_N take another route, the peel-lift.
+  e = N); only the split cusps of D_N take another route, the lift route.
 
 Torsion certificates for degree-zero cuspidal divisors are assembled from
 Rademacher-symbol period values over a Schreier generating set: the class
@@ -62,24 +62,23 @@ def eta_log(z: complex, tol: float = 1e-12) -> complex:
 
     Each factor 1 - q^n has positive real part, so the principal logs sum
     to the holomorphic branch on the upper half-plane.  The tail is cut
-    when |q|^M drops below tol.
+    at the first |q^n| below tol (1 - |q|)/2.
     """
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("eta_log needs Im z > 0")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     q = cmath.exp(2j * cmath.pi * z)
     total = 1j * cmath.pi * z / 12
-    qn = q
-    absq = abs(q)
     # |log(1 - q^n)| <= 2|q|^n for |q^n| <= 1/2; geometric tail bound
-    terms = max(1, int(math.log(tol * (1 - absq) / 2) / math.log(absq)) + 1) \
-        if absq < 1 else 1
-    for _ in range(terms):
+    cut = tol * (1 - abs(q)) / 2
+    qn = q
+    while True:
         total += cmath.log(1 - qn)
         qn *= q
-        if abs(qn) < tol * (1 - absq) / 2:
-            break
-    return total
+        if abs(qn) < cut:
+            return total
 
 
 def phi_from_eta(g: GroupElement, tol: float = 1e-6) -> int:

@@ -66,7 +66,9 @@ from .modgroup import (
     GroupId,
     Motion,
     _cusp_key,
+    _divisors,
     _prime_divisors,
+    _prime_powers,
     atkin_lehner,
     classify,
     cosets,
@@ -172,7 +174,8 @@ def takada_C_row_exact(n: int):
 
     where P(y) = sum_{d | n} mu(d) d^-2 B2bar(yd/n), so that pi^2 P(y) is
     sum_{gcd(m, n) = 1} cos(2 pi m y / n) / m^2, and
-    kappa = (n/12) prod_{p | n} (1 - p^-2).  The last rows say that the
+    kappa = (n/12) prod_{p | n} (1 - p^-2) = mu / (6 n^2), with mu the
+    projective index of Gamma(n) (n >= 3).  The last rows say that the
     discrete Fourier transform of the row vanishes off the units; at a unit
     x it is (n/2) zeta(2) prod_{p | n} (1 - p^-2) sum_{m = +-1/x} mu(m)/m^2,
     and in the unit equations the Mobius sum over m m' = +-1/k collapses to
@@ -186,15 +189,12 @@ def takada_C_row_exact(n: int):
         raise ValueError("need N >= 2")
     if n == 2:
         return (Fraction(1), Fraction(-1))
-    primes = _prime_divisors(n)
     mobius = [(1, 1)]                     # (d, mu(d)) for squarefree d | n
-    for p in primes:
+    for p in _prime_divisors(n):
         mobius += [(d * p, -mu) for d, mu in mobius]
     P = [sum(Fraction(mu, d * d) * _bernoulli2_bar(Fraction(y * d, n))
              for d, mu in mobius) for y in range(n)]
-    kappa = Fraction(n, 12)
-    for p in primes:
-        kappa *= 1 - Fraction(1, p * p)
+    kappa = GroupId.gamma(n).psl2z_index() / (6 * n * n)
     half = n // 2
 
     def cls(b):                           # unknown index of C_b = C_{-b}
@@ -207,7 +207,7 @@ def takada_C_row_exact(n: int):
             for b in range(n):
                 row[cls(b)] += P[k * b % n]
             aug.append(row)
-    for p in primes:
+    for p in _prime_divisors(n):
         for r in range(n // p):
             row = [Fraction(0)] * (half + 2)
             for t in range(p):
@@ -436,30 +436,26 @@ def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 
 
 @functools.lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple:
-    return tuple(e for e in range(1, n + 1) if n % e == 0)
-
-
-@functools.lru_cache(maxsize=None)
 def _gamma0_basis(n: int, weights: tuple):
     """Exact coefficients c_e, e | N, of sum_e c_e * e*E2star(e z) with
     constant term weights[i] at the cusps p/q whose gcd(q, N) is the i-th
     divisor of N in increasing order, as a tuple of (e, Fraction) pairs.
 
-    A cusp with gcd(q, N) = d has width N/gcd(d^2, N), and the pullback of
-    e*E2star(e z) there has constant term N/gcd(d^2, N) gcd(e, d)^2 / e.
+    A cusp with gcd(q, N) = d, such as 1/d, has width w = N/gcd(d^2, N),
+    and the pullback of e*E2star(e z) there has constant term w gcd(e, d)^2/e.
     Over e, d | N the matrix [gcd(e, d)^2] is a Smith GCD matrix, with
     determinant prod J_2(d) != 0, so every weighting has exactly one
     solution.
     """
+    G = GroupId.gamma0(n)
     divs = _divisors(n)
     sol = _solve_rational(
-        [[Fraction(n // gcd(d * d, n) * gcd(e, d) ** 2, e) for e in divs] + [Fraction(x)]
-         for d, x in zip(divs, weights)])
+        [[Fraction(w * gcd(e, d) ** 2, e) for e in divs] + [Fraction(x)]
+         for d, x in zip(divs, weights) for w in [int(cusp_width(G, Cusp(1, d)))]])
     # each E_{2,a} has 1/y part -V^{-1}/y, each e*E2star(e z) has -3/(pi y);
     # every weighted d is the denominator of exactly one class, so the
     # weights sum over the classes
-    kappa = pi_over_volume(GroupId.gamma0(n))
+    kappa = pi_over_volume(G)
     if sol is None or sum(sol) != sum(weights) * kappa / 3:
         raise ArithmeticError(f"the Gamma0({n}) divisor basis fails its 1/y check")
     return tuple(zip(divs, sol))
@@ -529,13 +525,8 @@ def _lift_record(G: GroupId, cusp: Cusp) -> tuple:
     if G.family is Family.GAMMA_N:
         base = cusp.base_matrix().entries()
         return (1, 0, 0, 1), 1, ((base, _cusp_weight(n, n)),), Fraction(1, n)
-    d, Q = gcd(cusp.q, n), 1
-    for p in _prime_divisors(n):
-        n_p = p
-        while n % (n_p * p) == 0:
-            n_p *= p
-        if gcd(d, n_p) ** 2 < n_p:
-            Q *= n_p
+    d = gcd(cusp.q, n)
+    Q = math.prod(n_p for _p, n_p in _prime_powers(n) if gcd(d, n_p) ** 2 < n_p)
     w = atkin_lehner(n, Q)
     b = w.apply_cusp(cusp)
     gamma1 = GroupId.gamma1(n)
@@ -566,11 +557,14 @@ def _psi_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     W_Q normalizes Gamma0(N) and +-Gamma1(N), so Psi_a(g) = Psi_b(W_Q g
     adj(W_Q) / Q) at b = W_Q a, formed by exact division.  The least power
     g^k whose top-left entry is +-1 mod N lies in +-Gamma1(N) (k = 1 on
-    Gamma(N) and Gamma1(N)), and Psi_b(g^k) = k Psi_b(g).  On Gamma0(N),
-    Psi_b(g^k) is the coset sum over tau in Gamma1(N)\\Gamma0(N) of
-    Psi^{Gamma1(N)}_{tau^-1 b}(g^k), a sum over the Gamma1(N)-classes b'
-    above b.  With sigma = [[p, r], [q, s]] the base matrix of b', N | q^2
-    and gamma = +-[[1, beta], [0, 1]] mod N, sigma^-1 gamma sigma has bottom
+    Gamma(N) and Gamma1(N)), and Psi_b(g^k) = k Psi_b(g).  Up to sign the
+    unit a mod N has order k <= phi(N)/2, and g^k has about k times the
+    digits of g, so at a split Gamma0(N) cusp each term costs
+    O(k log |c|), not O(log |c|).  On Gamma0(N), Psi_b(g^k) is the coset
+    sum over tau in Gamma1(N)\\Gamma0(N) of Psi^{Gamma1(N)}_{tau^-1 b}(g^k),
+    a sum over the Gamma1(N)-classes b' above b.  With
+    sigma = [[p, r], [q, s]] the base matrix of b', N | q^2 and
+    gamma = +-[[1, beta], [0, 1]] mod N, sigma^-1 gamma sigma has bottom
     row +-(-q^2 beta, 1 - q s beta) = +-(0, u) mod N with u = 1 mod
     gcd(q s, N), so the Gamma1(N) symbol at b' is _psi_weighted on that
     conjugate with the record of _cusp_weight, over the width of b'.  At a
@@ -582,9 +576,8 @@ def _psi_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     p, q, r, s = w                    # base adj(W_Q): W_Q g adj(W_Q)
     a, b, c, d = _to_infinity((s, -q, -r, p), g.entries())
     ent = a // Q, b // Q, c // Q, d // Q
-    # the least power of a unit a mod N that is +-1, with g^k formed on the
-    # way: c = 0 mod N, so the top-left entry of g^k is a^k mod N, and the
-    # loop ends within phi(N) steps
+    # c = 0 mod N, so the top-left entry of g^k is a^k mod N: g^k is formed
+    # on the way to the least k with a^k = +-1
     gk, k = ent, 1
     while gk[0] % n not in (1 % n, n - 1):
         gk, k = _int_mul(gk, ent), k + 1

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -515,3 +515,27 @@ def test_atkin_lehner():
             assert member(g.conjugate_by(w), GroupId.gamma0(N))
             # involution modulo Gamma0(N)
             assert member((w * w).reduced(), GroupId.gamma0(N))
+
+
+def test_level_arithmetic_matches_brute_force_scans():
+    # every fact about N that modgroup reads off _prime_powers, against
+    # scans over all d <= N: the divisor lists of a sieve, the primes as the
+    # d > 1 with no divisor strictly between 1 and d, and each p^k || N as
+    # the largest d in the list whose divisors are 1, p, ..., p^i
+    top = 3000
+    divs = [[] for _ in range(top + 1)]
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            divs[m].append(d)
+    for n in range(1, top + 1):
+        primes = [p for p in divs[n] if p > 1 and divs[p] == [1, p]]
+        powers = [(p, max(d for d in divs[n]
+                          if divs[d] == [p ** i for i in range(len(divs[d]))]))
+                  for p in primes]
+        assert modgroup._prime_powers(n) == tuple(powers), n
+        assert modgroup._prime_divisors(n) == primes, n
+        assert modgroup._squarefree(n) == all(n % (d * d) for d in divs[n][1:]), n
+        assert modgroup._divisors(n) == tuple(divs[n]), n
+        assert atkin_lehner_exponents(n) == [
+            e for e in divs[n] if gcd(e, n // e) == 1], n
+        assert prod(q for _p, q in modgroup._prime_powers(n)) == n, n

@@ -63,11 +63,17 @@ def test_eta_high_point():
     v = eta_log(10j)
     assert abs(v.real - (-10 * math.pi / 12)) < 1e-20
     assert abs(v.imag) < 1e-20
+    # at 200i, q underflows to 0 and the product is empty
+    assert eta_log(200j) == 1j * cmath.pi * 200j / 12
 
 
 def test_eta_domain():
     with pytest.raises(ValueError):
         eta_log(1 - 1j)
+    # a tolerance the tail can never drop below is refused, not looped on
+    for tol in (0, -1, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            eta_log(1j, tol)
 
 
 def test_phi_from_eta_examples():
