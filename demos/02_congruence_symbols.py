@@ -4,6 +4,8 @@ Shows the width-normalized cusp convention, the exact level-N engine, the
 coset-sum identity down to SL2(Z), and symbols on Gamma0(N)+.
 """
 
+from fractions import Fraction
+
 from radsym import (
     Cusp,
     GroupElement,
@@ -28,6 +30,13 @@ print("== The cosine-sum constants are rational ==")
 for n in [5, 7, 19]:
     print(f"C_{{{n},j}} = {[str(x) for x in takada_C_row_exact(n)]}")
 print("(each row solves one rational linear system; no floating point)")
+C7 = takada_C_row_exact(7)
+for t in range(4):
+    # the defining constant terms, B2bar(x) = {x}^2 - {x} + 1/6: kappa =
+    # mu/(6 N^2) = 168/294 at t = 1 and 0 at every other t
+    xs = [Fraction(t * b % 7, 7) for b in range(7)]
+    value = sum(c * (x * x - x + Fraction(1, 6)) for c, x in zip(C7, xs))
+    print(f"sum_b C_{{7,b}} B2bar({t}b/7) = {value}")
 
 print()
 print("== Coset-sum identity: Gamma(2) symbols assemble the classical one ==")

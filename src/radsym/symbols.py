@@ -9,9 +9,10 @@ weight row w mod N and a constant K1,
 
 with each row's constants and its vectors of length N, indexed by residue
 mod N, cached as one record.  Gamma(N) at infinity takes w_j = C_{N,j}/mu
-and K1 = 1/N, with mu its projective index and C_{N,j} its cosine-sum
-constants: rational, (-1)^j for N = 2, and for N >= 3 the unique solution
-of a rational linear system.  Gamma0(N)+ takes
+and K1 = 1/N, with mu its projective index and C_{N,j} the even row whose
+constant terms sum_b C_b B2bar(tb/N) are mu/(6N^2) at t = +-1 and 0 at
+every other t: the unique solution of one square integer system in the
+values 6N^2 B2bar(k/N).  Gamma0(N)+ takes
 w_j = sum_{e | gcd(j, N)} c_e and K1 = sum_e e c_e for its divisor basis
 (e, c_e).  takada_phi is phi_general on Gamma(N) at infinity, Psi +
 3 w_0 sign(c (a+d)); at N = 1, where the descent does not run, psi_general
@@ -67,7 +68,6 @@ from .modgroup import (
     Motion,
     _cusp_key,
     _divisors,
-    _prime_divisors,
     _prime_powers,
     atkin_lehner,
     classify,
@@ -156,67 +156,53 @@ def _solve_rational(aug):
 # Takada constants C_{N,j}
 
 
-def _bernoulli2_bar(x: Fraction) -> Fraction:
-    """The periodic Bernoulli function {x}^2 - {x} + 1/6."""
-    x -= math.floor(x)
-    return x * x - x + Fraction(1, 6)
+@functools.lru_cache(maxsize=None)
+def _bernoulli_vector(n: int) -> tuple:
+    """v[k] = 6k^2 - 6kn + n^2 = 6n^2 B2bar(k/n) for k = 0..n-1, with
+    B2bar(x) = {x}^2 - {x} + 1/6 the periodic Bernoulli function."""
+    return tuple(6 * k * k - 6 * k * n + n * n for k in range(n))
 
 
 @functools.lru_cache(maxsize=None)
 def takada_C_row_exact(n: int):
-    """The full row (C_{n,0}, ..., C_{n,n-1}) as exact rationals.
-
-    C_{2,j} = (-1)^j.  For n >= 3 the row is the unique solution of
+    """The full row (C_{n,0}, ..., C_{n,n-1}) as exact rationals: the even
+    combination of the weight-2 Eisenstein series of Gamma(n) with constant
+    term 1 at infinity and 0 at every other cusp, that is,
+    sum_b C_b B2bar(tb/n) = kappa [t = +-1] with kappa = mu / (6n^2) and mu
+    the projective index of Gamma(n).  Scaled by 6n^2, these are the
+    equations of the square integer system
 
         C_b = C_{-b},
-        sum_{b mod n} C_b P(kb) = kappa [k = 1]   for units 1 <= k <= n/2,
-        sum_{t < p} C_{r + t n/p} = 0             for primes p | n, r mod n/p,
+        sum_{b mod n} C_b v[tb mod n] = mu [t = 1]   for t = 0..n/2,
 
-    where P(y) = sum_{d | n} mu(d) d^-2 B2bar(yd/n), so that pi^2 P(y) is
-    sum_{gcd(m, n) = 1} cos(2 pi m y / n) / m^2, and
-    kappa = (n/12) prod_{p | n} (1 - p^-2) = mu / (6 n^2), with mu the
-    projective index of Gamma(n) (n >= 3).  The last rows say that the
-    discrete Fourier transform of the row vanishes off the units; at a unit
-    x it is (n/2) zeta(2) prod_{p | n} (1 - p^-2) sum_{m = +-1/x} mu(m)/m^2,
-    and in the unit equations the Mobius sum over m m' = +-1/k collapses to
-    [k = +-1] (a Stickelberger-type inversion, cf. Kubert-Lang, Modular
-    Units).  The solution is unique because L(2, chi) != 0 for every even
-    character chi mod n.  The rows are built as Fractions and solved by
-    _solve_rational's fraction-free integer elimination, one Fraction per
-    unknown C_b.
+    with v = _bernoulli_vector(n).
+
+    The solution is unique.  On the layer gcd(t, n) = d the left side is
+    pi^-2 sum_{m >= 1} Chat(mt)/m^2, with Chat the cosine transform of C:
+    a convolution on (Z/(n/d))*/+-1 with the kernel sum_{m = +-u} m^-2,
+    which is invertible because L(2, chi) != 0 for every even character
+    chi.  Going down d from n to 1 fixes Chat layer by layer: it vanishes
+    off the units, by the zero right-hand side on the non-units, and the
+    unit rows then read off its values at the units (cf. Kubert-Lang,
+    Modular Units).  The rows are ordered as the layers are, non-units
+    first by decreasing gcd(t, n); _solve_rational eliminates them faster
+    in that order than in increasing t.
     """
     if n < 2:
         raise ValueError("need N >= 2")
-    if n == 2:
-        return (Fraction(1), Fraction(-1))
-    mobius = [(1, 1)]                     # (d, mu(d)) for squarefree d | n
-    for p in _prime_divisors(n):
-        mobius += [(d * p, -mu) for d, mu in mobius]
-    P = [sum(Fraction(mu, d * d) * _bernoulli2_bar(Fraction(y * d, n))
-             for d, mu in mobius) for y in range(n)]
-    kappa = GroupId.gamma(n).psl2z_index() / (6 * n * n)
+    v = _bernoulli_vector(n)
+    mu = GroupId.gamma(n).psl2z_index()
     half = n // 2
-
-    def cls(b):                           # unknown index of C_b = C_{-b}
-        return min(b % n, -b % n)
-
     aug = []
-    for k in range(1, half + 1):
-        if gcd(k, n) == 1:
-            row = [Fraction(0)] * (half + 1) + [kappa if k == 1 else Fraction(0)]
-            for b in range(n):
-                row[cls(b)] += P[k * b % n]
-            aug.append(row)
-    for p in _prime_divisors(n):
-        for r in range(n // p):
-            row = [Fraction(0)] * (half + 2)
-            for t in range(p):
-                row[cls(r + t * (n // p))] += 1
-            aug.append(row)
+    for t in sorted(range(half + 1), key=lambda t: -gcd(t, n)):
+        row = [0] * (half + 1) + [mu if t == 1 else 0]
+        for b in range(n):
+            row[min(b, n - b)] += v[t * b % n]
+        aug.append(row)
     sol = _solve_rational(aug)
     if sol is None:
         raise ArithmeticError(f"the C_{{{n},j}} system is singular")
-    return tuple(sol[cls(b)] for b in range(n))
+    return tuple(sol[min(b, n - b)] for b in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +215,17 @@ def _weight_record(n: int, row, k1: Fraction):
     (tables, pairs, e1, e0, K) with K1 = e1/K and w_0 = e0/K, and pairs the
     dict in which _descent caches the row's pair sums.  With the row written
     as w_r = C[r] / D over a common denominator, tables is (C, D, u, B),
-    each of C, u and B a tuple of n ints: the residue vectors
-    u[k] = 2n ((k/n)) = 2k - n (0 at k = 0) and, from
-    6n^2 B2bar(k/n) = 6k^2 - 6kn + n^2, B[t] = sum_r C[r] 6n^2 B2bar(tr/n),
-    both read at the residue k = tr mod n.
+    each of C, u and B a tuple of n ints: the residue vector
+    u[k] = 2n ((k/n)) = 2k - n (0 at k = 0), read at the residue
+    k = tr mod n, and the constant terms B[t] = sum_r C[r] 6n^2 B2bar(tr/n)
+    through _bernoulli_vector.  On a lift record, the row
+    n sum_{u in U/+-1} C_{n,uj}/mu of _cusp_weight, B is n D on +-U and 0
+    elsewhere.
     """
     D = math.lcm(*(x.denominator for x in row))
     C = tuple(int(x * D) for x in row)
     u = tuple(2 * k - n if k else 0 for k in range(n))
-    v = [6 * k * k - 6 * k * n + n * n for k in range(n)]
+    v = _bernoulli_vector(n)
     B = tuple(sum(C[r] * v[t * r % n] for r in range(n)) for t in range(n))
     K = math.lcm(k1.denominator, row[0].denominator)
     return (C, D, u, B), {}, int(k1 * K), int(row[0] * K), K

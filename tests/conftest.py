@@ -37,6 +37,7 @@ from radsym.symbols import (
     _int_mul,
     _psi_weighted,
     _sign_term,
+    _solve_rational,
     _to_infinity,
     _weight_record,
     lift_coset_sum,
@@ -322,11 +323,12 @@ def level_sawtooth_direct(n: int, a: int, c: int, row=None) -> Fraction:
 def solve_rational_gauss_jordan(aug):
     """Gauss-Jordan elimination over Q on the augmented rows [A | y].
 
-    Returns the solution x of A x = y as a list, or None when A has fewer
-    independent rows than columns or the system is inconsistent.  A may
-    have more rows than columns.
+    Returns the solution x of A x = y as a list of Fractions, or None when
+    A has fewer independent rows than columns or the system is
+    inconsistent.  A may have more rows than columns, and its entries may
+    be ints or Fractions.
     """
-    aug = [list(row) for row in aug]
+    aug = [[Fraction(x) for x in row] for row in aug]
     m, cols = len(aug), len(aug[0]) - 1
     for col in range(cols):
         piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
@@ -387,6 +389,72 @@ def gamma0_basis_by_class(n: int, weights: tuple):
     return tuple(zip(divs, sol))
 
 
+def bernoulli2_bar(x: Fraction) -> Fraction:
+    """The periodic Bernoulli function {x}^2 - {x} + 1/6."""
+    x -= math.floor(x)
+    return x * x - x + Fraction(1, 6)
+
+
+# The C_{N,j} system that symbols.takada_C_row_exact solved before its one
+# square Bernoulli system, kept as its reference: Mobius-filtered rows P at
+# the units, one row per prime p | N and residue mod N/p, and N = 2 apart.
+@functools.lru_cache(maxsize=None)
+def takada_C_row_reference(n: int):
+    """The full row (C_{n,0}, ..., C_{n,n-1}) as exact rationals.
+
+    C_{2,j} = (-1)^j.  For n >= 3 the row is the unique solution of
+
+        C_b = C_{-b},
+        sum_{b mod n} C_b P(kb) = kappa [k = 1]   for units 1 <= k <= n/2,
+        sum_{t < p} C_{r + t n/p} = 0             for primes p | n, r mod n/p,
+
+    where P(y) = sum_{d | n} mu(d) d^-2 B2bar(yd/n), so that pi^2 P(y) is
+    sum_{gcd(m, n) = 1} cos(2 pi m y / n) / m^2, and
+    kappa = (n/12) prod_{p | n} (1 - p^-2) = mu / (6 n^2), with mu the
+    projective index of Gamma(n) (n >= 3).  The last rows say that the
+    discrete Fourier transform of the row vanishes off the units; at a unit
+    x it is (n/2) zeta(2) prod_{p | n} (1 - p^-2) sum_{m = +-1/x} mu(m)/m^2,
+    and in the unit equations the Mobius sum over m m' = +-1/k collapses to
+    [k = +-1] (a Stickelberger-type inversion, cf. Kubert-Lang, Modular
+    Units).  The solution is unique because L(2, chi) != 0 for every even
+    character chi mod n.  The rows are built as Fractions and solved by
+    _solve_rational's fraction-free integer elimination, one Fraction per
+    unknown C_b.
+    """
+    if n < 2:
+        raise ValueError("need N >= 2")
+    if n == 2:
+        return (Fraction(1), Fraction(-1))
+    mobius = [(1, 1)]                     # (d, mu(d)) for squarefree d | n
+    for p in _prime_divisors(n):
+        mobius += [(d * p, -mu) for d, mu in mobius]
+    P = [sum(Fraction(mu, d * d) * bernoulli2_bar(Fraction(y * d, n))
+             for d, mu in mobius) for y in range(n)]
+    kappa = GroupId.gamma(n).psl2z_index() / (6 * n * n)
+    half = n // 2
+
+    def cls(b):                           # unknown index of C_b = C_{-b}
+        return min(b % n, -b % n)
+
+    aug = []
+    for k in range(1, half + 1):
+        if gcd(k, n) == 1:
+            row = [Fraction(0)] * (half + 1) + [kappa if k == 1 else Fraction(0)]
+            for b in range(n):
+                row[cls(b)] += P[k * b % n]
+            aug.append(row)
+    for p in _prime_divisors(n):
+        for r in range(n // p):
+            row = [Fraction(0)] * (half + 2)
+            for t in range(p):
+                row[cls(r + t * (n // p))] += 1
+            aug.append(row)
+    sol = _solve_rational(aug)
+    if sol is None:
+        raise ArithmeticError(f"the C_{{{n},j}} system is singular")
+    return tuple(sol[cls(b)] for b in range(n))
+
+
 @functools.lru_cache(maxsize=None)
 def gamma_sawtooth_tables(n: int):
     """(C, D, u, B) for the Gamma(n) row w_r = C_{n,r}/mu = C[r]/D, mu the
@@ -399,12 +467,7 @@ def gamma_sawtooth_tables(n: int):
     C = [int(x * D) for x in row]
     u = [[int(2 * n * sawtooth(Fraction(t * r, n))) for r in range(n)]
          for t in range(n)]
-
-    def b2bar(x: Fraction) -> Fraction:
-        x -= math.floor(x)
-        return x * x - x + Fraction(1, 6)
-
-    B = [int(sum(C[r] * 6 * n * n * b2bar(Fraction(t * r, n)) for r in range(n)))
+    B = [int(sum(C[r] * 6 * n * n * bernoulli2_bar(Fraction(t * r, n)) for r in range(n)))
          for t in range(n)]
     return C, D, u, B
 

@@ -35,7 +35,6 @@ from radsym.modgroup import (
 from radsym.periods import Divisor, divisor_period
 from radsym.symbols import (
     SymbolValue,
-    _bernoulli2_bar,
     _cusp_weight,
     _descent,
     _psi_lift,
@@ -50,6 +49,7 @@ from radsym.symbols import (
 )
 
 from conftest import (
+    bernoulli2_bar,
     gamma0_basis_by_class,
     level_sawtooth_direct,
     level_sawtooth_unreduced,
@@ -68,6 +68,7 @@ from conftest import (
     sawtooth,
     solve_rational_gauss_jordan,
     takada_C_direct,
+    takada_C_row_reference,
 )
 
 INF = Cusp.infinity()
@@ -108,7 +109,9 @@ def test_takada_C_against_direct_oracle():
 
 def test_takada_C_rows_even_balanced_primitive():
     # the row is even, sums to 0, and its discrete Fourier transform
-    # vanishes off the units: each coset of (N/p)Z/NZ sums to 0
+    # vanishes off the units: each coset of (N/p)Z/NZ sums to 0.  The solve
+    # imposes only evenness and the constant terms, so the coset sums are a
+    # property of its solution, not one of its equations
     for n in range(3, 61):
         row = takada_C_row_exact(n)
         assert len(row) == n and all(isinstance(x, Fraction) for x in row)
@@ -118,6 +121,82 @@ def test_takada_C_rows_even_balanced_primitive():
                   and all(p % q for q in range(2, p))]:
             for r in range(n // p):
                 assert sum(row[r + t * (n // p)] for t in range(p)) == 0
+
+
+def test_takada_C_rows_match_the_reference_system():
+    # the one square Bernoulli system gives the rows of the Mobius P rows,
+    # the prime rows and the N = 2 case that it replaced
+    for n in range(2, 101):
+        assert takada_C_row_exact(n) == takada_C_row_reference(n), n
+
+
+def _det_fraction(M) -> Fraction:
+    """The determinant of a square matrix of Fractions by Gaussian
+    elimination with row swaps."""
+    M = [list(row) for row in M]
+    det = Fraction(1)
+    for col in range(len(M)):
+        piv = next((r for r in range(col, len(M)) if M[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = -det
+        det *= M[col][col]
+        for r in range(col + 1, len(M)):
+            f = M[r][col] / M[col][col]
+            M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return det
+
+
+def kubert_lang_h(p: int) -> Fraction:
+    """h_p = p (p/2)^(m-1) det circ(beta) / sum_k beta_k, m = (p-1)/2 and
+    beta_k = B2(g^k mod p / p) for a primitive root g mod p: the cuspidal
+    class number of X1(p) (Kubert-Lang, Modular Units, 1981; Yu, Math.
+    Ann. 252, 1980), from a determinant that shares no code with the
+    solver of the C rows."""
+    m = (p - 1) // 2
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // q, p) != 1 for q in range(2, p)
+                    if (p - 1) % q == 0 and all(q % r for r in range(2, q))))
+    beta = [bernoulli2_bar(Fraction(pow(g, k, p), p)) for k in range(m)]
+    circ = [[beta[(j - i) % m] for j in range(m)] for i in range(m)]
+    return p * Fraction(p, 2) ** (m - 1) * _det_fraction(circ) / sum(beta)
+
+
+def test_takada_C_denominators_against_kubert_lang():
+    # the lcm of the denominators of C_{p,j} is 2 h_p up to p = 23, and a
+    # proper divisor of 2 h_p at 29, 31 and 37: an observed relation,
+    # checked against the class numbers in the literature
+    known = {11: 5, 13: 19, 17: 584, 19: 4383, 23: 408991, 29: 1030835904,
+             31: 17728333700}
+    quotient = {29: 16, 31: 20, 37: 19}
+    for p in [11, 13, 17, 19, 23, 29, 31, 37]:
+        h = kubert_lang_h(p)
+        assert h.denominator == 1, p
+        if p in known:
+            assert h == known[p], p
+        lcm = math.lcm(*(x.denominator for x in takada_C_row_exact(p)))
+        assert 2 * h == lcm * quotient.get(p, 1), p
+
+
+def test_lift_records_have_their_constant_terms():
+    # the record _cusp_weight(N, g), rad(N) | g | N, holds N D times the
+    # row sum_{u in U/+-1} C_{N,uj}/mu, U = 1 + gZ/N; each C row has
+    # constant term mu/(6N^2) at t = +-1 only, so B[t] = N D at t = +-1
+    # mod g and 0 elsewhere: every row that the lift route reads
+    records = 0
+    for n in range(2, 121):
+        rad = math.prod(p for p in range(2, n + 1)
+                        if n % p == 0 and all(p % q for q in range(2, p)))
+        for g in range(rad, n + 1, rad):
+            if n % g:
+                continue
+            records += 1
+            _C, D, _u, B = _cusp_weight(n, g)[0]
+            assert list(B) == [n * D if t % g in (1, g - 1) else 0
+                               for t in range(n)], (n, g)
+    assert records == 205
 
 
 @pytest.mark.parametrize("n", [7, 12, 19, 23, 29])
@@ -294,7 +373,7 @@ def test_level_tables_match_fraction_definitions():
         assert list(u) == [2 * n * sawtooth(Fraction(k, n)) for k in range(n)]
         for t in range(n):
             assert sum(C[r] * u[t * r % n] for r in range(n)) == 0, (n, t)
-            assert B[t] == sum(C[r] * 6 * n * n * _bernoulli2_bar(Fraction(t * r, n))
+            assert B[t] == sum(C[r] * 6 * n * n * bernoulli2_bar(Fraction(t * r, n))
                                for r in range(n))
         if _squarefree(n):
             C, _D, u, _B = symbols._gamma0_plus_weight(n)[0]
