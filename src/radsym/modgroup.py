@@ -295,10 +295,6 @@ def _prime_powers(n: int) -> tuple:
     return tuple(out)
 
 
-def _prime_divisors(n: int):
-    return [p for p, _q in _prime_powers(n)]
-
-
 def _squarefree(n: int) -> bool:
     return all(p == q for p, q in _prime_powers(n))
 
@@ -316,34 +312,21 @@ def _divisors(n: int) -> tuple:
     return tuple(sorted(divs))
 
 
-def _principal_member(n: int, a: int, b: int, c: int, d: int) -> bool:
-    """Whether the determinant-1 matrix [[a, b], [c, d]] is +-I mod n, that
-    is, lies in Gamma(n) projectively."""
-    return (b % n == 0 and c % n == 0 and (a - d) % n == 0
-            and a % n in (1 % n, -1 % n))
-
-
 def member(g: GroupElement, G: GroupId) -> bool:
-    """Membership test, projective (g and -g are equivalent)."""
-    n = G.level
-    if G.family is Family.SL2Z:
-        return g.e == 1
-    if G.family is Family.GAMMA0_N:
-        return g.e == 1 and g.c % n == 0
-    if G.family is Family.GAMMA1_N:
-        if g.e != 1 or g.c % n != 0:
-            return False
-        return (g.a % n == 1 % n and g.d % n == 1 % n) or (
-            g.a % n == (-1) % n and g.d % n == (-1) % n
-        )
-    if G.family is Family.GAMMA_N:
-        return g.e == 1 and _principal_member(n, g.a, g.b, g.c, g.d)
+    """Membership test, projective (g and -g are equivalent).
+
+    The coset key defines SL2(Z), Gamma(N), Gamma1(N) and Gamma0(N): each
+    is the preimage of a subgroup H of SL2(Z/N), so g lies in it exactly
+    when g has determinant 1 and the key of the identity coset.
+    Gamma0(N)+ has no key; its elements are the e^{-1/2} [[a, b], [c, d]]
+    with e || N, e | a, e | d and N | c.
+    """
     if G.family is Family.GAMMA0N_PLUS:
-        e = g.e
+        e, n = g.e, G.level
         if n % e != 0 or gcd(e, n // e) != 1:
             return False
         return g.a % e == 0 and g.d % e == 0 and g.c % n == 0
-    raise ValueError(G.family)
+    return g.e == 1 and _coset_invariant(G, g) == _coset_invariant(G, I2)
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +385,23 @@ _TABLE_FAMILIES = (Family.SL2Z, Family.GAMMA_N, Family.GAMMA0_N, Family.GAMMA1_N
 
 
 def _coset_invariant(G: GroupId, g: GroupElement):
-    """A value identifying the right coset G*g, for G a subgroup of SL2(Z).
+    """A value identifying the right coset G*g, for G a subgroup of SL2(Z):
+    the one definition of SL2(Z), Gamma(N), Gamma1(N) and Gamma0(N), whose
+    elements are the g with the key of the identity (see member).
 
-    For Gamma0(N) it is the least u (c : d) mod N over the units u, the
-    canonical point of P^1(Z/N).  Its first coordinate is g = gcd(c, N),
-    reached exactly by the units u = (c/g)^-1 mod N/g, so only those, at
-    most g of them, are tried for the second; when N | c, d is a unit and
-    the point is (0, 1).
+    It reads only the residues mod N that define the family: +-(a, b, c, d)
+    on Gamma(N), the bottom row +-(c, d) on Gamma1(N), and nothing on
+    SL2(Z), which has one coset.  For Gamma0(N) it is the least u (c : d)
+    mod N over the units u, the canonical point of P^1(Z/N).  Its first
+    coordinate is g = gcd(c, N), reached exactly by the units
+    u = (c/g)^-1 mod N/g, so only those, at most g of them, are tried for
+    the second; when N | c, d is a unit and the point is (0, 1).
     """
     n = G.level
-    if G.family is Family.SL2Z:
-        return 0
-    a, b, c, d = (x % n for x in g.entries())
     if G.family is Family.GAMMA_N:
-        return min((a, b, c, d), ((-a) % n, (-b) % n, (-c) % n, (-d) % n))
-    if G.family is Family.GAMMA1_N:
-        return min((c, d), ((-c) % n, (-d) % n))
+        a, b, c, d = g.a % n, g.b % n, g.c % n, g.d % n
+        return min((a, b, c, d), (-a % n, -b % n, -c % n, -d % n))
+    c, d = g.c % n, g.d % n
     if G.family is Family.GAMMA0_N:
         g = gcd(c, n)
         if g == n:
@@ -425,6 +409,10 @@ def _coset_invariant(G: GroupId, g: GroupElement):
         m = n // g
         u0 = pow(c // g, -1, m)
         return (g, min(u * d % n for u in range(u0, n, m) if gcd(u, n) == 1))
+    if G.family is Family.GAMMA1_N:
+        return min((c, d), (-c % n, -d % n))
+    if G.family is Family.SL2Z:
+        return 0
     raise ValueError(G.family)
 
 
@@ -445,7 +433,6 @@ class CosetTable:
     def __init__(self, G: GroupId):
         if G.family not in _TABLE_FAMILIES:
             raise ValueError(f"no SL2(Z) coset table for {G}")
-        self.group = G
         found = {_coset_invariant(G, I2): I2}   # key -> representative
         queue = list(found)
         self.generators = []
@@ -614,23 +601,30 @@ def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
 
 @functools.lru_cache(maxsize=None)
 def cosets(G1: GroupId, G: GroupId) -> tuple:
-    """Representatives for G1 \\ G within the supported lattice.
+    """Representatives for G1 \\ G, for the pairs G1 <= G that it
+    enumerates: G1 = G, any table family G1 in SL2(Z), and Gamma(N) <=
+    Gamma1(N), Gamma(N) <= Gamma0(N) and Gamma1(N) <= Gamma0(N) at one
+    level N.  Any other pair raises ValueError.
 
-    Between Gamma(N), Gamma1(N) and Gamma0(N) at one level the quotient is
-    read off mod N: reduction onto SL2(Z/N) is surjective and the three
-    groups are the preimages of the trivial, the unipotent and the upper
+    Within SL2(Z) the representatives are those of the coset table.  At
+    one level the quotient is read off mod N, because the coset key defines
+    each group: reduction onto SL2(Z/N) is surjective and the three groups
+    are the preimages of the trivial, the unipotent and the upper
     triangular subgroup, so G1 \\ G is a set of classes [[a, b], [0, 1/a]]
     mod N, up to sign.  Here a runs over the units mod +-1 for Gamma0(N)
     (only a = 1 for Gamma1(N)) and b over Z/N for Gamma(N) (only b = 0 for
     Gamma1(N)); each class is lifted to [[a, (a d - 1)/N], [N, d]] with
     a d = 1 + N b mod N^2.
     """
-    _check_containment(G1, G)
     if G1 == G:
         return (I2,)
-    if G.family is Family.SL2Z:
+    if G.family is Family.SL2Z and G1.family in _TABLE_FAMILIES:
         return tuple(coset_table(G1).reps)
     n = G.level
+    if G1.level != n or (G1.family, G.family) not in (
+            (Family.GAMMA_N, Family.GAMMA1_N), (Family.GAMMA_N, Family.GAMMA0_N),
+            (Family.GAMMA1_N, Family.GAMMA0_N)):
+        raise ValueError(f"unsupported containment {G1} <= {G}")
     if G.family is Family.GAMMA1_N:
         units = [1]
     else:                                 # one of each pair a, -a mod N
@@ -648,21 +642,6 @@ def cosets(G1: GroupId, G: GroupId) -> tuple:
     if len(reps) != expected:
         raise ValueError(f"coset enumeration failed: {len(reps)} != {expected}")
     return tuple(reps)
-
-
-def _check_containment(G1: GroupId, G: GroupId):
-    if G1 == G:
-        return
-    n1, n = G1.level, G.level
-    ok = False
-    if G.family is Family.SL2Z:
-        ok = G1.family in _TABLE_FAMILIES
-    elif G1.family is Family.GAMMA_N and n1 == n:
-        ok = G.family in (Family.GAMMA0_N, Family.GAMMA1_N)
-    elif G1.family is Family.GAMMA1_N and n1 == n:
-        ok = G.family is Family.GAMMA0_N
-    if not ok:
-        raise ValueError(f"unsupported containment {G1} <= {G}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from radsym.modgroup import (
     _TABLE_FAMILIES,
     _coset_invariant,
     _cusp_key,
-    _prime_divisors,
-    _principal_member,
+    _prime_powers,
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
@@ -361,6 +360,34 @@ def gamma0_key_unit_loop(n: int, c: int, d: int):
     return best
 
 
+# Membership in SL2(Z), Gamma0(N), Gamma1(N) and Gamma(N) by congruences on
+# the entries, independent of the coset key: the oracle for modgroup.member.
+def _principal_member(n: int, a: int, b: int, c: int, d: int) -> bool:
+    """Whether the determinant-1 matrix [[a, b], [c, d]] is +-I mod n, that
+    is, lies in Gamma(n) projectively."""
+    return (b % n == 0 and c % n == 0 and (a - d) % n == 0
+            and a % n in (1 % n, -1 % n))
+
+
+def member_by_congruences(g: GroupElement, G: GroupId) -> bool:
+    """Membership in SL2(Z), Gamma0(N), Gamma1(N) or Gamma(N), projective
+    (g and -g are equivalent), by the congruences on the entries of g."""
+    n = G.level
+    if G.family is Family.SL2Z:
+        return g.e == 1
+    if G.family is Family.GAMMA0_N:
+        return g.e == 1 and g.c % n == 0
+    if G.family is Family.GAMMA1_N:
+        if g.e != 1 or g.c % n != 0:
+            return False
+        return (g.a % n == 1 % n and g.d % n == 1 % n) or (
+            g.a % n == (-1) % n and g.d % n == (-1) % n
+        )
+    if G.family is Family.GAMMA_N:
+        return g.e == 1 and _principal_member(n, g.a, g.b, g.c, g.d)
+    raise ValueError(G.family)
+
+
 # The class-indexed divisor-basis solve, one row per cusp class of the
 # coset table, whose overdetermined system fails where classes share
 # gcd(q, N): the oracle for symbols._gamma0_basis over the divisors of N.
@@ -426,7 +453,7 @@ def takada_C_row_reference(n: int):
     if n == 2:
         return (Fraction(1), Fraction(-1))
     mobius = [(1, 1)]                     # (d, mu(d)) for squarefree d | n
-    for p in _prime_divisors(n):
+    for p, _q in _prime_powers(n):
         mobius += [(d * p, -mu) for d, mu in mobius]
     P = [sum(Fraction(mu, d * d) * bernoulli2_bar(Fraction(y * d, n))
              for d, mu in mobius) for y in range(n)]
@@ -443,7 +470,7 @@ def takada_C_row_reference(n: int):
             for b in range(n):
                 row[cls(b)] += P[k * b % n]
             aug.append(row)
-    for p in _prime_divisors(n):
+    for p, _q in _prime_powers(n):
         for r in range(n // p):
             row = [Fraction(0)] * (half + 2)
             for t in range(p):
@@ -722,7 +749,7 @@ def cusps_above(G: GroupId, cusp: Cusp) -> tuple:
     """
     n = G.level
     d, Q = gcd(cusp.q, n), 1
-    for p in _prime_divisors(n):
+    for p, _q in _prime_powers(n):
         n_p = p
         while n % (n_p * p) == 0:
             n_p *= p

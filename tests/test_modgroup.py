@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -7,6 +9,7 @@ import pytest
 from radsym import modgroup
 from radsym.modgroup import (
     Cusp,
+    Family,
     GroupElement,
     GroupId,
     I2,
@@ -39,7 +42,9 @@ from conftest import (
     cusp_t_orbits,
     cusp_width_search,
     gamma0_key_unit_loop,
+    member_by_congruences,
     random_in_group,
+    random_principal,
     random_sl2z,
     schreier_generators_search,
 )
@@ -359,6 +364,77 @@ def test_gamma0_key_matches_unit_loop_at_seeded_points(rng):
         assert _coset_invariant(GroupId.gamma0(n), g) == gamma0_key_unit_loop(n, g.c, g.d), (n, g)
 
 
+def _key_groups(n: int):
+    """SL2(Z) and the three families of level n that the coset key defines."""
+    return [GroupId.sl2z()] + [GroupId(f, n) for f in (
+        Family.GAMMA_N, Family.GAMMA1_N, Family.GAMMA0_N)]
+
+
+def test_member_matches_congruences_on_every_residue_class():
+    # +-g for one lift g of each element of SL2(Z/n), n <= 12: every bottom
+    # row (c, d) with gcd(c, d, n) = 1 lifted by _with_bottom_row, times
+    # T^t for t mod n, which shares no code with _coset_invariant: member,
+    # which reads the key, equals the entry congruences in every family
+    checked, inside = 0, collections.Counter()
+    for n in range(1, 13):
+        groups = _key_groups(n)
+        for c in range(n):
+            for d in range(n):
+                if gcd(c, d, n) != 1:
+                    continue
+                lift = _with_bottom_row(n, c, d)
+                for t in range(n):
+                    g = T ** t * lift
+                    for x, G in itertools.product((g, -g), groups):
+                        expected = member_by_congruences(x, G)
+                        assert member(x, G) == expected, (x, G)
+                        checked += 1
+                        inside[G.family] += expected
+    # 2 signs x 4 groups x the 4903 elements of SL2(Z/n), n = 1..12, of
+    # which +-I (2 for n > 2, else 1), the +-[[1, t], [0, 1]] (2n for n > 2,
+    # else n) and the n phi(n) upper triangular ones lie in the level-n groups
+    assert checked == 8 * 4903
+    assert inside == {Family.SL2Z: 2 * 4903, Family.GAMMA_N: 2 * (2 + 2 * 10),
+                      Family.GAMMA1_N: 2 * (1 + 2 + 2 * 75),
+                      Family.GAMMA0_N: 2 * 375}
+
+
+def test_member_refuses_atkin_lehner_elements():
+    # e > 1 lies in none of the groups that the coset key defines, though
+    # these elements lie in Gamma0(N)+ at squarefree N
+    rng = random.Random(20261021)
+    for n in range(2, 61):
+        for e in atkin_lehner_exponents(n)[1:]:
+            w = atkin_lehner(n, e)
+            if modgroup._squarefree(n):
+                assert member(w, GroupId.gamma0_plus(n)), w
+            for x in (w, -w, w * random_sl2z(rng), random_principal(rng, n) * w):
+                for G in _key_groups(n):
+                    assert not member(x, G) and not member_by_congruences(x, G), (x, G)
+
+
+def test_member_matches_congruences_on_seeded_words():
+    # words at every level n <= 60: in SL2(Z), in Gamma(n), shifted by T^t
+    # into Gamma1(n) and by a bottom row (0, u) into Gamma0(n), and their
+    # negatives, each tested in every family at level n
+    rng = random.Random(20261022)
+    checked, inside = 0, collections.Counter()
+    for n in range(2, 61):
+        units = [u for u in range(1, n) if gcd(u, n) == 1]
+        for _ in range(8):
+            p = random_principal(rng, n)
+            for g in (random_sl2z(rng), p, p * T ** rng.randint(-n, n),
+                      _with_bottom_row(n, 0, rng.choice(units)) * p,
+                      random_sl2z(rng) * p):
+                for x, G in itertools.product((g, -g), _key_groups(n)):
+                    expected = member_by_congruences(x, G)
+                    assert member(x, G) == expected, (x, G)
+                    checked += 1
+                    inside[G.family] += expected
+    assert checked == 59 * 8 * 5 * 2 * 4
+    assert min(inside.values()) >= 59 * 8 * 2       # +-p lie in every group
+
+
 @pytest.mark.parametrize("G", TABLE_ORACLE_GROUPS, ids=str)
 def test_coset_table_matches_search_oracle(G):
     # same index, key order and act maps as the table with shrunk
@@ -533,7 +609,7 @@ def test_level_arithmetic_matches_brute_force_scans():
                           if divs[d] == [p ** i for i in range(len(divs[d]))]))
                   for p in primes]
         assert modgroup._prime_powers(n) == tuple(powers), n
-        assert modgroup._prime_divisors(n) == primes, n
+        assert [p for p, _q in modgroup._prime_powers(n)] == primes, n
         assert modgroup._squarefree(n) == all(n % (d * d) for d in divs[n][1:]), n
         assert modgroup._divisors(n) == tuple(divs[n]), n
         assert atkin_lehner_exponents(n) == [

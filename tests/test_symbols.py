@@ -970,6 +970,30 @@ def test_weighted_descent_matches_direct_sum(n):
                 == level_sawtooth_direct(n, a, c, row), (n, basis, a, c)
 
 
+def test_gamma0_divisor_rows_match_one_weighted_descent():
+    # at every non-split cusp of Gamma0(N), 2 <= N <= 150, the divisor sum
+    # sum_e c_e psi_classical([[a, eb], [c/e, d]]) of the cusp's basis equals
+    # _psi_weighted on the row w_r = sum_{e | gcd(r, N)} c_e with
+    # K1 = sum_e e c_e, at two seeded elements and their negatives: the
+    # identity by which one descent could serve these symbols
+    rng = random.Random(20261020)
+    checked = 0
+    for n in range(2, 151):
+        for cu, _w in cusps(GroupId.gamma0(n)):
+            basis = gamma0_cusp_basis(n, cu)
+            if basis is None:
+                continue
+            rec = symbols._weight_record(n, divisor_row(n, basis),
+                                         sum(e * ce for e, ce in basis))
+            for digits in (4, 12):
+                g = deep_gamma0(rng, n, digits)
+                for x in (g, -g):
+                    assert Fraction(*symbols._psi_weighted(n, rec, *x.entries())) \
+                        == psi_gamma0_divisor(x, basis), (n, cu, x)
+                    checked += 1
+    assert checked == 4 * 687          # 687 non-split cusp classes
+
+
 def test_gamma0_plus_symbol_takes_one_descent(monkeypatch):
     # one weighted level-N descent per symbol, at e = 1 and e > 1, and no
     # psi_classical or dedekind_sum call: the divisor sum took tau(N) of each
@@ -1497,7 +1521,7 @@ def test_fricke_transport_matches_coset_sum_at_every_cusp(monkeypatch):
     for G, cu, _g in cases:
         n, d = G.level, math.gcd(cu.q, G.level)
         parts = [e for e in atkin_lehner_exponents(n)
-                 if len(modgroup._prime_divisors(e)) == 1]
+                 if len(modgroup._prime_powers(e)) == 1]
         Q = symbols._lift_record(G, cu)[1]
         assert Q == math.prod(e for e in parts if math.gcd(d, e) ** 2 < e), (G, cu)
         transported[G.family, "none" if Q == 1 else "all" if Q == n else "part"] += 1
