@@ -7,6 +7,7 @@ Highlights
     GroupId, GroupElement, Cusp                 -- modular groups and cusps
     psi_general, phi_general, takada_phi        -- symbols on congruence groups
     period_numeric, x0_period_exact             -- period integrals
+    SymbolValue, NumericPeriod                  -- exact and numeric values
     Divisor, torsion_certificate                -- cuspidal torsion orders
 """
 
@@ -37,6 +38,7 @@ from .modgroup import (
 )
 from .periods import (
     Divisor,
+    NumericPeriod,
     PeriodValue,
     TorsionCertificate,
     divisor_period,
@@ -60,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cusp", "Divisor", "Family", "GroupElement", "GroupId", "Motion",
-    "MotionClass", "PeriodValue", "SymbolValue",
+    "MotionClass", "NumericPeriod", "PeriodValue", "SymbolValue",
     "TorsionCertificate", "classify", "cocycle_defect",
     "cosets", "cusp_equivalent", "cusp_stabilizer_generator", "cusp_width",
     "cusps", "dedekind_sum", "divisor_period",

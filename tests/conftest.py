@@ -416,6 +416,55 @@ def gamma0_basis_by_class(n: int, weights: tuple):
     return tuple(zip(divs, sol))
 
 
+def euler_phi(n: int) -> int:
+    """The number of units mod n (1 at n = 1)."""
+    return sum(gcd(u, n) == 1 for u in range(1, n + 1))
+
+
+# Ligozat's criterion for eta quotients, solved by Fraction elimination:
+# the oracle for torsion_certificate on the rational cuspidal divisors of
+# X0(N), independent of the symbol engines and of _solve_rational.
+def eta_quotient_order(n: int, d: int) -> int:
+    """The order of P_d - phi(gcd(d, N/d)) (inf) on X0(N), d | N, d < N,
+    where P_d is the sum of the phi(gcd(d, N/d)) cusp classes a/d.
+
+    The eta quotient prod_{delta | N} eta(delta z)^r_delta vanishes at each
+    class a/d' to the order sum_delta A[d'][delta] r_delta with
+    A[d'][delta] = N gcd(d', delta)^2 / (24 gcd(d', N/d') d' delta), and it
+    is a function on X0(N) when the r_delta are integers with
+    sum delta r_delta = 0 mod 24, sum (N/delta) r_delta = 0 mod 24 and
+    sum v_p(delta) r_delta even for every prime p | N (Ligozat, Courbes
+    modulaires de genre 1, 1975).  A is invertible, so one vector of
+    rational exponents r has the divisor P_d - phi(gcd(d, N/d)) (inf), and
+    the order is the least multiple m of the lcm of their denominators for
+    which m r meets the three conditions.
+    """
+    divs = [e for e in range(1, n + 1) if n % e == 0]
+    target = {d: 1, n: -euler_phi(gcd(d, n // d))}
+    r = solve_rational_gauss_jordan(
+        [[Fraction(n * gcd(e, delta) ** 2, 24 * gcd(e, n // e) * e * delta)
+          for delta in divs] + [target.get(e, 0)] for e in divs])
+    den = math.lcm(*(x.denominator for x in r))
+    base = [int(x * den) for x in r]
+    primes = [p for p in range(2, n + 1) if n % p == 0
+              and all(p % q for q in range(2, p))]
+
+    def valuation(p, x):
+        k = 0
+        while x % p == 0:
+            x, k = x // p, k + 1
+        return k
+
+    for m in range(1, 25):       # every condition holds at m = 24
+        x = [m * b for b in base]
+        if (sum(delta * y for delta, y in zip(divs, x)) % 24 == 0
+                and sum(n // delta * y for delta, y in zip(divs, x)) % 24 == 0
+                and all(sum(valuation(p, delta) * y
+                            for delta, y in zip(divs, x)) % 2 == 0 for p in primes)):
+            return m * den
+    raise AssertionError("24 times the exponents meet every condition")
+
+
 def bernoulli2_bar(x: Fraction) -> Fraction:
     """The periodic Bernoulli function {x}^2 - {x} + 1/6."""
     x -= math.floor(x)

@@ -217,6 +217,32 @@ def test_parser_is_reused_across_calls(capsys):
     assert _build_parser.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("argv, flag, out", [
+    (["symbol", "--group", "sl2z", "--matrix", "-5,2,-3,1"], "--matrix", "-1\n"),
+    (["symbol", "--group", "gamma0", "--level", "5", "--cusp", "-1/5",
+      "--matrix", "2,1,5,3"], "--cusp", "1/2\n"),
+    (["torsion", "--group", "gamma0", "--level", "11", "--divisor",
+      "-1/11:1,0:-1"], "--divisor",
+     "divisor +1(inf) -1(0) on Gamma0(11): torsion of order 5 [exact]\n"),
+    (["period", "--matrix", "-5,2,-3,1", "--numeric"], "--matrix", "-1\n"),
+], ids=["symbol-matrix", "symbol-cusp", "torsion-divisor", "period-matrix"])
+def test_value_with_a_leading_minus_after_a_space(capsys, argv, flag, out):
+    # argparse took "-5,2,-3,1" for an unknown flag and exited 2; the space
+    # form must read as the "=" form
+    i = argv.index(flag)
+    joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+    assert _outcome(capsys, argv) == _outcome(capsys, joined) == (0, out, "")
+
+
+def test_negative_numbers_and_flags_keep_their_meaning(capsys):
+    # a plain negative number is still a positional, and a flag after a
+    # value-taking flag is still a flag, not its value
+    assert _outcome(capsys, ["sum", "-3", "7"]) == (0, "1/14\n", "")
+    code, out, err = _outcome(capsys, ["symbol", "--group", "sl2z",
+                                       "--matrix", "--json"])
+    assert code == 2 and out == "" and "expected one argument" in err
+
+
 def test_period_exact_level(capsys):
     assert run(["period", "--matrix", "1,1,0,1", "--level", "11"]) == 0
     assert capsys.readouterr().out.strip() == "-10"

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import os
@@ -27,6 +28,8 @@ from radsym.modgroup import (
 )
 from radsym.periods import (
     Divisor,
+    NumericPeriod,
+    PeriodValue,
     _e2_star_mp,
     _raise_axis,
     _reduce_to_fundamental,
@@ -41,7 +44,13 @@ from radsym.periods import (
 )
 from radsym.symbols import _psi_lift
 
-from conftest import random_hyperbolic_sl2z, random_in_group, random_sl2z
+from conftest import (
+    euler_phi,
+    eta_quotient_order,
+    random_hyperbolic_sl2z,
+    random_in_group,
+    random_sl2z,
+)
 
 
 # -- eta --------------------------------------------------------------------
@@ -121,8 +130,10 @@ def test_e2_weight_two():
 def test_period_numeric_matches_psi(rng):
     fixed = [GroupElement(2, 1, 1, 1), GroupElement(3, 2, 4, 3),
              GroupElement(5, 2, 2, 1)]
+    assert [f.name for f in dataclasses.fields(NumericPeriod)] == ["approx", "error"]
     for g in fixed:
         p = period_numeric(g, 1e-9)
+        assert type(p) is NumericPeriod
         assert abs(p.approx - float(psi_classical(g))) < 1e-9
         assert p.error >= abs(Fraction(p.approx) - psi_classical(g))
     for _ in range(4):
@@ -535,6 +546,35 @@ def test_torsion_order_gamma1_23():
     cert = torsion_certificate(G, Divisor.from_dict(G, {"0": 1, "inf": -1}))
     assert cert.order == 4498901
     assert cert.status == "exact"
+
+
+@pytest.mark.parametrize("n", range(2, 101))
+def test_torsion_orders_x0_match_eta_quotients(n):
+    # every rational cuspidal divisor P_d - phi(gcd(d, N/d)) (inf) of X0(N):
+    # the divisor basis at d with gcd(d, N/d) <= 2, the lift route at the
+    # split classes, against Ligozat's eta-quotient order
+    G = GroupId.gamma0(n)
+    for d in range(1, n):
+        if n % d:
+            continue
+        over_d = [cu for cu, _w in cusps(G) if math.gcd(cu.q, n) == d]
+        assert len(over_d) == euler_phi(math.gcd(d, n // d)), (n, d)
+        D = Divisor.from_dict(G, {**{cu: 1 for cu in over_d}, "inf": -len(over_d)})
+        assert torsion_certificate(G, D).order == eta_quotient_order(n, d), (n, d)
+
+
+def test_certificate_holds_its_divisor_periods_and_order():
+    # the group and the generators are read off the divisor and the periods
+    G = GroupId.gamma0(11)
+    D = Divisor.from_dict(G, {"0": -1, "inf": 1})
+    cert = torsion_certificate(G, D)
+    assert [f.name for f in dataclasses.fields(cert)] == ["divisor", "periods", "order"]
+    assert [f.name for f in dataclasses.fields(PeriodValue)] == ["element", "value"]
+    assert cert.group == G
+    assert cert.generators == tuple(schreier_generators(G))
+    assert [p.value for p in cert.periods] == [divisor_period(D, g)
+                                               for g in cert.generators]
+    assert str(cert) == "divisor +1(inf) -1(0) on Gamma0(11): torsion of order 5 [exact]"
 
 
 def test_torsion_zero_divisor():

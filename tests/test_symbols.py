@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -32,7 +33,7 @@ from radsym.modgroup import (
     member,
     schreier_generators,
 )
-from radsym.periods import Divisor, divisor_period
+from radsym.periods import Divisor, NumericPeriod, divisor_period
 from radsym.symbols import (
     SymbolValue,
     _cusp_weight,
@@ -418,7 +419,7 @@ def test_takada_phi_refuses_elements_outside_gamma_n():
 
 def test_takada_phi_level2_example():
     v = takada_phi(2, GroupElement(3, 2, 4, 3))
-    assert v.kind == "exact"
+    assert type(v) is SymbolValue
     # cross-checked against the weight-2 Eisenstein geodesic integral
     assert v.as_fraction() == Fraction(1, 2)
 
@@ -524,13 +525,15 @@ def test_elliptic_closed_form_matches_recursion():
 
 
 def test_symbol_value_arithmetic_is_exact_only():
-    # a SymbolValue has no arithmetic: the sums that build one add
-    # Fractions, and an approximation refuses to become one
+    # a SymbolValue is exact and has no arithmetic: the sums that build one
+    # add Fractions, and an approximation is another type that refuses to
+    # become one
     one = SymbolValue.exact(1)
-    approx = SymbolValue.approximate(0.5, 1e-12)
+    approx = NumericPeriod(0.5, 1e-12)
+    assert [f.name for f in dataclasses.fields(SymbolValue)] == ["rational"]
     with pytest.raises(TypeError):
         one + one
-    with pytest.raises(ValueError):
+    with pytest.raises(AttributeError):
         approx.as_fraction()
     with pytest.raises(ValueError):
         lift_coset_sum(GroupId.gamma(2), GroupId.sl2z(), lambda x: approx,
@@ -705,7 +708,7 @@ def test_coset_sum_recovers_classical_level19():
               GroupElement(1, 0, -n, 1) * T ** (2 * n)]:
         lifted = lift_coset_sum(G1, GroupId.sl2z(),
                                 lambda x: psi_general(G1, INF, x), g)
-        assert lifted.kind == "exact"
+        assert type(lifted) is SymbolValue
         assert lifted.as_fraction() == psi_classical(g)
 
 
@@ -717,7 +720,7 @@ def test_coset_sum_recovers_classical_deep(n, rng):
         g = random_principal_deep(rng, n, 10 ** 18)
         lifted = lift_coset_sum(G1, GroupId.sl2z(),
                                 lambda x: psi_general(G1, INF, x), g)
-        assert lifted.kind == "exact"
+        assert type(lifted) is SymbolValue
         assert lifted.as_fraction() == psi_classical(g)
 
 
@@ -799,7 +802,6 @@ def test_hyperbolic_gamma0_symbols_build_no_table():
     G0, G = GroupId.gamma0(30), GroupId.gamma0(36)
     for H in (G0, G):
         modgroup._table_cache.pop(H, None)
-    symbols._gamma0_basis.cache_clear()
     symbols.gamma0_cusp_basis.cache_clear()
     for cu in (Cusp(0, 1), INF):
         psi_general(G, cu, GroupElement(1, 1, 36, 37))
@@ -816,7 +818,6 @@ def test_gamma0_basis_failed_check_raises(monkeypatch):
     # a basis that fails its 1/y check is an error, not a silent switch to
     # the lift route
     monkeypatch.setattr(symbols, "pi_over_volume", lambda G: Fraction(1, 7))
-    symbols._gamma0_basis.cache_clear()
     symbols.gamma0_cusp_basis.cache_clear()
     symbols._gamma0_plus_weight.cache_clear()
     with pytest.raises(ArithmeticError):
