@@ -298,9 +298,12 @@ def _suite_lemma(args):
         checked += 1
         if g.trace < 0:
             g = -g
+        # period_numeric raises when its error exceeds tol; the error must
+        # also cover the true distance from Psi
         p = period_numeric(g, args.tol)
-        if abs(p.approx - float(psi_classical(g))) > args.tol:
-            failures.append((g, p.approx, psi_classical(g)))
+        psi = psi_classical(g)
+        if abs(Fraction(p.approx) - psi) > p.error:
+            failures.append((g, p.approx, p.error, psi))
     return failures
 
 
@@ -448,13 +451,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the flags whose values may start with "-" and a digit
+_VALUE_FLAGS = ("--matrix", "--cusp", "--divisor")
+
+
 def run(argv=None) -> int:
     # argparse takes the "-5,2,-3,1" of "--matrix -5,2,-3,1" for an unknown
-    # option, but reads "--matrix=-5,2,-3,1"; no option starts with "-" and a digit
+    # option, but reads "--matrix=-5,2,-3,1"; no option starts with "-" and a
+    # digit.  Abbreviations such as "--mat" are joined too, and an ambiguous
+    # one such as "--c" of symbol (--cusp or --csv) fails as "--c=-1" does
     argv = sys.argv[1:] if argv is None else list(argv)
     for i in range(len(argv) - 1, 0, -1):
         flag, tok = argv[i - 1], argv[i]
-        if flag in ("--matrix", "--cusp", "--divisor") and re.match(r"-\d", tok):
+        if (len(flag) > 2 and re.match(r"-\d", tok)
+                and any(f.startswith(flag) for f in _VALUE_FLAGS)):
             argv[i - 1:i + 1] = [f"{flag}={tok}"]
     args = _build_parser().parse_args(argv)
     try:

@@ -14,10 +14,11 @@ classical modular function theory:
   that the shorter period of a k-th power is not aliased.  The window of
   one period is centered on the apex of the axis, so the arc dips only to
   Im z ~ 1/|c| (not 1/(|c| t), t the trace) and the rounding term is
-  4 L e^{L/2} eps.  The integrand is written once against an mpmath
-  context: hardware floats (``mpmath.fp``) where tol asks for the 15-digit
-  floor on a geodesic shorter than 12, ``mpmath.mp`` with guard bits
-  otherwise.
+  4 L e^{L/2} eps.  One kernel evaluates E2* on both routes, with the
+  elementary functions resolved once per quadrature: the ``math`` and
+  ``cmath`` built-ins in hardware floats where tol asks for the 15-digit
+  floor on a geodesic shorter than 12, the functions of ``mpmath.mp`` with
+  guard bits otherwise; its q-series is summed by Horner's rule.
 * ``x0_period_exact``: on X0(N), the periods of the divisor D_N of
   E2(z) - N E2(Nz), which is (N - 1)((0) - (inf)) at prime N, as a
   difference of two classical Rademacher symbols: a consistency check, not
@@ -37,6 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .dedekind import psi_classical
 from .modgroup import (
@@ -144,28 +146,50 @@ def _reduce_to_fundamental(z):
     return (a, b, c, d), z
 
 
-def _e2_star_mp(z, ctx):
+class _Kernel(NamedTuple):
+    """The elementary functions of one quadrature, resolved once per period
+    by ``_kernel``."""
+
+    ctx: object        # the mpmath context: fsum and the axis geometry
+    exp: Callable      # the complex exponential
+    cosh: Callable
+    tanh: Callable
+    complex: Callable  # (re, im) -> a complex number of the context
+    pi: object
+    cut: float         # ln 10^(dps + 4), the q-series cut (see _e2_star)
+
+
+def _kernel(ctx) -> _Kernel:
+    """The kernel of the mpmath context ctx at its current precision: on
+    ``mpmath.fp`` the ``math`` and ``cmath`` functions themselves, which
+    cost a third of fp's wrappers around them; on ``mpmath.mp`` its own."""
+    import mpmath
+
+    cut = (ctx.dps + 4) * math.log(10)
+    if ctx is mpmath.fp:
+        return _Kernel(ctx, cmath.exp, math.cosh, math.tanh, complex, math.pi, cut)
+    return _Kernel(ctx, ctx.exp, ctx.cosh, ctx.tanh, ctx.mpc, +ctx.pi, cut)
+
+
+def _e2_star(z, k: _Kernel):
     """The completed weight-2 Eisenstein series E2*(z) = E2(z) - 3/(pi Im z)
-    in the mpmath context ctx: ``mpmath.fp`` evaluates it in hardware
-    floats, ``mpmath.mp`` at its working precision.  E2* transforms with
-    weight 2 under SL2(Z), so the point is moved to the fundamental domain
-    (where a handful of q-series terms suffice) and the value is
-    transported back."""
+    with the functions of the kernel k: hardware floats on ``mpmath.fp``,
+    the working precision on ``mpmath.mp``.  E2* transforms with weight 2
+    under SL2(Z), so the point is moved to the fundamental domain (where a
+    handful of q-series terms suffice) and the value is transported back."""
     (_a, _b, c, d), zr = _reduce_to_fundamental(z)
-    q = ctx.expjpi(2 * zr)
+    q = k.exp(2j * k.pi * zr)
     # |q|^terms <= 10^-(dps+4); with |q| <= e^{-pi sqrt 3} and sigma1(n) <= n^2
     # the dropped tail 24 sum_{n > terms} sigma1(n) |q|^n stays below 10^-dps.
     # Along the arc |dz| / |j|^2 = Im(zr) du, so the tail adds at most about
     # L 10^-dps to a period of translation length L, far below the rounding
     # term 4 L e^{L/2} eps that period_numeric reports
-    terms = int((ctx.dps + 4) * math.log(10) / (2 * math.pi * float(zr.imag))) + 1
-    sig = _sigma1_ints(terms)
-    acc = ctx.mpc(0)
-    qn = ctx.mpc(1)
-    for n in range(1, terms + 1):
-        qn *= q
-        acc += sig[n] * qn
-    star = 1 - 24 * acc - 3 / (ctx.pi * zr.imag)
+    terms = int(k.cut / (2 * math.pi * float(zr.imag))) + 1
+    # sum_{n <= terms} sigma1(n) q^n by Horner's rule
+    acc = 0
+    for s in _sigma1_ints(terms)[terms:0:-1]:
+        acc = (acc + s) * q
+    star = 1 - 24 * acc - 3 / (k.pi * zr.imag)
     j = c * z + d
     return star / (j * j)
 
@@ -214,11 +238,13 @@ _MAX_NODES = 1 << 16
 _FLOAT_MAX_LENGTH = 12
 
 
-def _geodesic_trapezoid(ctx, g: GroupElement, length: float, round_err, tol: float):
+def _geodesic_trapezoid(k: _Kernel, g: GroupElement, length: float, round_err,
+                        tol: float):
     """The nested trapezoidal sums of E2*(z) dz over one period of the axis
-    of g, in the mpmath context ctx; returns the last sum and its distance
-    from the one before.  Doubles the nodes until the two agree to
-    round_err (see ``period_numeric``)."""
+    of g, with the kernel k; returns the last sum and its distance from the
+    one before.  Doubles the nodes until the two agree to round_err (see
+    ``period_numeric``)."""
+    ctx, cosh, tanh, cplx = k.ctx, k.cosh, k.tanh, k.complex
     a, b, c, d = g.entries()
     tr = g.trace
     # hyperbolic-arclength parametrization z(u) = center + R(tanh u + i sech u):
@@ -238,11 +264,11 @@ def _geodesic_trapezoid(ctx, g: GroupElement, length: float, round_err, tol: flo
         u1 = -u1
 
     def integrand(u):
-        sech = 1 / ctx.cosh(u)
-        th = ctx.tanh(u)
-        z = ctr + rad * (th + 1j * sech)
-        dz = rad * sech * (sech - 1j * th)
-        return _e2_star_mp(z, ctx) * dz
+        sech = 1 / cosh(u)
+        th = tanh(u)
+        rs = rad * sech
+        # z = ctr + rad (th + i sech), dz = rad sech (sech - i th) du
+        return _e2_star(cplx(ctr + rad * th, rs), k) * cplx(rs * sech, -rs * th)
 
     # an odd n, or n below the power k of a k-th power, aliases the
     # period u1/k and gives T_2n = T_n exactly
@@ -292,16 +318,18 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> NumericPeriod:
     least 15, and at most max(25, L + 15).  At the 15-digit floor and L < 12
     the integrand is evaluated in hardware floats (``mpmath.fp``, eps = 2^-52
     as at 15 digits, and no guard bits, which the centered axis of a short
-    geodesic does without); otherwise in ``mpmath.mp`` at that many digits
-    plus 20 guard bits.  (At tol <= 1.9e-8 the floor implies L < 12.)
+    geodesic does without), by ``math`` and ``cmath`` directly; otherwise in
+    ``mpmath.mp`` at that many digits plus 20 guard bits.  (At tol <= 1.9e-8
+    the floor implies L < 12.)  Both routes run one kernel (``_kernel``,
+    ``_e2_star``) whose functions are resolved once per period.
     E2*(z) dz is SL2(Z)-invariant and g moves the arc by u1 = +-L, so the
     integrand is u1-periodic in u, and real-analytic in the strip
     |Im u| < pi/2, where the arc stays in the upper half-plane.  On such an
     integrand the trapezoidal rule converges geometrically; it starts at
     the least power of two n >= max(4, 2L), so that a k-th power
     (k <= L/1.92, period u1/k) is not aliased, and doubles n, reusing every
-    node, until two sums agree to the rounding term.  E2* is summed to a
-    q-series cut whose tail stays below 10^-dps.
+    node, until two sums agree to the rounding term.  E2* is summed by
+    Horner's rule to a q-series cut whose tail stays below 10^-dps.
 
     The reported error is an estimate: the difference of the last two
     trapezoidal sums, the working precision's rounding (amplified by the
@@ -346,7 +374,8 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> NumericPeriod:
     if dps == 15 and length < _FLOAT_MAX_LENGTH:
         ctx = mpmath.fp
         round_err = 4 * length * ctx.exp(length / 2) * ctx.eps
-        val, quad_err = _geodesic_trapezoid(ctx, g, length, round_err, tol)
+        val, quad_err = _geodesic_trapezoid(_kernel(ctx), g, length, round_err,
+                                            tol)
     else:
         with mpmath.workdps(dps):
             round_err = 4 * length * mpmath.exp(length / 2) * mpmath.eps
@@ -355,8 +384,8 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> NumericPeriod:
             # dps digits, the error of the trace -55 period of
             # [[-2110, 149519], [-29, 2055]] reached 1.5 round_err
             with mpmath.workprec(mpmath.mp.prec + 20):
-                val, quad_err = _geodesic_trapezoid(mpmath.mp, g, length,
-                                                    round_err, tol)
+                val, quad_err = _geodesic_trapezoid(_kernel(mpmath.mp), g,
+                                                    length, round_err, tol)
     value = complex(val).real
     err = float(quad_err + round_err) + abs(value) * 2.0 ** -52
     if err > tol:

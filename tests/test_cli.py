@@ -7,6 +7,7 @@ import pytest
 from radsym import cli, symbols
 from radsym.cli import _build_parser, run
 from radsym.modgroup import Cusp, GroupId, cusp_equivalent, cusps, schreier_generators
+from radsym.periods import NumericPeriod
 from radsym.symbols import SymbolValue
 
 
@@ -225,10 +226,18 @@ def test_parser_is_reused_across_calls(capsys):
       "-1/11:1,0:-1"], "--divisor",
      "divisor +1(inf) -1(0) on Gamma0(11): torsion of order 5 [exact]\n"),
     (["period", "--matrix", "-5,2,-3,1", "--numeric"], "--matrix", "-1\n"),
-], ids=["symbol-matrix", "symbol-cusp", "torsion-divisor", "period-matrix"])
+    (["symbol", "--group", "sl2z", "--mat", "-5,2,-3,1"], "--mat", "-1\n"),
+    (["symbol", "--group", "gamma0", "--level", "5", "--cus", "-1/5",
+      "--matrix", "2,1,5,3"], "--cus", "1/2\n"),
+    (["torsion", "--group", "gamma0", "--level", "11", "--div",
+      "-1/11:1,0:-1"], "--div",
+     "divisor +1(inf) -1(0) on Gamma0(11): torsion of order 5 [exact]\n"),
+    (["period", "--mat", "-5,2,-3,1", "--num"], "--mat", "-1\n"),
+], ids=["symbol-matrix", "symbol-cusp", "torsion-divisor", "period-matrix",
+        "symbol-mat", "symbol-cus", "torsion-div", "period-mat"])
 def test_value_with_a_leading_minus_after_a_space(capsys, argv, flag, out):
-    # argparse took "-5,2,-3,1" for an unknown flag and exited 2; the space
-    # form must read as the "=" form
+    # argparse took "-5,2,-3,1" for an unknown flag and exited 2, also after
+    # an abbreviated flag; the space form must read as the "=" form
     i = argv.index(flag)
     joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
     assert _outcome(capsys, argv) == _outcome(capsys, joined) == (0, out, "")
@@ -241,6 +250,14 @@ def test_negative_numbers_and_flags_keep_their_meaning(capsys):
     code, out, err = _outcome(capsys, ["symbol", "--group", "sl2z",
                                        "--matrix", "--json"])
     assert code == 2 and out == "" and "expected one argument" in err
+
+
+def test_ambiguous_abbreviation_before_a_leading_minus_still_exits_2(capsys):
+    # "--c" of symbol could be --cusp or --csv, after a space as after "="
+    spaced = _outcome(capsys, ["symbol", "--group", "sl2z", "--c", "-1"])
+    joined = _outcome(capsys, ["symbol", "--group", "sl2z", "--c=-1"])
+    assert spaced == joined
+    assert spaced[0] == 2 and "ambiguous option" in spaced[2]
 
 
 def test_period_exact_level(capsys):
@@ -434,6 +451,20 @@ def test_verify_refuses_flags_the_suite_never_reads(capsys, argv):
 def test_verify_reads_every_flag_of_its_suite(capsys, argv):
     assert run(["verify", *argv]) == 0
     assert f"{argv[0]}: PASS" in capsys.readouterr().out
+
+
+def test_verify_lemma_fails_an_understated_error(capsys, monkeypatch):
+    # each period is moved off Psi by 1e-9 and reports an error of 1e-10:
+    # within tol = 1e-8 of Psi, but outside its own error
+    period_numeric = cli.period_numeric
+
+    def understated(g, tol):
+        p = period_numeric(g, tol)
+        return NumericPeriod(p.approx + 1e-9, 1e-10)
+
+    monkeypatch.setattr(cli, "period_numeric", understated)
+    assert run(["verify", "lemma", "--count", "1"]) == 1
+    assert "lemma: FAIL" in capsys.readouterr().out
 
 
 def test_deterministic_output(capsys):

@@ -30,7 +30,8 @@ from radsym.periods import (
     Divisor,
     NumericPeriod,
     PeriodValue,
-    _e2_star_mp,
+    _e2_star,
+    _kernel,
     _raise_axis,
     _reduce_to_fundamental,
     _translation_length,
@@ -106,22 +107,30 @@ def test_phi_from_eta_random(rng):
 # -- E2* ---------------------------------------------------------------------
 
 
-def test_e2_constant_term():
-    v = _e2_star_mp(8j, mpmath.mp)
+# the float route of the benchmark and the CLI default, and the multiprecision
+# route at mpmath's working precision
+contexts = pytest.mark.parametrize("ctx", [mpmath.fp, mpmath.mp], ids=["fp", "mp"])
+
+
+@contexts
+def test_e2_constant_term(ctx):
+    v = _e2_star(8j, _kernel(ctx))
     assert abs(v - (1 - 3 / (math.pi * 8))) < 1e-12
 
 
-def test_e2_fixed_point():
+@contexts
+def test_e2_fixed_point(ctx):
     # E2(i) = 3/pi classically, so the completed series vanishes at i
-    assert abs(_e2_star_mp(1j, mpmath.mp)) < 1e-12
+    assert abs(_e2_star(1j, _kernel(ctx))) < 1e-12
 
 
-def test_e2_weight_two():
+@contexts
+def test_e2_weight_two(ctx):
+    k = _kernel(ctx)
     for g in [S, T * S, GroupElement(2, 1, 1, 1)]:
         for z in [0.3 + 0.8j, -0.1 + 1.7j, 0.45 + 0.31j]:
             j = g.c * z + g.d
-            assert abs(_e2_star_mp(g.apply(z), mpmath.mp)
-                       - j * j * _e2_star_mp(z, mpmath.mp)) < 1e-10
+            assert abs(_e2_star(g.apply(z), k) - j * j * _e2_star(z, k)) < 1e-10
 
 
 # -- geodesic periods ---------------------------------------------------------
@@ -164,17 +173,18 @@ def quad_dps(monkeypatch):
 @pytest.fixture
 def quad_contexts(monkeypatch):
     """Record the mpmath context of every integrand evaluation: "fp" for
-    hardware floats, "mp" for the multiprecision context."""
+    hardware floats, "mp" for the multiprecision context.  Every node calls
+    _e2_star with the kernel of its quadrature, which carries the context."""
     import radsym.periods as periods
 
     seen = []
-    e2_star = periods._e2_star_mp
+    e2_star = periods._e2_star
 
-    def recording(z, ctx):
-        seen.append("fp" if ctx is mpmath.fp else "mp")
-        return e2_star(z, ctx)
+    def recording(z, k):
+        seen.append("fp" if k.ctx is mpmath.fp else "mp")
+        return e2_star(z, k)
 
-    monkeypatch.setattr(periods, "_e2_star_mp", recording)
+    monkeypatch.setattr(periods, "_e2_star", recording)
     return seen
 
 
