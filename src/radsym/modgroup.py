@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, prod
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, order=True)
@@ -416,7 +417,13 @@ def _coset_invariant(G: GroupId, g: GroupElement):
     raise ValueError(G.family)
 
 
-class CosetTable:
+class CosetTable(NamedTuple):
+    reps: tuple          # one representative per right coset, in key order
+    generators: tuple    # the Schreier generators of the group
+
+
+@functools.lru_cache(maxsize=None)
+def coset_table(G: GroupId) -> CosetTable:
     """Right cosets G\\SL2(Z) and the Schreier generators of G over {S, T}.
 
     Built by one breadth-first search over the coset keys from the identity
@@ -429,37 +436,26 @@ class CosetTable:
     the cosets G \\ SL2(Z); cusp classes and widths are read off mod N
     without it.
     """
-
-    def __init__(self, G: GroupId):
-        if G.family not in _TABLE_FAMILIES:
-            raise ValueError(f"no SL2(Z) coset table for {G}")
-        found = {_coset_invariant(G, I2): I2}   # key -> representative
-        queue = list(found)
-        self.generators = []
-        seen = set()
-        for key in queue:                       # the queue grows as keys are found
-            for gen in (T, S):
-                h = found[key] * gen
-                image = _coset_invariant(G, h)
-                if image not in found:
-                    found[image] = h
-                    queue.append(image)
-                    continue
-                g = (h * found[image].inverse()).canonical()
-                if g.is_identity() or g in seen or g.inverse().canonical() in seen:
-                    continue
-                seen.add(g)
-                self.generators.append(g)
-        self.reps = [found[key].canonical() for key in sorted(found)]
-
-
-_table_cache: dict[GroupId, CosetTable] = {}
-
-
-def coset_table(G: GroupId) -> CosetTable:
-    if G not in _table_cache:
-        _table_cache[G] = CosetTable(G)
-    return _table_cache[G]
+    if G.family not in _TABLE_FAMILIES:
+        raise ValueError(f"no SL2(Z) coset table for {G}")
+    found = {_coset_invariant(G, I2): I2}   # key -> representative
+    queue = list(found)
+    generators, seen = [], set()
+    for key in queue:                       # the queue grows as keys are found
+        for gen in (T, S):
+            h = found[key] * gen
+            image = _coset_invariant(G, h)
+            if image not in found:
+                found[image] = h
+                queue.append(image)
+                continue
+            g = (h * found[image].inverse()).canonical()
+            if g.is_identity() or g in seen or g.inverse().canonical() in seen:
+                continue
+            seen.add(g)
+            generators.append(g)
+    return CosetTable(tuple(found[key].canonical() for key in sorted(found)),
+                      tuple(generators))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +615,7 @@ def cosets(G1: GroupId, G: GroupId) -> tuple:
     if G1 == G:
         return (I2,)
     if G.family is Family.SL2Z and G1.family in _TABLE_FAMILIES:
-        return tuple(coset_table(G1).reps)
+        return coset_table(G1).reps
     n = G.level
     if G1.level != n or (G1.family, G.family) not in (
             (Family.GAMMA_N, Family.GAMMA1_N), (Family.GAMMA_N, Family.GAMMA0_N),

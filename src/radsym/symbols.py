@@ -95,9 +95,6 @@ class SymbolValue:
     def exact(r) -> "SymbolValue":
         return SymbolValue(r if type(r) is Fraction else Fraction(r))
 
-    def as_fraction(self) -> Fraction:
-        return self.rational
-
     def __str__(self):
         return str(self.rational)
 
@@ -380,7 +377,7 @@ def phi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Dedekind symbol Phi_a(g) = Psi_a(g) + (pi/V) sign(c (a+d)), with the
     sign read off the cusp-normalized conjugate."""
     return SymbolValue.exact(
-        psi_general(G, cusp, g).as_fraction() + _sign_term(G, cusp, g))
+        psi_general(G, cusp, g).rational + _sign_term(G, cusp, g))
 
 
 def _sign_term(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:

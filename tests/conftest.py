@@ -7,9 +7,9 @@ from math import gcd
 import numpy as np
 import pytest
 
+from radsym import modgroup
 from radsym.dedekind import pi_over_volume, sign
 from radsym.modgroup import (
-    CosetTable,
     Cusp,
     Family,
     GroupElement,
@@ -186,7 +186,7 @@ def cusp_t_orbits(G: GroupId):
     coset key, the orbit of each coset, the length of each orbit).  The retired table route of
     modgroup.cusps: the oracle for the class keys and widths read off
     mod N.  The table is built afresh, not cached."""
-    tab = CosetTable(G)
+    tab = coset_table.__wrapped__(G)
     index, act_T, _act_S = coset_action(G, tab.reps)
     orbit = [None] * len(tab.reps)
     lengths = []
@@ -214,7 +214,7 @@ def coset_action(G: GroupId, reps):
 
 class SearchCosetTable:
     """The breadth-first coset table with representatives shrunk by _shrink,
-    as modgroup.CosetTable built it before it kept the S/T products of its
+    as modgroup.coset_table built it before it kept the S/T products of its
     search: the oracle for the index, the key order and the act maps."""
 
     def __init__(self, G: GroupId):
@@ -666,14 +666,14 @@ def phi_peel_core_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
     if cls.tag is Motion.IDENTITY:
         phi_h = Fraction(0)
     elif cls.tag is Motion.PARABOLIC:
-        psi_h = psi_general(G, cusp, h).as_fraction()
+        psi_h = psi_general(G, cusp, h).rational
         phi_h = _phi_of(G, cusp, h, psi_h)
     else:
         hh = h if h.trace > 0 else -h
         lifted = lift_coset_sum(
             GroupId.gamma(n), G,
             lambda x: psi_gamma_conjugated(n, cusp, x), hh)
-        phi_h = _phi_of(G, cusp, h, lifted.as_fraction())
+        phi_h = _phi_of(G, cusp, h, lifted.rational)
     if j == 0:
         return phi_h
     ch = h.conjugate_by(binv).c
@@ -732,15 +732,15 @@ def psi_peel_lift_coset_sum(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolVa
     if j == 0:
         lifted = lift_coset_sum(GroupId.gamma(n), G,
                                 lambda x: psi_gamma_conjugated(n, cusp, x), gk)
-        return SymbolValue.exact(lifted.as_fraction() / k)
+        return SymbolValue.exact(lifted.rational / k)
     tj = T ** j
     h = gk * T ** (-j)
     binv = cusp.base_matrix().inverse()
     c3 = (h.conjugate_by(binv).c * tj.conjugate_by(binv).c
           * gk.conjugate_by(binv).c)
     # Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_gk)
-    phi = (phi_general(G, cusp, h).as_fraction()
-           + phi_general(G, cusp, tj).as_fraction())
+    phi = (phi_general(G, cusp, h).rational
+           + phi_general(G, cusp, tj).rational)
     psi = phi - pi_over_volume(G) * sign(c3) - _sign_term(G, cusp, gk)
     return SymbolValue.exact(psi / k)
 
@@ -865,7 +865,7 @@ def psi_peel_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     if abs(th) > 2:
         num, den = psi_gamma_sum(n, above, h if th > 0 else tuple(-x for x in h))
     else:
-        psi = psi_general(G, wa, GroupElement(*h)).as_fraction()
+        psi = psi_general(G, wa, GroupElement(*h)).rational
         num, den = psi.numerator, psi.denominator
     if at_infinity:
         num += j * den
@@ -891,7 +891,7 @@ def psi_gamma0_plus_lift(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     symbols._psi_gamma0_plus."""
     G0 = GroupId.gamma0(n)
     return SymbolValue.exact(sum(
-        psi_general(G0, cusp, g.conjugate_by(atkin_lehner(n, e))).as_fraction()
+        psi_general(G0, cusp, g.conjugate_by(atkin_lehner(n, e))).rational
         for e in atkin_lehner_exponents(n)))
 
 
@@ -911,9 +911,9 @@ def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     if cls2.tag is Motion.IDENTITY:
         phi_g2 = Fraction(0)
     elif cls2.tag is Motion.ELLIPTIC:
-        phi_g2 = phi_general(Gp, cusp, g2).as_fraction()
+        phi_g2 = phi_general(Gp, cusp, g2).rational
     else:
-        psi2 = psi_general(Gp, cusp, g2).as_fraction()
+        psi2 = psi_general(Gp, cusp, g2).rational
         phi_g2 = psi2 + pv * sign(h2.c * h2.trace)
     phi_g = (phi_g2 + pv * sign(h.c * h.c * h2.c)) / 2
     return SymbolValue.exact(phi_g - pv * sign(h.c * h.trace))
@@ -979,3 +979,17 @@ def _mobius_weights(limit: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return random.Random(20260826)
+
+
+@pytest.fixture
+def coset_table_reads(monkeypatch):
+    """The groups whose SL2(Z) coset table is read, cached or not, while the
+    test runs: modgroup's callers look coset_table up by its module name."""
+    reads, table = [], modgroup.coset_table
+
+    def recording(G):
+        reads.append(G)
+        return table(G)
+
+    monkeypatch.setattr(modgroup, "coset_table", recording)
+    return reads

@@ -315,7 +315,7 @@ def test_torsion_roundtrip(capsys):
     D = Divisor.from_dict(G, {"0": -1, "inf": 1})
     for gtext, ptext in zip(payload["generators"], payload["periods"]):
         g = parse_matrix(gtext)
-        assert divisor_period(D, g).as_fraction() == Fraction(ptext)
+        assert divisor_period(D, g).rational == Fraction(ptext)
         assert (Fraction(ptext) * payload["order"]).denominator == 1
 
 
@@ -344,6 +344,13 @@ def test_cosets(capsys):
     assert run(["cosets", "--group", "gamma", "--level", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["index"] == 6
+
+
+def test_cosets_refuses_a_group_with_no_table(capsys):
+    assert run(["cosets", "--group", "gamma0+", "--level", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unsupported containment Gamma0(6)+ <= SL2(Z)\n"
 
 
 def test_verify_suites(capsys):
@@ -383,9 +390,9 @@ def test_oracle_consistency_sweep_catches_peel_lift_mutants(monkeypatch):
     # the split multiplicities of D_N sum to 0 at every N <= 60
     lift = symbols._psi_lift
     mutants = [
-        lambda G, cu, g: SymbolValue.exact(2 * lift(G, cu, g).as_fraction()),
+        lambda G, cu, g: SymbolValue.exact(2 * lift(G, cu, g).rational),
         lambda G, cu, g: SymbolValue.exact(
-            lift(G, cu, g).as_fraction() + cusp_equivalent(G, cu, Cusp(1, 3))),
+            lift(G, cu, g).rational + cusp_equivalent(G, cu, Cusp(1, 3))),
     ]
     for mutant in mutants:
         monkeypatch.setattr(symbols, "_psi_lift", mutant)

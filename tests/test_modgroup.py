@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd, prod
 
@@ -246,12 +247,7 @@ def test_cusp_classes_match_t_orbits(G):
         assert class_of_orbit[o] == i and w == lengths[o]
 
 
-def test_cusp_questions_build_no_coset_table(monkeypatch):
-    def refuse(self, G):
-        raise AssertionError(f"coset table built for {G}")
-
-    monkeypatch.setattr(modgroup.CosetTable, "__init__", refuse)
-    monkeypatch.setattr(modgroup, "_table_cache", {})
+def test_cusp_questions_build_no_coset_table(coset_table_reads):
     modgroup.cusps.cache_clear()
     modgroup._class_indices.cache_clear()
     G = GroupId.gamma(36)
@@ -263,7 +259,7 @@ def test_cusp_questions_build_no_coset_table(monkeypatch):
     assert cusp_width(G, Cusp(1, 6)) == 35
     assert cusp_equivalent(G, Cusp(1, 3), Cusp(1, 9)) is True
     assert cusp_equivalent(G, Cusp(1, 2), Cusp(1, 4)) is False
-    assert psi_general(G, Cusp.infinity(), T ** 3).as_fraction() == 3
+    assert psi_general(G, Cusp.infinity(), T ** 3).rational == 3
     G = GroupId.gamma1(4)
     assert cusp_width(G, Cusp(1, 2)) == 1
     assert cusp_equivalent(G, Cusp(1, 2), Cusp(-1, 2)) is True
@@ -271,8 +267,9 @@ def test_cusp_questions_build_no_coset_table(monkeypatch):
     G = GroupId.gamma0(30)
     D = Divisor.from_dict(G, {"1/10": 1, "-3/20": 1, "inf": -2})
     assert str(D) == "-2(inf) +2(1/10)"
-    with pytest.raises(AssertionError, match="coset table"):
-        coset_table(GroupId.gamma0(11))
+    assert coset_table_reads == []
+    modgroup.coset_table(GroupId.gamma0(11))
+    assert coset_table_reads == [GroupId.gamma0(11)]
 
 
 def test_cusp_stabilizer_generator():
@@ -474,22 +471,37 @@ def test_schreier_generators_match_second_pass(G):
     assert {pair(g) for g in gens} == {pair(g) for g in oracle}
 
 
-def test_level_cosets_build_no_gamma_table():
+def test_coset_table_is_cached_and_refuses_other_families():
+    G = GroupId.gamma0(143)
+    assert coset_table(G) is coset_table(G)
+    assert len(coset_table(G).reps) == 168 and len(coset_table(G).generators) == 39
+    with pytest.raises(ValueError, match=re.escape("no SL2(Z) coset table for Gamma0(6)+")):
+        coset_table(GroupId.gamma0_plus(6))
+
+
+@pytest.mark.parametrize("G1, G", [
+    (GroupId.gamma0(6), GroupId.gamma1(6)),
+    (GroupId.gamma0_plus(6), GroupId.sl2z()),
+], ids=str)
+def test_cosets_refuses_unsupported_containment(G1, G):
+    with pytest.raises(ValueError, match=re.escape(f"unsupported containment {G1} <= {G}")):
+        cosets(G1, G)
+
+
+def test_level_cosets_build_no_gamma_table(coset_table_reads):
     G1 = GroupId.gamma(36)
-    modgroup._table_cache.pop(G1, None)
     cosets.__wrapped__(G1, GroupId.gamma0(36))
-    assert G1 not in modgroup._table_cache
+    assert G1 not in coset_table_reads
 
 
-def test_parabolic_symbol_builds_no_gamma_table():
+def test_parabolic_symbol_builds_no_gamma_table(coset_table_reads):
     # width and equivalence on Gamma(N) are read off mod N
     G = GroupId.gamma(36)
-    modgroup._table_cache.pop(G, None)
     base = Cusp(1, 2).base_matrix()
     g = base * T ** 72 * base.inverse()
-    assert psi_general(G, Cusp(37, 2), g).as_fraction() == 2
-    assert psi_general(G, Cusp(3, 2), g).as_fraction() == 0
-    assert G not in modgroup._table_cache
+    assert psi_general(G, Cusp(37, 2), g).rational == 2
+    assert psi_general(G, Cusp(3, 2), g).rational == 0
+    assert G not in coset_table_reads
 
 
 def word_decompose(g: GroupElement):

@@ -104,7 +104,36 @@ def test_phi_from_eta_random(rng):
         checked += 1
 
 
-# -- E2* ---------------------------------------------------------------------
+@pytest.mark.parametrize("k", [10 ** 15, 10 ** 17, 10 ** 400], ids=["1e15", "1e17", "1e400"])
+def test_phi_from_eta_reads_large_entries_exactly(k):
+    # Phi([[1, k], [1, k + 1]]) = k + 2; d/c carried as a float used to
+    # leave a residual at k = 1e15, reach Im z = 0 at 1e17 and overflow
+    # at 1e400
+    g = GroupElement(1, k, 1, k + 1)
+    assert phi_from_eta(g) == k + 2 == phi_classical(g)
+
+
+def test_phi_from_eta_shifts_match_classical(rng):
+    # Phi(T^m g T^n) = Phi(g) + m + n, with |a| and |d| up to 1e30
+    checked = 0
+    while checked < 100:
+        g = random_sl2z(rng)
+        if g.c == 0:
+            continue
+        if g.c < 0:
+            g = -g
+        m, n = rng.randint(-10 ** 30, 10 ** 30), rng.randint(-10 ** 30, 10 ** 30)
+        h = T ** m * g * T ** n
+        assert phi_from_eta(h) == phi_classical(h) == phi_classical(g) + m + n
+        checked += 1
+
+
+def test_phi_from_eta_residual_above_tol_raises():
+    with pytest.raises(ValueError, match="eta multiplier extraction residual"):
+        phi_from_eta(GroupElement(3, 2, 4, 3), tol=1e-30)
+
+
+# -- E2*---------------------------------------------------------------------
 
 
 # the float route of the benchmark and the CLI default, and the multiprecision
@@ -441,15 +470,15 @@ def test_divisor_period_rules(rng):
     G = GroupId.gamma0(11)
     D = Divisor.from_dict(G, {"0": -1, "inf": 1})
     # parabolic: k * multiplicity at the fixed cusp
-    assert divisor_period(D, T ** 4).as_fraction() == 4
+    assert divisor_period(D, T ** 4).rational == 4
     L = GroupElement(1, 0, 11, 1)
     gen0 = L.inverse()  # stabilizer generator of 0 is the inverse translation
-    assert divisor_period(D, gen0 ** 2).as_fraction() == -2
+    assert divisor_period(D, gen0 ** 2).rational == -2
     # elliptic: conjugates of S vanish
     for h in [S.conjugate_by(random_sl2z(rng, 3)) for _ in range(5)]:
         if classify(h).tag is Motion.ELLIPTIC:
             D1 = Divisor.from_dict(GroupId.sl2z(), {})
-            assert divisor_period(D1, h).as_fraction() == 0
+            assert divisor_period(D1, h).rational == 0
 
 
 @pytest.mark.parametrize("G", [GroupId.gamma0(n) for n in (2, 4, 9, 10, 13)]
@@ -471,7 +500,7 @@ def test_non_hyperbolic_periods(G):
         seen[tag] += 1
         for a, b in itertools.permutations(reps, 2):
             D = Divisor.from_dict(G, {a: 2, b: -2})
-            value = divisor_period(D, g).as_fraction()
+            value = divisor_period(D, g).rational
             if tag is Motion.ELLIPTIC:
                 assert value == 0
             else:
@@ -489,9 +518,9 @@ def test_divisor_period_additivity(rng):
     for _ in range(30):
         g1 = random_in_group(rng, G)
         g2 = random_in_group(rng, G)
-        assert divisor_period(D, g1 * g2).as_fraction() \
-            == divisor_period(D, g1).as_fraction() \
-            + divisor_period(D, g2).as_fraction()
+        assert divisor_period(D, g1 * g2).rational \
+            == divisor_period(D, g1).rational \
+            + divisor_period(D, g2).rational
 
 
 def test_divisor_periods_against_x0_oracle():
@@ -499,7 +528,7 @@ def test_divisor_periods_against_x0_oracle():
         G = GroupId.gamma0(n)
         D = Divisor.from_dict(G, {"0": -1, "inf": 1})
         for pv in divisor_periods(G, D):
-            assert pv.value.as_fraction() * (n - 1) \
+            assert pv.value.rational * (n - 1) \
                 == -x0_period_exact(n, pv.element)
 
 
@@ -515,7 +544,7 @@ def test_torsion_orders_x0():
         assert cert.status == "exact"
         # n * period is integral for every generator
         for pv in cert.periods:
-            v = pv.value.as_fraction() * cert.order
+            v = pv.value.rational * cert.order
             assert v.denominator == 1
 
 
@@ -542,8 +571,8 @@ def test_torsion_orders_x0_non_squarefree_by_peel_lift(n, expected):
         if classify(g).tag is not Motion.HYPERBOLIC:
             continue
         g = g if g.trace > 0 else -g
-        period = (_psi_lift(G, Cusp.infinity(), g).as_fraction()
-                  - _psi_lift(G, Cusp(0, 1), g).as_fraction())
+        period = (_psi_lift(G, Cusp.infinity(), g).rational
+                  - _psi_lift(G, Cusp(0, 1), g).rational)
         order = math.lcm(order, period.denominator)
     assert order == expected
 
@@ -592,4 +621,4 @@ def test_torsion_zero_divisor():
     D = Divisor.from_dict(G, {})
     cert = torsion_certificate(G, D)
     assert cert.order == 1
-    assert all(p.value.as_fraction() == 0 for p in cert.periods)
+    assert all(p.value.rational == 0 for p in cert.periods)
