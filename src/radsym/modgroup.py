@@ -189,17 +189,16 @@ class Cusp:
 
 
 def _bezout(p: int, q: int):
-    """Return (u, v) with u*p + v*q = 1 for coprime p, q."""
+    """Return (u, v) with u*p + v*q = 1 for coprime p and q >= 1: every
+    remainder after the first step is >= 0, so the chain ends at +1."""
     old_r, r = p, q
     old_u, u = 1, 0
     while r:
         k = old_r // r
         old_r, r = r, old_r - k * r
         old_u, u = u, old_u - k * u
-    if old_r == -1:
-        old_r, old_u = 1, -old_u
     assert old_r == 1, "bezout requires coprime inputs"
-    v = (1 - old_u * p) // q if q else 0
+    v = (1 - old_u * p) // q
     return (old_u, v)
 
 
@@ -515,7 +514,7 @@ def cusps(G: GroupId) -> tuple:
     the widths add up to the index.  On Gamma0(N) every class with
     gcd(q, N) = d < N has a member p/d, so only q = 0 and those d are read."""
     if G.family is Family.GAMMA0N_PLUS:
-        return ((Cusp.infinity(), Fraction(1)),)
+        return ((Cusp.infinity(), 1),)
     n = G.level
     if G.family is Family.GAMMA0_N:
         qs = (0,) + _divisors(n)[:-1]
@@ -546,7 +545,7 @@ def cusp_class_index(G: GroupId, c: Cusp) -> int:
     return _class_indices(G)[_cusp_key(G, c)]
 
 
-def cusp_width(G: GroupId, c: Cusp) -> Fraction:
+def cusp_width(G: GroupId, c: Cusp) -> int:
     """Width of the cusp c for G: least w >= 1 with base T^w base^{-1} in G.
 
     With d = gcd(q, N) it is N/gcd(d^2, N) on Gamma0(N), N on Gamma(N) and
@@ -554,15 +553,16 @@ def cusp_width(G: GroupId, c: Cusp) -> Fraction:
     by -base T base^{-1}.  Gamma0(N)+ has the widths of Gamma0(N) because
     GroupId admits it only for squarefree N: there the Atkin-Lehner
     involutions move every cusp, so each stabilizer lies in Gamma0(N); at
-    other N they can narrow a cusp (1/2 has width 1/2 on Gamma0(4)+).
+    other N they can narrow a cusp (1/2 has width 1/2 on Gamma0(4)+).  So
+    every width is an integer.
     """
     n = G.level
     if G.family is Family.GAMMA_N:
-        return Fraction(n)
+        return n
     d = gcd(c.q, n)
     if G.family is Family.GAMMA1_N:
-        return Fraction(1 if n == 4 and d == 2 else n // d)
-    return Fraction(n // gcd(d * d, n))
+        return 1 if n == 4 and d == 2 else n // d
+    return n // gcd(d * d, n)
 
 
 def cusp_equivalent(G: GroupId, c1: Cusp, c2: Cusp) -> bool:
@@ -573,8 +573,7 @@ def cusp_equivalent(G: GroupId, c1: Cusp, c2: Cusp) -> bool:
 def cusp_stabilizer_generator(G: GroupId, c: Cusp) -> GroupElement:
     """Generator of the (projective) stabilizer of c in G."""
     base = c.base_matrix()
-    w = cusp_width(G, c)
-    return base * (T ** int(w)) * base.inverse()
+    return base * T ** cusp_width(G, c) * base.inverse()
 
 
 def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
@@ -585,7 +584,7 @@ def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
     c = Cusp.infinity() if g.c == 0 else Cusp(g.a - g.d, 2 * g.c)  # fixed point
     h = g.conjugate_by(c.base_matrix().inverse())   # +-T^t
     t = h.b * h.d                           # translation length, sign included
-    w = int(cusp_width(G, c))
+    w = cusp_width(G, c)
     if t % w != 0:
         raise ValueError(f"{g} is not a power of the stabilizer generator of {c}")
     return c, t // w
@@ -597,42 +596,29 @@ def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
 
 @functools.lru_cache(maxsize=None)
 def cosets(G1: GroupId, G: GroupId) -> tuple:
-    """Representatives for G1 \\ G, for the pairs G1 <= G that it
-    enumerates: G1 = G, any table family G1 in SL2(Z), and Gamma(N) <=
-    Gamma1(N), Gamma(N) <= Gamma0(N) and Gamma1(N) <= Gamma0(N) at one
-    level N.  Any other pair raises ValueError.
+    """Representatives for G1 \\ G, for the pairs G1 <= G that a route
+    reads: G1 = G, any table family G1 in SL2(Z), and Gamma1(N) <=
+    Gamma0(N) at one level N.  Any other pair raises ValueError.
 
-    Within SL2(Z) the representatives are those of the coset table.  At
-    one level the quotient is read off mod N, because the coset key defines
-    each group: reduction onto SL2(Z/N) is surjective and the three groups
-    are the preimages of the trivial, the unipotent and the upper
-    triangular subgroup, so G1 \\ G is a set of classes [[a, b], [0, 1/a]]
-    mod N, up to sign.  Here a runs over the units mod +-1 for Gamma0(N)
-    (only a = 1 for Gamma1(N)) and b over Z/N for Gamma(N) (only b = 0 for
-    Gamma1(N)); each class is lifted to [[a, (a d - 1)/N], [N, d]] with
-    a d = 1 + N b mod N^2.
+    Within SL2(Z) the representatives are those of the coset table.
+    Gamma1(N) \\ Gamma0(N) is read off mod N, because the coset key defines
+    both groups: reduction onto SL2(Z/N) is surjective and they are the
+    preimages of the unipotent and the upper triangular subgroup, so the
+    quotient is the set of classes [[a, *], [0, 1/a]] mod N, one for each
+    pair of units +-a.  Each class is lifted to [[a, (a d - 1)/N], [N, d]]
+    with d = a^-1 mod N^2.
     """
     if G1 == G:
         return (I2,)
     if G.family is Family.SL2Z and G1.family in _TABLE_FAMILIES:
         return coset_table(G1).reps
     n = G.level
-    if G1.level != n or (G1.family, G.family) not in (
-            (Family.GAMMA_N, Family.GAMMA1_N), (Family.GAMMA_N, Family.GAMMA0_N),
-            (Family.GAMMA1_N, Family.GAMMA0_N)):
+    if (G1.family, G.family, G1.level) != (Family.GAMMA1_N, Family.GAMMA0_N, n):
         raise ValueError(f"unsupported containment {G1} <= {G}")
-    if G.family is Family.GAMMA1_N:
-        units = [1]
-    else:                                 # one of each pair a, -a mod N
-        units = [a for a in range(1, max(n // 2, 1) + 1) if gcd(a, n) == 1]
-    shears = range(n) if G1.family is Family.GAMMA_N else (0,)
-    reps = []
-    for a in units:
-        for b in shears:
-            if a == 1 and b == 0:
-                reps.append(I2)
-                continue
-            d = pow(a, -1, n * n) * (1 + n * b) % (n * n)
+    reps = [I2]
+    for a in range(2, n // 2 + 1):        # one of each pair a, -a mod N
+        if gcd(a, n) == 1:
+            d = pow(a, -1, n * n)
             reps.append(GroupElement(a, (a * d - 1) // n, n, d))
     expected = G1.psl2z_index() / G.psl2z_index()
     if len(reps) != expected:

@@ -341,7 +341,9 @@ def takada_phi(n: int, g: GroupElement) -> SymbolValue:
 def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolValue:
     """Psi^G(g) = sum over tau in G1\\G of Psi^{G1}(tau g tau^{-1}),
     for g in G1 hyperbolic of positive trace and G1 normal in G; the engine
-    must return exact SymbolValues (not a NumericPeriod).
+    must return exact SymbolValues (not a NumericPeriod).  The cosets are
+    those of modgroup.cosets, so G1 <= G is one of its pairs, in practice
+    Gamma(N) <= SL2(Z); any other pair raises "unsupported containment".
     """
     if not member(g, G1):
         raise ValueError(f"{g} is not in {G1}")
@@ -422,7 +424,7 @@ def _gamma0_basis(n: int, weights: tuple):
     divs = _divisors(n)
     sol = _solve_rational(
         [[Fraction(w * gcd(e, d) ** 2, e) for e in divs] + [Fraction(x)]
-         for d, x in zip(divs, weights) for w in [int(cusp_width(G, Cusp(1, d)))]])
+         for d, x in zip(divs, weights) for w in [cusp_width(G, Cusp(1, d))]])
     # each E_{2,a} has 1/y part -V^{-1}/y, each e*E2star(e z) has -3/(pi y);
     # every weighted d is the denominator of exactly one class, so the
     # weights sum over the classes
@@ -580,10 +582,8 @@ def _psi_gamma0_plus(n: int, g: GroupElement) -> SymbolValue:
     for 0 < j < |c|, where the 1/2 part cancels under j -> |c| - j because
     w is even.  An Atkin-Lehner element (e > 1) is Psi(g^2)/2, with
     g^2 = e h for h a hyperbolic element of Gamma0(N) of positive trace."""
-    a, b, c, d = g.entries()
     half = 1
     if g.e > 1:
-        a, b, c, d = (x // g.e for x in _int_mul((a, b, c, d), (a, b, c, d)))
-        half = 2
-    num, den = _psi_weighted(n, _gamma0_plus_weight(n), a, b, c, d)
+        g, half = g * g, 2                # the product divides out the content e
+    num, den = _psi_weighted(n, _gamma0_plus_weight(n), *g.entries())
     return SymbolValue.exact(Fraction(num, den * half))

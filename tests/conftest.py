@@ -26,7 +26,6 @@ from radsym.modgroup import (
     atkin_lehner_exponents,
     classify,
     coset_table,
-    cosets,
     cusp_equivalent,
     cusps,
     member,
@@ -39,7 +38,6 @@ from radsym.symbols import (
     _solve_rational,
     _to_infinity,
     _weight_record,
-    lift_coset_sum,
     phi_general,
     psi_general,
     takada_C_row_exact,
@@ -634,6 +632,53 @@ def psi_word(exponents) -> int:
     return sum(x if i % 2 == 0 else -x for i, x in enumerate(exponents))
 
 
+# The level-N quotients of Gamma(N) in Gamma1(N) and Gamma0(N), which no
+# route of radsym reads, for the coset-sum oracles below; the pair
+# Gamma1(N) <= Gamma0(N) is the reference for modgroup.cosets.
+@functools.lru_cache(maxsize=None)
+def level_cosets(G1: GroupId, G: GroupId) -> tuple:
+    """Representatives for G1 \\ G for Gamma(N) <= Gamma1(N), Gamma(N) <=
+    Gamma0(N) and Gamma1(N) <= Gamma0(N) at one level N, read off mod N:
+    reduction onto SL2(Z/N) is surjective and the three groups are the
+    preimages of the trivial, the unipotent and the upper triangular
+    subgroup, so G1 \\ G is a set of classes [[a, b], [0, 1/a]] mod N, up to
+    sign.  Here a runs over the units mod +-1 for Gamma0(N) (only a = 1 for
+    Gamma1(N)) and b over Z/N for Gamma(N) (only b = 0 for Gamma1(N)); each
+    class is lifted to [[a, (a d - 1)/N], [N, d]] with a d = 1 + N b mod N^2.
+    """
+    n = G.level
+    if G1.level != n or (G1.family, G.family) not in (
+            (Family.GAMMA_N, Family.GAMMA1_N), (Family.GAMMA_N, Family.GAMMA0_N),
+            (Family.GAMMA1_N, Family.GAMMA0_N)):
+        raise ValueError(f"unsupported containment {G1} <= {G}")
+    if G.family is Family.GAMMA1_N:
+        units = [1]
+    else:                                 # one of each pair a, -a mod N
+        units = [a for a in range(1, max(n // 2, 1) + 1) if gcd(a, n) == 1]
+    shears = range(n) if G1.family is Family.GAMMA_N else (0,)
+    reps = []
+    for a in units:
+        for b in shears:
+            if a == 1 and b == 0:
+                reps.append(I2)
+                continue
+            d = pow(a, -1, n * n) * (1 + n * b) % (n * n)
+            reps.append(GroupElement(a, (a * d - 1) // n, n, d))
+    expected = G1.psl2z_index() / G.psl2z_index()
+    if len(reps) != expected:
+        raise ValueError(f"coset enumeration failed: {len(reps)} != {expected}")
+    return tuple(reps)
+
+
+def level_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> Fraction:
+    """sum over tau in level_cosets(G1, G) of engine(tau g tau^-1), for g in
+    G1: the coset sum of symbols.lift_coset_sum over a level-N quotient."""
+    if not member(g, G1):
+        raise ValueError(f"{g} is not in {G1}")
+    return sum((engine(g.conjugate_by(tau)).rational
+                for tau in level_cosets(G1, G)), Fraction(0))
+
+
 def _phi_of(G: GroupId, cusp: Cusp, g: GroupElement, psi: Fraction) -> Fraction:
     h = g.conjugate_by(cusp.base_matrix().inverse())
     return psi + pi_over_volume(G) * sign(h.c * h.trace)
@@ -670,10 +715,10 @@ def phi_peel_core_cocycle(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
         phi_h = _phi_of(G, cusp, h, psi_h)
     else:
         hh = h if h.trace > 0 else -h
-        lifted = lift_coset_sum(
+        lifted = level_coset_sum(
             GroupId.gamma(n), G,
             lambda x: psi_gamma_conjugated(n, cusp, x), hh)
-        phi_h = _phi_of(G, cusp, h, lifted.rational)
+        phi_h = _phi_of(G, cusp, h, lifted)
     if j == 0:
         return phi_h
     ch = h.conjugate_by(binv).c
@@ -730,9 +775,9 @@ def psi_peel_lift_coset_sum(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolVa
     gk = g ** k               # positive trace, +-unipotent mod N
     j = gk.a * gk.b % n       # gk = +-h T^j with h in Gamma(N)
     if j == 0:
-        lifted = lift_coset_sum(GroupId.gamma(n), G,
-                                lambda x: psi_gamma_conjugated(n, cusp, x), gk)
-        return SymbolValue.exact(lifted.rational / k)
+        lifted = level_coset_sum(GroupId.gamma(n), G,
+                                 lambda x: psi_gamma_conjugated(n, cusp, x), gk)
+        return SymbolValue.exact(lifted / k)
     tj = T ** j
     h = gk * T ** (-j)
     binv = cusp.base_matrix().inverse()
@@ -808,7 +853,7 @@ def cusps_above(G: GroupId, cusp: Cusp) -> tuple:
     wa = w.apply_cusp(cusp)
     gamma_n = GroupId.gamma(n)
     above = {}                    # class key: [first cusp, coset count]
-    for tau in cosets(gamma_n, G):
+    for tau in level_cosets(gamma_n, G):
         c = tau.inverse().apply_cusp(wa)
         above.setdefault(_cusp_key(gamma_n, c), [c, 0])[1] += 1
     pv = pi_over_volume(G)
@@ -917,6 +962,48 @@ def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
         phi_g2 = psi2 + pv * sign(h2.c * h2.trace)
     phi_g = (phi_g2 + pv * sign(h.c * h.c * h2.c)) / 2
     return SymbolValue.exact(phi_g - pv * sign(h.c * h.trace))
+
+
+# Gamma0(2)+ and Gamma0(3)+ are conjugate to the Hecke triangle groups G_4
+# and G_6 (Rosen, Duke Math. J. 21, 1954), which are generated by torsion
+# and a translation, so the composition law fixes their Dedekind symbol: the
+# oracle for Gamma0(p)+ that shares no code with radsym's engines.
+def random_hecke_word(rng: random.Random, p: int, steps: int = 40) -> GroupElement:
+    """A seeded word in T^k, 0 < |k| <= 4, and W_p = [[0, -1], [p, 0]] of
+    scale p: an element of Gamma0(p)+ with e = p for an odd number of W_p."""
+    w, g = GroupElement(0, -1, p, 0, p), I2
+    for _ in range(rng.randint(1, steps)):
+        g = g * GroupElement(1, rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), 0, 1) * w
+    return g * GroupElement(1, rng.randint(-4, 4), 0, 1)
+
+
+def phi_hecke_walk(p: int, g: GroupElement, pi_over_v=None,
+                   phi_w=Fraction(0)) -> Fraction:
+    """Phi_inf(g) on Gamma0(p)+, p = 2 or 3, by GroupElement arithmetic alone.
+
+    Reduce: left-multiply g by T^-k with |a - k c| <= |c|/2, then by W_p^-1,
+    until c = 0; each round takes |c|^2/e down by the factor p/4, and the
+    end is +-T^m.  So g = T^k1 W_p T^k2 W_p ... T^m, and the composition law
+    Phi(g1 g2) = Phi(g1) + Phi(g2) - (pi/V) sign(c1 c2 c3) is folded back up
+    the word with Phi(+-T^m) = b/d, Phi(W_p) = 0 (W_p is an involution) and
+    pi/V = p/(p - 1).  pi_over_v and phi_w replace the last two.
+    """
+    kappa = Fraction(p, p - 1) if pi_over_v is None else pi_over_v
+    w = GroupElement(0, -1, p, 0, p)
+    w_inv = w.inverse()
+    shifts = []
+    while g.c:
+        k = round(Fraction(g.a, g.c))
+        g = w_inv * (GroupElement(1, -k, 0, 1) * g)
+        shifts.append(k)
+    phi = Fraction(g.b, g.d)
+    for k in reversed(shifts):
+        h = w * g
+        x = w.c * g.c * h.c
+        phi += phi_w - kappa * ((x > 0) - (x < 0))
+        phi += k                    # T^k has c = 0: no sign term
+        g = GroupElement(1, k, 0, 1) * h
+    return phi
 
 
 def phi_elliptic_recursion(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:

@@ -43,6 +43,7 @@ from conftest import (
     cusp_t_orbits,
     cusp_width_search,
     gamma0_key_unit_loop,
+    level_cosets,
     member_by_congruences,
     random_in_group,
     random_principal,
@@ -288,7 +289,7 @@ def test_cusp_stabilizer_generator():
 def test_coset_counts():
     assert len(cosets(GroupId.gamma(2), GroupId.sl2z())) == 6
     assert len(cosets(GroupId.gamma0(11), GroupId.sl2z())) == 12
-    assert len(cosets(GroupId.gamma(4), GroupId.gamma0(4))) == \
+    assert len(level_cosets(GroupId.gamma(4), GroupId.gamma0(4))) == \
         GroupId.gamma(4).psl2z_index() // GroupId.gamma0(4).psl2z_index()
     with pytest.raises(ValueError):
         cosets(GroupId.gamma0(11), GroupId.gamma0_plus(11))
@@ -302,16 +303,18 @@ def test_cosets_are_distinct():
             assert not member(r * reps[sdx].inverse(), G1)
 
 
-@pytest.mark.parametrize("inner, outer", [
-    (GroupId.gamma, GroupId.gamma1),
-    (GroupId.gamma, GroupId.gamma0),
-    (GroupId.gamma1, GroupId.gamma0),
+@pytest.mark.parametrize("inner, outer, quotient", [
+    (GroupId.gamma, GroupId.gamma1, level_cosets),
+    (GroupId.gamma, GroupId.gamma0, level_cosets),
+    (GroupId.gamma1, GroupId.gamma0, cosets),
 ], ids=["gamma-gamma1", "gamma-gamma0", "gamma1-gamma0"])
-def test_level_cosets(inner, outer):
-    # representatives read off mod N: in G, one per coset of G1
+def test_level_cosets(inner, outer, quotient):
+    # representatives read off mod N: in G, one per coset of G1; only
+    # Gamma1(N) <= Gamma0(N) is enumerated by radsym, the Gamma(N) quotients
+    # by the test oracle
     for N in range(1, 31):
         G1, G = inner(N), outer(N)
-        reps = cosets(G1, G)
+        reps = quotient(G1, G)
         assert len(reps) == G1.psl2z_index() / G.psl2z_index()
         for i, r in enumerate(reps):
             assert member(r, G)
@@ -482,6 +485,8 @@ def test_coset_table_is_cached_and_refuses_other_families():
 @pytest.mark.parametrize("G1, G", [
     (GroupId.gamma0(6), GroupId.gamma1(6)),
     (GroupId.gamma0_plus(6), GroupId.sl2z()),
+    (GroupId.gamma(4), GroupId.gamma0(4)),
+    (GroupId.gamma(6), GroupId.gamma1(6)),
 ], ids=str)
 def test_cosets_refuses_unsupported_containment(G1, G):
     with pytest.raises(ValueError, match=re.escape(f"unsupported containment {G1} <= {G}")):
@@ -489,9 +494,17 @@ def test_cosets_refuses_unsupported_containment(G1, G):
 
 
 def test_level_cosets_build_no_gamma_table(coset_table_reads):
-    G1 = GroupId.gamma(36)
-    cosets.__wrapped__(G1, GroupId.gamma0(36))
-    assert G1 not in coset_table_reads
+    # Gamma1(36) <= Gamma0(36) is read off mod N: no table of either group
+    cosets.__wrapped__(GroupId.gamma1(36), GroupId.gamma0(36))
+    assert coset_table_reads == []
+
+
+def test_gamma1_cosets_in_gamma0_match_level_oracle():
+    # the one level quotient radsym enumerates, against the enumerator of
+    # all three level-N quotients that the test oracles keep
+    for N in range(1, 61):
+        G1, G = GroupId.gamma1(N), GroupId.gamma0(N)
+        assert cosets(G1, G) == level_cosets(G1, G), N
 
 
 def test_parabolic_symbol_builds_no_gamma_table(coset_table_reads):

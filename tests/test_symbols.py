@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ from radsym.modgroup import (
     atkin_lehner_exponents,
     classify,
     coset_table,
-    cosets,
     cusps,
     member,
     schreier_generators,
@@ -52,6 +52,8 @@ from radsym.symbols import (
 from conftest import (
     bernoulli2_bar,
     gamma0_basis_by_class,
+    level_coset_sum,
+    level_cosets,
     level_sawtooth_direct,
     level_sawtooth_unreduced,
     phi_elliptic_recursion,
@@ -61,6 +63,8 @@ from conftest import (
     psi_old_route,
     psi_peel_lift_coset_sum,
     psi_peel_lift_cocycle,
+    phi_hecke_walk,
+    random_hecke_word,
     random_in_group,
     random_sl2z,
     random_principal,
@@ -691,13 +695,13 @@ def test_coset_sum_independent_of_representatives(n, rng):
     G1 = GroupId.gamma(n)
     for G in (GroupId.gamma1(n), GroupId.gamma0(n)):
         filtered = [r for r in coset_table(G1).reps if member(r, G)]
-        assert len(filtered) == len(cosets(G1, G))
+        assert len(filtered) == len(level_cosets(G1, G))
         for _ in range(3):
             g = random_principal_hyperbolic(rng, n)
-            lifted = lift_coset_sum(G1, G, lambda x: psi_general(G1, INF, x), g)
+            lifted = level_coset_sum(G1, G, lambda x: psi_general(G1, INF, x), g)
             direct = sum((psi_general(G1, INF, g.conjugate_by(tau)).rational
                           for tau in filtered), Fraction(0))
-            assert lifted.rational == direct
+            assert lifted == direct
 
 
 def test_coset_sum_recovers_classical_level19():
@@ -738,6 +742,14 @@ def test_coset_sum_rejects_outsiders():
         lift_coset_sum(GroupId.gamma(2), GroupId.sl2z(),
                        lambda x: psi_general(GroupId.gamma(2), INF, x),
                        GroupElement(2, 1, 1, 1))
+
+
+def test_coset_sum_refuses_level_quotients_of_gamma(rng):
+    # no route lifts through Gamma(N) <= Gamma0(N): cosets refuses the pair
+    G1, G = GroupId.gamma(4), GroupId.gamma0(4)
+    g = random_principal_hyperbolic(rng, 4)
+    with pytest.raises(ValueError, match=re.escape(f"unsupported containment {G1} <= {G}")):
+        lift_coset_sum(G1, G, lambda x: psi_general(G1, INF, x), g)
 
 
 # -- Gamma0(N): two independent exact engines -------------------------------
@@ -893,6 +905,28 @@ def test_gamma0_plus_fricke_elements(rng):
         if abs(classify_trace(g)) > 2:
             h = random_in_group(rng, GroupId.gamma0(n), 2)
             assert psi_general(Gp, INF, g.conjugate_by(h)).rational == a
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_gamma0_plus_matches_hecke_walk(p, rng):
+    # Gamma0(p)+ is conjugate to the Hecke group G_4 (p = 2) or G_6 (p = 3):
+    # the composition-law walk, which reads no engine, against phi_general
+    # on 600 seeded words in T^k and W_p, about half of them of scale p
+    G = GroupId.gamma0_plus(p)
+    words = [random_hecke_word(rng, p) for _ in range(600)]
+    assert 200 < sum(g.e == p for g in words) < 400
+    expect = [phi_general(G, INF, g).rational for g in words]
+    assert [phi_hecke_walk(p, g) for g in words] == expect
+    # a doubled pi/V or Phi(W_p) = 1/2 fails on most of the words
+    for mutant in ({"pi_over_v": Fraction(2 * p, p - 1)}, {"phi_w": Fraction(1, 2)}):
+        misses = sum(phi_hecke_walk(p, g, **mutant) != x for g, x in zip(words, expect))
+        assert misses > len(words) // 2, mutant
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_gamma0_plus_pi_over_volume_is_that_of_the_hecke_group(p):
+    # pi/V = q/(q - 2) on G_q: 2 on G_4, 3/2 on G_6
+    assert pi_over_volume(GroupId.gamma0_plus(p)) == Fraction(p, p - 1)
 
 
 def deep_gamma0(rng, n, digits):
