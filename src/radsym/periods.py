@@ -11,7 +11,9 @@ classical modular function theory:
   period of the closed geodesic the integrand is periodic and analytic in
   a strip, and a nested trapezoidal sum converges geometrically; it starts
   at the least power of two n >= max(4, 2L) (L the translation length), so
-  that the shorter period of a k-th power is not aliased.  The window of
+  that the shorter period of a k-th power is not aliased, and doubles n
+  until its error estimate is within tol, or until two sums agree to the
+  rounding term when tol lies below what doubling can reach.  The window of
   one period is centered on the apex of the axis, so the arc dips only to
   Im z ~ 1/|c| (not 1/(|c| t), t the trace) and the rounding term is
   4 L e^{L/2} eps.  One kernel evaluates E2* on both routes, with the
@@ -46,7 +48,6 @@ from .modgroup import (
     GroupElement,
     GroupId,
     Motion,
-    S,
     classify,
     cusp_class_index,
     cusps,
@@ -121,13 +122,15 @@ def phi_from_eta(g: GroupElement, tol: float = 1e-6) -> int:
 # the completed weight-2 Eisenstein series
 
 
-@functools.lru_cache(maxsize=8)
-def _sigma1_ints(limit: int):
-    s = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        for m in range(d, limit + 1, d):
+@functools.lru_cache(maxsize=256)
+def _sigma1_descending(terms: int) -> tuple:
+    """sigma1(terms), ..., sigma1(1): the q-series coefficients of E2 in the
+    order in which Horner's rule reads them."""
+    s = [0] * (terms + 1)
+    for d in range(1, terms + 1):
+        for m in range(d, terms + 1, d):
             s[m] += d
-    return s
+    return tuple(s[terms:0:-1])
 
 
 def _reduce_to_fundamental(z):
@@ -193,7 +196,7 @@ def _e2_star(z, k: _Kernel):
     terms = int(k.cut / (2 * math.pi * float(zr.imag))) + 1
     # sum_{n <= terms} sigma1(n) q^n by Horner's rule
     acc = 0
-    for s in _sigma1_ints(terms)[terms:0:-1]:
+    for s in _sigma1_descending(terms):
         acc = (acc + s) * q
     star = 1 - 24 * acc - 3 / (k.pi * zr.imag)
     j = c * z + d
@@ -221,35 +224,37 @@ def _raise_axis(g: GroupElement):
     when its modulus squared (a^2 + d^2 - 2)/(2c^2) is at least 1; if not,
     the ends of the axis have a product -b/c of modulus below 1, and S
     takes c to -b with |b| < |c|, so the steps end."""
-    if g.c == 0:
+    a, b, c, d = g.entries()
+    if c == 0:
         raise ValueError("axis undefined for c = 0 (cusp at infinity)")
     while True:
-        a, _b, c, d = g.entries()
-        # k = floor((a - d)/(2c) + 1/2), and T^-k moves the center by -k
+        # k = floor((a - d)/(2c) + 1/2), and T^-k g T^k moves the center by -k
         k = (a - d + c) // (2 * c)
-        g = g.conjugate_by(GroupElement(1, -k, 0, 1))
-        a, _b, c, d = g.entries()
+        a, b, d = a - k * c, b + k * (a - d) - k * k * c, d + k * c
         if a * a + d * d - 2 >= 2 * c * c:
-            return g
-        g = g.conjugate_by(S)
+            return GroupElement(a, b, c, d)
+        # S g S^-1
+        a, b, c, d = d, -c, -b, a
 
 
 # past this many trapezoidal nodes the error estimate stands as it is
 _MAX_NODES = 1 << 16
 
 # hardware floats carry no guard bits, and the rounding term 4 L e^{L/2} 2^-52
-# covers their error with less room on long geodesics: forced onto floats,
-# the worst true/estimate ratio over 1200 seeded elements was 0.09 for
-# L < 12, 0.41 for 12 <= L < 16 and 0.47 beyond
+# covers their error with less room on long geodesics: forced onto floats at
+# the tightest tol that keeps 15 digits, the worst true/estimate ratio over
+# 1200 seeded elements was 0.04 for L < 12, 0.48 for 12 <= L < 16 and 0.16
+# beyond
 _FLOAT_MAX_LENGTH = 12
 
 
 def _geodesic_trapezoid(k: _Kernel, g: GroupElement, length: float, round_err,
                         tol: float):
     """The nested trapezoidal sums of E2*(z) dz over one period of the axis
-    of g, with the kernel k; returns the last sum and its distance from the
-    one before.  Doubles the nodes until the two agree to round_err (see
-    ``period_numeric``)."""
+    of g, with the kernel k; returns the last sum as a float and its error
+    estimate (see ``period_numeric``).  Doubles the nodes until that
+    estimate is at most tol, or until the two last sums agree to round_err,
+    past which doubling gains nothing."""
     ctx, cosh, tanh, cplx = k.ctx, k.cosh, k.tanh, k.complex
     a, b, c, d = g.entries()
     tr = g.trace
@@ -290,12 +295,14 @@ def _geodesic_trapezoid(k: _Kernel, g: GroupElement, length: float, round_err,
         n *= 2
         prev, val = val, u1 * total / n
         quad_err = abs(val - prev)
+        value = complex(val).real
+        float_err = abs(value) * 2.0 ** -52
+        err = float(quad_err + round_err) + float_err
         # a value known to within its float rounding, which alone
         # exceeds tol, fails the check in period_numeric at any n
-        float_err = abs(val.real) * 2.0 ** -52
-        if (quad_err <= round_err or n >= _MAX_NODES
+        if (err <= tol or quad_err <= round_err or n >= _MAX_NODES
                 or (float_err > tol and quad_err <= float_err)):
-            return val, quad_err
+            return value, err
 
 
 @dataclass(frozen=True)
@@ -334,8 +341,12 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> NumericPeriod:
     integrand the trapezoidal rule converges geometrically; it starts at
     the least power of two n >= max(4, 2L), so that a k-th power
     (k <= L/1.92, period u1/k) is not aliased, and doubles n, reusing every
-    node, until two sums agree to the rounding term.  E2* is summed by
-    Horner's rule to a q-series cut whose tail stays below 10^-dps.
+    node, until the reported error below is at most tol; a tol that the
+    rounding term leaves out of reach stops the doubling once two sums
+    agree to that term.  Each doubling roughly squares the quadrature
+    error, so the difference of the last two sums bounds the error of the
+    last with room to spare.  E2* is summed by Horner's rule to a q-series
+    cut whose tail stays below 10^-dps.
 
     The reported error is an estimate: the difference of the last two
     trapezoidal sums, the working precision's rounding (amplified by the
@@ -380,8 +391,8 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> NumericPeriod:
     if dps == 15 and length < _FLOAT_MAX_LENGTH:
         ctx = mpmath.fp
         round_err = 4 * length * ctx.exp(length / 2) * ctx.eps
-        val, quad_err = _geodesic_trapezoid(_kernel(ctx), g, length, round_err,
-                                            tol)
+        value, err = _geodesic_trapezoid(_kernel(ctx), g, length, round_err,
+                                         tol)
     else:
         with mpmath.workdps(dps):
             round_err = 4 * length * mpmath.exp(length / 2) * mpmath.eps
@@ -390,10 +401,8 @@ def period_numeric(g: GroupElement, tol: float = 1e-10) -> NumericPeriod:
             # dps digits, the error of the trace -55 period of
             # [[-2110, 149519], [-29, 2055]] reached 1.5 round_err
             with mpmath.workprec(mpmath.mp.prec + 20):
-                val, quad_err = _geodesic_trapezoid(_kernel(mpmath.mp), g,
-                                                    length, round_err, tol)
-    value = complex(val).real
-    err = float(quad_err + round_err) + abs(value) * 2.0 ** -52
+                value, err = _geodesic_trapezoid(_kernel(mpmath.mp), g,
+                                                 length, round_err, tol)
     if err > tol:
         raise ValueError(f"period error estimate {err:.3g} exceeds tol = {tol:.3g}")
     return NumericPeriod(value, err)

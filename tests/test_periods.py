@@ -240,6 +240,18 @@ def test_period_numeric_precision_follows_tol(quad_dps, quad_contexts):
     assert quad_dps == [16, 25] and set(quad_contexts) == {"mp"}
 
 
+def test_period_numeric_stops_at_tol(quad_contexts):
+    # the first doubling whose estimate is within tol ends the quadrature:
+    # 64 and 16 nodes, where two sums agreeing to the rounding term took
+    # 128 and 32
+    for g, nodes in ((GroupElement(6, 563, 1, 94), 64),
+                     (GroupElement(2, 3, 1, 2), 16)):
+        quad_contexts.clear()
+        p = period_numeric(g, 1e-8)
+        assert len(quad_contexts) == nodes, g
+        assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= 1e-8, g
+
+
 def test_period_numeric_refuses_hopeless_values_before_quadrature(quad_contexts):
     # Psi = 2a - 3, whose float rounding |Psi| 2^-52 is about 4.4e154: the
     # bound |Psi| >= |t|/|c| - |c| - 3 refuses it without evaluating the
@@ -299,6 +311,21 @@ def test_period_numeric_error_is_honest_on_long_geodesics():
         for tol in (math.inf, 1e6):
             p = period_numeric(g, tol)
             assert abs(Fraction(p.approx) - (2 * a - 3)) <= p.error <= tol, (a, tol)
+
+
+def test_period_numeric_error_is_honest_at_loose_tol(quad_contexts):
+    # a loose tol ends the quadrature at the first doubling, on the
+    # difference of two coarse sums; traces below 400 run on floats at each
+    # of these tol, traces up to 20000 on mpmath.mp
+    rng = random.Random(20261020)
+    for tol in (1.0, 1e-2, 1e-4, 1e-6):
+        quad_contexts.clear()
+        for _ in range(40):
+            g = _element_with(rng, rng.choice((1, -1)), rng.choice((1, -1)),
+                              tmax=rng.choice((400, 20000)))
+            p = period_numeric(g, tol)
+            assert abs(Fraction(p.approx) - psi_classical(g)) <= p.error <= tol, (g, tol)
+        assert set(quad_contexts) == {"fp", "mp"}, tol
 
 
 def test_period_numeric_float_route_is_honest(quad_contexts):
@@ -384,6 +411,41 @@ def test_translation_length_and_axis_on_huge_entries():
         g, z = _reduce_to_fundamental(mpmath.mpc(10 ** 40 + mpmath.mpf(0.3), 2))
         assert abs(z - mpmath.mpc(0.3, 2)) < 1e-15
         assert g == (1, -10 ** 40, 0, 1)
+
+
+def _raise_axis_by_conjugation(g: GroupElement) -> GroupElement:
+    """_raise_axis as GroupElement conjugations by T^-k and S: the reference
+    for its steps on the integer entries."""
+    while True:
+        a, _b, c, d = g.entries()
+        k = (a - d + c) // (2 * c)
+        g = g.conjugate_by(GroupElement(1, -k, 0, 1))
+        a, _b, c, d = g.entries()
+        if a * a + d * d - 2 >= 2 * c * c:
+            return g
+        g = g.conjugate_by(S)
+
+
+def test_raise_axis_matches_conjugation():
+    # long axes far off 0, and short axes conjugated by long words, which
+    # take many S steps; entries up to about 10^200
+    rng = random.Random(20261021)
+    elements = []
+    while len(elements) < 200:
+        c = rng.choice((1, -1)) * rng.randrange(1, 10 ** rng.randint(1, 100))
+        a = rng.randrange(-10 ** 100, 10 ** 100)
+        if math.gcd(a, c) != 1:
+            continue
+        d = pow(a, -1, abs(c))
+        d += (rng.randrange(-10 ** 100, 10 ** 100) - a - d) // c * c
+        if abs(a + d) > 2:
+            elements.append(GroupElement(a, (a * d - 1) // c, c, d))
+    while len(elements) < 400:
+        g = random_hyperbolic_sl2z(rng).conjugate_by(random_sl2z(rng, 200))
+        if g.c != 0:
+            elements.append(g)
+    for g in elements:
+        assert _raise_axis(g) == _raise_axis_by_conjugation(g), g
 
 
 def test_import_leaves_mpmath_unloaded():
