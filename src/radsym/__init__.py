@@ -1,6 +1,6 @@
-"""radsym: Dedekind sums, Rademacher symbols on modular groups (closed forms
-on elliptic and parabolic elements), periods of cuspidal differentials, and
-Manin-Drinfeld torsion certificates.
+"""radsym: Dedekind sums, Rademacher symbols on modular groups (one engine
+call on every element of infinite order, a closed form on elliptic ones),
+periods of cuspidal differentials, and Manin-Drinfeld torsion certificates.
 
 Highlights
     dedekind_sum, phi_classical, psi_classical  -- exact classical arithmetic

@@ -576,20 +576,6 @@ def cusp_stabilizer_generator(G: GroupId, c: Cusp) -> GroupElement:
     return base * T ** cusp_width(G, c) * base.inverse()
 
 
-def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
-    """Write a parabolic g as +-(stabilizer generator)^k; returns (cusp, k)."""
-    # t^2 / e is unchanged by dividing out the content
-    if g.trace * g.trace != 4 * g.e or g.is_identity():
-        raise ValueError("element is not parabolic")
-    c = Cusp.infinity() if g.c == 0 else Cusp(g.a - g.d, 2 * g.c)  # fixed point
-    h = g.conjugate_by(c.base_matrix().inverse())   # +-T^t
-    t = h.b * h.d                           # translation length, sign included
-    w = cusp_width(G, c)
-    if t % w != 0:
-        raise ValueError(f"{g} is not a power of the stabilizer generator of {c}")
-    return c, t // w
-
-
 # ---------------------------------------------------------------------------
 # coset representatives between groups
 

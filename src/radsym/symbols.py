@@ -46,9 +46,13 @@ some k, Psi(g) = Psi(g^k)/k, and Psi(g^k) is a sum over the
 Gamma1(N)-classes above b.  The symbols run on integer entries, and their
 terms are added over one integer denominator into one Fraction; a
 SymbolValue has no arithmetic, so every sum of symbols adds Fractions and
-builds one SymbolValue.  An Atkin-Lehner element of Gamma0(N)+ is
-evaluated through its square.  Elliptic and parabolic symbols need no
-engine: they are closed forms of the composition law.
+builds one SymbolValue.
+
+Every element of infinite order, parabolic ones included, goes to its
+family's engine as given, and so do +-I and the Atkin-Lehner elements of
+Gamma0(N)+, read on their raw entries.  Only an elliptic symbol is a
+closed form of the composition law, since the lift route's power g^k of
+an elliptic g may be +-I.
 """
 
 from __future__ import annotations
@@ -72,10 +76,8 @@ from .modgroup import (
     atkin_lehner,
     classify,
     cosets,
-    cusp_equivalent,
     cusp_width,
     member,
-    parabolic_power,
 )
 
 
@@ -215,8 +217,11 @@ def _weight_record(n: int, row, k1: Fraction):
 
 def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
     """sum_{0 < j < |c|} j w_j ((aj/c)) for an even weight row w mod n, with
-    n >= 2, n | c and gcd(a, c) = 1, as integers (numerator, denominator):
-    the sawtooth term of the one formula that _psi_weighted assembles.
+    n >= 2, n | c and gcd(A, |c|/n) = 1 for A = a sign(c) mod |c|, as
+    integers (numerator, denominator): the sawtooth term of the one formula
+    that _psi_weighted assembles.  gcd(a, c) = 1 at determinant 1; an
+    Atkin-Lehner element with a = e a', d = e d', c = N c' has
+    e a'd' - (N/e) b c' = 1 from its determinant, so gcd(a, c/N) = 1.
     tables and pairs are those of the row's _weight_record; the descent
     caches in pairs the pair sums
     sum_r C[r] u[alpha r] u[beta r] = 4n^2 D sum_r w_r ((alpha r/n)) ((beta r/n)),
@@ -224,7 +229,7 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
     u[0] = u[n/2] = 0, so the terms at r and n - r are equal and the pair
     sum is twice its part over 0 < r < n/2.
 
-    With m = |c| = nM and A = a sign(c) mod m, the residue-r part is
+    With m = |c| = nM, the residue-r part is
     S_r = m (s(A, M; 0, r/n) + ((Ar/n))/2), where
 
         s(h, k; x, y) = sum_{mu mod k} ((h(mu + y)/k + x)) (((mu + y)/k))
@@ -249,13 +254,18 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
     denominator divides M h k (observed at every step, not proved, so a
     remainder raises ArithmeticError), and the integers stay O(log |c|)
     bits.  Moving from the pair (H, k) to (h, k) with h = H mod k scales
-    the numerator by M h k / (M H k) = h / H.
+    the numerator by M h k / (M H k) = h / H.  At A = 0, where den would be
+    0, gcd(A, M) = 1 forces M = 1, so n | a, every ((aj/c)) is
+    ((integer)) = 0 and the sum is 0: only an Atkin-Lehner element with
+    |c| = N and N | a has it.
     """
     m = abs(c)
     if m % n:
         raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
     C, D, u, B = tables
     A = a * sign(c) % m
+    if A == 0:
+        return 0, 1
     M = m // n
     den, num = M * A * M, 0
     h, k, alpha, beta, sg = A, M, 0, 1, 1
@@ -295,7 +305,10 @@ def _psi_weighted(n: int, rec, a: int, b: int, c: int, d: int) -> tuple[int, int
               - (12/|c|) sum_{0 < j < |c|} j w_j ((aj/c)),
 
     and K1 b d at c = 0, as integers (numerator, denominator): one _descent,
-    and the terms added over its denominator times |c| K."""
+    and the terms added over its denominator times |c| K.  On the raw
+    entries of an Atkin-Lehner element g of Gamma0(N)+ (scale e > 1) it
+    gives Psi(g^2)/2 = Psi(g), as the composition-law oracle of the tests
+    confirms, so no element is squared."""
     tables, pairs, e1, e0, K = rec
     if c == 0:
         return e1 * b * d, K
@@ -354,25 +367,21 @@ def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolVa
 
 
 def psi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Rademacher symbol Psi_a(g) on G, dispatching on group family and
-    motion class.  Parabolic g = +-(stabilizer generator of b)^k has symbol
-    k when b is equivalent to a, else 0; elliptic g of order m has
+    """Rademacher symbol Psi_a(g) on G.  An elliptic g of order m has
     -(2/m) (pi/V) sign(c t), the solution of 0 = Phi(g^m) by the
-    composition law, with c and t read off the cusp-normalized conjugate."""
+    composition law, with c and t read off the cusp-normalized conjugate;
+    every other g, of either sign, goes to its family's engine as given.
+    The engines' formulas hold on every element of infinite order: they
+    give +-(stabilizer generator of b)^k the symbol k when b is equivalent
+    to a and 0 otherwise, 0 at +-I, and Psi(g) on an Atkin-Lehner element g
+    of Gamma0(N)+.  Elliptic g stays on the closed form because the lift
+    route takes a power g^k, which may be +-I."""
     if not member(g, G):
         raise ValueError(f"{g} is not in {G}")
     cls = classify(g)
-    if cls.tag is Motion.HYPERBOLIC:
-        # normalize to positive trace (Psi(-g) = Psi(g))
-        return _psi_hyperbolic(G, cusp, g if g.trace > 0 else -g)
     if cls.tag is Motion.ELLIPTIC:
-        value = -2 * _sign_term(G, cusp, g) / cls.order
-    elif cls.tag is Motion.PARABOLIC:
-        fixed, k = parabolic_power(G, g)
-        value = k if cusp_equivalent(G, fixed, cusp) else 0
-    else:                                 # the identity
-        value = 0
-    return SymbolValue.exact(value)
+        return SymbolValue.exact(-2 * _sign_term(G, cusp, g) / cls.order)
+    return _psi_engine(G, cusp, g)
 
 
 def phi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
@@ -389,7 +398,7 @@ def _sign_term(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
     return pi_over_volume(G) * sign(c * g.trace)
 
 
-def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
+def _psi_engine(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     n = G.level
     fam = G.family
     if fam is Family.SL2Z or n == 1:
@@ -401,7 +410,8 @@ def _psi_hyperbolic(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     if fam in (Family.GAMMA_N, Family.GAMMA0_N, Family.GAMMA1_N):
         return _psi_lift(G, cusp, g)
     if fam is Family.GAMMA0N_PLUS:
-        return _psi_gamma0_plus(n, g)
+        return SymbolValue.exact(
+            Fraction(*_psi_weighted(n, _gamma0_plus_weight(n), *g.entries())))
     raise ValueError(f"unsupported group {G}")
 
 
@@ -522,8 +532,8 @@ def _int_mul(x, y):
 
 
 def _psi_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Psi_a(g) for hyperbolic g in Gamma(N), Gamma1(N) or Gamma0(N),
-    N >= 2, on integer 4-tuples: the terms of _lift_record, each
+    """Psi_a(g) for g of infinite order in Gamma(N), Gamma1(N) or Gamma0(N),
+    N >= 2, or +-I, on integer 4-tuples: the terms of _lift_record, each
     _psi_weighted on its record at its conjugate of g^k, added with the
     weight m and divided by k.
 
@@ -566,24 +576,15 @@ def _gamma0_plus_weight(n: int):
     """The _weight_record of Gamma0(N)+: the divisor basis (e, c_e) with
     weight 1 at every d | N gives the even weight row
     w_r = sum_{e | gcd(r, N)} c_e mod N, with w_0 = sum_e c_e, and
-    K1 = sum_e e c_e."""
+    K1 = sum_e e c_e.
+
+    Psi on Gamma0(N)+, at its one cusp class, is sum_a Psi^{Gamma0(N)}_a on
+    Gamma0(N), the symbol of that basis (N is squarefree, so each d is one
+    class): sum_e c_e psi_classical([[a, eb], [c/e, d]]), which is
+    _psi_weighted on this row.  s(a, |c|/e) is the part of
+    sum_j ((j/|c|)) ((aj/|c|)) over j = 0 mod e, and j = |c| ((j/|c|)) + |c|/2
+    for 0 < j < |c|, where the 1/2 part cancels under j -> |c| - j because
+    w is even."""
     basis = _gamma0_basis(n, (1,) * len(_divisors(n)))
     row = [sum(ce for e, ce in basis if r % e == 0) for r in range(n)]
     return _weight_record(n, row, sum(e * ce for e, ce in basis))
-
-
-def _psi_gamma0_plus(n: int, g: GroupElement) -> SymbolValue:
-    """Psi on Gamma0(N)+, at its one cusp class: sum_a Psi^{Gamma0(N)}_a on
-    Gamma0(N), the symbol of the divisor basis (e, c_e) with weight 1 at
-    every d | N (N is squarefree, so each d is one class).  That is
-    sum_e c_e psi_classical([[a, eb], [c/e, d]]), which is _psi_weighted on
-    the row of _gamma0_plus_weight: s(a, |c|/e) is the part of
-    sum_j ((j/|c|)) ((aj/|c|)) over j = 0 mod e, and j = |c| ((j/|c|)) + |c|/2
-    for 0 < j < |c|, where the 1/2 part cancels under j -> |c| - j because
-    w is even.  An Atkin-Lehner element (e > 1) is Psi(g^2)/2, with
-    g^2 = e h for h a hyperbolic element of Gamma0(N) of positive trace."""
-    half = 1
-    if g.e > 1:
-        g, half = g * g, 2                # the product divides out the content e
-    num, den = _psi_weighted(n, _gamma0_plus_weight(n), *g.entries())
-    return SymbolValue.exact(Fraction(num, den * half))

@@ -27,6 +27,7 @@ from radsym.modgroup import (
     classify,
     coset_table,
     cusp_equivalent,
+    cusp_width,
     cusps,
     member,
 )
@@ -42,6 +43,24 @@ from radsym.symbols import (
     psi_general,
     takada_C_row_exact,
 )
+
+
+# The parabolic closed form Psi_a(+-(stabilizer generator of b)^k) = k when
+# b is equivalent to a, else 0: no route of radsym reads it, since
+# psi_general sends a parabolic g to its family's engine, and it is the
+# oracle for that engine.
+def parabolic_power(G: GroupId, g: GroupElement) -> tuple[Cusp, int]:
+    """Write a parabolic g as +-(stabilizer generator)^k; returns (cusp, k)."""
+    # t^2 / e is unchanged by dividing out the content
+    if g.trace * g.trace != 4 * g.e or g.is_identity():
+        raise ValueError("element is not parabolic")
+    c = Cusp.infinity() if g.c == 0 else Cusp(g.a - g.d, 2 * g.c)  # fixed point
+    h = g.conjugate_by(c.base_matrix().inverse())   # +-T^t
+    t = h.b * h.d                           # translation length, sign included
+    w = cusp_width(G, c)
+    if t % w != 0:
+        raise ValueError(f"{g} is not a power of the stabilizer generator of {c}")
+    return c, t // w
 
 
 def random_sl2z(rng: random.Random, steps: int = 8) -> GroupElement:
@@ -783,9 +802,12 @@ def psi_peel_lift_coset_sum(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolVa
     binv = cusp.base_matrix().inverse()
     c3 = (h.conjugate_by(binv).c * tj.conjugate_by(binv).c
           * gk.conjugate_by(binv).c)
+    # Phi(T^j) by the parabolic closed form, not by the engine, which tests
+    # replace with this oracle
+    fixed, kt = parabolic_power(G, tj)
+    phi_t = (kt if cusp_equivalent(G, fixed, cusp) else 0) + _sign_term(G, cusp, tj)
     # Phi(h T^j) = Phi(h) + Phi(T^j) - (pi/V) sign(c_h c_T c_gk)
-    phi = (phi_general(G, cusp, h).rational
-           + phi_general(G, cusp, tj).rational)
+    phi = phi_general(G, cusp, h).rational + phi_t
     psi = phi - pi_over_volume(G) * sign(c3) - _sign_term(G, cusp, gk)
     return SymbolValue.exact(psi / k)
 
@@ -933,7 +955,7 @@ def psi_gamma0_plus_lift(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi on Gamma0(N)+ of g in Gamma0(N) as the coset sum
     sum_w Psi^{Gamma0(N)}_a(w g w^{-1}) over the Atkin-Lehner involutions
     W_e: the oracle for the all-cusps divisor weighting in
-    symbols._psi_gamma0_plus."""
+    symbols._gamma0_plus_weight."""
     G0 = GroupId.gamma0(n)
     return SymbolValue.exact(sum(
         psi_general(G0, cusp, g.conjugate_by(atkin_lehner(n, e))).rational
@@ -943,7 +965,8 @@ def psi_gamma0_plus_lift(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
 def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi on Gamma0(N)+, with an Atkin-Lehner element g unwound from
     Phi(g^2) through one composition-law step: the oracle for the
-    homogeneity route Psi(g^2)/2 in symbols._psi_gamma0_plus."""
+    Atkin-Lehner symbols that symbols._psi_weighted reads off the raw
+    entries."""
     Gp = GroupId.gamma0_plus(n)
     if g.e == 1:
         return psi_gamma0_plus_lift(n, cusp, g)

@@ -29,7 +29,6 @@ from radsym.modgroup import (
     cusp_width,
     cusps,
     member,
-    parabolic_power,
     parse_matrix,
     schreier_generators,
 )
@@ -45,6 +44,7 @@ from conftest import (
     gamma0_key_unit_loop,
     level_cosets,
     member_by_congruences,
+    parabolic_power,
     random_in_group,
     random_principal,
     random_sl2z,

@@ -23,7 +23,6 @@ from radsym.modgroup import (
     classify,
     cusp_class_index,
     cusps,
-    parabolic_power,
     schreier_generators,
 )
 from radsym.periods import (
@@ -48,6 +47,7 @@ from radsym.symbols import _psi_lift
 from conftest import (
     euler_phi,
     eta_quotient_order,
+    parabolic_power,
     random_hyperbolic_sl2z,
     random_in_group,
     random_sl2z,

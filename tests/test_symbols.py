@@ -21,6 +21,7 @@ from radsym.modgroup import (
     Family,
     GroupElement,
     GroupId,
+    I2,
     Motion,
     S,
     T,
@@ -29,6 +30,7 @@ from radsym.modgroup import (
     atkin_lehner_exponents,
     classify,
     coset_table,
+    cusp_stabilizer_generator,
     cusps,
     member,
     schreier_generators,
@@ -56,6 +58,7 @@ from conftest import (
     level_cosets,
     level_sawtooth_direct,
     level_sawtooth_unreduced,
+    parabolic_power,
     phi_elliptic_recursion,
     psi_gamma0_plus_cocycle,
     psi_gamma0_plus_lift,
@@ -528,6 +531,97 @@ def test_elliptic_closed_form_matches_recursion():
     assert checked >= 600
 
 
+def test_elliptic_symbol_at_a_split_cusp_keeps_the_closed_form():
+    # g has order 3, so the lift route's power g^3 is -I and its symbol 0;
+    # the closed form -(2/3)(pi/V) sign(c t) at 1/7 of Gamma0(49) is 1/28
+    G, g = GroupId.gamma0(49), GroupElement(-19, -7, 49, 18)
+    assert classify(g) == classify(S * T)
+    assert psi_general(G, Cusp(1, 7), g).rational == Fraction(1, 28)
+
+
+# -- one engine call on every element of infinite order ---------------------
+
+
+ONE_CALL_GROUPS = ([GroupId.gamma0(n) for n in range(2, 61)]
+                   + [GroupId.gamma1(n) for n in range(2, 31)]
+                   + [GroupId.gamma(n) for n in range(2, 13)]
+                   + [GroupId.gamma0_plus(n) for n in range(2, 211) if _squarefree(n)])
+
+
+def test_parabolic_symbols_match_the_closed_form():
+    # (stabilizer generator of b)^k, k in (1, -1, 2, -3, 5) in turn, itself
+    # or conjugated by an element of Gamma(N), and its negative where G
+    # holds it, against the closed form of conftest.parabolic_power at every
+    # cusp class: k at the class of b, 0 at every other
+    rng = random.Random(20261021)
+    drawn = checked = conjugated = negated = 0
+    for G in ONE_CALL_GROUPS:
+        n, reps = G.level, [cu for cu, _w in cusps(G)]
+        for b in reps:
+            drawn += 1
+            k = (1, -1, 2, -3, 5)[drawn % 5]
+            g = cusp_stabilizer_generator(G, b) ** k
+            if drawn % 2:
+                tau = (T ** (n * rng.choice((-2, -1, 1, 2)))
+                       * GroupElement(1, 0, n * rng.choice((-1, 1)), 1))
+                g, conjugated = g.conjugate_by(tau), conjugated + 1
+            if drawn % 3 == 1 and member(-g, G):
+                g, negated = -g, negated + 1
+            fixed, power = parabolic_power(G, g)
+            assert power == k and modgroup.cusp_equivalent(G, fixed, b), (G, b, g)
+            for a in reps:
+                expect = k if modgroup.cusp_equivalent(G, fixed, a) else 0
+                assert psi_general(G, a, g).rational == expect, (G, a, g)
+                checked += 1
+    assert checked > 10000 and conjugated > 500 and negated > 300
+
+
+def test_identity_symbols_vanish_at_every_cusp():
+    checked = 0
+    for G in ONE_CALL_GROUPS:
+        elems = [x for x in (I2, -I2) if member(x, G)]
+        for a, _w in cusps(G):
+            for x in elems:
+                assert psi_general(G, a, x).rational == 0, (G, a, x)
+                checked += 1
+    assert checked > 2000
+
+
+ATKIN_LEHNER_LEVELS = (2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 42, 66, 70, 105, 210, 2310)
+
+
+def test_atkin_lehner_symbols_match_cocycle_oracle():
+    # the raw entries of g in one weighted descent against Phi(g^2) unwound
+    # through Gamma0(N) symbols, at both trace signs, with the elements
+    # [[N x, N x y - 1], [N, N y]] of scale N, whose A = a sign(c) mod |c|
+    # is 0, among them
+    rng = random.Random(20261022)
+    checked = zero_a = 0
+    for n in ATKIN_LEHNER_LEVELS:
+        G = GroupId.gamma0_plus(n)
+        elems = [deep_atkin_lehner(rng, n, digits) for digits in (2, 3, 6, 20)]
+        while len(elems) < 8:
+            x, y = rng.randint(-4, 4), rng.randint(-4, 4)
+            if n * (x + y) ** 2 > 4:
+                elems.append(GroupElement(n * x, n * x * y - 1, n, n * y, n))
+        for g in elems:
+            for h in (g, -g):
+                assert member(h, G) and classify(h).tag is Motion.HYPERBOLIC
+                for cu in (INF, Cusp(0, 1)):
+                    assert psi_general(G, cu, h) == psi_gamma0_plus_cocycle(n, cu, h), \
+                        (n, cu, h)
+                    checked += 1
+                zero_a += h.a * sign(h.c) % abs(h.c) == 0
+    assert checked == 16 * 8 * 2 * 2 and zero_a >= 16 * 4 * 2
+
+
+def test_atkin_lehner_pin_with_a_zero_residue():
+    # a = 2N, c = N: the descent's A is 0, so the sawtooth sum is 0
+    G, g = GroupId.gamma0_plus(30), GroupElement(60, 119, 30, 60, 30)
+    assert psi_general(G, INF, g).rational == Fraction(11, 3)
+    assert phi_general(G, INF, g).rational == 4
+
+
 def test_symbol_value_arithmetic_is_exact_only():
     # a SymbolValue is exact and has no arithmetic: the sums that build one
     # add Fractions, and an approximation is another type that refuses to
@@ -963,14 +1057,15 @@ def test_gamma0_plus_descent_matches_divisor_sum():
         if not _squarefree(n):
             continue
         basis = symbols._gamma0_basis(n, (1,) * len(symbols._divisors(n)))
+        G, inf = GroupId.gamma0_plus(n), Cusp.infinity()
         for digits in (2, 4, 9, 20, 40):
             g = deep_gamma0(rng, n, digits)
             for x in (g, -g):
-                assert symbols._psi_gamma0_plus(n, x).rational \
+                assert psi_general(G, inf, x).rational \
                     == psi_gamma0_divisor(x, basis), (n, x)
             w = deep_atkin_lehner(rng, n, digits)
             for x in (w, -w):
-                assert symbols._psi_gamma0_plus(n, x).rational \
+                assert psi_general(G, inf, x).rational \
                     == psi_gamma0_divisor(x * x, basis) / 2, (n, x)
             checked += 4
     assert checked == 4 * 5 * 121     # 121 squarefree N in 2..200
