@@ -580,36 +580,15 @@ def cusp_stabilizer_generator(G: GroupId, c: Cusp) -> GroupElement:
 # coset representatives between groups
 
 
-@functools.lru_cache(maxsize=None)
 def cosets(G1: GroupId, G: GroupId) -> tuple:
-    """Representatives for G1 \\ G, for the pairs G1 <= G that a route
-    reads: G1 = G, any table family G1 in SL2(Z), and Gamma1(N) <=
-    Gamma0(N) at one level N.  Any other pair raises ValueError.
-
-    Within SL2(Z) the representatives are those of the coset table.
-    Gamma1(N) \\ Gamma0(N) is read off mod N, because the coset key defines
-    both groups: reduction onto SL2(Z/N) is surjective and they are the
-    preimages of the unipotent and the upper triangular subgroup, so the
-    quotient is the set of classes [[a, *], [0, 1/a]] mod N, one for each
-    pair of units +-a.  Each class is lifted to [[a, (a d - 1)/N], [N, d]]
-    with d = a^-1 mod N^2.
-    """
+    """Representatives for G1 \\ G: (I,) when G1 = G, and those of the
+    coset table of G1 when G = SL2(Z) and G1 is a table family.  Any other
+    pair raises ValueError."""
     if G1 == G:
         return (I2,)
     if G.family is Family.SL2Z and G1.family in _TABLE_FAMILIES:
         return coset_table(G1).reps
-    n = G.level
-    if (G1.family, G.family, G1.level) != (Family.GAMMA1_N, Family.GAMMA0_N, n):
-        raise ValueError(f"unsupported containment {G1} <= {G}")
-    reps = [I2]
-    for a in range(2, n // 2 + 1):        # one of each pair a, -a mod N
-        if gcd(a, n) == 1:
-            d = pow(a, -1, n * n)
-            reps.append(GroupElement(a, (a * d - 1) // n, n, d))
-    expected = G1.psl2z_index() / G.psl2z_index()
-    if len(reps) != expected:
-        raise ValueError(f"coset enumeration failed: {len(reps)} != {expected}")
-    return tuple(reps)
+    raise ValueError(f"unsupported containment {G1} <= {G}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,21 +32,21 @@ Gamma0(N)+ takes weight 1 at every d, since its Atkin-Lehner involutions
 permute the cusps of Gamma0(N) simply transitively, and its divisor sum is
 the one formula above.  Neither builds a coset table.
 
-Gamma(N), Gamma1(N) and the Gamma0(N) cusps that share gcd(q, N) with
-another class take one weighted descent per Gamma1(N)-class.  Every
-Atkin-Lehner matrix W_Q, Q || N, normalizes Gamma0(N) and +-Gamma1(N), so
+Gamma(N) and Gamma1(N) take one weighted descent per symbol.  Every
+Atkin-Lehner matrix W_Q, Q || N, normalizes +-Gamma1(N), so
 Psi_a(g) = Psi_b(W_Q g W_Q^-1) at b = W_Q a, with Q chosen so that N | q^2
 at b = p/q.  For the base matrix sigma = [[p, r], [q, s]] of b, every
 element of sigma^-1 Gamma1(N) sigma is then +-[[1/u, *], [0, u]] mod N with
 u = 1 mod gcd(q s, N), so its Eisenstein series at infinity is a sum of
 Gamma(N) series of which only u = +-1 has a constant term: one
 _psi_weighted on a row of sums of C_{N,j}, over the width of b.  Gamma(N)
-at any cusp is the case u = 1.  On Gamma0(N), g^k lies in +-Gamma1(N) for
-some k, Psi(g) = Psi(g^k)/k, and Psi(g^k) is a sum over the
-Gamma1(N)-classes above b.  The symbols run on integer entries, and their
-terms are added over one integer denominator into one Fraction; a
-SymbolValue has no arithmetic, so every sum of symbols adds Fractions and
-builds one SymbolValue.
+at any cusp is the case u = 1.  At a Gamma0(N) cusp a that shares
+gcd(q, N) with another class, g^k lies in +-Gamma1(N) for some k, and
+Psi(g) = Psi(g^k)/k is the coset sum of the Gamma1(N) symbols of g^k: one
+descent per Gamma1(N)-class above a, weighted by its cosets.  The symbols
+run on integer entries, and their terms are added over one integer
+denominator into one Fraction; a SymbolValue has no arithmetic, so every
+sum of symbols adds Fractions and builds one SymbolValue.
 
 Every element of infinite order, parabolic ones included, goes to its
 family's engine as given, and so do +-I and the Atkin-Lehner elements of
@@ -320,12 +320,12 @@ def _psi_weighted(n: int, rec, a: int, b: int, c: int, d: int) -> tuple[int, int
 
 def _to_infinity(base, g):
     """The entries of adj(base) g base, for integer 4-tuples
-    base = (p, r, q, s) and g = (a, b, c, d): at determinant 1, base^-1 g
+    base = (p, r, q, s) and g = (a, b, c, d): det(base) times base^-1 g
     base, the conjugate of g that moves the cusp p/q = base(inf) to
     infinity."""
     p, r, q, s = base
     a, b, c, d = g
-    x, y = s * a - r * c, s * b - r * d      # first row of base^-1 g
+    x, y = s * a - r * c, s * b - r * d      # first row of adj(base) g
     z, w = p * c - q * a, p * d - q * b      # second row
     return x * p + y * q, x * r + y * s, z * p + w * q, z * r + w * s
 
@@ -355,8 +355,8 @@ def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolVa
     """Psi^G(g) = sum over tau in G1\\G of Psi^{G1}(tau g tau^{-1}),
     for g in G1 hyperbolic of positive trace and G1 normal in G; the engine
     must return exact SymbolValues (not a NumericPeriod).  The cosets are
-    those of modgroup.cosets, so G1 <= G is one of its pairs, in practice
-    Gamma(N) <= SL2(Z); any other pair raises "unsupported containment".
+    those of modgroup.cosets, so G is SL2(Z) or G1; any other pair raises
+    "unsupported containment".
     """
     if not member(g, G1):
         raise ValueError(f"{g} is not in {G1}")
@@ -487,41 +487,46 @@ def _cusp_weight(n: int, g: int):
 
 @functools.lru_cache(maxsize=None)
 def _lift_record(G: GroupId, cusp: Cusp) -> tuple:
-    """The per-(group, cusp) constants of _psi_lift at the cusp a = p/q of
-    G = Gamma(N), Gamma1(N) or Gamma0(N), N >= 2, as (w, Q, terms, m):
-
-    - w, Q: the entries of W_Q = atkin_lehner(N, Q) and its determinant Q.
-      The symbols at a are evaluated at b = W_Q a.  With d = gcd(q, N), W_Q
-      sends the p-part of d to that of N_p / gcd(d, N_p) for each
-      prime-power part N_p || Q, so Q is the product of the N_p || N with
-      gcd(d, N_p)^2 < N_p, after which N | q_b^2.  Q = 1 (W_Q = I) at
-      infinity, Q = N at 0, and Q = 1 on Gamma(N), which is normal in
-      SL2(Z);
-    - terms: one (base entries, record) per Gamma1(N)-class b' above b, read
-      off the images tau^-1 b, tau in Gamma1(N)\\G (b alone on Gamma1(N)
-      and Gamma(N)), with the base matrix [[p', r'], [q', s']] of the first
-      member and its record _cusp_weight(N, gcd(q' s', N)) (N on Gamma(N));
-    - m: the weight of each term, the number of cosets that send b to its
-      class over the width of b on Gamma1(N); 1/N on Gamma(N).
-    """
+    """The constants of _psi_class at the cusp a = p/q of G = Gamma(N) or
+    Gamma1(N), N >= 2, as (base, Q, record, width): a is evaluated at
+    b = W_Q a, W_Q = atkin_lehner(N, Q), with the record
+    _cusp_weight(N, gcd(q' s', N)) of the base matrix [[p', r'], [q', s']]
+    of b, over the width of b; base = adj(W_Q) [[p', r'], [q', s']] sends
+    infinity to a.  With d = gcd(q, N), W_Q sends the p-part of d to that of
+    N_p / gcd(d, N_p) for each N_p || Q, so Q is the product of the
+    N_p || N with gcd(d, N_p)^2 < N_p, after which N | q'^2: 1 at infinity
+    and N at 0.  Gamma(N), normal in SL2(Z), takes Q = 1 and width N."""
     n = G.level
     if G.family is Family.GAMMA_N:
-        base = cusp.base_matrix().entries()
-        return (1, 0, 0, 1), 1, ((base, _cusp_weight(n, n)),), Fraction(1, n)
+        return cusp.base_matrix().entries(), 1, _cusp_weight(n, n), n
+    if G.family is not Family.GAMMA1_N:
+        raise ValueError(f"no lift record for {G}")
     d = gcd(cusp.q, n)
     Q = math.prod(n_p for _p, n_p in _prime_powers(n) if gcd(d, n_p) ** 2 < n_p)
     w = atkin_lehner(n, Q)
     b = w.apply_cusp(cusp)
+    sigma = b.base_matrix().entries()
+    x, y, z, t = w.entries()
+    return (_int_mul((t, -y, -z, x), sigma), Q,
+            _cusp_weight(n, gcd(sigma[2] * sigma[3], n)), cusp_width(G, b))
+
+
+@functools.lru_cache(maxsize=None)
+def _classes_above(n: int, cusp: Cusp) -> tuple:
+    """The Gamma1(N)-classes above the Gamma0(N) cusp a, one (member, n_c)
+    per class, n_c the number of cosets tau in Gamma1(N)\\Gamma0(N) with
+    tau^-1 a in the class: the ratio w_c / w_a of the widths.  The cosets
+    are the tau_u = [[u, (u v - 1)/N], [N, v]], v = u^-1 mod N, one per
+    pair of units +-u mod N: the two groups are the preimages of the
+    unipotent and the upper triangular subgroup of SL2(Z/N)."""
     gamma1 = GroupId.gamma1(n)
-    above = {}                            # class key: first member
-    taus = cosets(gamma1, G)
-    for tau in taus:
-        c = tau.inverse().apply_cusp(b)
-        above.setdefault(_cusp_key(gamma1, c), c)
-    bases = [c.base_matrix().entries() for c in above.values()]
-    terms = tuple((x, _cusp_weight(n, gcd(x[2] * x[3], n))) for x in bases)
-    return (w.entries(), Q, terms,
-            Fraction(len(taus) // len(terms)) / cusp_width(gamma1, b))
+    above = {}                            # class key: [first member, n_c]
+    for u in range(1, n // 2 + 1):
+        if gcd(u, n) == 1:
+            v = pow(u, -1, n)
+            c = GroupElement(v, (1 - u * v) // n, -n, u).apply_cusp(cusp)
+            above.setdefault(_cusp_key(gamma1, c), [c, 0])[1] += 1
+    return tuple((c, m) for c, m in above.values())
 
 
 def _int_mul(x, y):
@@ -531,44 +536,48 @@ def _int_mul(x, y):
     return a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
 
 
-def _psi_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Psi_a(g) for g of infinite order in Gamma(N), Gamma1(N) or Gamma0(N),
-    N >= 2, or +-I, on integer 4-tuples: the terms of _lift_record, each
-    _psi_weighted on its record at its conjugate of g^k, added with the
-    weight m and divided by k.
-
-    W_Q normalizes Gamma0(N) and +-Gamma1(N), so Psi_a(g) = Psi_b(W_Q g
-    adj(W_Q) / Q) at b = W_Q a, formed by exact division.  The least power
-    g^k whose top-left entry is +-1 mod N lies in +-Gamma1(N) (k = 1 on
-    Gamma(N) and Gamma1(N)), and Psi_b(g^k) = k Psi_b(g).  Up to sign the
-    unit a mod N has order k <= phi(N)/2, and g^k has about k times the
-    digits of g, so at a split Gamma0(N) cusp each term costs
-    O(k log |c|), not O(log |c|).  On Gamma0(N), Psi_b(g^k) is the coset
-    sum over tau in Gamma1(N)\\Gamma0(N) of Psi^{Gamma1(N)}_{tau^-1 b}(g^k),
-    a sum over the Gamma1(N)-classes b' above b.  With
-    sigma = [[p, r], [q, s]] the base matrix of b', N | q^2 and
+def _psi_class(G: GroupId, cusp: Cusp, g) -> tuple[int, int]:
+    """Psi_a(g) for an integer 4-tuple g in +-G, G = Gamma(N) or Gamma1(N),
+    N >= 2, as integers (numerator, denominator): one _psi_weighted on the
+    record of _lift_record at adj(base) g base / Q, over the width.
+    W_Q normalizes +-Gamma1(N), so Psi_a(g) = Psi_b(W_Q g W_Q^-1), and
+    adj(base) g base / Q, by exact division, moves b = W_Q a to infinity.
+    With sigma = [[p, r], [q, s]] the base matrix of b, N | q^2 and
     gamma = +-[[1, beta], [0, 1]] mod N, sigma^-1 gamma sigma has bottom
     row +-(-q^2 beta, 1 - q s beta) = +-(0, u) mod N with u = 1 mod
-    gcd(q s, N), so the Gamma1(N) symbol at b' is _psi_weighted on that
-    conjugate with the record of _cusp_weight, over the width of b'.  At a
-    b' with N not dividing q^2 the conjugate's c need not be 0 mod N, and
-    _descent refuses it.
-    """
+    gcd(q s, N): the Eisenstein series of _cusp_weight.  Where N does not
+    divide q^2 the conjugate's c need not be 0 mod N; _descent refuses it."""
+    base, Q, rec, width = _lift_record(G, cusp)
+    a, b, c, d = _to_infinity(base, g)
+    num, den = _psi_weighted(G.level, rec, a // Q, b // Q, c // Q, d // Q)
+    return num, den * width
+
+
+def _psi_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
+    """Psi_a(g) for g of infinite order in Gamma(N), Gamma1(N) or Gamma0(N),
+    N >= 2, or +-I: one _psi_class on Gamma(N) and Gamma1(N), and on
+    Gamma0(N) Psi_a(g) = (1/k) sum_c n_c Psi^{Gamma1(N)}_c(g^k) over the
+    classes and counts of _classes_above, since E_{2,a} of Gamma0(N) is the
+    sum over tau in Gamma1(N)\\Gamma0(N) of those of Gamma1(N) at tau^-1 a.
+    g^k, the least power with top-left entry +-1 mod N, lies in
+    +-Gamma1(N); k <= phi(N)/2 and g^k has about k times the digits of g,
+    so each class costs O(k log |c|).  The sum calls _psi_class itself,
+    not this function through its module name, which tests replace."""
     n = G.level
-    w, Q, terms, m = _lift_record(G, cusp)
-    p, q, r, s = w                    # base adj(W_Q): W_Q g adj(W_Q)
-    a, b, c, d = _to_infinity((s, -q, -r, p), g.entries())
-    ent = a // Q, b // Q, c // Q, d // Q
+    if G.family is not Family.GAMMA0_N:
+        return SymbolValue.exact(Fraction(*_psi_class(G, cusp, g.entries())))
     # c = 0 mod N, so the top-left entry of g^k is a^k mod N: g^k is formed
     # on the way to the least k with a^k = +-1
+    ent = g.entries()
     gk, k = ent, 1
     while gk[0] % n not in (1 % n, n - 1):
         gk, k = _int_mul(gk, ent), k + 1
+    gamma1 = GroupId.gamma1(n)
     num, den = 0, 1
-    for base, rec in terms:
-        pn, pd = _psi_weighted(n, rec, *_to_infinity(base, gk))
-        num, den = num * pd + pn * den, den * pd
-    return SymbolValue.exact(Fraction(num * m.numerator, den * m.denominator * k))
+    for c, m in _classes_above(n, cusp):
+        pn, pd = _psi_class(gamma1, c, gk)
+        num, den = num * pd + m * pn * den, den * pd
+    return SymbolValue.exact(Fraction(num, den * k))
 
 
 @functools.lru_cache(maxsize=None)

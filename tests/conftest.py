@@ -653,7 +653,8 @@ def psi_word(exponents) -> int:
 
 # The level-N quotients of Gamma(N) in Gamma1(N) and Gamma0(N), which no
 # route of radsym reads, for the coset-sum oracles below; the pair
-# Gamma1(N) <= Gamma0(N) is the reference for modgroup.cosets.
+# Gamma1(N) <= Gamma0(N) is the reference for the units loop of the lift
+# route, symbols._classes_above.
 @functools.lru_cache(maxsize=None)
 def level_cosets(G1: GroupId, G: GroupId) -> tuple:
     """Representatives for G1 \\ G for Gamma(N) <= Gamma1(N), Gamma(N) <=
@@ -966,7 +967,9 @@ def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     """Psi on Gamma0(N)+, with an Atkin-Lehner element g unwound from
     Phi(g^2) through one composition-law step: the oracle for the
     Atkin-Lehner symbols that symbols._psi_weighted reads off the raw
-    entries."""
+    entries.  g^2 lies in Gamma0(N), so Psi(g^2) is the coset sum of
+    psi_gamma0_plus_lift over the Gamma0(N) divisor sums, not the
+    _gamma0_plus_weight row that it checks."""
     Gp = GroupId.gamma0_plus(n)
     if g.e == 1:
         return psi_gamma0_plus_lift(n, cusp, g)
@@ -981,7 +984,7 @@ def psi_gamma0_plus_cocycle(n: int, cusp: Cusp, g: GroupElement) -> SymbolValue:
     elif cls2.tag is Motion.ELLIPTIC:
         phi_g2 = phi_general(Gp, cusp, g2).rational
     else:
-        psi2 = psi_general(Gp, cusp, g2).rational
+        psi2 = psi_gamma0_plus_lift(n, cusp, g2).rational
         phi_g2 = psi2 + pv * sign(h2.c * h2.trace)
     phi_g = (phi_g2 + pv * sign(h.c * h.c * h2.c)) / 2
     return SymbolValue.exact(phi_g - pv * sign(h.c * h.trace))

@@ -7,7 +7,7 @@ from math import gcd, prod
 
 import pytest
 
-from radsym import modgroup
+from radsym import modgroup, symbols
 from radsym.modgroup import (
     Cusp,
     Family,
@@ -18,6 +18,7 @@ from radsym.modgroup import (
     S,
     T,
     _coset_invariant,
+    _cusp_key,
     atkin_lehner,
     atkin_lehner_exponents,
     classify,
@@ -45,6 +46,7 @@ from conftest import (
     level_cosets,
     member_by_congruences,
     parabolic_power,
+    psi_peel_lift_cocycle,
     random_in_group,
     random_principal,
     random_sl2z,
@@ -303,18 +305,18 @@ def test_cosets_are_distinct():
             assert not member(r * reps[sdx].inverse(), G1)
 
 
-@pytest.mark.parametrize("inner, outer, quotient", [
-    (GroupId.gamma, GroupId.gamma1, level_cosets),
-    (GroupId.gamma, GroupId.gamma0, level_cosets),
-    (GroupId.gamma1, GroupId.gamma0, cosets),
+@pytest.mark.parametrize("inner, outer", [
+    (GroupId.gamma, GroupId.gamma1),
+    (GroupId.gamma, GroupId.gamma0),
+    (GroupId.gamma1, GroupId.gamma0),
 ], ids=["gamma-gamma1", "gamma-gamma0", "gamma1-gamma0"])
-def test_level_cosets(inner, outer, quotient):
-    # representatives read off mod N: in G, one per coset of G1; only
-    # Gamma1(N) <= Gamma0(N) is enumerated by radsym, the Gamma(N) quotients
-    # by the test oracle
+def test_level_cosets(inner, outer):
+    # the test oracle's representatives, read off mod N: in G, one per
+    # coset of G1; radsym enumerates none of these quotients, and the lift
+    # route's units loop is checked against the Gamma1(N) <= Gamma0(N) one
     for N in range(1, 31):
         G1, G = inner(N), outer(N)
-        reps = quotient(G1, G)
+        reps = level_cosets(G1, G)
         assert len(reps) == G1.psl2z_index() / G.psl2z_index()
         for i, r in enumerate(reps):
             assert member(r, G)
@@ -484,6 +486,7 @@ def test_coset_table_is_cached_and_refuses_other_families():
 
 @pytest.mark.parametrize("G1, G", [
     (GroupId.gamma0(6), GroupId.gamma1(6)),
+    (GroupId.gamma1(6), GroupId.gamma0(6)),
     (GroupId.gamma0_plus(6), GroupId.sl2z()),
     (GroupId.gamma(4), GroupId.gamma0(4)),
     (GroupId.gamma(6), GroupId.gamma1(6)),
@@ -494,17 +497,38 @@ def test_cosets_refuses_unsupported_containment(G1, G):
 
 
 def test_level_cosets_build_no_gamma_table(coset_table_reads):
-    # Gamma1(36) <= Gamma0(36) is read off mod N: no table of either group
-    cosets.__wrapped__(GroupId.gamma1(36), GroupId.gamma0(36))
+    # a symbol at the split cusp 1/6 of Gamma0(36), with k = 3, reads its
+    # Gamma1(36)-classes off mod N, cold: no coset table of any group
+    symbols._classes_above.cache_clear()
+    symbols._lift_record.cache_clear()
+    G, g = GroupId.gamma0(36), GroupElement(13, 9, 36, 25)
+    value = psi_general(G, Cusp(1, 6), g)
     assert coset_table_reads == []
+    assert value == psi_peel_lift_cocycle(G, Cusp(1, 6), g)
 
 
 def test_gamma1_cosets_in_gamma0_match_level_oracle():
-    # the one level quotient radsym enumerates, against the enumerator of
-    # all three level-N quotients that the test oracles keep
-    for N in range(1, 61):
+    # the units loop of the lift route, symbols._classes_above, against the
+    # images tau^-1 a over the oracle's cosets tau of Gamma1(N) in
+    # Gamma0(N): at every split cusp a of Gamma0(2..100) the same
+    # Gamma1(N)-classes with the same multiplicities, each the ratio
+    # w_c / w_a of the widths on Gamma1(N) and Gamma0(N)
+    checked = 0
+    for N in range(2, 101):
         G1, G = GroupId.gamma1(N), GroupId.gamma0(N)
-        assert cosets(G1, G) == level_cosets(G1, G), N
+        for a, width in cusps(G):
+            d = gcd(a.q, N)
+            if gcd(d, N // d) <= 2:
+                continue
+            oracle = collections.Counter(_cusp_key(G1, tau.inverse().apply_cusp(a))
+                                         for tau in level_cosets(G1, G))
+            above = symbols._classes_above(N, a)
+            assert {_cusp_key(G1, c): m for c, m in above} == oracle, (N, a)
+            assert len(above) == len(oracle), (N, a)
+            for c, m in above:
+                assert cusp_equivalent(G, c, a) and m == cusp_width(G1, c) // width, (N, a, c)
+            checked += 1
+    assert checked == 142
 
 
 def test_parabolic_symbol_builds_no_gamma_table(coset_table_reads):

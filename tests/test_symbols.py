@@ -1234,6 +1234,32 @@ def split_cusps(n):
     return out
 
 
+def lift_terms(G, cu):
+    """(H, c, n_c, Q, sigma) for each term of the lift route at cu: the
+    Gamma1(N)-classes c of symbols._classes_above with their counts n_c on
+    Gamma0(N), and cu itself, counted once, on H = G = Gamma(N) or
+    Gamma1(N); Q from the record of c, and sigma the base matrix of the cusp
+    W_Q c that it evaluates, read back from the record's base
+    adj(W_Q) sigma."""
+    n = G.level
+    classes = ([(GroupId.gamma1(n), c, m) for c, m in symbols._classes_above(n, cu)]
+               if G.family is Family.GAMMA0_N else [(G, cu, 1)])
+    out = []
+    for H, c, m in classes:
+        base, Q = symbols._lift_record(H, c)[:2]
+        sigma = atkin_lehner(n, Q) * GroupElement(*base, Q)
+        out.append((H, c, m, Q, sigma.entries()))
+    return out
+
+
+def lift_q(G, cu):
+    """The Q || N of the Atkin-Lehner transport at cu, which every class
+    above a Gamma0(N) cusp shares, since they share gcd(q, N)."""
+    qs = {Q for _H, _c, _m, Q, _sigma in lift_terms(G, cu)}
+    assert len(qs) == 1, (G, cu, qs)
+    return qs.pop()
+
+
 def test_lift_route_matches_coset_sum(monkeypatch):
     # every cusp of Gamma1(2..30) and every split cusp of Gamma0(9..36): the
     # engine against the peel-lift whose Gamma(N) power takes the full coset
@@ -1279,9 +1305,8 @@ def test_lift_route_matches_the_old_route():
     for G, cu, g in cases:
         expect = psi_old_route(G, cu, g)
         assert psi_general(G, cu, g) == psi_general(G, cu, -g) == expect, (G, cu, g)
-        terms = symbols._lift_record(G, cu)[2]
-        multi_u += any(math.gcd(base[2] * base[3], G.level) < G.level
-                       for base, _rec in terms)
+        multi_u += any(math.gcd(sigma[2] * sigma[3], G.level) < G.level
+                       for *_x, sigma in lift_terms(G, cu))
         powers += g.a % G.level not in (1 % G.level, G.level - 1)
     assert (len(cases), multi_u, powers) == (1160, 322, 46)
 
@@ -1404,7 +1429,7 @@ def atkin_lehner_frame(G, cu, g):
     """(W_Q cu, W_Q g W_Q^-1): the cusp and element at which the lift route
     evaluates Psi_cu(g), for the Q || N of its record, by GroupElement
     conjugation."""
-    w = atkin_lehner(G.level, symbols._lift_record(G, cu)[1])
+    w = atkin_lehner(G.level, lift_q(G, cu))
     return w.apply_cusp(cu), g.conjugate_by(w)
 
 
@@ -1452,20 +1477,26 @@ def test_lift_route_takes_the_fewest_classes_at_every_cusp():
     # gcd(q, N)^2 < N alone took 4,247, and 2,154 over the split cusps of
     # Gamma0(2..100), where no transport took 5,342.  There N | q^2 for
     # W_Q a = p/q, and the lift route takes one term, one descent, per
-    # Gamma1(N)-class above W_Q a: 1,999 over those cusps of Gamma1(N), one
-    # each, and 482 over those of Gamma0(N)
+    # Gamma1(N)-class above a, evaluated at its image under W_Q: 1,999 over
+    # those cusps of Gamma1(N), one each, and 482 over those of Gamma0(N),
+    # whose classes above W_Q a hold the Gamma(N)-cusps counted
     cases = [(GroupId.gamma1(n), cu) for n in range(2, 61)
              for cu, _w in cusps(GroupId.gamma1(n))]
     cases += [(GroupId.gamma0(n), cu) for n in range(2, 101) for cu in split_cusps(n)]
     classes, terms = collections.Counter(), collections.Counter()
     for G, cu in cases:
         n = G.level
-        w, Q, record_terms = symbols._lift_record(G, cu)[:3]
-        wa = atkin_lehner(n, Q).apply_cusp(cu)
-        assert w == atkin_lehner(n, Q).entries() and wa.q ** 2 % n == 0, (G, cu)
+        Q, record_terms = lift_q(G, cu), lift_terms(G, cu)
+        w = atkin_lehner(n, Q)
+        wa = w.apply_cusp(cu)
+        assert wa.q ** 2 % n == 0, (G, cu)
+        for _H, c, _m, _Q, sigma in record_terms:
+            assert sigma == w.apply_cusp(c).base_matrix().entries(), (G, cu, c)
         least = min(classes_above(G, atkin_lehner(n, e).apply_cusp(cu))
                     for e in atkin_lehner_exponents(n))
         assert classes_above(G, wa) == least == fewest_classes(G, cu), (G, cu)
+        assert least == sum(classes_above(H, w.apply_cusp(c))
+                            for H, c, *_x in record_terms), (G, cu)
         assert len(record_terms) == gamma1_classes(G, cu), (G, cu)
         classes[G.family] += least
         terms[G.family] += len(record_terms)
@@ -1536,11 +1567,14 @@ def test_gamma1_zero_minus_infinity_takes_two_descents_per_generator(monkeypatch
 
 def test_lift_route_at_the_irregular_cusp_of_gamma1_4(monkeypatch):
     # 1/2 has width 1 on Gamma1(4), fixed by -base T base^-1, where
-    # Gamma(4) has width 4: its one term has the weight 1 / 1, and its base
-    # matrix [[1, 0], [2, 1]] gives g = gcd(2, 4) = 2, U = {1, 3} = {+-1}
+    # Gamma(4) has width 4: its record has Q = 1, the width 1, and the base
+    # matrix [[1, 0], [2, 1]], which gives g = gcd(2, 4) = 2,
+    # U = {1, 3} = {+-1}; a Gamma0(N) cusp has no record, only its classes
     G, half = GroupId.gamma1(4), Cusp(1, 2)
     assert symbols._lift_record(G, half) == (
-        (1, 0, 0, 1), 1, (((1, 0, 2, 1), symbols._cusp_weight(4, 2)),), 1)
+        (1, 0, 2, 1), 1, symbols._cusp_weight(4, 2), 1)
+    with pytest.raises(ValueError, match=re.escape("no lift record for Gamma0(4)")):
+        symbols._lift_record(GroupId.gamma0(4), half)
     rng = random.Random(20261108)
     cases = [(G, half, random_hyperbolic(rng, G, 6)) for _ in range(40)]
     cases += [(G, cu, -g) for G, cu, g in cases]
@@ -1650,7 +1684,7 @@ def test_fricke_transport_matches_coset_sum_at_every_cusp(monkeypatch):
         n, d = G.level, math.gcd(cu.q, G.level)
         parts = [e for e in atkin_lehner_exponents(n)
                  if len(modgroup._prime_powers(e)) == 1]
-        Q = symbols._lift_record(G, cu)[1]
+        Q = lift_q(G, cu)
         assert Q == math.prod(e for e in parts if math.gcd(d, e) ** 2 < e), (G, cu)
         transported[G.family, "none" if Q == 1 else "all" if Q == n else "part"] += 1
     assert transported == {
