@@ -1,7 +1,7 @@
 """Rademacher symbols on congruence subgroups.
 
 Shows the width-normalized cusp convention, the exact level-N engine, the
-coset-sum identity down to SL2(Z), and symbols on Gamma0(N)+.
+cusp-sum identity down to SL2(Z), and symbols on Gamma0(N)+.
 """
 
 from fractions import Fraction
@@ -10,11 +10,11 @@ from radsym import (
     Cusp,
     GroupElement,
     GroupId,
-    lift_coset_sum,
+    cusps,
+    phi_general,
     psi_classical,
     psi_general,
     takada_C_row_exact,
-    takada_phi,
 )
 
 INF = Cusp.infinity()
@@ -22,7 +22,7 @@ INF = Cusp.infinity()
 print("== Width-normalized convention ==")
 T = GroupElement(1, 1, 0, 1)
 for n in [2, 5]:
-    v = takada_phi(n, T ** n)
+    v = phi_general(GroupId.gamma(n), INF, T ** n)
     print(f"Gamma({n}): symbol of the stabilizer generator T^{n} at inf = {v}")
 
 print()
@@ -39,12 +39,15 @@ for t in range(4):
     print(f"sum_b C_{{7,b}} B2bar({t}b/7) = {value}")
 
 print()
-print("== Coset-sum identity: Gamma(2) symbols assemble the classical one ==")
-g = GroupElement(3, 2, 4, 3)
-total = lift_coset_sum(GroupId.gamma(2), GroupId.sl2z(),
-                       lambda x: psi_general(GroupId.gamma(2), INF, x), g)
-print(f"sum over the 6 cosets of Psi^Gamma(2)(t g t^-1) = {total}")
-print(f"classical Psi(g)                                = {psi_classical(g)}")
+print("== Cusp-sum identity: the symbols at every cusp assemble the classical one ==")
+g = GroupElement(-80, -711, -9, -80)       # in Gamma(9), so in all three groups
+G = GroupId.gamma0(9)
+for cu, w in cusps(G):
+    print(f"Gamma0(9) at {cu} (width {w}): Psi = {psi_general(G, cu, g)}")
+for G in [GroupId.gamma(9), GroupId.gamma1(9), G]:
+    total = sum(w * psi_general(G, cu, g).rational for cu, w in cusps(G))
+    print(f"sum of w_b Psi_b(g) over the {len(cusps(G))} cusps of {G} = {total}")
+print(f"classical Psi(g) = {psi_classical(g)}")
 
 print()
 print("== Symbols at both cusps of Gamma0(11), and on Gamma0(11)+ ==")

@@ -51,7 +51,6 @@ from .periods import (
     x0_period_exact,
 )
 from .symbols import (
-    lift_coset_sum,
     phi_general,
     psi_general,
 )
@@ -265,25 +264,28 @@ def _suite_cocycle(args):
     return failures
 
 
-def _suite_coset_sum(args):
+def _suite_cusp_sum(args):
+    """sum_b w_b Psi^G_b(g) = psi_classical(g) over the cusp classes b of G
+    and their widths w_b, for w in Gamma(N): on w in G = Gamma(N), w T in
+    Gamma1(N), and w tau_u in Gamma0(N), tau_u = [[u, (uv - 1)/N], [N, v]]
+    with u a unit and v = u^-1 mod N, whose top-left entry u makes the lift
+    route at a split cusp take a power g^k with k > 1."""
     rng = random.Random(args.seed)
     n = 2 if args.level is None else args.level
-    G1 = GroupId.gamma(n)
+    groups = (GroupId.gamma(n), GroupId.gamma1(n), GroupId.gamma0(n))
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
     failures = []
-    trials = 0
-    while trials < max(5, args.count // 50):
-        g = _rand_subgroup(rng, G1)
-        if abs(g.trace) <= 2:
-            continue
-        trials += 1
-        if g.trace < 0:
-            g = -g
-        lifted = lift_coset_sum(G1, GroupId.sl2z(),
-                                lambda x: psi_general(G1, Cusp.infinity(), x),
-                                g)
-        target = psi_classical(g)
-        if lifted.rational != target:
-            failures.append((g, str(lifted), target))
+    for _ in range(max(5, args.count // 50)):
+        w = _rand_subgroup(rng, groups[0])
+        u = rng.choice(units)
+        v = pow(u, -1, n)
+        tau = GroupElement(u, (u * v - 1) // n, n, v)
+        for G, g in zip(groups, (w, w * T, w * tau)):
+            total = sum(width * psi_general(G, cu, g).rational
+                        for cu, width in cusps(G))
+            target = psi_classical(g)
+            if total != target:
+                failures.append((str(G), str(g), str(total), str(target)))
     return failures
 
 
@@ -329,7 +331,7 @@ def _suite_oracle_consistency(args):
 _SUITES = {
     "reciprocity": _suite_reciprocity,
     "cocycle": _suite_cocycle,
-    "coset-sum": _suite_coset_sum,
+    "cusp-sum": _suite_cusp_sum,
     "lemma": _suite_lemma,
     "oracle-consistency": _suite_oracle_consistency,
 }
@@ -337,7 +339,7 @@ _SUITES = {
 _SUITE_FLAGS = {
     "reciprocity": ("count",),
     "cocycle": ("seed", "count"),
-    "coset-sum": ("level", "seed", "count"),
+    "cusp-sum": ("level", "seed", "count"),
     "lemma": ("tol", "seed", "count"),
     "oracle-consistency": ("level",),
 }
@@ -436,14 +438,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a built-in consistency suite")
     sp.add_argument("suite", choices=sorted(_SUITES))
     sp.add_argument("--level", type=int, default=None,
-                    help="coset-sum and oracle-consistency only")
+                    help="cusp-sum and oracle-consistency only")
     sp.add_argument("--tol", type=float, default=None,
                     help="lemma only (default 1e-8)")
     sp.add_argument("--seed", type=int, default=None,
-                    help="cocycle, coset-sum and lemma (default 20260101)")
+                    help="cocycle, cusp-sum and lemma (default 20260101)")
     sp.add_argument("--count", type=int, default=None,
                     help="reciprocity checks every c <= count, cocycle runs count "
-                         "trials, coset-sum max(5, count // 50) and lemma "
+                         "trials, cusp-sum max(5, count // 50) and lemma "
                          "max(10, count // 100) (default 500)")
     add_common(sp)
     sp.set_defaults(fn=_cmd_verify)

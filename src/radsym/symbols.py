@@ -12,9 +12,9 @@ mod N, cached as one record.  Gamma(N) at infinity takes w_j = C_{N,j}/mu
 and K1 = 1/N, with mu its projective index and C_{N,j} the even row whose
 constant terms sum_b C_b B2bar(tb/N) are mu/(6N^2) at t = +-1 and 0 at
 every other t: the unique solution of one square integer system in the
-values 6N^2 B2bar(k/N).  Gamma0(N)+ takes
-w_j = sum_{e | gcd(j, N)} c_e and K1 = sum_e e c_e for its divisor basis
-(e, c_e).  takada_phi is phi_general on Gamma(N) at infinity, Psi +
+values 6N^2 B2bar(k/N).  Gamma0(N)+ takes w_j = tau(gcd(j, N))/psi(N),
+tau the number of divisors and psi(N) = prod_{p | N} (p + 1), and K1 = 1.
+takada_phi is phi_general on Gamma(N) at infinity, Psi +
 3 w_0 sign(c (a+d)); at N = 1, where the descent does not run, psi_general
 and takada_phi are the classical symbols.
 The sawtooth sum splits by residue class mod N into Rademacher's shifted
@@ -22,15 +22,16 @@ Dedekind sums, which one Euclid descent on (a, |c|/N) evaluates through
 their reciprocity law, so every value is exact and costs O(log |c|) at any
 size of c.
 
-The Gamma0 family takes one divisor-basis solve, with one weight per
+Gamma0(N) takes one divisor-basis solve, with one weight per
 divisor d of N for the cusps p/q with gcd(q, N) = d.  Those cusps are the
 phi(gcd(d, N/d)) classes a/d, a a unit mod gcd(d, N/d), so a Gamma0(N) cusp
 has a basis, the indicator of its d, exactly when gcd(d, N/d) <= 2: always
 at 0 and infinity, and at every cusp for squarefree N.  A Gamma0(N) symbol
 is the divisor sum sum_e c_e psi_classical([[a, eb], [c/e, d]]).
 Gamma0(N)+ takes weight 1 at every d, since its Atkin-Lehner involutions
-permute the cusps of Gamma0(N) simply transitively, and its divisor sum is
-the one formula above.  Neither builds a coset table.
+permute the cusps of Gamma0(N) simply transitively; that basis is
+c_e = 1/psi(N), and its divisor sum the one formula above.  Neither builds
+a coset table.
 
 Gamma(N) and Gamma1(N) take one weighted descent per symbol.  Every
 Atkin-Lehner matrix W_Q, Q || N, normalizes +-Gamma1(N), so
@@ -48,11 +49,11 @@ run on integer entries, and their terms are added over one integer
 denominator into one Fraction; a SymbolValue has no arithmetic, so every
 sum of symbols adds Fractions and builds one SymbolValue.
 
-Every element of infinite order, parabolic ones included, goes to its
-family's engine as given, and so do +-I and the Atkin-Lehner elements of
-Gamma0(N)+, read on their raw entries.  Only an elliptic symbol is a
-closed form of the composition law, since the lift route's power g^k of
-an elliptic g may be +-I.
+Every element goes to its family's engine as given, the Atkin-Lehner
+elements of Gamma0(N)+ read on their raw entries.  The one closed form is
+at a split Gamma0(N) cusp: where the power g^k is +-I, g is elliptic of
+order k, or +-I, and its symbol is -(2/k) (pi/V) sign(c t) by the
+composition law.
 """
 
 from __future__ import annotations
@@ -69,12 +70,10 @@ from .modgroup import (
     Family,
     GroupElement,
     GroupId,
-    Motion,
     _cusp_key,
     _divisors,
     _prime_powers,
     atkin_lehner,
-    classify,
     cosets,
     cusp_width,
     member,
@@ -367,21 +366,25 @@ def lift_coset_sum(G1: GroupId, G: GroupId, engine, g: GroupElement) -> SymbolVa
 
 
 def psi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Rademacher symbol Psi_a(g) on G.  An elliptic g of order m has
-    -(2/m) (pi/V) sign(c t), the solution of 0 = Phi(g^m) by the
-    composition law, with c and t read off the cusp-normalized conjugate;
-    every other g, of either sign, goes to its family's engine as given.
-    The engines' formulas hold on every element of infinite order: they
-    give +-(stabilizer generator of b)^k the symbol k when b is equivalent
-    to a and 0 otherwise, 0 at +-I, and Psi(g) on an Atkin-Lehner element g
-    of Gamma0(N)+.  Elliptic g stays on the closed form because the lift
-    route takes a power g^k, which may be +-I."""
+    """Rademacher symbol Psi_a(g) on G: one membership check, then g, of
+    either sign, goes as given to its family's engine, whose formula holds
+    on every element: +-(stabilizer generator of b)^k has the symbol k when
+    b is equivalent to a and 0 otherwise, +-I has 0, an elliptic g of order
+    m has -(2/m) (pi/V) sign(c t), and an Atkin-Lehner element g of
+    Gamma0(N)+ has Psi(g)."""
     if not member(g, G):
         raise ValueError(f"{g} is not in {G}")
-    cls = classify(g)
-    if cls.tag is Motion.ELLIPTIC:
-        return SymbolValue.exact(-2 * _sign_term(G, cusp, g) / cls.order)
-    return _psi_engine(G, cusp, g)
+    n, fam = G.level, G.family
+    if fam is Family.SL2Z or n == 1:
+        return SymbolValue.exact(psi_classical(g))
+    if fam is Family.GAMMA0_N:
+        basis = gamma0_cusp_basis(n, cusp)
+        if basis is not None:
+            return SymbolValue.exact(psi_gamma0_divisor(g, basis))
+    if fam is Family.GAMMA0N_PLUS:
+        return SymbolValue.exact(
+            Fraction(*_psi_weighted(n, _gamma0_plus_weight(n), *g.entries())))
+    return _psi_lift(G, cusp, g)
 
 
 def phi_general(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
@@ -396,23 +399,6 @@ def _sign_term(G: GroupId, cusp: Cusp, g: GroupElement) -> Fraction:
     difference Phi_a(g) - Psi_a(g)."""
     c = _to_infinity(cusp.base_matrix().entries(), g.entries())[2]
     return pi_over_volume(G) * sign(c * g.trace)
-
-
-def _psi_engine(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    n = G.level
-    fam = G.family
-    if fam is Family.SL2Z or n == 1:
-        return SymbolValue.exact(psi_classical(g))
-    if fam is Family.GAMMA0_N:
-        basis = gamma0_cusp_basis(n, cusp)
-        if basis is not None:
-            return SymbolValue.exact(psi_gamma0_divisor(g, basis))
-    if fam in (Family.GAMMA_N, Family.GAMMA0_N, Family.GAMMA1_N):
-        return _psi_lift(G, cusp, g)
-    if fam is Family.GAMMA0N_PLUS:
-        return SymbolValue.exact(
-            Fraction(*_psi_weighted(n, _gamma0_plus_weight(n), *g.entries())))
-    raise ValueError(f"unsupported group {G}")
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +540,20 @@ def _psi_class(G: GroupId, cusp: Cusp, g) -> tuple[int, int]:
 
 
 def _psi_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
-    """Psi_a(g) for g of infinite order in Gamma(N), Gamma1(N) or Gamma0(N),
-    N >= 2, or +-I: one _psi_class on Gamma(N) and Gamma1(N), and on
-    Gamma0(N) Psi_a(g) = (1/k) sum_c n_c Psi^{Gamma1(N)}_c(g^k) over the
-    classes and counts of _classes_above, since E_{2,a} of Gamma0(N) is the
-    sum over tau in Gamma1(N)\\Gamma0(N) of those of Gamma1(N) at tau^-1 a.
+    """Psi_a(g) for g in Gamma(N), Gamma1(N) or Gamma0(N), N >= 2: one
+    _psi_class on Gamma(N) and Gamma1(N), and on Gamma0(N)
+    Psi_a(g) = (1/k) sum_c n_c Psi^{Gamma1(N)}_c(g^k) over the classes and
+    counts of _classes_above, since E_{2,a} of Gamma0(N) is the sum over
+    tau in Gamma1(N)\\Gamma0(N) of those of Gamma1(N) at tau^-1 a.
     g^k, the least power with top-left entry +-1 mod N, lies in
     +-Gamma1(N); k <= phi(N)/2 and g^k has about k times the digits of g,
-    so each class costs O(k log |c|).  The sum calls _psi_class itself,
-    not this function through its module name, which tests replace."""
+    so each class costs O(k log |c|).  A split cusp needs N >= 9, and
+    Gamma1(N) is torsion-free for N >= 4, so g^k = +-I exactly when g is
+    elliptic of order k, or +-I with k = 1: then Psi_a(g) is the closed form
+    -(2/k) (pi/V) sign(c t) of the composition law, 0 = Phi(g^k), with c
+    and t read off the cusp-normalized conjugate of g (0 at +-I).  The sum
+    calls _psi_class itself, not this function through its module name,
+    which tests replace."""
     n = G.level
     if G.family is not Family.GAMMA0_N:
         return SymbolValue.exact(Fraction(*_psi_class(G, cusp, g.entries())))
@@ -572,6 +563,8 @@ def _psi_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
     gk, k = ent, 1
     while gk[0] % n not in (1 % n, n - 1):
         gk, k = _int_mul(gk, ent), k + 1
+    if gk[1] == gk[2] == 0:
+        return SymbolValue.exact(-2 * _sign_term(G, cusp, g) / k)
     gamma1 = GroupId.gamma1(n)
     num, den = 0, 1
     for c, m in _classes_above(n, cusp):
@@ -582,18 +575,21 @@ def _psi_lift(G: GroupId, cusp: Cusp, g: GroupElement) -> SymbolValue:
 
 @functools.lru_cache(maxsize=None)
 def _gamma0_plus_weight(n: int):
-    """The _weight_record of Gamma0(N)+: the divisor basis (e, c_e) with
-    weight 1 at every d | N gives the even weight row
-    w_r = sum_{e | gcd(r, N)} c_e mod N, with w_0 = sum_e c_e, and
-    K1 = sum_e e c_e.
+    """The _weight_record of Gamma0(N)+, N squarefree: the even weight row
+    w_r = tau(gcd(r, N))/psi(N) mod N, tau the number of divisors and
+    psi(N) = prod_{p | N} (p + 1) the index of Gamma0(N), with K1 = 1.
 
     Psi on Gamma0(N)+, at its one cusp class, is sum_a Psi^{Gamma0(N)}_a on
-    Gamma0(N), the symbol of that basis (N is squarefree, so each d is one
-    class): sum_e c_e psi_classical([[a, eb], [c/e, d]]), which is
-    _psi_weighted on this row.  s(a, |c|/e) is the part of
-    sum_j ((j/|c|)) ((aj/|c|)) over j = 0 mod e, and j = |c| ((j/|c|)) + |c|/2
-    for 0 < j < |c|, where the 1/2 part cancels under j -> |c| - j because
-    w is even."""
-    basis = _gamma0_basis(n, (1,) * len(_divisors(n)))
-    row = [sum(ce for e, ce in basis if r % e == 0) for r in range(n)]
-    return _weight_record(n, row, sum(e * ce for e, ce in basis))
+    Gamma0(N), the symbol of the divisor basis (e, c_e) with weight 1 at
+    every d | N (N is squarefree, so each d is one class):
+    sum_e c_e psi_classical([[a, eb], [c/e, d]]), which is _psi_weighted on
+    w_r = sum_{e | gcd(r, N)} c_e with K1 = sum_e e c_e.  s(a, |c|/e) is the
+    part of sum_j ((j/|c|)) ((aj/|c|)) over j = 0 mod e, and
+    j = |c| ((j/|c|)) + |c|/2 for 0 < j < |c|, where the 1/2 part cancels
+    under j -> |c| - j because w is even.  The system of _gamma0_basis is
+    the tensor product over p | N of [[p, 1], [1, p]], of row sums psi(N),
+    so c_e = 1/psi(N) at every e and K1 = sigma(N)/psi(N) = 1."""
+    divs = _divisors(n)
+    psi = GroupId.gamma0(n).psl2z_index()
+    return _weight_record(
+        n, [sum(r % e == 0 for e in divs) / psi for r in range(n)], Fraction(1))

@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from radsym import modgroup
+from radsym import modgroup, symbols
 from radsym.dedekind import pi_over_volume, sign
 from radsym.modgroup import (
     Cusp,
@@ -21,6 +21,7 @@ from radsym.modgroup import (
     _TABLE_FAMILIES,
     _coset_invariant,
     _cusp_key,
+    _divisors,
     _prime_powers,
     atkin_lehner,
     atkin_lehner_exponents,
@@ -431,6 +432,19 @@ def gamma0_basis_by_class(n: int, weights: tuple):
     if sum(sol) != sum(weights) * pi_over_volume(G) / 3:
         raise ArithmeticError(f"the Gamma0({n}) divisor basis fails its 1/y check")
     return tuple(zip(divs, sol))
+
+
+# The Gamma0(N)+ record that symbols._gamma0_plus_weight writes down in
+# closed form, built from the solved divisor basis with weight 1 at every
+# d | N, 1/y check included: its reference.
+def gamma0_plus_weight_by_basis(n: int):
+    """The _weight_record of Gamma0(N)+: the divisor basis (e, c_e) with
+    weight 1 at every d | N gives the even weight row
+    w_r = sum_{e | gcd(r, N)} c_e mod N, with w_0 = sum_e c_e, and
+    K1 = sum_e e c_e."""
+    basis = symbols._gamma0_basis(n, (1,) * len(_divisors(n)))
+    row = [sum(ce for e, ce in basis if r % e == 0) for r in range(n)]
+    return _weight_record(n, row, sum(e * ce for e, ce in basis))
 
 
 def euler_phi(n: int) -> int:

@@ -6,7 +6,14 @@ import pytest
 
 from radsym import cli, symbols
 from radsym.cli import _build_parser, run
-from radsym.modgroup import Cusp, GroupId, cusp_equivalent, cusps, schreier_generators
+from radsym.modgroup import (
+    Cusp,
+    Family,
+    GroupId,
+    cusp_equivalent,
+    cusps,
+    schreier_generators,
+)
 from radsym.periods import NumericPeriod
 from radsym.symbols import SymbolValue
 
@@ -356,7 +363,7 @@ def test_cosets_refuses_a_group_with_no_table(capsys):
 def test_verify_suites(capsys):
     assert run(["verify", "cocycle", "--count", "200"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert run(["verify", "coset-sum", "--level", "2"]) == 0
+    assert run(["verify", "cusp-sum", "--level", "2"]) == 0
     assert run(["verify", "oracle-consistency", "--level", "5"]) == 0
     assert run(["verify", "oracle-consistency", "--level", "9"]) == 0
 
@@ -403,7 +410,26 @@ def test_oracle_consistency_sweep_catches_peel_lift_mutants(monkeypatch):
         assert sum((n - d * d) // gcd(d * d, n) for d in split) == 0, n
 
 
-@pytest.mark.parametrize("suite", ["oracle-consistency", "coset-sum"])
+def test_verify_cusp_sum_catches_a_doubled_gamma0_lift(capsys, monkeypatch):
+    # Gamma0(9) and Gamma0(36) have split cusps, whose symbols take
+    # _psi_lift on powers g^k with k > 1: doubling those values breaks
+    # sum_b w_b Psi_b(g) = Psi(g) on Gamma0(N), while Gamma(N) and
+    # Gamma1(N), on the same lift, still pass
+    lift = symbols._psi_lift
+
+    def doubled(G, cu, g):
+        v = lift(G, cu, g)
+        return SymbolValue.exact(2 * v.rational) if G.family is Family.GAMMA0_N else v
+
+    monkeypatch.setattr(symbols, "_psi_lift", doubled)
+    for level in ["9", "36"]:
+        assert run(["verify", "cusp-sum", "--level", level]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("cusp-sum: FAIL\n"), level
+        assert "Gamma0(" in out and "Gamma(" not in out and "Gamma1(" not in out
+
+
+@pytest.mark.parametrize("suite", ["oracle-consistency", "cusp-sum"])
 def test_verify_level_zero_is_out_of_range(capsys, suite):
     # level 0 is not replaced by the suite's default levels
     assert run(["verify", suite, "--level", "0"]) == 1
@@ -422,7 +448,7 @@ def test_verify_refuses_level_on_sl2z_suites(capsys, suite):
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
-@pytest.mark.parametrize("suite", ["cocycle", "coset-sum"])
+@pytest.mark.parametrize("suite", ["cocycle", "cusp-sum"])
 def test_verify_count_below_one_is_an_error(capsys, suite, count):
     # a suite that ran no check does not pass
     assert run(["verify", suite, "--count", count]) == 1
@@ -434,14 +460,14 @@ def test_verify_count_below_one_is_an_error(capsys, suite, count):
 @pytest.mark.parametrize("argv", [
     ["cocycle", "--tol", "5", "--count", "10"],
     ["reciprocity", "--tol", "1e-3"],
-    ["coset-sum", "--tol", "1e-3"],
+    ["cusp-sum", "--tol", "1e-3"],
     ["oracle-consistency", "--tol", "1e-3"],
     ["reciprocity", "--seed", "3"],
     ["oracle-consistency", "--seed", "3"],
     ["oracle-consistency", "--count", "10"],
 ])
 def test_verify_refuses_flags_the_suite_never_reads(capsys, argv):
-    # --tol is read by lemma only, --seed by cocycle, coset-sum and lemma,
+    # --tol is read by lemma only, --seed by cocycle, cusp-sum and lemma,
     # --count by every suite but oracle-consistency
     assert run(["verify", *argv]) == 1
     captured = capsys.readouterr()
@@ -452,7 +478,7 @@ def test_verify_refuses_flags_the_suite_never_reads(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["reciprocity", "--count", "20"],
     ["cocycle", "--seed", "3", "--count", "10"],
-    ["coset-sum", "--level", "3", "--seed", "3", "--count", "10"],
+    ["cusp-sum", "--level", "3", "--seed", "3", "--count", "10"],
     ["lemma", "--tol", "1e-6", "--seed", "3", "--count", "1"],
 ])
 def test_verify_reads_every_flag_of_its_suite(capsys, argv):
