@@ -20,7 +20,9 @@ and takada_phi are the classical symbols.
 The sawtooth sum splits by residue class mod N into Rademacher's shifted
 Dedekind sums, which one Euclid descent on (a, |c|/N) evaluates through
 their reciprocity law, so every value is exact and costs O(log |c|) at any
-size of c.
+size of c.  As in the classical Dedekind sum, the fractions of the law
+cancel in pairs along the walk, so the descent adds up one small integer
+over the partial quotients and the value is a closed form in it.
 
 Gamma0(N) takes one divisor-basis solve, with one weight per
 divisor d of N for the cusps p/q with gcd(q, N) = d.  Those cusps are the
@@ -221,9 +223,11 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
     that _psi_weighted assembles.  gcd(a, c) = 1 at determinant 1; an
     Atkin-Lehner element with a = e a', d = e d', c = N c' has
     e a'd' - (N/e) b c' = 1 from its determinant, so gcd(a, c/N) = 1.
+    Outside that domain the sum has no descent, and ValueError is raised.
     tables and pairs are those of the row's _weight_record; the descent
     caches in pairs the pair sums
-    sum_r C[r] u[alpha r] u[beta r] = 4n^2 D sum_r w_r ((alpha r/n)) ((beta r/n)),
+    P(alpha, beta) = sum_r C[r] u[alpha r] u[beta r]
+                   = 4n^2 D sum_r w_r ((alpha r/n)) ((beta r/n)),
     indices mod n, under the key alpha n + beta.  C is even, u odd and
     u[0] = u[n/2] = 0, so the terms at r and n - r are equal and the pair
     sum is twice its part over 0 < r < n/2.
@@ -246,49 +250,57 @@ def _descent(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
     73 (1995)).  The reciprocity law needs x, y not both integers, which
     holds for r != 0 because gcd(alpha, beta, n) = 1 is invariant.  At
     r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
-    holds with an extra -1/4 on the right.  Each step is O(1) through the
-    tables and the cached pair sums (O(n) the first time a pair (alpha, beta)
-    is met), so the cost is O(log |c|) steps.  The sum is accumulated in
-    units of 1/(12 n^2 D) over den = M h k: after the step at (h, k) its
-    denominator divides M h k (observed at every step, not proved, so a
-    remainder raises ArithmeticError), and the integers stay O(log |c|)
-    bits.  Moving from the pair (H, k) to (h, k) with h = H mod k scales
-    the numerator by M h k / (M H k) = h / H.  At A = 0, where den would be
-    0, gcd(A, M) = 1 forces M = 1, so n | a, every ((aj/c)) is
-    ((integer)) = 0 and the sum is 0: only an Atkin-Lehner element with
-    |c| = N and N | a has it.
+    holds with an extra -1/4 on the right.
+
+    In units of 1/(12 n^2 D), a step from (h, k) = (A, M), (alpha, beta) =
+    (0, 1) and sign sg = 1 takes q, h = divmod(h, k) and
+    alpha = alpha + q beta, adds sg 3 P(alpha, beta) and, if h != 0,
+    sg (h/k B[beta] + B[(h beta + k alpha) mod n]/(hk) + k/h B[alpha]
+    - 3 n^2 C[0]), and moves on to (k, h, beta, alpha, -sg).  As in the
+    classical closed form of dedekind.dedekind_sum (Barkan, Hickerson,
+    Knuth, 1977), only the partial quotients are left:
+
+    - the next step writes k/h as q' + h'/k', and its own h'/k' B[beta']
+      has beta' = alpha and the opposite sign, so the fractions h/k cancel
+      in pairs; each step leaves -sg q B[beta], and the first step also
+      h_0/M B[1] = A/M B[1] - q_0 B[1];
+    - the cross index (h beta + k alpha) mod n is A mod n at every step;
+    - sum sg/(hk) over the steps with h != 0 is A'/M, less 1 when the last
+      step has sg = 1, where A A' = 1 mod M and A' = M at M = 1, whose sum
+      is empty.
+
+    So the sum is n (M z + A B[1] + B[A mod n] (A' - M [sg = 1])) over
+    12 n^2 D, where the integer z adds up sg (3 P - q B[beta]) at every
+    step and -sg 3 n^2 C[0] at each step with h != 0.  No term of z grows
+    with c; each step is O(1) through the tables and the cached pair sums
+    (O(n) the first time a pair (alpha, beta) is met), so the cost is
+    O(log |c|) steps.  At A = 0, gcd(A, M) = 1 forces M = 1, so n | a,
+    every ((aj/c)) is ((integer)) = 0, and the formula gives 0: only an
+    Atkin-Lehner element with |c| = N and N | a has it.
     """
     m = abs(c)
     if m % n:
         raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
     C, D, u, B = tables
     A = a * sign(c) % m
-    if A == 0:
-        return 0, 1
     M = m // n
-    den, num = M * A * M, 0
-    h, k, alpha, beta, sg = A, M, 0, 1, 1
+    inv = pow(A, -1, M) or M             # ValueError at gcd(A, M) > 1
+    z, h, k, alpha, beta, sg = 0, A, M, 0, 1, 1
     while True:
-        # den = M H k for the pair (H, k) that this step divides
-        H = h
         q, h = divmod(h, k)
+        z -= sg * q * B[beta]
         alpha = (alpha + q * beta) % n
         pair = pairs.get(alpha * n + beta)
         if pair is None:
             pair = pairs[alpha * n + beta] = 2 * sum(
                 C[r] * u[alpha * r % n] * u[beta * r % n]
                 for r in range(1, (n + 1) // 2))
-        num += sg * 3 * pair * den
+        z += sg * 3 * pair
         if h == 0:                       # k = 1: s(0, 1; x, y) = ((x))((y))
-            return m * num, 12 * n * n * D * den
-        term = (h * h * B[beta] + B[(h * beta + k * alpha) % n] + k * k * B[alpha]
-                - 3 * n * n * C[0] * h * k)
-        num, rem = divmod(num * h, H)
-        if rem:
-            raise ArithmeticError(
-                f"level-{n} descent of {a}/{c}: a partial sum is not over M h k")
-        num, den = num + sg * term * M, M * h * k
+            break
+        z -= sg * 3 * n * n * C[0]
         h, k, alpha, beta, sg = k, h, beta, alpha, -sg
+    return n * (M * z + A * B[1] + B[A % n] * (inv - M * (sg > 0))), 12 * n * n * D
 
 
 # ---------------------------------------------------------------------------

@@ -579,8 +579,100 @@ def gamma_sawtooth_tables(n: int):
     return C, D, u, B
 
 
+# The level-N descent as radsym carried it before its closed form: a
+# running numerator over den = M h k, rescaled by h/H at every step, with
+# the divisibility that keeps it in integers checked, not proved.  Kept
+# verbatim as the oracle for the closed form of symbols._descent; given
+# its own pairs dict, it shares only the record's tables with it.
+def descent_rescaled(n: int, tables, pairs: dict, a: int, c: int) -> tuple[int, int]:
+    """sum_{0 < j < |c|} j w_j ((aj/c)) for an even weight row w mod n, with
+    n >= 2, n | c and gcd(A, |c|/n) = 1 for A = a sign(c) mod |c|, as
+    integers (numerator, denominator): the sawtooth term of the one formula
+    that _psi_weighted assembles.  gcd(a, c) = 1 at determinant 1; an
+    Atkin-Lehner element with a = e a', d = e d', c = N c' has
+    e a'd' - (N/e) b c' = 1 from its determinant, so gcd(a, c/N) = 1.
+    tables and pairs are those of the row's _weight_record; the descent
+    caches in pairs the pair sums
+    sum_r C[r] u[alpha r] u[beta r] = 4n^2 D sum_r w_r ((alpha r/n)) ((beta r/n)),
+    indices mod n, under the key alpha n + beta.  C is even, u odd and
+    u[0] = u[n/2] = 0, so the terms at r and n - r are equal and the pair
+    sum is twice its part over 0 < r < n/2.
+
+    With m = |c| = nM, the residue-r part is
+    S_r = m (s(A, M; 0, r/n) + ((Ar/n))/2), where
+
+        s(h, k; x, y) = sum_{mu mod k} ((h(mu + y)/k + x)) (((mu + y)/k))
+
+    is Rademacher's shifted Dedekind sum.  The ((Ar/n))/2 parts cancel in
+    the sum over r, since w is even and ((x)) odd, so the sum starts at 0.
+    One Euclid descent evaluates all residues at once, with x = alpha r/n
+    and y = beta r/n, from
+
+        s(h + qk, k; x, y) = s(h, k; x + qy, y),
+        s(h, k; x, y) + s(k, h; y, x) = ((x))((y))
+            + (h/k B2bar(y) + B2bar(hy + kx)/(hk) + k/h B2bar(x)) / 2
+
+    (Rademacher, Duke Math. J. 21 (1954); Hall-Wilson-Zagier, Acta Arith.
+    73 (1995)).  The reciprocity law needs x, y not both integers, which
+    holds for r != 0 because gcd(alpha, beta, n) = 1 is invariant.  At
+    r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
+    holds with an extra -1/4 on the right.  Each step is O(1) through the
+    tables and the cached pair sums (O(n) the first time a pair (alpha, beta)
+    is met), so the cost is O(log |c|) steps.  The sum is accumulated in
+    units of 1/(12 n^2 D) over den = M h k: after the step at (h, k) its
+    denominator divides M h k (observed at every step, not proved, so a
+    remainder raises ArithmeticError), and the integers stay O(log |c|)
+    bits.  Moving from the pair (H, k) to (h, k) with h = H mod k scales
+    the numerator by M h k / (M H k) = h / H.  At A = 0, where den would be
+    0, gcd(A, M) = 1 forces M = 1, so n | a, every ((aj/c)) is
+    ((integer)) = 0 and the sum is 0: only an Atkin-Lehner element with
+    |c| = N and N | a has it.
+    """
+    m = abs(c)
+    if m % n:
+        raise ValueError(f"the level-{n} sawtooth sum needs {n} | c, got c = {c}")
+    C, D, u, B = tables
+    A = a * sign(c) % m
+    if A == 0:
+        return 0, 1
+    M = m // n
+    den, num = M * A * M, 0
+    h, k, alpha, beta, sg = A, M, 0, 1, 1
+    while True:
+        # den = M H k for the pair (H, k) that this step divides
+        H = h
+        q, h = divmod(h, k)
+        alpha = (alpha + q * beta) % n
+        pair = pairs.get(alpha * n + beta)
+        if pair is None:
+            pair = pairs[alpha * n + beta] = 2 * sum(
+                C[r] * u[alpha * r % n] * u[beta * r % n]
+                for r in range(1, (n + 1) // 2))
+        num += sg * 3 * pair * den
+        if h == 0:                       # k = 1: s(0, 1; x, y) = ((x))((y))
+            return m * num, 12 * n * n * D * den
+        term = (h * h * B[beta] + B[(h * beta + k * alpha) % n] + k * k * B[alpha]
+                - 3 * n * n * C[0] * h * k)
+        num, rem = divmod(num * h, H)
+        if rem:
+            raise ArithmeticError(
+                f"level-{n} descent of {a}/{c}: a partial sum is not over M h k")
+        num, den = num + sg * term * M, M * h * k
+        h, k, alpha, beta, sg = k, h, beta, alpha, -sg
+
+
+@functools.lru_cache(maxsize=None)
+def gamma_pair_sum(n: int, alpha: int, beta: int) -> int:
+    """sum_r C[r] u[alpha][r] u[beta][r] over the tables of
+    gamma_sawtooth_tables(n): the pair term of level_sawtooth_unreduced,
+    computed once per (n, alpha, beta)."""
+    C, _D, u, _B = gamma_sawtooth_tables(n)
+    return sum(C[r] * u[alpha][r] * u[beta][r] for r in range(n))
+
+
 # The descent with num and den never reduced, so den grows to prod h k:
-# the oracle for the rescaled accumulation in symbols._descent.
+# the oracle for the Gamma(N) row of symbols._descent, from tables built
+# off the Fraction definitions.
 def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
     """sum_{0 < j < |c|} j w_j ((aj/c)) for n | c and gcd(a, c) = 1, with
     w_j = C_{n,j}/mu the Gamma(n) row of takada_C_row_exact.
@@ -601,9 +693,10 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
     73 (1995)).  The reciprocity law needs x, y not both integers, which
     holds for r != 0 because gcd(alpha, beta, n) = 1 is invariant.  At
     r = 0, where s(h, k; 0, 0) is the classical Dedekind sum, the same law
-    holds with an extra -1/4 on the right.  Each step takes O(n) through
-    the tables of gamma_sawtooth_tables, so the cost is O(n log |c|).
-    The sum is accumulated in units of 1/(12 n^2 D).
+    holds with an extra -1/4 on the right.  Each step reads the tables of
+    gamma_sawtooth_tables and the pair sum of gamma_pair_sum, O(n) the
+    first time (n, alpha, beta) is met, so the cost is O(n log |c|) at
+    most.  The sum is accumulated in units of 1/(12 n^2 D).
     """
     m = abs(c)
     if m % n:
@@ -617,7 +710,7 @@ def level_sawtooth_unreduced(n: int, a: int, c: int) -> Fraction:
     while True:
         q, h = divmod(h, k)
         alpha = (alpha + q * beta) % n
-        pair = sum(C[r] * u[alpha][r] * u[beta][r] for r in range(n))
+        pair = gamma_pair_sum(n, alpha, beta)
         num += sg * 3 * pair * den
         if h == 0:                       # k = 1: s(0, 1; x, y) = ((x))((y))
             return Fraction(m * num, 12 * n * n * D * den)

@@ -53,8 +53,10 @@ from radsym.symbols import (
 
 from conftest import (
     bernoulli2_bar,
+    descent_rescaled,
     gamma0_basis_by_class,
     gamma0_plus_weight_by_basis,
+    gamma_weight,
     level_coset_sum,
     level_cosets,
     level_sawtooth_direct,
@@ -356,8 +358,9 @@ def test_level_sawtooth_needs_level_dividing_c():
 
 
 def test_level_sawtooth_matches_unreduced_descent():
-    # 1200 seeded triples, N = 2..60, both signs, |c| up to 10^40: carrying
-    # the sum over M h k gives the value of the never-reduced num/den
+    # 1200 seeded triples, N = 2..60, both signs, |c| up to 10^40: the
+    # closed form in the partial quotients gives the value of the
+    # never-reduced num/den
     rng = random.Random(20261018)
     for _ in range(1200):
         n = rng.randint(2, 60)
@@ -367,6 +370,57 @@ def test_level_sawtooth_matches_unreduced_descent():
         while math.gcd(a, c) != 1:
             a += 1
         assert gamma_descent(n, a, c) == level_sawtooth_unreduced(n, a, c), (n, a, c)
+
+
+def test_descent_matches_rescaled_descent_on_every_record_kind():
+    # the closed form of _descent against the rescaled descent it replaced,
+    # descent_rescaled with its own pair cache, on every record kind: the
+    # _cusp_weight(n, g) records for every g | n, n <= 60, the Gamma(N) rows
+    # of gamma_weight for N = 2..60, and the Gamma0(N)+ rows at 2, 30, 210,
+    # 2310 and 8 seeded squarefree N < 500.  Per record: |c| = N at a
+    # random a, and at A = 0; and four |c| = N M with log-uniform digits up
+    # to 300, both signs.  Then |c| near 10^300 and 10^1000 on three rows
+    rng = random.Random(20261022)
+
+    def draw(n, e):
+        m = n * rng.randint(10 ** (e - 1), 10 ** e)
+        a = rng.randint(-3 * m, 3 * m)
+        while math.gcd(a, m // n) != 1:
+            a += 1
+        return a, m * rng.choice((-1, 1))
+
+    squarefree = [n for n in range(3, 500) if _squarefree(n)]
+    plus = [2, 30, 210, 2310] + rng.sample(squarefree, 8)
+    records = ([(n, _cusp_weight(n, g)) for n in range(2, 61) for g in symbols._divisors(n)]
+               + [(n, gamma_weight(n)) for n in range(2, 61)]
+               + [(n, symbols._gamma0_plus_weight(n)) for n in plus])
+    cases = []
+    for n, rec in records:
+        cases += [(n, rec, rng.randint(-3 * n, 3 * n), n * rng.choice((-1, 1))),
+                  (n, rec, n * rng.randint(-3, 3), n * rng.choice((-1, 1)))]
+        cases += [(n, rec, *draw(n, int(10 ** rng.uniform(0, math.log10(300)))))
+                  for _ in range(4)]
+    for n, rec in [(11, _cusp_weight(11, 11)), (11, _cusp_weight(11, 1)),
+                   (30, symbols._gamma0_plus_weight(30))]:
+        cases += [(n, rec, *draw(n, e)) for e in (300, 1000)]
+    assert len(records) == 331 and len(cases) == 6 * 331 + 6
+    oracle_pairs = collections.defaultdict(dict)
+    for n, (tables, pairs, *_consts), a, c in cases:
+        assert Fraction(*_descent(n, tables, pairs, a, c)) == Fraction(
+            *descent_rescaled(n, tables, oracle_pairs[id(pairs)], a, c)), (n, a, c)
+
+
+def test_descent_refuses_a_outside_its_domain():
+    # gcd(A, |c|/n) > 1 has no descent: at (n, a, c) = (2, 2, 8) the
+    # rescaled descent returned -3/2 where the direct sum is -1
+    assert level_sawtooth_direct(2, 2, 8) == -1
+    with pytest.raises(ValueError):
+        gamma_descent(2, 2, 8)
+    plus30 = symbols._gamma0_plus_weight(30)[0]
+    for n, tables, a, c in [(3, _cusp_weight(3, 3)[0], 2, -12),
+                            (30, plus30, 7, 30 * 49), (30, plus30, 0, 60)]:
+        with pytest.raises(ValueError):
+            _descent(n, tables, {}, a, c)
 
 
 def test_level_tables_match_fraction_definitions():
